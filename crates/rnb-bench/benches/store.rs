@@ -437,7 +437,7 @@ fn tcp_probe(addr: SocketAddr) -> std::io::Result<f64> {
 /// server (reported plus a hardware-conditional baseline gate: absolute
 /// wire numbers mix in kernel/socket costs, so the committed figure is
 /// only compared when the committed `"cores"` matches this machine).
-fn run_tcp(quick: bool) -> std::io::Result<(usize, f64)> {
+fn run_tcp() -> std::io::Result<(usize, f64)> {
     let server = probe_server()?;
     Ok((TCP_M, tcp_probe(server.addr())?))
 }
@@ -460,12 +460,11 @@ const IDLE_CHILD_CHUNK: usize = 2_500;
 const FD_MARGIN: usize = 512;
 /// `--enforce`: throughput with 10k idle connections parked must stay
 /// above this fraction of the 0-idle figure. A same-run, same-machine
-/// ratio, so the gate is portable. The floor is generous because a
-/// burst that drains between batches pays a sweep-detection latency
-/// (bounded by the poller's max park) before the next batch is noticed
-/// — observed cost is ~0.5-0.7x, a collapse to thread-per-connection
-/// levels would be far below this.
-const MIN_IDLE_RATIO: f64 = 0.35;
+/// ratio, so the gate is portable. Dispatch is O(ready) — parked
+/// connections sleep in the kernel's readiness set and cost the busy
+/// one nothing — so the committed figure sits at parity and the floor
+/// leaves room only for the noise of neighbouring sub-second probes.
+const MIN_IDLE_RATIO: f64 = 0.80;
 /// `--enforce`, cores-matching only: the probe may not fall more than
 /// this factor below the committed `tcp_pipelined` items/sec.
 const MAX_TCP_REGRESSION: f64 = 1.25;
@@ -473,9 +472,11 @@ const MAX_TCP_REGRESSION: f64 = 1.25;
 struct ConnectionsCell {
     idle: usize,
     items_per_sec: f64,
+    /// `items_per_sec` over the zero-idle server's, probed alternately.
+    ratio_vs_idle0: f64,
     /// Connections the server actually saw live during the probe.
     live_conns: usize,
-    /// Server OS threads while holding them (accept + poll + workers).
+    /// Server OS threads while holding them (the worker pool).
     threads: usize,
 }
 
@@ -566,7 +567,7 @@ fn idle_client_main(addr: &str, count: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_connections(quick: bool) -> std::io::Result<Vec<ConnectionsCell>> {
+fn run_connections() -> std::io::Result<Vec<ConnectionsCell>> {
     let budget = fd_soft_limit();
     let mut cells = Vec::new();
     println!("\n[store connections] pipelined probe with idle connections parked");
@@ -574,6 +575,7 @@ fn run_connections(quick: bool) -> std::io::Result<Vec<ConnectionsCell>> {
         "{:<12} {:>10} {:>16} {:>8}",
         "cell", "live", "items/s", "threads"
     );
+    let reference = probe_server()?;
     for &target in IDLE_CONNS {
         // The server side of every idle socket is an fd in this process.
         let idle = match budget {
@@ -593,8 +595,8 @@ fn run_connections(quick: bool) -> std::io::Result<Vec<ConnectionsCell>> {
         } else {
             Vec::new()
         };
-        // The children's sockets are connected, but registration runs
-        // through the accept thread; wait for the poller to own them.
+        // The children's sockets are connected, but the server accepts
+        // them at its own pace; wait until it holds them all.
         let mut spins = 0u64;
         while server.live_connections() < idle {
             spins += 1;
@@ -606,10 +608,23 @@ fn run_connections(quick: bool) -> std::io::Result<Vec<ConnectionsCell>> {
             }
             std::thread::yield_now();
         }
-        let items_per_sec = tcp_probe(server.addr())?;
+        // Median of three probes, each next to a probe of a server with
+        // nothing parked: a shared box drifts by half again within
+        // seconds, so only neighbours in time make a ratio the 0.80
+        // floor can judge.
+        let mut here = [0.0f64; 3];
+        let mut idle0 = [0.0f64; 3];
+        for (here, idle0) in here.iter_mut().zip(&mut idle0) {
+            *idle0 = tcp_probe(reference.addr())?;
+            *here = tcp_probe(server.addr())?;
+        }
+        here.sort_by(f64::total_cmp);
+        idle0.sort_by(f64::total_cmp);
+        let items_per_sec = here[1];
         let cell = ConnectionsCell {
             idle,
             items_per_sec,
+            ratio_vs_idle0: items_per_sec / idle0[1],
             live_conns: server.live_connections(),
             threads: server.thread_count(),
         };
@@ -901,13 +916,8 @@ fn render_json(
         ));
     }
     out.push_str("  ],\n  \"connections\": [\n");
-    let idle0 = connections
-        .iter()
-        .find(|c| c.idle == 0)
-        .map(|c| c.items_per_sec);
     for (i, c) in connections.iter().enumerate() {
         let sep = if i + 1 == connections.len() { "" } else { "," };
-        let ratio = idle0.map_or(1.0, |base| c.items_per_sec / base);
         out.push_str(&format!(
             "    {{ \"cell\": \"{}\", \"idle\": {}, \"live_conns\": {}, \
              \"server_threads\": {}, \"items_per_sec\": {:.0}, \
@@ -917,7 +927,7 @@ fn render_json(
             c.live_conns,
             c.threads,
             c.items_per_sec,
-            ratio
+            c.ratio_vs_idle0
         ));
     }
     out.push_str("  ]\n}\n");
@@ -1063,7 +1073,7 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
 
     let writes = run_writes(quick);
 
-    let tcp = match run_tcp(quick) {
+    let tcp = match run_tcp() {
         Ok((m, items_per_sec)) => {
             println!("[store grid] tcp pipelined m={m} depth=32: {items_per_sec:.0} items/s");
             Some((m, items_per_sec))
@@ -1076,7 +1086,7 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
 
     let contended = run_contended(quick);
 
-    let connections = match run_connections(quick) {
+    let connections = match run_connections() {
         Ok(cells) => cells,
         Err(e) => {
             eprintln!("[store connections] sweep failed (cells omitted): {e}");
@@ -1260,40 +1270,34 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
         eprintln!("[store connections] FAIL: sweep produced no cells under --enforce");
         failed = true;
     }
-    if let Some(base) = connections
-        .iter()
-        .find(|c| c.idle == 0)
-        .map(|c| c.items_per_sec)
-    {
-        for cell in &connections {
-            let ratio = cell.items_per_sec / base;
-            if cell.idle > 0 {
-                println!(
-                    "[store connections] {}: {:.2}x of idle0 throughput (floor {MIN_IDLE_RATIO}x)",
-                    cell.key(),
-                    ratio
-                );
-            }
-            if enforce && cell.idle > 0 && ratio < MIN_IDLE_RATIO {
-                eprintln!(
-                    "[store connections] FAIL: {} throughput ratio {ratio:.2}x below the \
-                     {MIN_IDLE_RATIO}x floor",
-                    cell.key()
-                );
-                failed = true;
-            }
-            // Bounded threads is the whole point of the readiness loop:
-            // parked connections must not grow the server's thread count.
-            if enforce && cell.threads != connections[0].threads {
-                eprintln!(
-                    "[store connections] FAIL: {} used {} server threads (idle0 used {}) — \
-                     connection count must not change the thread budget",
-                    cell.key(),
-                    cell.threads,
-                    connections[0].threads
-                );
-                failed = true;
-            }
+    for cell in &connections {
+        let ratio = cell.ratio_vs_idle0;
+        if cell.idle > 0 {
+            println!(
+                "[store connections] {}: {:.2}x of idle0 throughput (floor {MIN_IDLE_RATIO}x)",
+                cell.key(),
+                ratio
+            );
+        }
+        if enforce && cell.idle > 0 && ratio < MIN_IDLE_RATIO {
+            eprintln!(
+                "[store connections] FAIL: {} throughput ratio {ratio:.2}x below the \
+                 {MIN_IDLE_RATIO}x floor",
+                cell.key()
+            );
+            failed = true;
+        }
+        // Bounded threads is the whole point of the readiness loop:
+        // parked connections must not grow the server's thread count.
+        if enforce && cell.threads != connections[0].threads {
+            eprintln!(
+                "[store connections] FAIL: {} used {} server threads (idle0 used {}) — \
+                 connection count must not change the thread budget",
+                cell.key(),
+                cell.threads,
+                connections[0].threads
+            );
+            failed = true;
         }
     }
     if let (Some(text), Some((_, tcp_now))) = (baseline_text.as_deref(), tcp) {

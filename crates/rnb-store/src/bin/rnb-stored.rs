@@ -94,7 +94,7 @@ fn main() {
     // the only way to learn an OS-chosen (`--port 0`) address.
     println!("READY {}", server.addr());
     println!(
-        "rnb-stored listening on {} ({} MB budget, {} threads)",
+        "rnb-stored listening on {} ({} MB budget, {} worker threads on one epoll set)",
         server.addr(),
         mem_mb,
         server.thread_count()

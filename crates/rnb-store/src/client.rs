@@ -150,8 +150,10 @@ impl StoreClient {
             if line == b"END" {
                 break;
             }
-            let text = String::from_utf8_lossy(&line).into_owned();
-            let mut parts = text.split_whitespace();
+            // Borrows the line unless it needs repair; tokens split the
+            // way the server splits them, on ASCII blanks.
+            let text = String::from_utf8_lossy(&line);
+            let mut parts = text.split_ascii_whitespace();
             if parts.next() != Some("VALUE") {
                 return Err(proto_err(format!("unexpected get reply: {text}")));
             }

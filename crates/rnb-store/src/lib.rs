@@ -27,10 +27,11 @@
 //!   hot-shard replication").
 //! * [`protocol`] — the memcached **text protocol** subset the experiments
 //!   need: `get` (multi-key), `set`, `delete`, `stats`, `version`, `quit`.
-//! * [`server`] / [`client`] — a threaded TCP server and a blocking
-//!   client, so the micro-benchmark runs over a real socket like the
-//!   original (loopback stands in for the paper's dedicated LAN cable —
-//!   see DESIGN.md "Substitutions").
+//! * [`server`] / [`client`] — a TCP server (a fixed pool of workers
+//!   sleeping on one `epoll` set, Linux-only) and a blocking client, so
+//!   the micro-benchmark runs over a real socket like the original
+//!   (loopback stands in for the paper's dedicated LAN cable — see
+//!   DESIGN.md "Substitutions").
 //! * [`loadgen`] — the memaslap analog: concurrent clients issuing
 //!   multi-gets of a fixed transaction size (10-byte values, one `set`
 //!   per 1000 `get` items, like the paper's configuration), reporting
@@ -39,7 +40,7 @@
 pub mod client;
 pub mod clock;
 pub mod loadgen;
-pub mod poller;
+mod poller;
 pub mod protocol;
 pub mod replicated;
 pub mod server;
@@ -52,6 +53,6 @@ pub use client::{StorageOp, StoreClient};
 pub use clock::{Clock, RealClock, TestClock, Tick};
 pub use loadgen::{run_load, run_load_with_clock, LoadReport, LoadSpec};
 pub use replicated::{Dispatch, ReadOp, ReadOutcome, WriteOp, WriteOutcome};
-pub use server::{serve_connection, ConnScratch, ServerConfig, StoreServer};
+pub use server::{drain_input, ConnScratch, ServerConfig, StoreServer};
 pub use store::{GetScratch, HotConfig, SetEntry, Store};
 pub use udp::{UdpStoreClient, UdpStoreServer};

@@ -1,77 +1,63 @@
-//! Std-only readiness poller for the serving path.
+//! Kernel readiness for the serving path: one `epoll` set that every
+//! worker waits on.
 //!
-//! The platform has no `epoll`/`kqueue` binding we may use (the
-//! workspace forbids `unsafe` and vendors no FFI), so "readiness" is
-//! level-triggered the portable way: every connection is kept in
-//! nonblocking mode while idle, and a **sweep** probe-reads each one. A
-//! probe that returns data moves the connection to the worker pool; a
-//! probe that returns EOF (or a hard error) retires it; `WouldBlock`
-//! means still idle. Between empty sweeps the poll thread parks with an
-//! escalating timeout ([`Poller::idle_park`]), so an idle server costs a
-//! few wakeups per second rather than a spinning core, while a busy one
-//! is swept back-to-back.
+//! Each parked socket — every idle connection and the listener — is
+//! registered one-shot under a token that indexes a slab holding the
+//! socket. One-shot is the concurrency story: an event disarms its
+//! socket and reaches exactly one [`Poller::wait`] caller, which takes
+//! the socket out of the slab and owns it until it hands it back with
+//! [`Poller::repark`] (re-arming it) or drops it and calls
+//! [`Poller::release`]. So a [`Conn`] belongs to one thread at a time
+//! and **a token is armed iff its socket is in the slab** — kept by the
+//! kernel, not by queues. The slab lock covers a slot swap or one
+//! `epoll_ctl`, never socket I/O.
 //!
-//! Ownership is the concurrency story: a [`Conn`] belongs to exactly one
-//! thread at a time — the poll thread while idle, a worker while being
-//! served — and moves between them over channels. No lock is ever held
-//! around socket I/O.
+//! An idle server makes no system calls: all workers sleep in
+//! `epoll_wait`, and the kernel wakes one per ready socket however many
+//! are parked. [`Poller::wake`] makes a level-triggered descriptor
+//! readable for good, so every waiter returns and keeps returning — the
+//! shutdown signal.
 
-use std::io::{self, Read};
-use std::net::TcpStream;
+use crate::stats::StoreStats;
+use epoll::{Arm, Epoll, Event};
+use parking_lot::Mutex;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsFd, BorrowedFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Bytes a single probe read may pull from one connection per sweep.
-/// Larger requests are completed by the worker after dispatch, so this
-/// only needs to cover "did anything arrive" plus a typical request.
-const PROBE_BUF: usize = 16 * 1024;
-
-/// Bytes per worker-mode read. Sized for pipelined request bursts.
+/// Bytes per worker read. Sized for pipelined request bursts.
 const WORKER_READ_BUF: usize = 64 * 1024;
 
-/// First park interval after an empty sweep.
-const PARK_BASE_MICROS: u64 = 100;
+/// Token of the wake descriptor; slab slot `i` parks under `i + 1`.
+const WAKE_TOKEN: u64 = 0;
 
-/// Park ceiling: bounds both the latency for the first byte on a
-/// long-idle connection and the sweep rate of an all-idle server.
-const PARK_MAX_MICROS: u64 = 25_000;
-
-/// One connection's state: the nonblocking stream plus the bytes read
-/// ahead of the next complete request. Owned by the poll thread while
-/// idle and by a single worker while active; never shared.
+/// One connection's state: the stream plus the bytes read ahead of the
+/// next complete request. Owned by the slab while parked and by a single
+/// worker while served; never shared.
 #[derive(Debug)]
 pub struct Conn {
-    id: u64,
     stream: TcpStream,
     input: Vec<u8>,
 }
 
-/// Result of one probe read on an idle connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// No bytes waiting; stay idle.
-    Idle,
-    /// This many bytes arrived; dispatch to a worker.
-    Ready(usize),
-    /// Peer closed (or the socket failed); retire the connection.
-    Closed,
-}
-
 impl Conn {
-    /// Wrap a freshly accepted stream: nodelay (the serving path answers
-    /// small requests) and nonblocking (poll-mode is the initial state).
-    pub fn new(id: u64, stream: TcpStream) -> io::Result<Conn> {
+    /// Wrap a freshly accepted stream. Its options are set here, once:
+    /// nodelay (the serving path answers small requests); `linger`, how
+    /// long a worker read waits for the next request before the
+    /// connection is parked again; and `write_stall`, the bound on a
+    /// write to a client that stopped reading (so a stalled peer cannot
+    /// wedge a worker, and shutdown stays bounded).
+    pub fn new(stream: TcpStream, linger: Duration, write_stall: Duration) -> io::Result<Conn> {
         stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
+        stream.set_read_timeout(Some(linger))?;
+        stream.set_write_timeout(Some(write_stall))?;
         Ok(Conn {
-            id,
             stream,
             input: Vec::new(),
         })
-    }
-
-    /// Registry id assigned at accept time.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// The underlying stream (workers write responses through it).
@@ -84,30 +70,14 @@ impl Conn {
         &self.input
     }
 
-    /// Discard the first `n` buffered bytes (a parsed request).
+    /// Discard the first `n` buffered bytes (parsed requests).
     pub fn consume(&mut self, n: usize) {
         self.input.drain(..n);
     }
 
-    /// Switch to blocking mode for a worker checkout. `linger` bounds
-    /// how long a worker read waits for the next request before the
-    /// connection is handed back to the poller, and `write_stall` bounds
-    /// a write to a client that stopped reading (so a stalled peer
-    /// cannot wedge a worker, and shutdown stays bounded).
-    pub fn enter_worker_mode(&self, linger: Duration, write_stall: Duration) -> io::Result<()> {
-        self.stream.set_nonblocking(false)?;
-        self.stream.set_read_timeout(Some(linger))?;
-        self.stream.set_write_timeout(Some(write_stall))
-    }
-
-    /// Switch back to nonblocking mode before returning to the poller.
-    pub fn enter_poller_mode(&self) -> io::Result<()> {
-        self.stream.set_nonblocking(true)
-    }
-
-    /// Worker-mode read: append up to one buffer of bytes to the input.
-    /// Returns `Ok(0)` on EOF; `WouldBlock`/`TimedOut` after `linger`
-    /// with no traffic (the signal to hand the connection back).
+    /// Append up to one buffer of bytes to the input. Returns `Ok(0)` on
+    /// EOF; `WouldBlock`/`TimedOut` after `linger` with no traffic (the
+    /// signal to park the connection).
     pub fn read_more(&mut self, staging: &mut Vec<u8>) -> io::Result<usize> {
         if staging.len() < WORKER_READ_BUF {
             staging.resize(WORKER_READ_BUF, 0);
@@ -116,223 +86,296 @@ impl Conn {
         self.input.extend_from_slice(&staging[..n]);
         Ok(n)
     }
+}
 
-    /// Nonblocking probe read used by the sweep.
-    fn probe(&mut self, staging: &mut [u8]) -> Probe {
-        match self.stream.read(staging) {
-            Ok(0) => Probe::Closed,
-            Ok(n) => {
-                self.input.extend_from_slice(&staging[..n]);
-                Probe::Ready(n)
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Probe::Idle,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => Probe::Idle,
-            Err(_) => Probe::Closed,
+/// A socket the readiness set can hold.
+#[derive(Debug)]
+pub enum Parked {
+    /// The (nonblocking) listener: ready means connections to accept.
+    Listener(TcpListener),
+    /// An idle connection: ready means request bytes, EOF or an error.
+    Conn(Conn),
+}
+
+impl AsFd for Parked {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        match self {
+            Parked::Listener(listener) => listener.as_fd(),
+            Parked::Conn(conn) => conn.stream.as_fd(),
         }
     }
 }
 
-/// The idle-connection set, owned by the poll thread. `sweep` is the
-/// whole readiness mechanism; everything else is bookkeeping.
+/// Why [`Poller::wait`] returned.
 #[derive(Debug)]
-pub struct Poller {
-    conns: Vec<Conn>,
-    staging: Vec<u8>,
-    empty_sweeps: u32,
+pub enum Wake {
+    /// [`Poller::wake`] was called; every later wait returns this too.
+    Woken,
+    /// This socket is ready and now belongs to the caller, with the
+    /// token to hand back to [`Poller::repark`] or [`Poller::release`].
+    Ready(u64, Parked),
 }
 
-impl Default for Poller {
-    fn default() -> Self {
-        Poller::new()
+/// Slot `i` holds the socket parked under token `i + 1`. An empty slot
+/// is either on the free list or checked out by the thread that won its
+/// event.
+#[derive(Debug, Default)]
+struct Slab {
+    slots: Vec<Option<Parked>>,
+    free: Vec<usize>,
+    /// Set by [`Poller::close_listener`]: listeners are dropped, not
+    /// parked, from then on.
+    listener_closed: bool,
+}
+
+fn slot_of(token: u64) -> Option<usize> {
+    usize::try_from(token.checked_sub(1)?).ok()
+}
+
+fn token_of(slot: usize) -> u64 {
+    slot as u64 + 1
+}
+
+impl Slab {
+    /// Close whatever `slot` holds and recycle it.
+    fn vacate(&mut self, slot: usize) {
+        self.slots[slot] = None;
+        self.free.push(slot);
     }
+}
+
+/// The readiness set shared by all workers.
+#[derive(Debug)]
+pub struct Poller {
+    epoll: Epoll,
+    slab: Mutex<Slab>,
+    wake_tx: UnixStream,
+    /// Registered level-triggered under [`WAKE_TOKEN`] and never read.
+    _wake_rx: UnixStream,
 }
 
 impl Poller {
-    /// An empty poller.
-    pub fn new() -> Poller {
-        Poller {
-            conns: Vec::new(),
-            staging: vec![0u8; PROBE_BUF],
-            empty_sweeps: 0,
+    /// An empty set.
+    pub fn new() -> io::Result<Poller> {
+        let epoll = Epoll::new()?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        epoll.add(&wake_rx, WAKE_TOKEN, Arm::Level)?;
+        Ok(Poller {
+            epoll,
+            slab: Mutex::new(Slab::default()),
+            wake_tx,
+            _wake_rx: wake_rx,
+        })
+    }
+
+    /// Take ownership of a new socket and arm it. On error the socket is
+    /// closed.
+    pub fn park(&self, parked: Parked) -> io::Result<()> {
+        let mut slab = self.slab.lock();
+        let slot = slab.free.pop().unwrap_or(slab.slots.len());
+        if slot == slab.slots.len() {
+            slab.slots.push(None);
+        }
+        // Stored before it is armed, so whoever wins the event finds it.
+        let armed = self.epoll.add(
+            slab.slots[slot].insert(parked),
+            token_of(slot),
+            Arm::Oneshot,
+        );
+        if armed.is_err() {
+            slab.vacate(slot);
+        }
+        armed
+    }
+
+    /// Hand back the socket won under `token` and re-arm it; bytes that
+    /// arrived meanwhile wake a waiter at once. On error — or for a
+    /// listener after [`Poller::close_listener`] — the socket is closed
+    /// and the token released.
+    pub fn repark(&self, token: u64, parked: Parked) -> io::Result<()> {
+        let slot = slot_of(token).ok_or(io::ErrorKind::InvalidInput)?;
+        let mut slab = self.slab.lock();
+        if slab.listener_closed && matches!(parked, Parked::Listener(_)) {
+            slab.free.push(slot);
+            return Ok(());
+        }
+        let entry = slab
+            .slots
+            .get_mut(slot)
+            .ok_or(io::ErrorKind::InvalidInput)?;
+        // Stored before it is re-armed, as in `park`.
+        let armed = self.epoll.rearm(entry.insert(parked), token);
+        if armed.is_err() {
+            slab.vacate(slot);
+        }
+        armed
+    }
+
+    /// Give up the token of a socket the caller won and has dropped.
+    pub fn release(&self, token: u64) {
+        if let Some(slot) = slot_of(token) {
+            self.slab.lock().free.push(slot);
         }
     }
 
-    /// Take ownership of a connection (new, or handed back by a worker).
-    pub fn register(&mut self, conn: Conn) {
-        self.conns.push(conn);
-        self.empty_sweeps = 0;
-    }
-
-    /// Idle connections currently owned.
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True when no connections are registered.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
-    }
-
-    /// Probe every idle connection once. Connections with waiting bytes
-    /// move into `ready` (for worker dispatch); closed ones are dropped
-    /// and their ids pushed into `closed`. Returns the total bytes the
-    /// probes read (for wire accounting).
-    pub fn sweep(&mut self, ready: &mut Vec<Conn>, closed: &mut Vec<u64>) -> u64 {
-        let before = ready.len() + closed.len();
-        let mut bytes: u64 = 0;
-        let mut i = 0;
-        while i < self.conns.len() {
-            match self.conns[i].probe(&mut self.staging) {
-                Probe::Idle => i += 1,
-                Probe::Ready(n) => {
-                    bytes += n as u64;
-                    ready.push(self.conns.swap_remove(i));
-                }
-                Probe::Closed => {
-                    let conn = self.conns.swap_remove(i);
-                    closed.push(conn.id);
-                }
+    /// Sleep until a parked socket is ready or [`Poller::wake`] was
+    /// called. Counts `poll_wakeups` per return of the system call and
+    /// `poll_events` per socket handed out.
+    pub fn wait(&self, stats: &StoreStats) -> io::Result<Wake> {
+        // One event per call: a ready socket goes to a sleeping worker
+        // instead of queueing behind this one's current burst.
+        let mut events = [Event::default()];
+        loop {
+            let n = match self.epoll.wait(&mut events, None) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+                Err(e) => return Err(e),
+            };
+            stats.poll_wakeups.fetch_add(1, Ordering::Relaxed);
+            if n == 0 {
+                continue;
+            }
+            let token = events[0].token();
+            if token == WAKE_TOKEN {
+                return Ok(Wake::Woken);
+            }
+            let parked =
+                slot_of(token).and_then(|slot| self.slab.lock().slots.get_mut(slot)?.take());
+            if let Some(parked) = parked {
+                stats.poll_events.fetch_add(1, Ordering::Relaxed);
+                return Ok(Wake::Ready(token, parked));
             }
         }
-        if ready.len() + closed.len() == before {
-            self.empty_sweeps = self.empty_sweeps.saturating_add(1);
-        } else {
-            self.empty_sweeps = 0;
+    }
+
+    /// Wake every current and future [`Poller::wait`] caller.
+    pub fn wake(&self) {
+        // One byte into a socket pair nobody else writes to and nobody
+        // reads: its buffer cannot be full, so the write cannot fail.
+        let _ = (&self.wake_tx).write_all(&[1]);
+    }
+
+    /// Close the listener: now if it is parked, otherwise when its
+    /// holder tries to park it again. Connections stay.
+    pub fn close_listener(&self) {
+        let mut slab = self.slab.lock();
+        slab.listener_closed = true;
+        let parked = slab
+            .slots
+            .iter()
+            .position(|s| matches!(s, Some(Parked::Listener(_))));
+        if let Some(slot) = parked {
+            slab.vacate(slot);
         }
-        bytes
     }
 
-    /// How long to park after a sweep that found nothing: escalates from
-    /// [`PARK_BASE_MICROS`] to [`PARK_MAX_MICROS`] over consecutive
-    /// empty sweeps. Derived from sweep counts, not wall-clock reads, so
-    /// the poll loop stays deterministic per the repo's time discipline.
-    pub fn idle_park(&self) -> Duration {
-        let micros = PARK_BASE_MICROS << self.empty_sweeps.min(8);
-        Duration::from_micros(micros.min(PARK_MAX_MICROS))
-    }
-
-    /// Reset the park escalation (external activity: a new connection or
-    /// a returned one).
-    pub fn note_activity(&mut self) {
-        self.empty_sweeps = 0;
-    }
-
-    /// Give up ownership of every connection (shutdown path).
-    pub fn drain(&mut self) -> Vec<Conn> {
-        std::mem::take(&mut self.conns)
+    /// Close every parked socket and return how many were connections.
+    pub fn close_all(&self) -> usize {
+        let mut slab = self.slab.lock();
+        let mut conns = 0;
+        for slot in 0..slab.slots.len() {
+            match slab.slots[slot] {
+                Some(Parked::Conn(_)) => conns += 1,
+                Some(Parked::Listener(_)) => {}
+                None => continue,
+            }
+            slab.vacate(slot);
+        }
+        conns
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::TcpListener;
 
-    fn pair(id: u64) -> (TcpStream, Conn) {
+    const LINGER: Duration = Duration::from_millis(5);
+    const STALL: Duration = Duration::from_secs(1);
+
+    fn pair() -> (TcpStream, Conn) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
-        (client, Conn::new(id, server_side).unwrap())
+        (client, Conn::new(server_side, LINGER, STALL).unwrap())
     }
 
-    /// Sweep until `done` or a bounded number of attempts (loopback
-    /// delivery is fast; the bound only guards against a real bug).
-    fn sweep_until(
-        poller: &mut Poller,
-        ready: &mut Vec<Conn>,
-        closed: &mut Vec<u64>,
-        done: impl Fn(&Vec<Conn>, &Vec<u64>) -> bool,
-    ) {
-        for _ in 0..5_000_000u64 {
-            poller.sweep(ready, closed);
-            if done(ready, closed) {
-                return;
-            }
-            std::thread::yield_now();
+    fn expect_conn(wake: Wake) -> (u64, Conn) {
+        match wake {
+            Wake::Ready(token, Parked::Conn(conn)) => (token, conn),
+            other => panic!("expected a ready connection, got {other:?}"),
         }
-        panic!("poller never observed the expected event");
     }
 
     #[test]
-    fn sweep_detects_arriving_data() {
-        let (mut client, conn) = pair(1);
-        let mut poller = Poller::new();
-        poller.register(conn);
-        let (mut ready, mut closed) = (Vec::new(), Vec::new());
-        poller.sweep(&mut ready, &mut closed);
-        assert!(ready.is_empty() && closed.is_empty(), "nothing sent yet");
+    fn arriving_bytes_hand_the_conn_to_the_waiter() {
+        let poller = Poller::new().unwrap();
+        let stats = StoreStats::default();
+        let (mut client, conn) = pair();
+        poller.park(Parked::Conn(conn)).unwrap();
 
-        client.write_all(b"version\r\n").unwrap();
-        sweep_until(&mut poller, &mut ready, &mut closed, |r, _| !r.is_empty());
-        assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].id(), 1);
-        assert_eq!(ready[0].input(), b"version\r\n");
-        assert_eq!(poller.len(), 0, "ready conn left the poller");
-    }
-
-    #[test]
-    fn sweep_retires_closed_connections() {
-        let (client, conn) = pair(9);
-        let mut poller = Poller::new();
-        poller.register(conn);
-        drop(client);
-        let (mut ready, mut closed) = (Vec::new(), Vec::new());
-        sweep_until(&mut poller, &mut ready, &mut closed, |_, c| !c.is_empty());
-        assert_eq!(closed, vec![9]);
-        assert!(poller.is_empty());
-    }
-
-    #[test]
-    fn idle_park_escalates_and_resets() {
-        let (_client, conn) = pair(1);
-        let mut poller = Poller::new();
-        poller.register(conn);
-        let (mut ready, mut closed) = (Vec::new(), Vec::new());
-        let first = poller.idle_park();
-        for _ in 0..32 {
-            poller.sweep(&mut ready, &mut closed);
-        }
-        assert!(ready.is_empty() && closed.is_empty());
-        let escalated = poller.idle_park();
-        assert!(escalated > first, "{escalated:?} !> {first:?}");
-        assert_eq!(escalated, Duration::from_micros(PARK_MAX_MICROS));
-        poller.note_activity();
-        assert_eq!(poller.idle_park(), first);
-    }
-
-    #[test]
-    fn consume_drops_parsed_prefix() {
-        let (mut client, conn) = pair(3);
-        let mut poller = Poller::new();
-        poller.register(conn);
         client.write_all(b"version\r\nget a").unwrap();
-        let (mut ready, mut closed) = (Vec::new(), Vec::new());
-        sweep_until(&mut poller, &mut ready, &mut closed, |r, _| !r.is_empty());
-        let mut conn = ready.pop().unwrap();
-        // The dispatched conn is no longer swept; pull the remainder the
-        // way a worker would (still nonblocking here, so spin briefly).
+        let (token, mut conn) = expect_conn(poller.wait(&stats).unwrap());
         let mut staging = Vec::new();
-        for _ in 0..5_000_000u64 {
-            if conn.input().len() >= 15 {
-                break;
-            }
-            match conn.read_more(&mut staging) {
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
-                Err(e) => panic!("{e:?}"),
-            }
+        while conn.input().len() < 14 {
+            conn.read_more(&mut staging).unwrap();
         }
         assert_eq!(conn.input(), b"version\r\nget a");
         conn.consume(9);
         assert_eq!(conn.input(), b"get a");
+
+        // Parked again, the same token reports the next bytes.
+        poller.repark(token, Parked::Conn(conn)).unwrap();
+        client.write_all(b"\r\n").unwrap();
+        let (again, mut conn) = expect_conn(poller.wait(&stats).unwrap());
+        assert_eq!(again, token);
+        conn.read_more(&mut staging).unwrap();
+        assert_eq!(conn.input(), b"get a\r\n");
+        assert_eq!(stats.poll_events.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.poll_wakeups.load(Ordering::Relaxed), 2);
     }
 
     #[test]
-    fn worker_mode_read_times_out_without_traffic() {
-        let (mut client, mut conn) = pair(4);
-        conn.enter_worker_mode(Duration::from_millis(5), Duration::from_secs(1))
-            .unwrap();
+    fn bytes_sent_while_checked_out_fire_on_repark() {
+        let poller = Poller::new().unwrap();
+        let stats = StoreStats::default();
+        let (mut client, conn) = pair();
+        poller.park(Parked::Conn(conn)).unwrap();
+        client.write_all(b"a").unwrap();
+        let (token, conn) = expect_conn(poller.wait(&stats).unwrap());
+        // The winner owns the socket: these bytes reach nobody until it
+        // hands the connection back, unread.
+        client.write_all(b"b").unwrap();
+        poller.repark(token, Parked::Conn(conn)).unwrap();
+        let (_, mut conn) = expect_conn(poller.wait(&stats).unwrap());
+        let mut staging = Vec::new();
+        while conn.input().len() < 2 {
+            conn.read_more(&mut staging).unwrap();
+        }
+        assert_eq!(conn.input(), b"ab");
+    }
+
+    #[test]
+    fn hang_up_is_an_event_and_its_token_is_reused() {
+        let poller = Poller::new().unwrap();
+        let stats = StoreStats::default();
+        let (client, conn) = pair();
+        poller.park(Parked::Conn(conn)).unwrap();
+        drop(client);
+        let (token, mut conn) = expect_conn(poller.wait(&stats).unwrap());
+        assert_eq!(conn.read_more(&mut Vec::new()).unwrap(), 0, "EOF");
+        drop(conn);
+        poller.release(token);
+
+        let (mut client, conn) = pair();
+        poller.park(Parked::Conn(conn)).unwrap();
+        client.write_all(b"x").unwrap();
+        let (reused, _conn) = expect_conn(poller.wait(&stats).unwrap());
+        assert_eq!(reused, token, "released slot parks the next socket");
+    }
+
+    #[test]
+    fn linger_read_times_out_without_traffic() {
+        let (mut client, mut conn) = pair();
         let mut staging = Vec::new();
         let err = conn.read_more(&mut staging).unwrap_err();
         assert!(
@@ -344,23 +387,69 @@ mod tests {
         );
         client.write_all(b"hi").unwrap();
         // Bounded retry: the bytes are in flight on loopback.
-        let mut got = 0;
-        for _ in 0..1000 {
-            match conn.read_more(&mut staging) {
-                Ok(n) => {
-                    got = n;
-                    break;
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => panic!("{e:?}"),
-            }
-        }
-        assert_eq!(got, 2);
+        let got = (0..1000).find_map(|_| conn.read_more(&mut staging).ok());
+        assert_eq!(got, Some(2));
         assert_eq!(conn.input(), b"hi");
-        conn.enter_poller_mode().unwrap();
+    }
+
+    #[test]
+    fn wake_reaches_every_waiter_and_stays() {
+        let poller = Poller::new().unwrap();
+        let stats = StoreStats::default();
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| matches!(poller.wait(&stats), Ok(Wake::Woken))))
+                .collect();
+            poller.wake();
+            for w in waiters {
+                assert!(w.join().unwrap());
+            }
+        });
+        assert!(matches!(poller.wait(&stats), Ok(Wake::Woken)));
+    }
+
+    #[test]
+    fn closed_listener_is_dropped_parked_or_checked_out() {
+        let stats = StoreStats::default();
+        for checked_out in [false, true] {
+            let poller = Poller::new().unwrap();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            poller.park(Parked::Listener(listener)).unwrap();
+            if checked_out {
+                let _pending = TcpStream::connect(addr).unwrap();
+                let Wake::Ready(token, parked) = poller.wait(&stats).unwrap() else {
+                    panic!("listener event expected");
+                };
+                assert!(matches!(parked, Parked::Listener(_)));
+                poller.close_listener();
+                poller.repark(token, parked).unwrap();
+            } else {
+                poller.close_listener();
+            }
+            assert!(
+                TcpStream::connect(addr).is_err(),
+                "port still open (checked_out={checked_out})"
+            );
+        }
+    }
+
+    #[test]
+    fn close_all_counts_parked_connections() {
+        let poller = Poller::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        poller.park(Parked::Listener(listener)).unwrap();
+        let clients: Vec<TcpStream> = (0..3)
+            .map(|_| {
+                let (client, conn) = pair();
+                poller.park(Parked::Conn(conn)).unwrap();
+                client
+            })
+            .collect();
+        assert_eq!(poller.close_all(), 3);
+        assert_eq!(poller.close_all(), 0);
+        for mut client in clients {
+            assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "closed by us");
+        }
     }
 }

@@ -2,16 +2,18 @@
 //! `get` (multi-key), `set`, `delete`, `stats`, `version`, `quit`.
 //!
 //! Reference: memcached's `doc/protocol.txt`. Requests are CRLF-terminated
-//! lines; `set` is followed by a data block of the declared length plus
-//! CRLF.
+//! lines whose tokens are separated by ASCII blanks (keys are bytes: a
+//! non-ASCII Unicode space belongs to its key); `set` is followed by a
+//! data block of the declared length plus CRLF.
 //!
 //! Parsing is zero-copy: [`parse_command`] returns a [`Command`] that
 //! *borrows* the request line — keys are `&[u8]` slices into it, and a
 //! `get`'s key list is a [`GetKeys`] cursor rather than a
-//! `Vec<Vec<u8>>`. Paired with [`read_line_into`] /
-//! [`read_data_block_into`] reading into pooled buffers, a serving loop
-//! runs allocation-free at steady state (proven by the
-//! `zero_alloc_serve` integration test).
+//! `Vec<Vec<u8>>`. Paired with [`next_request`] cutting requests out of
+//! a connection's pooled input buffer, the serving loop runs
+//! allocation-free at steady state (proven by the `zero_alloc_serve`
+//! integration test). [`read_line`] / [`read_data_block`] are the
+//! blocking, allocating readers the client side parses replies with.
 
 // Wire-format module: every narrowing here changes what goes on the wire,
 // so lossy `as` casts are denied — use `try_from` and surface the error.
@@ -66,7 +68,7 @@ impl<'a> GetKeys<'a> {
 
     /// The keys, as slices borrowed from the request line.
     pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
-        self.tail.split_whitespace().map(str::as_bytes)
+        self.tail.split_ascii_whitespace().map(str::as_bytes)
     }
 
     /// `(start, end)` byte offsets of each key within the line passed
@@ -76,13 +78,16 @@ impl<'a> GetKeys<'a> {
         let mut rest = self.tail;
         let mut consumed = 0usize;
         std::iter::from_fn(move || {
-            let trimmed = rest.trim_start();
+            let trimmed = rest.trim_ascii_start();
             consumed += rest.len() - trimmed.len();
             rest = trimmed;
             if rest.is_empty() {
                 return None;
             }
-            let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
+            let end = rest
+                .bytes()
+                .position(|b| b.is_ascii_whitespace())
+                .unwrap_or(rest.len());
             let start = consumed;
             consumed += end;
             rest = &rest[end..];
@@ -177,7 +182,7 @@ pub const MAX_KEY_LEN: usize = 250;
 /// [`Command`] borrows `line`; nothing is copied.
 pub fn parse_command(line: &[u8]) -> Result<Command<'_>, String> {
     let text = std::str::from_utf8(line).map_err(|_| "non-utf8 command line".to_string())?;
-    let mut parts = text.split_whitespace();
+    let mut parts = text.split_ascii_whitespace();
     let verb = parts.next().ok_or_else(|| "empty command".to_string())?;
     match verb {
         "get" | "gets" => {
@@ -186,7 +191,7 @@ pub fn parse_command(line: &[u8]) -> Result<Command<'_>, String> {
             let base = text.find(verb).unwrap_or(0) + verb.len();
             let tail = &text[base..];
             let mut count = 0usize;
-            for key in tail.split_whitespace() {
+            for key in tail.split_ascii_whitespace() {
                 validate_key(key.as_bytes())?;
                 count += 1;
             }
@@ -317,41 +322,23 @@ fn validate_key(key: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// Read one CRLF (or bare-LF) terminated line into `buf` (cleared
-/// first; the terminator is stripped). Returns the number of bytes
-/// consumed from the stream — terminator included — or `None` on clean
-/// EOF. Reusing `buf` keeps the steady-state read path allocation-free.
-pub fn read_line_into<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
-    buf.clear();
-    let n = reader.read_until(b'\n', buf)?;
-    if n == 0 {
+/// Read one CRLF (or bare-LF) terminated line, terminator stripped.
+/// `Ok(None)` on clean EOF.
+pub fn read_line<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let mut buf = Vec::with_capacity(64);
+    if reader.read_until(b'\n', &mut buf)? == 0 {
         return Ok(None);
     }
     while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
         buf.pop();
     }
-    Ok(Some(n))
+    Ok(Some(buf))
 }
 
-/// Read one CRLF (or bare-LF) terminated line. `Ok(None)` on clean EOF.
-///
-/// Allocating convenience form of [`read_line_into`].
-pub fn read_line<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut buf = Vec::with_capacity(64);
-    Ok(read_line_into(reader, &mut buf)?.map(|_| buf))
-}
-
-/// Read a `set` data block of `len` bytes plus its trailing CRLF into
-/// `buf` (cleared first). Returns the bytes consumed from the stream
-/// (`len + 2`).
-pub fn read_data_block_into<R: BufRead>(
-    reader: &mut R,
-    len: usize,
-    buf: &mut Vec<u8>,
-) -> io::Result<usize> {
-    buf.clear();
-    buf.resize(len, 0);
-    reader.read_exact(buf)?;
+/// Read a `set` data block of `len` bytes plus its trailing CRLF.
+pub fn read_data_block<R: BufRead>(reader: &mut R, len: usize) -> io::Result<Vec<u8>> {
+    let mut data = vec![0; len];
+    reader.read_exact(&mut data)?;
     let mut crlf = [0u8; 2];
     reader.read_exact(&mut crlf)?;
     if &crlf != b"\r\n" {
@@ -360,15 +347,6 @@ pub fn read_data_block_into<R: BufRead>(
             "data block not CRLF-terminated",
         ));
     }
-    Ok(len + 2)
-}
-
-/// Read a `set` data block of `len` bytes plus its trailing CRLF.
-///
-/// Allocating convenience form of [`read_data_block_into`].
-pub fn read_data_block<R: BufRead>(reader: &mut R, len: usize) -> io::Result<Vec<u8>> {
-    let mut data = Vec::new();
-    read_data_block_into(reader, len, &mut data)?;
     Ok(data)
 }
 
@@ -378,10 +356,8 @@ pub fn read_data_block<R: BufRead>(reader: &mut R, len: usize) -> io::Result<Vec
 /// field).
 pub const MAX_DATA_BLOCK: usize = 16 << 20;
 
-/// One step of incremental request extraction from a byte buffer — the
-/// readiness path's replacement for [`read_line_into`] +
-/// [`read_data_block_into`]. Borrows from the buffer it was parsed out
-/// of; nothing is copied.
+/// One step of incremental request extraction from a byte buffer.
+/// Borrows from the buffer it was parsed out of; nothing is copied.
 #[derive(Debug)]
 pub enum NextRequest<'a> {
     /// The buffer does not yet hold a complete request; read more bytes
@@ -404,7 +380,7 @@ pub enum NextRequest<'a> {
     },
     /// A complete line that failed to parse: answer
     /// `CLIENT_ERROR <msg>` and drain `consumed` bytes — the connection
-    /// stays usable, matching the blocking path.
+    /// stays usable.
     Error {
         /// Parse error text for the `CLIENT_ERROR` reply.
         msg: String,
@@ -413,15 +389,14 @@ pub enum NextRequest<'a> {
     },
     /// Unrecoverable framing violation (data block not CRLF-terminated,
     /// or a `bytes` field beyond [`MAX_DATA_BLOCK`]): the stream is
-    /// desynced and the connection must close, matching the blocking
-    /// path's fatal [`read_data_block_into`] error.
+    /// desynced and the connection must close.
     Desync,
 }
 
 /// Try to extract one complete request from the front of `buf`.
 ///
 /// Blank lines ahead of the request are skipped silently (their bytes
-/// are folded into `consumed`), mirroring the blocking command loop.
+/// are folded into `consumed`).
 /// The caller drains `consumed` bytes after handling the result; on
 /// [`NextRequest::Incomplete`] nothing may be drained.
 pub fn next_request(buf: &[u8]) -> NextRequest<'_> {
@@ -431,8 +406,8 @@ pub fn next_request(buf: &[u8]) -> NextRequest<'_> {
         let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
             return NextRequest::Incomplete;
         };
-        // Strip the terminator the way `read_line_into` does: the LF and
-        // any trailing CRs.
+        // Strip the terminator the way `read_line` does: the LF and any
+        // trailing CRs.
         let mut line_end = nl;
         while line_end > 0 && rest[line_end - 1] == b'\r' {
             line_end -= 1;
@@ -485,6 +460,24 @@ pub fn next_request(buf: &[u8]) -> NextRequest<'_> {
     }
 }
 
+/// Append a space and `value` in decimal at `head[*len..]`.
+fn push_decimal(head: &mut [u8; 64], len: &mut usize, mut value: u64) {
+    head[*len] = b' ';
+    let start = *len + 1;
+    let mut end = start;
+    loop {
+        // Least significant digit first, put right below.
+        head[end] = b'0' + u8::try_from(value % 10).unwrap_or(0);
+        end += 1;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    head[start..end].reverse();
+    *len = end;
+}
+
 /// Write one `VALUE` stanza of a get response. `cas` adds the token
 /// (the `gets` reply form).
 pub fn write_value<W: Write>(
@@ -494,12 +487,25 @@ pub fn write_value<W: Write>(
     data: &[u8],
     cas: Option<u64>,
 ) -> io::Result<()> {
+    // ` <flags> <bytes>[ <cas>]\r\n`, formatted by hand: this runs once
+    // per item of every get reply, and `write!` costs more than the
+    // rest of the stanza. At most 11 + 21 + 21 + 2 bytes.
+    let mut head = [0u8; 64];
+    let mut len = 0;
+    push_decimal(&mut head, &mut len, u64::from(flags));
+    push_decimal(
+        &mut head,
+        &mut len,
+        u64::try_from(data.len()).unwrap_or_default(),
+    );
+    if let Some(token) = cas {
+        push_decimal(&mut head, &mut len, token);
+    }
+    head[len] = b'\r';
+    head[len + 1] = b'\n';
     w.write_all(b"VALUE ")?;
     w.write_all(key)?;
-    match cas {
-        Some(token) => write!(w, " {flags} {} {token}\r\n", data.len())?,
-        None => write!(w, " {flags} {}\r\n", data.len())?,
-    }
+    w.write_all(&head[..len + 2])?;
     w.write_all(data)?;
     w.write_all(b"\r\n")
 }
@@ -720,29 +726,11 @@ mod tests {
     }
 
     #[test]
-    fn read_line_into_reports_wire_bytes() {
-        let mut cursor = io::Cursor::new(b"abc\r\ndef\nxyz".to_vec());
-        let mut buf = Vec::new();
-        assert_eq!(read_line_into(&mut cursor, &mut buf).unwrap(), Some(5));
-        assert_eq!(buf, b"abc");
-        assert_eq!(read_line_into(&mut cursor, &mut buf).unwrap(), Some(4));
-        assert_eq!(buf, b"def");
-        assert_eq!(read_line_into(&mut cursor, &mut buf).unwrap(), Some(3));
-        assert_eq!(buf, b"xyz");
-        assert_eq!(read_line_into(&mut cursor, &mut buf).unwrap(), None);
-        assert!(buf.is_empty(), "EOF clears the buffer");
-    }
-
-    #[test]
     fn data_block_roundtrip() {
         let mut cursor = io::Cursor::new(b"hello\r\n".to_vec());
         assert_eq!(read_data_block(&mut cursor, 5).unwrap(), b"hello".to_vec());
         let mut bad = io::Cursor::new(b"helloXY".to_vec());
         assert!(read_data_block(&mut bad, 5).is_err());
-        let mut cursor = io::Cursor::new(b"hello\r\n".to_vec());
-        let mut buf = Vec::new();
-        assert_eq!(read_data_block_into(&mut cursor, 5, &mut buf).unwrap(), 7);
-        assert_eq!(buf, b"hello");
     }
 
     mod fuzz {
@@ -842,6 +830,27 @@ mod tests {
         let mut with_cas = Vec::new();
         write_value(&mut with_cas, b"k1", 9, b"ab", Some(77)).unwrap();
         assert_eq!(&with_cas[..], b"VALUE k1 9 2 77\r\nab\r\n");
+        // The hand-rolled decimals at their extremes: zero and all digits.
+        let mut widest = Vec::new();
+        write_value(&mut widest, b"k", u32::MAX, b"", Some(u64::MAX)).unwrap();
+        assert_eq!(
+            &widest[..],
+            b"VALUE k 4294967295 0 18446744073709551615\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn tokens_split_on_ascii_whitespace_only() {
+        // Keys are bytes: a non-ASCII Unicode space is part of the key,
+        // not a separator (the wire format knows ASCII blanks only).
+        let line = "get a\u{2003}b\tc".as_bytes();
+        let Ok(Command::Get { keys, .. }) = parse_command(line) else {
+            panic!("not a get");
+        };
+        let got: Vec<&[u8]> = keys.iter().collect();
+        assert_eq!(got, ["a\u{2003}b".as_bytes(), b"c"]);
+        let ranged: Vec<&[u8]> = keys.ranges().map(|(s, e)| &line[s..e]).collect();
+        assert_eq!(got, ranged);
     }
 
     #[test]

@@ -1,60 +1,55 @@
 //! TCP server speaking the memcached text protocol.
 //!
 //! Architecture (see README "Serving path architecture"): connections
-//! are **multiplexed over a fixed number of threads** — one accept
-//! thread, one poll thread, and a fixed worker pool — so tens of
-//! thousands of mostly-idle sockets cost buffers, not blocked threads.
-//! The accept thread hands each new connection (a nonblocking
-//! [`Conn`]) to the poll thread, whose [`Poller`] sweep detects arriving
-//! bytes and dispatches ready connections to the workers. A worker
-//! serves a *burst*: it flips the socket to blocking-with-timeout,
-//! executes every complete buffered request (incremental parsing via
-//! [`protocol::next_request`]), answers each batch with one
-//! `write_all`, and keeps reading until the connection goes quiet for a
-//! short linger — then hands it back to the poller and picks up the
-//! next ready connection. Each worker owns one [`ConnScratch`], so the
-//! command loop is allocation-free at steady state (proven by the
-//! `zero_alloc_serve` integration test, which drives the same
-//! [`execute_command`] core through [`serve_connection`]).
+//! are **multiplexed over a fixed pool of worker threads**, and those
+//! are all the threads there are. Every idle connection and the listener
+//! sit in one kernel readiness set (`poller.rs`); the workers sleep in it,
+//! so tens of thousands of mostly-idle sockets cost buffers — not
+//! blocked threads, and not a single system call while nothing arrives.
+//! The worker the kernel wakes for a socket owns it alone until it parks
+//! it again. For the listener that means accepting everything pending;
+//! for a connection it serves a *burst*: read, execute every complete
+//! buffered request ([`drain_input`], incremental parsing via
+//! [`protocol::next_request`]), answer the batch with one `write_all`,
+//! and keep reading until the connection goes quiet for a short linger —
+//! then park it and sleep again. Each worker owns one [`ConnScratch`],
+//! so the command loop is allocation-free at steady state (proven by the
+//! `zero_alloc_serve` integration test, which drives [`drain_input`]
+//! over in-memory bytes).
 
-use crate::poller::{Conn, Poller};
+use crate::poller::{Conn, Parked, Poller, Wake};
 use crate::protocol::{self, reply, Command, NextRequest, StoreVerb};
 use crate::shard::{ArithOutcome, CasOutcome, SetOutcome, Value};
 use crate::store::{GetScratch, SetEntry, Store};
-use parking_lot::Mutex;
-use std::io::{self, BufRead, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long a worker read waits for the next request before the
-/// connection is handed back to the poller. Continuously active
-/// connections therefore keep blocking-path performance; only the first
-/// request after an idle period pays one sweep of latency.
+/// connection is parked. Continuously active connections therefore stay
+/// with their worker at two system calls per transaction; only the first
+/// request after a quiet spell pays the kernel wake-up.
 const WORKER_LINGER: Duration = Duration::from_millis(2);
 
-/// Bound on a worker-mode write to a client that stopped reading its
-/// responses: the write errors out and the connection closes instead of
-/// wedging the worker (and shutdown) indefinitely.
+/// Bound on a write to a client that stopped reading its responses: the
+/// write errors out and the connection closes instead of wedging the
+/// worker (and shutdown) indefinitely.
 const WRITE_STALL: Duration = Duration::from_secs(5);
 
-/// Reads a worker spends on one connection before checking whether
-/// other ready connections are starving for a worker.
+/// Reads a worker spends on one connection before parking it behind
+/// whatever else is ready, so a connection that never goes quiet cannot
+/// starve the others of a worker.
 const BURST_READS: usize = 64;
 
 /// Tuning knobs for [`StoreServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing requests. Each worker owns its scratch
-    /// buffers and serves one connection burst at a time.
+    /// Worker threads — all the threads the server runs. Each owns its
+    /// scratch buffers and serves one ready socket at a time.
     pub workers: usize,
-    /// Bound of the accept→poller intake queue; the accept thread
-    /// blocks (and the OS listen backlog takes over) when this many new
-    /// connections await registration.
-    pub accept_backlog: usize,
 }
 
 impl Default for ServerConfig {
@@ -64,13 +59,12 @@ impl Default for ServerConfig {
         let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         ServerConfig {
             workers: cpus.max(4),
-            accept_backlog: 64,
         }
     }
 }
 
 /// Live-connection count. Each connection is owned by exactly one
-/// thread (accept → poller ⇄ worker), and whichever owner retires it
+/// party (the readiness set or a worker), and whichever retires it
 /// decrements exactly once — so the count is exact, not a high-water
 /// mark, and one socket costs one fd (no registry duplicate, which
 /// matters at 10k+ connections under an fd rlimit).
@@ -82,8 +76,8 @@ impl ConnCount {
         self.0.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn deregister(&self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+    fn deregister(&self, n: usize) {
+        self.0.fetch_sub(n, Ordering::SeqCst);
     }
 
     fn len(&self) -> usize {
@@ -91,17 +85,20 @@ impl ConnCount {
     }
 }
 
+/// What the workers share.
+struct Shared {
+    store: Arc<Store>,
+    poller: Poller,
+    shutdown: AtomicBool,
+    registry: ConnCount,
+}
+
 /// A running store server. Dropping the handle shuts the server down,
 /// closing live connections (so tests can inject server failures).
 pub struct StoreServer {
     addr: SocketAddr,
-    store: Arc<Store>,
-    shutdown: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    poll_thread: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    registry: Arc<ConnCount>,
 }
 
 impl StoreServer {
@@ -123,162 +120,26 @@ impl StoreServer {
     ) -> io::Result<StoreServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let draining = Arc::new(AtomicBool::new(false));
-        let registry = Arc::new(ConnCount::default());
-
-        // Accept → poller intake (bounded: backpressure on accept).
-        let (conn_tx, conn_rx) = sync_channel::<Conn>(config.accept_backlog.max(1));
-        // Poller → workers: ready connections awaiting a worker. The
-        // queue depth is `pending`; workers use it to rotate hogged
-        // connections back when others are starving.
-        let (work_tx, work_rx) = channel::<Conn>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        // Workers → poller: drained connections going back to idle watch.
-        let (return_tx, return_rx) = channel::<Conn>();
-        let pending = Arc::new(AtomicUsize::new(0));
-
-        let poll_thread = {
-            let store = Arc::clone(&store);
-            let registry = Arc::clone(&registry);
-            let shutdown = Arc::clone(&shutdown);
-            let pending = Arc::clone(&pending);
-            std::thread::spawn(move || {
-                let mut poller = Poller::new();
-                let mut ready: Vec<Conn> = Vec::new();
-                let mut closed: Vec<u64> = Vec::new();
-                let stats = store.raw_stats();
-                while !shutdown.load(Ordering::SeqCst) {
-                    let mut activity = false;
-                    while let Ok(conn) = conn_rx.try_recv() {
-                        poller.register(conn);
-                        activity = true;
-                    }
-                    while let Ok(conn) = return_rx.try_recv() {
-                        poller.register(conn);
-                        activity = true;
-                    }
-                    let bytes = poller.sweep(&mut ready, &mut closed);
-                    if bytes > 0 {
-                        stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-                    }
-                    for _ in closed.drain(..) {
-                        registry.deregister();
-                    }
-                    for conn in ready.drain(..) {
-                        pending.fetch_add(1, Ordering::SeqCst);
-                        activity = true;
-                        if work_tx.send(conn).is_err() {
-                            // Workers are gone (shutdown): drop the conn.
-                            pending.fetch_sub(1, Ordering::SeqCst);
-                            registry.deregister();
-                        }
-                    }
-                    if activity {
-                        poller.note_activity();
-                    } else {
-                        std::thread::park_timeout(poller.idle_park());
-                    }
-                }
-                // Shutdown: retire everything the poller still owns or
-                // that is still in flight towards it.
-                for _ in poller.drain() {
-                    registry.deregister();
-                }
-                // In-flight conns from accept / workers: the channels
-                // close their sockets on drop either way; draining here
-                // keeps the live-connection count honest for whatever
-                // made it in before the flag. (`shutdown()` joins the
-                // accept thread before unparking us, so the intake is
-                // normally already disconnected.)
-                loop {
-                    match conn_rx.try_recv() {
-                        Ok(_conn) => registry.deregister(),
-                        Err(TryRecvError::Disconnected) => break,
-                        Err(TryRecvError::Empty) => std::thread::yield_now(),
-                    }
-                }
-                while let Ok(_conn) = return_rx.try_recv() {
-                    registry.deregister();
-                }
-                // `work_tx` drops here: workers drain the queue and exit.
-            })
-        };
-        let poll_handle = poll_thread.thread().clone();
-
+        // Whichever worker wins the listener's event accepts until
+        // `WouldBlock`.
+        listener.set_nonblocking(true)?;
+        let shared = Arc::new(Shared {
+            store,
+            poller: Poller::new()?,
+            shutdown: AtomicBool::new(false),
+            registry: ConnCount::default(),
+        });
+        shared.poller.park(Parked::Listener(listener))?;
         let workers = (0..config.workers.max(1))
             .map(|_| {
-                let rx = Arc::clone(&work_rx);
-                let store = Arc::clone(&store);
-                let registry = Arc::clone(&registry);
-                let shutdown = Arc::clone(&shutdown);
-                let pending = Arc::clone(&pending);
-                let return_tx = return_tx.clone();
-                let poll_handle = poll_handle.clone();
-                std::thread::spawn(move || {
-                    let mut scratch = ConnScratch::new();
-                    loop {
-                        // Hold the receiver lock only while waiting for
-                        // the next connection, never while serving one.
-                        let next = { rx.lock().recv() };
-                        let Ok(mut conn) = next else { break };
-                        pending.fetch_sub(1, Ordering::SeqCst);
-                        if shutdown.load(Ordering::SeqCst)
-                            || !serve_burst(&store, &mut conn, &mut scratch, &pending, &shutdown)
-                        {
-                            registry.deregister();
-                            continue;
-                        }
-                        if return_tx.send(conn).is_ok() {
-                            poll_handle.unpark();
-                        } else {
-                            registry.deregister();
-                        }
-                    }
-                })
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        drop(return_tx); // only worker clones remain
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_draining = Arc::clone(&draining);
-        let accept_registry = Arc::clone(&registry);
-        let accept_thread = std::thread::spawn(move || {
-            let mut next_id: u64 = 0;
-            for conn in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) || accept_draining.load(Ordering::SeqCst)
-                {
-                    break;
-                }
-                match conn {
-                    Ok(stream) => {
-                        let id = next_id;
-                        next_id += 1;
-                        let Ok(conn) = Conn::new(id, stream) else {
-                            continue;
-                        };
-                        accept_registry.register();
-                        if conn_tx.send(conn).is_err() {
-                            accept_registry.deregister();
-                            break;
-                        }
-                        poll_handle.unpark();
-                    }
-                    Err(_) => break,
-                }
-            }
-            // `conn_tx` drops here; the poll thread owns cleanup.
-        });
-
         Ok(StoreServer {
             addr,
-            store,
-            shutdown,
-            draining,
-            accept_thread: Some(accept_thread),
-            poll_thread: Some(poll_thread),
+            shared,
             workers,
-            registry,
         })
     }
 
@@ -289,22 +150,21 @@ impl StoreServer {
 
     /// The served store.
     pub fn store(&self) -> &Arc<Store> {
-        &self.store
+        &self.shared.store
     }
 
-    /// Connections currently registered (idle in the poller, queued, or
-    /// checked out by a worker). Driven by exact ownership hand-offs:
-    /// returns to zero once all clients disconnect and the poller
-    /// retires them.
+    /// Connections currently open (parked in the readiness set or being
+    /// served by a worker). Exact: returns to zero once all clients
+    /// disconnect and a worker has seen each EOF.
     pub fn live_connections(&self) -> usize {
-        self.registry.len()
+        self.shared.registry.len()
     }
 
-    /// Total serving threads: the accept thread, the poll thread, and
-    /// the fixed worker pool. Independent of the connection count — the
-    /// C10K property the readiness loop exists for.
+    /// Total serving threads: the worker pool, nothing else. Independent
+    /// of the connection count — the C10K property the readiness set
+    /// exists for.
     pub fn thread_count(&self) -> usize {
-        2 + self.workers.len()
+        self.workers.len()
     }
 
     /// Graceful shutdown: stop accepting new connections, keep serving
@@ -321,21 +181,14 @@ impl StoreServer {
     /// intervals, no wall-clock read), after which the remaining
     /// connections are closed abruptly as in a plain `shutdown`.
     pub fn shutdown_drain(&mut self, deadline: Duration) {
-        if !self.shutdown.load(Ordering::SeqCst) {
-            self.draining.store(true, Ordering::SeqCst);
-            // Unblock the accept loop so it observes the draining flag
-            // and releases the listener.
-            let _ = TcpStream::connect(self.addr);
-            if let Some(t) = self.accept_thread.take() {
-                let _ = t.join();
-            }
-            // The poller keeps sweeping and workers keep serving while
-            // we wait for the registry to empty: each connection drains
-            // its buffered requests and retires on EOF when its client
-            // hangs up.
+        if !self.shared.shutdown.load(Ordering::SeqCst) {
+            self.shared.poller.close_listener();
+            // Workers keep serving while we wait for the registry to
+            // empty: each connection drains its buffered requests and
+            // retires on EOF when its client hangs up.
             let step = Duration::from_millis(1);
             let mut waited = Duration::ZERO;
-            while self.registry.len() > 0 && waited < deadline {
+            while self.shared.registry.len() > 0 && waited < deadline {
                 std::thread::park_timeout(step);
                 waited += step;
             }
@@ -348,31 +201,78 @@ impl StoreServer {
     /// errors on their next operation — a crashed server, from their
     /// point of view.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop with a dummy connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // The poll thread drops every idle connection on exit; workers
-        // notice mid-burst connections erroring out (or their linger
-        // expiring with the flag set) and exit once the work queue
-        // closes behind the poll thread.
-        if let Some(t) = self.poll_thread.take() {
-            t.thread().unpark();
-            let _ = t.join();
-        }
+        // Sleeping workers wake and exit; one in mid-burst sees the flag
+        // after its current read (bounded by the linger) or write
+        // (bounded by the stall timeout).
+        self.shared.poller.wake();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        let parked = self.shared.poller.close_all();
+        self.shared.registry.deregister(parked);
     }
 }
 
 impl Drop for StoreServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// A worker's life: sleep in the readiness set, serve the socket the
+/// kernel hands over, park it again.
+fn worker_loop(shared: &Shared) {
+    let stats = shared.store.raw_stats();
+    let mut scratch = ConnScratch::new();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        match shared.poller.wait(stats) {
+            Ok(Wake::Woken) => {}
+            Ok(Wake::Ready(token, Parked::Listener(listener))) => {
+                accept_pending(shared, &listener);
+                // Only registering a closed descriptor can fail here.
+                let _ = shared.poller.repark(token, Parked::Listener(listener));
+            }
+            Ok(Wake::Ready(token, Parked::Conn(mut conn))) => {
+                if !serve_burst(&shared.store, &mut conn, &mut scratch, &shared.shutdown) {
+                    drop(conn);
+                    shared.poller.release(token);
+                    shared.registry.deregister(1);
+                } else if shared.poller.repark(token, Parked::Conn(conn)).is_ok() {
+                    stats.conn_rearms.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    shared.registry.deregister(1);
+                }
+            }
+            // The readiness set itself failed; nothing can reach this
+            // worker any more.
+            Err(_) => break,
+        }
+    }
+}
+
+/// Accept every pending connection and park it.
+fn accept_pending(shared: &Shared, listener: &TcpListener) {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let Ok(conn) = Conn::new(stream, WORKER_LINGER, WRITE_STALL) else {
+                    continue;
+                };
+                shared.registry.register();
+                if shared.poller.park(Parked::Conn(conn)).is_err() {
+                    shared.registry.deregister(1);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // `WouldBlock`: the backlog is empty. Any other failure (fd
+            // exhaustion, an aborted handshake) ends the round the same
+            // way: whatever is still pending fires the re-armed listener
+            // again.
+            Err(_) => break,
+        }
     }
 }
 
@@ -466,17 +366,13 @@ impl WriteBatchScratch {
 /// the loop performs no allocation once warm.
 #[derive(Debug, Default)]
 pub struct ConnScratch {
-    /// Current request line (blocking path only; without CRLF).
-    line: Vec<u8>,
-    /// Current `set`/`cas` data block (blocking path only).
-    data: Vec<u8>,
     /// Multi-get execution scratch.
     gets: GetPathScratch,
-    /// Storage-run batching scratch (readiness path only).
+    /// Storage-run batching scratch.
     writes: WriteBatchScratch,
-    /// Assembled response; one `write_all` per request batch.
+    /// Replies of the last [`drain_input`]; one `write_all` per batch.
     response: Vec<u8>,
-    /// Worker-mode socket read staging (readiness path only).
+    /// Socket read staging.
     net: Vec<u8>,
 }
 
@@ -484,13 +380,16 @@ impl ConnScratch {
     /// Fresh scratch; buffers size themselves on first use.
     pub const fn new() -> Self {
         ConnScratch {
-            line: Vec::new(),
-            data: Vec::new(),
             gets: GetPathScratch::new(),
             writes: WriteBatchScratch::new(),
             response: Vec::new(),
             net: Vec::new(),
         }
+    }
+
+    /// The replies the last [`drain_input`] produced, in request order.
+    pub fn response(&self) -> &[u8] {
+        &self.response
     }
 }
 
@@ -506,8 +405,7 @@ enum Reply {
 /// Execute one parsed command against the store, appending any reply to
 /// `response`. `line` must be the exact slice [`protocol::parse_command`]
 /// saw (get-key ranges index into it) and `data` the `set`/`cas`
-/// payload. Shared by the blocking loop ([`serve_connection`]) and the
-/// readiness path's burst drain, so both execute identically.
+/// payload.
 fn execute_command(
     store: &Store,
     line: &[u8],
@@ -716,10 +614,12 @@ fn flush_pending_deletes(
     deletes.clear();
 }
 
-/// Execute every complete request buffered on `conn`, answering the
-/// whole batch with a single `write_all` (pipelined bursts thus cost
-/// one write syscall, not one per request). `Ok(true)` means close the
-/// connection (`quit` or a framing desync).
+/// Execute every complete request at the front of `input` — the one
+/// command loop, with no socket in it. The replies replace
+/// `scratch.response` in request order (the caller answers a pipelined
+/// burst with one write, not one per request); returns how many bytes of
+/// `input` were used up and whether to close the connection afterwards
+/// (`quit` or a framing desync).
 ///
 /// Runs of consecutive plain `set` (or `delete`) requests — the shape a
 /// pipelined [`crate::StoreClient::send_storage_batch`] burst produces —
@@ -729,15 +629,23 @@ fn flush_pending_deletes(
 /// read) per touched shard instead of one per command. Replies stay in
 /// request order because a run is always flushed before any other
 /// command (or error report) appends its reply.
-fn drain_input(store: &Store, conn: &mut Conn, scratch: &mut ConnScratch) -> io::Result<bool> {
-    let stats = store.raw_stats();
+pub fn drain_input(
+    store: &Store,
+    input: &[u8],
+    scratch: &mut ConnScratch,
+) -> io::Result<(usize, bool)> {
+    let ConnScratch {
+        gets,
+        writes,
+        response,
+        net: _,
+    } = scratch;
     let mut consumed_total = 0usize;
     let mut close = false;
-    scratch.response.clear();
-    scratch.writes.sets.clear();
-    scratch.writes.deletes.clear();
+    response.clear();
+    writes.sets.clear();
+    writes.deletes.clear();
     loop {
-        let input = conn.input();
         let view = &input[consumed_total..];
         match protocol::next_request(view) {
             NextRequest::Incomplete => break,
@@ -746,9 +654,9 @@ fn drain_input(store: &Store, conn: &mut Conn, scratch: &mut ConnScratch) -> io:
                 break;
             }
             NextRequest::Error { msg, consumed } => {
-                flush_pending_sets(store, &mut scratch.writes, input, &mut scratch.response);
-                flush_pending_deletes(store, &mut scratch.writes, input, &mut scratch.response);
-                write!(&mut scratch.response, "CLIENT_ERROR {msg}\r\n")?;
+                flush_pending_sets(store, writes, input, response);
+                flush_pending_deletes(store, writes, input, response);
+                write!(response, "CLIENT_ERROR {msg}\r\n")?;
                 consumed_total += consumed;
             }
             NextRequest::Request {
@@ -766,13 +674,8 @@ fn drain_input(store: &Store, conn: &mut Conn, scratch: &mut ConnScratch) -> io:
                         noreply,
                         ..
                     } => {
-                        flush_pending_deletes(
-                            store,
-                            &mut scratch.writes,
-                            input,
-                            &mut scratch.response,
-                        );
-                        scratch.writes.sets.push(PendingSet {
+                        flush_pending_deletes(store, writes, input, response);
+                        writes.sets.push(PendingSet {
                             key: abs_range(view, key, consumed_total),
                             data: abs_range(view, data, consumed_total),
                             flags: *flags,
@@ -783,13 +686,8 @@ fn drain_input(store: &Store, conn: &mut Conn, scratch: &mut ConnScratch) -> io:
                         continue;
                     }
                     Command::Delete { key, noreply } => {
-                        flush_pending_sets(
-                            store,
-                            &mut scratch.writes,
-                            input,
-                            &mut scratch.response,
-                        );
-                        scratch.writes.deletes.push(PendingDelete {
+                        flush_pending_sets(store, writes, input, response);
+                        writes.deletes.push(PendingDelete {
                             key: abs_range(view, key, consumed_total),
                             noreply: *noreply,
                         });
@@ -797,159 +695,70 @@ fn drain_input(store: &Store, conn: &mut Conn, scratch: &mut ConnScratch) -> io:
                         continue;
                     }
                     _ => {
-                        flush_pending_sets(
-                            store,
-                            &mut scratch.writes,
-                            input,
-                            &mut scratch.response,
-                        );
-                        flush_pending_deletes(
-                            store,
-                            &mut scratch.writes,
-                            input,
-                            &mut scratch.response,
-                        );
+                        flush_pending_sets(store, writes, input, response);
+                        flush_pending_deletes(store, writes, input, response);
                     }
                 }
                 consumed_total += consumed;
-                let outcome = execute_command(
-                    store,
-                    line,
-                    &cmd,
-                    data,
-                    &mut scratch.gets,
-                    &mut scratch.response,
-                )?;
-                if outcome == Reply::Quit {
+                if execute_command(store, line, &cmd, data, gets, response)? == Reply::Quit {
                     close = true;
                     break;
                 }
             }
         }
     }
-    {
-        let input = conn.input();
-        flush_pending_sets(store, &mut scratch.writes, input, &mut scratch.response);
-        flush_pending_deletes(store, &mut scratch.writes, input, &mut scratch.response);
-    }
-    conn.consume(consumed_total);
-    if !scratch.response.is_empty() {
-        conn.stream().write_all(&scratch.response)?;
-        stats
-            .bytes_written
-            .fetch_add(scratch.response.len() as u64, Ordering::Relaxed);
-    }
-    Ok(close)
+    flush_pending_sets(store, writes, input, response);
+    flush_pending_deletes(store, writes, input, response);
+    Ok((consumed_total, close))
 }
 
-/// Serve one checked-out connection until it goes quiet: flip to
-/// blocking-with-timeout, execute buffered requests, keep reading until
-/// the linger expires (or the burst cap is hit while other connections
-/// wait). Returns true if the connection should go back to the poller,
-/// false if it should close.
+/// Serve a connection the readiness set reported ready until it goes
+/// quiet: read, execute what is buffered, answer with one `write_all`,
+/// and read again until the linger expires or the burst cap is reached.
+/// Returns true if the connection should be parked again, false if it
+/// should close.
 fn serve_burst(
     store: &Store,
     conn: &mut Conn,
     scratch: &mut ConnScratch,
-    pending: &AtomicUsize,
     shutdown: &AtomicBool,
 ) -> bool {
-    if conn.enter_worker_mode(WORKER_LINGER, WRITE_STALL).is_err() {
-        return false;
-    }
     let stats = store.raw_stats();
-    let mut reads = 0usize;
-    loop {
-        match drain_input(store, conn, scratch) {
-            Ok(false) => {}
-            Ok(true) | Err(_) => return false,
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
-        if reads >= BURST_READS && pending.load(Ordering::SeqCst) > 0 {
-            // Fairness: other ready connections are starving for a
-            // worker; rotate this one back to the poller.
-            break;
-        }
+    for _ in 0..BURST_READS {
         match conn.read_more(&mut scratch.net) {
             Ok(0) => return false,
             Ok(n) => {
-                reads += 1;
                 stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
             }
+            // Linger expired with no traffic: back to sleep.
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                // Linger expired with no traffic: back to idle watch.
-                break;
+                return true
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
         }
-    }
-    conn.enter_poller_mode().is_ok()
-}
-
-/// The blocking command loop for one transport: read a line, execute,
-/// answer with a single `write_all`. Public (and generic over the
-/// transport) so the zero-allocation test can drive the exact
-/// [`execute_command`] core the server runs — over in-memory buffers,
-/// no sockets involved.
-pub fn serve_connection<R: BufRead, W: Write>(
-    store: &Store,
-    reader: &mut R,
-    writer: &mut W,
-    scratch: &mut ConnScratch,
-) -> io::Result<()> {
-    let ConnScratch {
-        line,
-        data,
-        gets,
-        writes: _,
-        response,
-        net: _,
-    } = scratch;
-    let stats = store.raw_stats();
-
-    while let Some(line_bytes) = protocol::read_line_into(reader, line)? {
-        let mut bytes_read = line_bytes as u64;
-        response.clear();
-        let mut quit = false;
-        if line.is_empty() {
-            stats.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
-            continue;
-        }
-        match protocol::parse_command(line) {
-            Ok(cmd) => {
-                data.clear();
-                if let Command::Set { bytes, .. } | Command::Cas { bytes, .. } = &cmd {
-                    bytes_read += protocol::read_data_block_into(reader, *bytes, data)? as u64;
-                }
-                if execute_command(store, line, &cmd, data, gets, response)? == Reply::Quit {
-                    quit = true;
-                }
+        let Ok((consumed, close)) = drain_input(store, conn.input(), scratch) else {
+            return false;
+        };
+        conn.consume(consumed);
+        if !scratch.response.is_empty() {
+            if conn.stream().write_all(&scratch.response).is_err() {
+                return false;
             }
-            Err(msg) => {
-                write!(response, "CLIENT_ERROR {msg}\r\n")?;
-            }
-        }
-        stats.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
-        if !response.is_empty() {
-            writer.write_all(response)?;
-            writer.flush()?;
             stats
                 .bytes_written
-                .fetch_add(response.len() as u64, Ordering::Relaxed);
+                .fetch_add(scratch.response.len() as u64, Ordering::Relaxed);
         }
-        if quit {
-            break;
+        if close || shutdown.load(Ordering::SeqCst) {
+            return false;
         }
     }
-    Ok(())
+    true
 }
 
 #[cfg(test)]
@@ -957,6 +766,7 @@ mod tests {
     use super::*;
     use crate::client::{StorageOp, StoreClient};
     use crate::clock::TestClock;
+    use std::net::TcpStream;
 
     fn start() -> (StoreServer, StoreClient) {
         let server = StoreServer::start(Arc::new(Store::new(1 << 22))).unwrap();
@@ -1247,10 +1057,7 @@ mod tests {
         let server = StoreServer::start_with(
             Arc::new(Store::new(1 << 20)),
             0,
-            ServerConfig {
-                workers: 1,
-                accept_backlog: 4,
-            },
+            ServerConfig { workers: 1 },
         )
         .unwrap();
         for round in 0..3u32 {
@@ -1310,13 +1117,10 @@ mod tests {
         let server = StoreServer::start_with(
             Arc::new(Store::new(1 << 22)),
             0,
-            ServerConfig {
-                workers: 2,
-                accept_backlog: 64,
-            },
+            ServerConfig { workers: 2 },
         )
         .unwrap();
-        assert_eq!(server.thread_count(), 4, "accept + poll + 2 workers");
+        assert_eq!(server.thread_count(), 2, "the workers and nothing else");
 
         let idle: Vec<TcpStream> = (0..1000)
             .map(|_| TcpStream::connect(server.addr()).unwrap())
@@ -1344,9 +1148,9 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(server.store().len(), 150);
-        assert_eq!(server.thread_count(), 4, "no per-connection threads");
+        assert_eq!(server.thread_count(), 2, "no per-connection threads");
 
-        // Dropping the idle sockets drains the registry via EOF probes.
+        // Dropping the idle sockets drains the registry via EOF events.
         drop(idle);
         poll_until("idle conns retired", || server.live_connections() == 0);
     }
@@ -1354,11 +1158,11 @@ mod tests {
     #[test]
     fn idle_connection_first_request_is_served() {
         // A connection that sat idle past every linger still gets its
-        // (eventual) first request answered via the poller dispatch.
+        // (eventual) first request answered via the readiness set.
         let (server, mut warm) = start();
         let cold = TcpStream::connect(server.addr()).unwrap();
         // Make the idle conn truly idle: exercise the warm client so
-        // sweeps run and escalate the park interval meanwhile.
+        // the workers come and go meanwhile.
         for i in 0..20u32 {
             warm.set(format!("w{i}").as_bytes(), b"v", 0).unwrap();
         }
@@ -1376,6 +1180,49 @@ mod tests {
                 .starts_with("VERSION"),
             "idle conn's first request must be served"
         );
+    }
+
+    /// Ready sockets handed to workers while one cold connection sends
+    /// `requests` requests past `idle` parked connections, each request
+    /// only once the previous burst's linger expired and the connection
+    /// was parked again — so each costs exactly one event.
+    fn events_for_cold_requests(idle: usize, requests: usize) -> u64 {
+        let server = StoreServer::start(Arc::new(Store::new(1 << 20))).unwrap();
+        let stats = server.store().raw_stats();
+        let parked: Vec<TcpStream> = (0..idle)
+            .map(|_| TcpStream::connect(server.addr()).unwrap())
+            .collect();
+        let mut cold = TcpStream::connect(server.addr()).unwrap();
+        cold.set_nodelay(true).unwrap();
+        // Every connection is accepted after the listener event that
+        // announced it, so from here on only `cold` can cause events.
+        poll_until("all connections parked", || {
+            server.live_connections() == idle + 1
+        });
+        let events_before = stats.poll_events.load(Ordering::Relaxed);
+        for _ in 0..requests {
+            let rearms = stats.conn_rearms.load(Ordering::Relaxed);
+            cold.write_all(b"version\r\n").unwrap();
+            let mut buf = [0u8; 64];
+            let n = std::io::Read::read(&mut cold, &mut buf).unwrap();
+            assert!(buf[..n].starts_with(b"VERSION"), "reply missing");
+            poll_until("cold connection parked again", || {
+                stats.conn_rearms.load(Ordering::Relaxed) > rearms
+            });
+        }
+        let events = stats.poll_events.load(Ordering::Relaxed) - events_before;
+        assert_eq!(server.live_connections(), idle + 1, "a connection died");
+        drop(parked);
+        events
+    }
+
+    #[test]
+    fn dispatch_cost_is_independent_of_parked_connections() {
+        // O(ready), exactly: the events it takes to serve the same
+        // requests do not depend on how many idle connections are
+        // parked beside the one that speaks.
+        assert_eq!(events_for_cold_requests(0, 8), 8);
+        assert_eq!(events_for_cold_requests(1000, 8), 8);
     }
 
     #[test]

@@ -73,6 +73,14 @@ pub struct StoreStats {
     pub hot_promotions: AtomicU64,
     /// Hot shards demoted back to the plain mutex path.
     pub hot_demotions: AtomicU64,
+    /// Times a worker's `epoll_wait` returned (events, shutdown wake-ups
+    /// and interrupted waits alike).
+    pub poll_wakeups: AtomicU64,
+    /// Ready sockets the readiness set handed to a worker. Proportional
+    /// to what became ready, never to what is parked.
+    pub poll_events: AtomicU64,
+    /// Connections parked and re-armed after a served burst.
+    pub conn_rearms: AtomicU64,
 }
 
 /// A plain-data snapshot of [`StoreStats`].
@@ -124,6 +132,12 @@ pub struct StatsSnapshot {
     pub hot_promotions: u64,
     /// Hot shards demoted back to the mutex path.
     pub hot_demotions: u64,
+    /// Times a worker's `epoll_wait` returned.
+    pub poll_wakeups: u64,
+    /// Ready sockets handed to a worker.
+    pub poll_events: u64,
+    /// Connections parked and re-armed after a served burst.
+    pub conn_rearms: u64,
     /// Entries currently stored (filled in by the store).
     pub curr_items: u64,
     /// Bytes currently accounted (filled in by the store).
@@ -168,6 +182,9 @@ impl StoreStats {
             log_appends: self.log_appends.load(Ordering::Relaxed),
             hot_promotions: self.hot_promotions.load(Ordering::Relaxed),
             hot_demotions: self.hot_demotions.load(Ordering::Relaxed),
+            poll_wakeups: self.poll_wakeups.load(Ordering::Relaxed),
+            poll_events: self.poll_events.load(Ordering::Relaxed),
+            conn_rearms: self.conn_rearms.load(Ordering::Relaxed),
             curr_items,
             bytes,
         }
@@ -213,6 +230,9 @@ impl StatsSnapshot {
             ("log_appends".into(), self.log_appends.to_string()),
             ("hot_promotions".into(), self.hot_promotions.to_string()),
             ("hot_demotions".into(), self.hot_demotions.to_string()),
+            ("poll_wakeups".into(), self.poll_wakeups.to_string()),
+            ("poll_events".into(), self.poll_events.to_string()),
+            ("conn_rearms".into(), self.conn_rearms.to_string()),
             ("curr_items".into(), self.curr_items.to_string()),
             ("bytes".into(), self.bytes.to_string()),
         ];
@@ -230,6 +250,14 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn stat_line(lines: &[(String, String)], name: &str) -> String {
+        lines
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("missing stat line {name}"))
+    }
 
     #[test]
     fn snapshot_copies_counters() {
@@ -287,13 +315,7 @@ mod tests {
         assert_eq!(snap.bytes_written, 99);
 
         let lines = snap.stat_lines();
-        let lookup = |name: &str| -> String {
-            lines
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("missing stat line {name}"))
-        };
+        let lookup = |name: &str| stat_line(&lines, name);
         assert_eq!(lookup("get_batch_le_1"), "1");
         assert_eq!(lookup("get_batch_le_128"), "2");
         assert_eq!(lookup("get_batch_gt_128"), "1");
@@ -317,18 +339,30 @@ mod tests {
         assert_eq!(snap.hot_demotions, 1);
 
         let lines = snap.stat_lines();
-        let lookup = |name: &str| -> String {
-            lines
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("missing stat line {name}"))
-        };
+        let lookup = |name: &str| stat_line(&lines, name);
         assert_eq!(lookup("replica_reads"), "11");
         assert_eq!(lookup("combiner_batches"), "3");
         assert_eq!(lookup("log_appends"), "17");
         assert_eq!(lookup("hot_promotions"), "2");
         assert_eq!(lookup("hot_demotions"), "1");
+    }
+
+    #[test]
+    fn readiness_counters_round_trip_through_stat_lines() {
+        let s = StoreStats::default();
+        s.poll_wakeups.fetch_add(9, Ordering::Relaxed);
+        s.poll_events.fetch_add(7, Ordering::Relaxed);
+        s.conn_rearms.fetch_add(4, Ordering::Relaxed);
+        let snap = s.snapshot(0, 0);
+        assert_eq!(snap.poll_wakeups, 9);
+        assert_eq!(snap.poll_events, 7);
+        assert_eq!(snap.conn_rearms, 4);
+
+        let lines = snap.stat_lines();
+        let lookup = |name: &str| stat_line(&lines, name);
+        assert_eq!(lookup("poll_wakeups"), "9");
+        assert_eq!(lookup("poll_events"), "7");
+        assert_eq!(lookup("conn_rearms"), "4");
     }
 
     #[test]
@@ -354,6 +388,9 @@ mod tests {
             "log_appends",
             "hot_promotions",
             "hot_demotions",
+            "poll_wakeups",
+            "poll_events",
+            "conn_rearms",
             "get_batch_le_1",
             "get_batch_gt_128",
         ] {

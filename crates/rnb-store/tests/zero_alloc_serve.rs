@@ -2,19 +2,19 @@
 //!
 //! A counting global allocator (vendored `alloc-counter` stand-in) wraps
 //! the system allocator with thread-local counters. The first pass over
-//! a get/set traffic script warms one [`rnb_store::ConnScratch`] — line
-//! buffer, data buffer, key ranges, multi-get scratch, response buffer —
+//! a get/set traffic script warms one [`rnb_store::ConnScratch`] — key
+//! ranges, multi-get and storage-run scratch, response buffer —
 //! and the shard-side value storage (same-length `set` overwrites reuse
-//! the existing allocation via `Arc::get_mut`). Every later pass of the
-//! per-connection command loop must perform **zero** allocator calls,
-//! as long as values fit the pooled buffers.
+//! the existing allocation via `Arc::get_mut`). Every later pass of
+//! [`rnb_store::drain_input`] — the command loop the server's workers
+//! run on each connection's buffered bytes — must perform **zero**
+//! allocator calls, as long as values fit the pooled buffers.
 //!
 //! Kept to a single `#[test]` so no sibling test thread muddies the
 //! warm-up ordering.
 
 use alloc_counter::{count_alloc, AllocCounterSystem};
-use rnb_store::{serve_connection, ConnScratch, Store};
-use std::io::Cursor;
+use rnb_store::{drain_input, ConnScratch, Store};
 
 #[global_allocator]
 static ALLOC: AllocCounterSystem = AllocCounterSystem;
@@ -59,21 +59,24 @@ fn steady_state_serving_does_not_allocate() {
     // Warm-up: grows every pooled buffer to the script's steady-state
     // shape (and leaves each value's Arc at refcount 1).
     for _ in 0..2 {
-        let mut reader = Cursor::new(&script[..]);
-        serve_connection(&store, &mut reader, &mut std::io::sink(), &mut scratch)
-            .expect("serve over in-memory transport");
+        let served = drain_input(&store, &script, &mut scratch).expect("in-memory replies");
+        assert_eq!(served, (script.len(), false), "whole script, no close");
     }
+    let warm_reply = scratch.response().to_vec();
+    assert!(
+        warm_reply.ends_with(b"STORED\r\n"),
+        "last reply of the script"
+    );
     let warm_stats = store.stats();
     assert!(warm_stats.hits > 0 && warm_stats.misses > 0 && warm_stats.sets > 0);
 
     // Steady state: replaying the same traffic must not touch the
     // allocator at all — no allocs, no reallocs, no deallocs.
     for round in 0..5 {
-        let mut reader = Cursor::new(&script[..]);
-        let ((allocs, reallocs, deallocs), result) = count_alloc(|| {
-            serve_connection(&store, &mut reader, &mut std::io::sink(), &mut scratch)
-        });
-        result.expect("serve over in-memory transport");
+        let ((allocs, reallocs, deallocs), result) =
+            count_alloc(|| drain_input(&store, &script, &mut scratch));
+        result.expect("in-memory replies");
+        assert_eq!(scratch.response(), warm_reply, "same traffic, same replies");
         assert_eq!(
             (allocs, reallocs, deallocs),
             (0, 0, 0),

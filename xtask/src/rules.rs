@@ -10,7 +10,7 @@
 //! | R6 `doc-example-coverage` | `rnb-core` | every non-test `pub fn` in the public-API crate carries a ```-fenced doc example (doctested usage), or an allowlisted reason |
 //! | R7 `serving-path-clone` | call-graph closure of the serving roots | no `.clone()`/`.cloned()`/`.to_vec()`/`.to_owned()` reachable from the store's protocol loop or `RnbClient::multi_get`, outside the justified allowlist |
 //! | R8 `must-use-planner` | `rnb-cover` | every pure planner entry point carries `#[must_use]`: dropping a cover plan silently is always a bug |
-//! | R9 `transitive-panic-freedom` | call-graph closure of the serving roots | no panic-family call or panicking slice helper reachable from `serve_connection`/`get_multi`/`multi_get`, except via registered invariants |
+//! | R9 `transitive-panic-freedom` | call-graph closure of the serving roots | no panic-family call or panicking slice helper reachable from `worker_loop`/`drain_input`/`get_multi`/`multi_get`, except via registered invariants |
 //! | R10 `lock-discipline` | `rnb-store` | no `.lock()` guard's live scope contains another `.lock()` or socket I/O — the machine-checked form of the "one lock per shard" invariant |
 //!
 //! All rules match against [`SourceFile::scrubbed`] text, so comments and
@@ -728,15 +728,18 @@ pub const RULES: &[(&str, &str)] = &[
 ];
 
 /// R7/R9 roots on the store side plus the client's batched read and
-/// write paths. `serve_connection` is the protocol loop every request
-/// flows through; `get_multi`/`get_multi_with` are the store's batched
+/// write paths. `worker_loop` is what every serving thread runs
+/// (readiness wait → `serve_burst` → park) and `drain_input` the
+/// protocol loop every request flows through, public in its own right;
+/// `get_multi`/`get_multi_with` are the store's batched
 /// read entry points and `set_multi` the batched write entry point;
 /// `multi_get` is the client-side plan→fetch→writeback driver and
 /// `multi_set` its write-side sibling (plan→burst).
 pub const CLONE_ROOTS: &[(&str, &str)] = &[
-    ("crates/rnb-store/src/server.rs", "serve_connection"),
+    ("crates/rnb-store/src/server.rs", "worker_loop"),
     ("crates/rnb-store/src/server.rs", "serve_burst"),
-    ("crates/rnb-store/src/poller.rs", "sweep"),
+    ("crates/rnb-store/src/server.rs", "drain_input"),
+    ("crates/rnb-store/src/poller.rs", "wait"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
@@ -780,9 +783,10 @@ pub const CLONE_ALLOWLIST: &[(&str, &str, &str)] = &[
 /// R9 roots: the serving closure entry points held to transitive
 /// panic-freedom.
 pub const PANIC_ROOTS: &[(&str, &str)] = &[
-    ("crates/rnb-store/src/server.rs", "serve_connection"),
+    ("crates/rnb-store/src/server.rs", "worker_loop"),
     ("crates/rnb-store/src/server.rs", "serve_burst"),
-    ("crates/rnb-store/src/poller.rs", "sweep"),
+    ("crates/rnb-store/src/server.rs", "drain_input"),
+    ("crates/rnb-store/src/poller.rs", "wait"),
     ("crates/rnb-store/src/store.rs", "get_multi"),
     ("crates/rnb-store/src/store.rs", "get_multi_with"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
@@ -902,8 +906,6 @@ pub const SOCKET_IO_PATTERNS: &[&str] = &[
     ".flush(",
     "read_exact(",
     "read_until(",
-    "read_line_into(",
-    "read_data_block_into(",
     "read_to_end(",
     "recv_from(",
     "send_to(",
