@@ -1,16 +1,16 @@
 //! The client proper.
 
-use crate::keys::item_key;
+use crate::keys::{item_key, write_item_key};
 use crate::stats::ClientStats;
 use rnb_core::{
-    Bundler, PlacementStrategy, PlanScratch, RnbConfig, WriteBatchPlanner, WriteGroup,
+    Bundler, FetchPlan, PlacementStrategy, PlanScratch, RnbConfig, WriteBatchPlanner, WriteGroup,
     WritePlanner, WritePolicy,
 };
 use rnb_hash::{ItemId, Placement, ServerId};
 use rnb_store::{StorageOp, StoreClient};
-use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
+use std::ops::Range;
 
 /// Configuration of a deployed RnB client.
 #[derive(Debug, Clone)]
@@ -26,8 +26,9 @@ pub struct RnbClientConfig {
     pub write_policy: WritePolicy,
     /// Pipeline the bundled read rounds: issue every transaction of a
     /// round before reading any reply, so round latency is one RTT
-    /// instead of the sum of per-server RTTs. Off = the sequential
-    /// send-then-recv-per-server path (kept for differential testing).
+    /// instead of the sum of per-server RTTs. Off = the same loop with
+    /// each receive directly after its send (the differential oracle of
+    /// the equivalence proptests).
     pub pipeline: bool,
 }
 
@@ -135,37 +136,37 @@ fn conn_for<'a>(
 /// Execute one phase of a bundled write batch: send every group's burst
 /// before reading any reply (PR 8's read-pipelining shape replayed on
 /// the write side, so a phase costs one RTT, not the sum of per-server
-/// RTTs). A failed send or receive marks that connection broken, counts
-/// a failed transaction, and records the first error; surviving bursts
-/// still complete — desync on one server must not corrupt the others.
+/// RTTs). `ops` holds the groups' ops back to back, in group order. A
+/// failed send or receive marks that connection broken, counts a failed
+/// transaction, and records the first error; surviving bursts still
+/// complete — desync on one server must not corrupt the others.
 fn run_write_bursts(
     conns: &mut [ServerConn],
     stats: &mut ClientStats,
     groups: &[WriteGroup],
-    ops: &[Vec<StorageOp<'_>>],
+    ops: &[StorageOp<'_>],
+    (sent, acks): (&mut Vec<bool>, &mut Vec<bool>),
     first_err: &mut Option<io::Error>,
 ) {
-    let mut sent = vec![false; groups.len()];
-    for (gi, group) in groups.iter().enumerate() {
+    sent.clear();
+    for (group, burst) in bursts(groups, ops) {
         let s = group.server as usize;
         stats.write_txns += 1;
-        match conn_for(conns, stats, s).and_then(|c| c.send_storage_batch(&ops[gi])) {
-            Ok(()) => sent[gi] = true,
-            Err(e) => {
-                conns[s].mark_broken();
-                stats.failed_txns += 1;
-                first_err.get_or_insert(e);
-            }
+        let outcome = conn_for(conns, stats, s).and_then(|c| c.send_storage_batch(burst));
+        sent.push(outcome.is_ok());
+        if let Err(e) = outcome {
+            conns[s].mark_broken();
+            stats.failed_txns += 1;
+            first_err.get_or_insert(e);
         }
     }
-    let mut acks = Vec::new();
-    for (gi, group) in groups.iter().enumerate() {
-        if !sent[gi] {
-            continue; // already recorded as failed at send time
-        }
+    for ((group, burst), _) in bursts(groups, ops)
+        .zip(sent.iter())
+        .filter(|(_, &sent)| sent)
+    {
         let s = group.server as usize;
         let outcome = match conns[s].active() {
-            Some(c) => c.recv_storage_batch(&ops[gi], &mut acks),
+            Some(c) => c.recv_storage_batch(burst, acks),
             // A later send on the same server broke the conn; the
             // pending replies are lost.
             None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
@@ -178,10 +179,231 @@ fn run_write_bursts(
     }
 }
 
-/// One read-round transaction materialized for the wire: target server,
-/// planned-item prefix length, items (planned first, hitchhikers
-/// after), and their encoded keys.
-type WireTxn = (ServerId, usize, Vec<ItemId>, Vec<Vec<u8>>);
+/// Each group with its ops, out of `ops` holding every group's back to
+/// back.
+fn bursts<'a, 'o>(
+    groups: &'a [WriteGroup],
+    ops: &'a [StorageOp<'o>],
+) -> impl Iterator<Item = (&'a WriteGroup, &'a [StorageOp<'o>])> {
+    let mut from = 0;
+    groups.iter().map(move |group| {
+        let burst = ops.get(from..from + group.ops.len()).unwrap_or_default();
+        from += group.ops.len();
+        (group, burst)
+    })
+}
+
+/// A `from..to` range that is `Copy`, which std's is not.
+#[derive(Clone, Copy, Default)]
+struct Span {
+    from: usize,
+    to: usize,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.from..self.to
+    }
+}
+
+/// One key of a read round.
+struct WireKey {
+    /// Its bytes, as a range of [`Wire::line`].
+    span: Span,
+    /// The planner index ([`PlanScratch::items`]) of its item.
+    index: usize,
+}
+
+/// One transaction of a read round, as laid out in a [`Wire`].
+struct WireTxn {
+    server: ServerId,
+    /// Its request line, as a range of [`Wire::line`].
+    line: Span,
+    /// Its keys, as a range of [`Wire::keys`].
+    keys: Span,
+    /// How many of those keys the planner put there; hitchhikers follow.
+    planned: usize,
+    sent: bool,
+}
+
+/// The transactions of one read round, encoded for the wire into
+/// buffers that outlive the request: every request line back to back in
+/// one byte buffer, every key of every transaction in one table, and
+/// beside it whether the reply answered the key.
+#[derive(Default)]
+struct Wire {
+    line: Vec<u8>,
+    keys: Vec<WireKey>,
+    answered: Vec<bool>,
+    txns: Vec<WireTxn>,
+}
+
+impl Wire {
+    fn clear(&mut self) {
+        self.line.clear();
+        self.keys.clear();
+        self.answered.clear();
+        self.txns.clear();
+    }
+
+    /// Open a `get` transaction to `server`; follow with [`Wire::key`]s
+    /// and close with [`Wire::end`].
+    fn begin(&mut self, server: ServerId) {
+        self.txns.push(WireTxn {
+            server,
+            line: Span {
+                from: self.line.len(),
+                to: self.line.len(),
+            },
+            keys: Span {
+                from: self.keys.len(),
+                to: self.keys.len(),
+            },
+            planned: 0,
+            sent: false,
+        });
+        self.line.extend_from_slice(b"get");
+    }
+
+    fn key(&mut self, item: ItemId, index: usize) {
+        self.line.push(b' ');
+        let from = self.line.len();
+        write_item_key(item, &mut self.line);
+        let span = Span {
+            from,
+            to: self.line.len(),
+        };
+        self.keys.push(WireKey { span, index });
+        self.answered.push(false);
+    }
+
+    /// Close the open transaction; its first `planned` keys are the
+    /// planner's.
+    fn end(&mut self, planned: usize) {
+        self.line.extend_from_slice(b"\r\n");
+        if let Some(txn) = self.txns.last_mut() {
+            txn.line.to = self.line.len();
+            txn.keys.to = self.keys.len();
+            txn.planned = planned;
+        }
+    }
+}
+
+/// Run the transactions of `wire` as one read round. Pipelined, every
+/// request is sent before any reply is read, so the round costs one RTT
+/// and not the sum of the servers' RTTs; otherwise each reply is read
+/// directly after its request — the same loop over batches of one.
+///
+/// `count` bumps the round's transaction counter, once per transaction.
+/// `hit(index, data)` receives each answered key's planner index and
+/// its value, still in the connection's read buffer. `settle(txn, keys,
+/// answered, ok)` is called once per transaction, with its keys and
+/// which of them were answered, when it failed to send or once its reply
+/// is in.
+///
+/// An I/O error on a transaction (server down) is not fatal to the
+/// request: its items fall through to the later rounds — RnB's
+/// replication doubles as availability (the paper's remark that
+/// memcached-tier "data loss … is usually tolerable" becomes "server
+/// loss is tolerable" once every item has k homes). The failing
+/// connection is marked broken: the stream may be desynced, so later
+/// rounds must not reuse it.
+fn run_round(
+    conns: &mut [ServerConn],
+    stats: &mut ClientStats,
+    wire: &mut Wire,
+    pipeline: bool,
+    count: fn(&mut ClientStats),
+    mut hit: impl FnMut(usize, &[u8]),
+    mut settle: impl FnMut(&WireTxn, &[WireKey], &[bool], bool),
+) {
+    let Wire {
+        line,
+        keys,
+        answered,
+        txns,
+    } = wire;
+    let batch = if pipeline { txns.len().max(1) } else { 1 };
+    for batch in txns.chunks_mut(batch) {
+        for txn in batch.iter_mut() {
+            count(stats);
+            let s = txn.server as usize;
+            match conn_for(conns, stats, s).and_then(|c| c.send_request(&line[txn.line.range()])) {
+                Ok(()) => txn.sent = true,
+                Err(_) => {
+                    conns[s].mark_broken();
+                    stats.failed_txns += 1;
+                    let (keys, answered) = (&keys[txn.keys.range()], &answered[txn.keys.range()]);
+                    settle(txn, keys, answered, false);
+                }
+            }
+        }
+        for txn in batch.iter().filter(|txn| txn.sent) {
+            let s = txn.server as usize;
+            let keys = &keys[txn.keys.range()];
+            let answered = &mut answered[txn.keys.range()];
+            let reply = match conns[s].active() {
+                // Read from the exact connection that sent: a reconnect
+                // here would wait for a reply that was never requested.
+                Some(c) => c.recv_values(
+                    keys.len(),
+                    |i| &line[keys[i].span.range()],
+                    false,
+                    |i, data, _flags, _cas| {
+                        answered[i] = true;
+                        hit(keys[i].index, data);
+                    },
+                ),
+                // A later send on the same server broke the conn; treat
+                // this pending reply as lost.
+                None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
+            };
+            if reply.is_err() {
+                conns[s].mark_broken();
+                stats.failed_txns += 1;
+            }
+            settle(txn, keys, answered, reply.is_ok());
+        }
+    }
+}
+
+/// Everything `multi_get` needs between its first line and its return
+/// value, kept across calls so that a steady-state request allocates
+/// only what it returns. Per-item state is indexed by the planner's own
+/// index space ([`PlanScratch::items`]: the request sorted and dedup'd).
+#[derive(Default)]
+struct ReadScratch {
+    plan_scratch: PlanScratch,
+    plan: FetchPlan,
+    /// Planner index of every planned item, in plan order (transactions,
+    /// then their items).
+    planned: Vec<usize>,
+    /// Server → its transaction in `plan`, sized by the fleet.
+    txn_of_server: Vec<Option<usize>>,
+    /// Per transaction of `plan`, the planner indices of its hitchhikers.
+    extras: Vec<Vec<usize>>,
+    wire: Wire,
+    /// The found value of each planner index.
+    slots: Vec<Option<Vec<u8>>>,
+    /// Planned fetches that missed: (planner index, the server asked).
+    missed: Vec<(usize, ServerId)>,
+    /// Round 2's fetches: (distinguished server, arrival order, planner
+    /// index), sorted to group by server.
+    second: Vec<(ServerId, usize, usize)>,
+    /// Planner indices left to round 3.
+    third: Vec<usize>,
+}
+
+/// Pooled buffers of `multi_set`.
+#[derive(Default)]
+struct WriteScratch {
+    /// The wire key of every entry of the batch, back to back, and each
+    /// key's range in it.
+    keys: Vec<u8>,
+    ranges: Vec<Span>,
+    sent: Vec<bool>,
+    acks: Vec<bool>,
+}
 
 /// A connected RnB deployment client.
 pub struct RnbClient {
@@ -190,12 +412,12 @@ pub struct RnbClient {
     writer: WritePlanner<PlacementStrategy>,
     config: RnbClientConfig,
     stats: ClientStats,
-    /// Pooled planning buffers, reused across `multi_get` calls so the
-    /// per-request cover computation is allocation-free at steady state.
-    scratch: PlanScratch,
+    /// Pooled state of `multi_get`, planner scratch included.
+    read: ReadScratch,
     /// Pooled write-batch planner, reused across `multi_set` calls
-    /// (same steady-state discipline as `scratch`, on the write side).
+    /// (same steady-state discipline as `read`, on the write side).
     batcher: WriteBatchPlanner,
+    write: WriteScratch,
 }
 
 impl RnbClient {
@@ -221,8 +443,9 @@ impl RnbClient {
             writer,
             config,
             stats: ClientStats::default(),
-            scratch: PlanScratch::new(),
+            read: ReadScratch::default(),
             batcher: WriteBatchPlanner::new(),
+            write: WriteScratch::default(),
         })
     }
 
@@ -261,217 +484,184 @@ impl RnbClient {
     /// Fetch `items` with full RnB treatment. Returns one entry per input
     /// position; `None` means no server (including the distinguished
     /// copy) holds the item.
+    ///
+    /// At steady state the call allocates the returned vector and one
+    /// buffer per found value, nothing else: every value is copied once,
+    /// out of its connection's read buffer into the slot of its item.
     pub fn multi_get(&mut self, items: &[ItemId]) -> io::Result<Vec<Option<Vec<u8>>>> {
-        let plan = self.bundler.plan_with(&mut self.scratch, items);
-        let placement = self.bundler.placement();
+        let RnbClient {
+            conns,
+            bundler,
+            config,
+            stats,
+            read,
+            ..
+        } = self;
+        let ReadScratch {
+            plan_scratch,
+            plan,
+            planned,
+            txn_of_server,
+            extras,
+            wire,
+            slots,
+            missed,
+            second,
+            third,
+        } = read;
+        bundler.plan_into(plan_scratch, items, plan);
+        let distinct = plan_scratch.items();
+        slots.clear();
+        slots.resize_with(distinct.len(), || None);
 
-        // Hitchhikers per transaction.
-        let txn_of_server: HashMap<ServerId, usize> = plan
-            .transactions
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.server, i))
-            .collect();
-        let mut extras: Vec<Vec<ItemId>> = vec![Vec::new(); plan.transactions.len()];
-        if self.config.hitchhiking {
-            let mut reps = Vec::new();
+        // Every planned item is one of `distinct`; looked up once.
+        planned.clear();
+        planned.extend(
+            plan.assignment()
+                .map(|(item, _)| plan_scratch.index_of(item).unwrap_or_default()),
+        );
+
+        // Hitchhikers (§III-C2): a planned item rides along on every
+        // other transaction of the plan that goes to one of its replica
+        // servers. The replicas are the candidate table the plan was
+        // covered from; an item is planned once, its replicas are
+        // distinct servers and a server has one transaction, so no item
+        // reaches a transaction twice.
+        if extras.len() < plan.transactions.len() {
+            extras.resize_with(plan.transactions.len(), Vec::new);
+        }
+        for extra in &mut extras[..plan.transactions.len()] {
+            extra.clear();
+        }
+        if config.hitchhiking && plan.transactions.len() > 1 {
+            txn_of_server.clear();
+            txn_of_server.resize(conns.len(), None);
             for (ti, txn) in plan.transactions.iter().enumerate() {
-                for &item in &txn.items {
-                    placement.replicas_into(item, &mut reps);
-                    for &s in &reps {
-                        if let Some(&tj) = txn_of_server.get(&s) {
-                            if tj != ti && !extras[tj].contains(&item) {
-                                extras[tj].push(item);
-                            }
+                if let Some(slot) = txn_of_server.get_mut(txn.server as usize) {
+                    *slot = Some(ti);
+                }
+            }
+            let mut next = planned.iter();
+            for (ti, txn) in plan.transactions.iter().enumerate() {
+                for &index in next.by_ref().take(txn.items.len()) {
+                    for &server in plan_scratch.candidates(index) {
+                        match txn_of_server.get(server as usize) {
+                            Some(&Some(tj)) if tj != ti => extras[tj].push(index),
+                            _ => {}
                         }
                     }
                 }
             }
         }
 
-        // Round 1. An I/O error on a transaction (server down) is not
-        // fatal: its planned items fall through to the fallback rounds —
-        // RnB's replication doubles as availability (the paper's remark
-        // that memcached-tier "data loss … is usually tolerable" becomes
-        // "server loss is tolerable" once every item has k homes). The
-        // failing connection is marked broken: the stream may be
-        // desynced, so later rounds must not reuse it.
-        let mut found: HashMap<ItemId, Vec<u8>> = HashMap::new();
-        let mut missed: Vec<(ItemId, ServerId)> = Vec::new();
-        // Planned items first, hitchhikers after, so `planned` is a
-        // prefix length.
-        let round1: Vec<WireTxn> = plan
-            .transactions
-            .iter()
-            .enumerate()
-            .map(|(ti, txn)| {
-                let all_items: Vec<ItemId> =
-                    txn.items.iter().chain(extras[ti].iter()).copied().collect();
-                let keys: Vec<Vec<u8>> = all_items.iter().map(|&i| item_key(i)).collect();
-                (txn.server, txn.items.len(), all_items, keys)
-            })
-            .collect();
-        let mut sent = vec![false; round1.len()];
-        if self.config.pipeline {
-            // Send every round-1 transaction before reading any reply:
-            // round latency is one RTT, not the sum of per-server RTTs.
-            for (ti, (server, planned, all_items, keys)) in round1.iter().enumerate() {
-                let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                self.stats.round1_txns += 1;
-                let s = *server as usize;
-                match conn_for(&mut self.conns, &mut self.stats, s)
-                    .and_then(|c| c.send_get_multi(&refs))
-                {
-                    Ok(()) => sent[ti] = true,
-                    Err(_) => {
-                        self.conns[s].mark_broken();
-                        self.stats.failed_txns += 1;
-                        missed.extend(all_items[..*planned].iter().map(|&i| (i, *server)));
+        // Round 1: the plan. Planned items first, hitchhikers after, so
+        // `planned` is a prefix length.
+        wire.clear();
+        let mut next = planned.iter();
+        for (txn, extra) in plan.transactions.iter().zip(extras.iter()) {
+            wire.begin(txn.server);
+            for (&item, &index) in txn.items.iter().zip(next.by_ref()) {
+                wire.key(item, index);
+            }
+            for &index in extra {
+                wire.key(distinct[index], index);
+            }
+            wire.end(txn.items.len());
+        }
+        missed.clear();
+        run_round(
+            conns,
+            stats,
+            wire,
+            config.pipeline,
+            |stats| stats.round1_txns += 1,
+            // The first answer wins: a hitchhiker may find an item twice.
+            |index, data| {
+                slots[index].get_or_insert_with(|| data.to_vec());
+            },
+            |txn, keys, answered, ok| {
+                for (key, &answered) in keys.iter().zip(answered).take(txn.planned) {
+                    if !(ok && answered) {
+                        missed.push((key.index, txn.server));
                     }
                 }
-            }
-        }
-        for (ti, (server, planned, all_items, keys)) in round1.iter().enumerate() {
-            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            let s = *server as usize;
-            let values = if self.config.pipeline {
-                if !sent[ti] {
-                    continue; // already recorded as failed at send time
-                }
-                match self.conns[s].active() {
-                    Some(c) => c.recv_get_multi(&refs),
-                    // A later send on the same server broke the conn;
-                    // treat this pending reply as lost.
-                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-                }
-            } else {
-                self.stats.round1_txns += 1;
-                conn_for(&mut self.conns, &mut self.stats, s).and_then(|c| c.get_multi(&refs))
-            };
-            match values {
-                Ok(values) => {
-                    for (idx, (&item, value)) in all_items.iter().zip(values).enumerate() {
-                        match value {
-                            Some((data, _flags)) => {
-                                found.entry(item).or_insert(data);
-                            }
-                            None => {
-                                if idx < *planned {
-                                    missed.push((item, *server));
-                                }
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.conns[s].mark_broken();
-                    self.stats.failed_txns += 1;
-                    missed.extend(all_items[..*planned].iter().map(|&i| (i, *server)));
-                }
-            }
-        }
+            },
+        );
 
         // Misses not rescued by hitchhikers → bundled distinguished
-        // fallback (§III-D), also pipelined (the distinguished servers
-        // are distinct by construction).
-        let mut second: HashMap<ServerId, Vec<ItemId>> = HashMap::new();
-        for &(item, _) in &missed {
-            if !found.contains_key(&item) {
-                second
-                    .entry(placement.distinguished(item))
-                    .or_default()
-                    .push(item);
-            }
-        }
-        self.stats.planned_misses += missed.len() as u64;
-        self.stats.rescued_by_hitchhikers +=
-            missed.iter().filter(|(i, _)| found.contains_key(i)).count() as u64;
-        let mut second: Vec<(ServerId, Vec<ItemId>)> = second.into_iter().collect();
-        second.sort_unstable_by_key(|(s, _)| *s);
-        let second_keys: Vec<Vec<Vec<u8>>> = second
-            .iter()
-            .map(|(_, items)| items.iter().map(|&i| item_key(i)).collect())
-            .collect();
-        let mut third: Vec<ItemId> = Vec::new();
-        let mut second_sent = vec![false; second.len()];
-        if self.config.pipeline {
-            for (si, (server, items)) in second.iter().enumerate() {
-                let refs: Vec<&[u8]> = second_keys[si].iter().map(|k| k.as_slice()).collect();
-                self.stats.round2_txns += 1;
-                let s = *server as usize;
-                match conn_for(&mut self.conns, &mut self.stats, s)
-                    .and_then(|c| c.send_get_multi(&refs))
-                {
-                    Ok(()) => second_sent[si] = true,
-                    Err(_) => {
-                        self.conns[s].mark_broken();
-                        self.stats.failed_txns += 1;
-                        third.extend_from_slice(items);
-                    }
-                }
-            }
-        }
-        for (si, (server, items)) in second.iter().enumerate() {
-            let refs: Vec<&[u8]> = second_keys[si].iter().map(|k| k.as_slice()).collect();
-            let s = *server as usize;
-            let values = if self.config.pipeline {
-                if !second_sent[si] {
-                    continue;
-                }
-                match self.conns[s].active() {
-                    Some(c) => c.recv_get_multi(&refs),
-                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-                }
+        // fallback (§III-D), one transaction per distinguished server in
+        // server order, each server's items in the order they missed.
+        stats.planned_misses += missed.len() as u64;
+        second.clear();
+        for (order, &(index, _)) in missed.iter().enumerate() {
+            if slots[index].is_some() {
+                stats.rescued_by_hitchhikers += 1;
             } else {
-                self.stats.round2_txns += 1;
-                conn_for(&mut self.conns, &mut self.stats, s).and_then(|c| c.get_multi(&refs))
-            };
-            match values {
-                Ok(values) => {
-                    for (&item, value) in items.iter().zip(values) {
-                        if let Some((data, _)) = value {
-                            found.insert(item, data);
-                        } else {
-                            self.stats.unavailable_items += 1;
-                        }
-                    }
-                }
-                Err(_) => {
+                let distinguished = plan_scratch.candidates(index).first();
+                second.push((distinguished.copied().unwrap_or_default(), order, index));
+            }
+        }
+        second.sort_unstable();
+        wire.clear();
+        for of_server in second.chunk_by(|a, b| a.0 == b.0) {
+            wire.begin(of_server[0].0);
+            for &(_, _, index) in of_server {
+                wire.key(distinct[index], index);
+            }
+            wire.end(0);
+        }
+        third.clear();
+        let mut unavailable = 0;
+        run_round(
+            conns,
+            stats,
+            wire,
+            config.pipeline,
+            |stats| stats.round2_txns += 1,
+            |index, data| slots[index] = Some(data.to_vec()),
+            |_, keys, answered, ok| {
+                if ok {
+                    unavailable += answered.iter().filter(|&&answered| !answered).count() as u64;
+                } else {
                     // Even the distinguished server is down: survivor
                     // round over the remaining replicas.
-                    self.conns[s].mark_broken();
-                    self.stats.failed_txns += 1;
-                    third.extend_from_slice(items);
+                    third.extend(keys.iter().map(|key| key.index));
                 }
-            }
-        }
+            },
+        );
+        stats.unavailable_items += unavailable;
 
         // Round 3 (failure path only): per-item sweep over surviving
         // replicas. Lazy reconnection matters here — a restarted server
         // is dialed fresh instead of erroring forever on a dead stream.
-        for item in third {
-            let key = item_key(item);
-            let mut got = None;
-            for server in placement.replicas(item) {
-                self.stats.round3_txns += 1;
+        for &index in third.iter() {
+            let line = &mut wire.line;
+            line.clear();
+            line.extend_from_slice(b"get ");
+            write_item_key(distinct[index], line);
+            let key_end = line.len();
+            line.extend_from_slice(b"\r\n");
+            for &server in plan_scratch.candidates(index) {
+                stats.round3_txns += 1;
                 let s = server as usize;
-                match conn_for(&mut self.conns, &mut self.stats, s)
-                    .and_then(|c| c.get_multi(&[&key]))
-                {
-                    Ok(values) => {
-                        if let Some((data, _)) = values.into_iter().next().flatten() {
-                            got = Some(data);
-                            break;
-                        }
-                    }
-                    Err(_) => self.conns[s].mark_broken(),
+                let slot = &mut slots[index];
+                let reply = conn_for(conns, stats, s).and_then(|c| {
+                    c.send_request(line)?;
+                    c.recv_values(
+                        1,
+                        |_| &line[4..key_end],
+                        false,
+                        |_, data, _, _| *slot = Some(data.to_vec()),
+                    )
+                });
+                match reply {
+                    Ok(()) if slot.is_some() => break,
+                    Ok(()) => {}
+                    Err(_) => conns[s].mark_broken(),
                 }
             }
-            match got {
-                Some(data) => {
-                    found.insert(item, data);
-                }
-                None => self.stats.unavailable_items += 1,
+            if slots[index].is_none() {
+                stats.unavailable_items += 1;
             }
         }
 
@@ -479,22 +669,41 @@ impl RnbClient {
         // A write error is tolerated (the server may be the dead one)
         // but still marks the connection broken — reusing it would
         // desync the next round's replies.
-        if self.config.writeback {
-            for (item, server) in missed {
+        if config.writeback {
+            let key = &mut wire.line;
+            for &(index, server) in missed.iter() {
                 let s = server as usize;
-                if let Some(data) = found.get(&item) {
-                    match conn_for(&mut self.conns, &mut self.stats, s)
-                        .and_then(|c| c.set(&item_key(item), data, 0))
-                    {
-                        Ok(()) => self.stats.writebacks += 1,
-                        Err(_) => self.conns[s].mark_broken(),
+                if let Some(data) = &slots[index] {
+                    key.clear();
+                    write_item_key(distinct[index], key);
+                    match conn_for(conns, stats, s).and_then(|c| c.set(key, data, 0)) {
+                        Ok(()) => stats.writebacks += 1,
+                        Err(_) => conns[s].mark_broken(),
                     }
                 }
             }
         }
 
-        self.stats.requests += 1;
-        Ok(items.iter().map(|i| found.get(i).cloned()).collect())
+        stats.requests += 1;
+        // Each value moves out of its slot to its request position (a
+        // request that came sorted and distinct is its own index space);
+        // only an item requested more than once has to be copied.
+        let in_order = items == distinct;
+        let duplicates = distinct.len() < items.len();
+        let mut values = Vec::with_capacity(items.len());
+        values.extend(items.iter().enumerate().map(|(position, &item)| {
+            let index = if in_order {
+                position
+            } else {
+                plan_scratch.index_of(item)?
+            };
+            if duplicates {
+                slots[index].clone()
+            } else {
+                slots[index].take()
+            }
+        }));
+        Ok(values)
     }
 
     /// Run `op` on the connection for `server` (reconnecting lazily
@@ -565,51 +774,70 @@ impl RnbClient {
             writer,
             stats,
             batcher,
+            write,
             ..
         } = self;
+        let WriteScratch {
+            keys,
+            ranges,
+            sent,
+            acks,
+        } = write;
         let plan = batcher.plan_batch(writer, entries.iter().map(|&(item, _)| item));
         let mut first_err = None;
+
+        // Every entry's key, encoded once; the ops of both phases borrow
+        // them by batch index. The op list is the call's one allocation.
+        keys.clear();
+        ranges.clear();
+        for &(item, _) in entries {
+            let from = keys.len();
+            write_item_key(item, keys);
+            ranges.push(Span {
+                from,
+                to: keys.len(),
+            });
+        }
+        let key_of = |index: usize| ranges.get(index).and_then(|span| keys.get(span.range()));
+        let ops_of = |groups: &[WriteGroup]| groups.iter().map(|g| g.ops.len()).sum::<usize>();
+        let mut ops = Vec::with_capacity(ops_of(plan.invalidations).max(ops_of(plan.writes)));
 
         // Phase 1: invalidation bursts (InvalidateThenWrite only; empty
         // under WriteAll). Fully flushed — sent AND acknowledged —
         // before phase 2 starts.
-        let inval_keys: Vec<Vec<Vec<u8>>> = plan
-            .invalidations
-            .iter()
-            .map(|g| g.ops.iter().map(|&(item, _)| item_key(item)).collect())
-            .collect();
-        let inval_ops: Vec<Vec<StorageOp<'_>>> = inval_keys
-            .iter()
-            .map(|keys| keys.iter().map(|key| StorageOp::Delete { key }).collect())
-            .collect();
-        run_write_bursts(conns, stats, plan.invalidations, &inval_ops, &mut first_err);
+        for &(_, index) in plan.invalidations.iter().flat_map(|g| &g.ops) {
+            let key = key_of(index).unwrap_or_default();
+            ops.push(StorageOp::Delete { key });
+        }
+        run_write_bursts(
+            conns,
+            stats,
+            plan.invalidations,
+            &ops,
+            (sent, acks),
+            &mut first_err,
+        );
 
         // Phase 2: the distinguished writes (every replica's write under
         // WriteAll), one burst per touched server.
-        let write_keys: Vec<Vec<Vec<u8>>> = plan
-            .writes
-            .iter()
-            .map(|g| g.ops.iter().map(|&(item, _)| item_key(item)).collect())
-            .collect();
-        let write_ops: Vec<Vec<StorageOp<'_>>> = plan
-            .writes
-            .iter()
-            .zip(&write_keys)
-            .map(|(g, keys)| {
-                g.ops
-                    .iter()
-                    .zip(keys)
-                    .map(|(&(_, index), key)| StorageOp::Set {
-                        key,
-                        value: entries[index].1.as_ref(),
-                        flags: 0,
-                    })
-                    .collect()
-            })
-            .collect();
-        run_write_bursts(conns, stats, plan.writes, &write_ops, &mut first_err);
+        ops.clear();
+        for &(_, index) in plan.writes.iter().flat_map(|g| &g.ops) {
+            ops.push(StorageOp::Set {
+                key: key_of(index).unwrap_or_default(),
+                value: entries[index].1.as_ref(),
+                flags: 0,
+            });
+        }
+        run_write_bursts(
+            conns,
+            stats,
+            plan.writes,
+            &ops,
+            (sent, acks),
+            &mut first_err,
+        );
 
-        self.stats.writes += entries.len() as u64;
+        stats.writes += entries.len() as u64;
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),

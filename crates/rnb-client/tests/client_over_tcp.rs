@@ -1,7 +1,7 @@
 //! End-to-end tests: RnbClient against a fleet of real StoreServers over
 //! loopback TCP — the paper's §IV proof-of-concept exercised as a system.
 
-use rnb_client::{item_key, RnbClient, RnbClientConfig};
+use rnb_client::{item_key, ClientStats, RnbClient, RnbClientConfig};
 use rnb_core::{Placement, WritePolicy};
 use rnb_store::{Store, StoreServer};
 use std::net::SocketAddr;
@@ -373,57 +373,167 @@ mod pipelined_equivalence {
     use proptest::prelude::*;
     use std::sync::{Mutex, OnceLock};
 
-    struct Env {
-        _fleet: Fleet,
-        pipelined: RnbClient,
-        sequential: RnbClient,
+    /// One fleet with the client that reads it.
+    struct Side {
+        fleet: Fleet,
+        client: RnbClient,
     }
 
-    // One fleet shared across proptest cases (starting servers per case
-    // would dominate the run); the Mutex serializes cases.
-    fn env() -> &'static Mutex<Env> {
-        static ENV: OnceLock<Mutex<Env>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            let fleet = Fleet::start(6, 1 << 22);
-            let addrs = fleet.addrs();
-            let mut pipelined = RnbClient::connect(&addrs, RnbClientConfig::new(3)).unwrap();
-            let sequential =
-                RnbClient::connect(&addrs, RnbClientConfig::new(3).with_pipeline(false)).unwrap();
-            for item in 0..400u64 {
-                pipelined.set(item, format!("eq{item}").as_bytes()).unwrap();
-            }
-            Mutex::new(Env {
-                _fleet: fleet,
-                pipelined,
-                sequential,
-            })
+    /// A pipelined and a sequential client, each on a fleet of its own:
+    /// write-back changes what a fleet holds, so the two can only be
+    /// compared counter for counter if neither sees the other's.
+    struct Pair {
+        pipelined: Side,
+        sequential: Side,
+    }
+
+    const STORED: u64 = 400;
+
+    fn side(pipeline: bool, dead: Option<usize>) -> Side {
+        let mut fleet = Fleet::start(6, 1 << 22);
+        let config = RnbClientConfig::new(3).with_pipeline(pipeline);
+        let mut client = RnbClient::connect(&fleet.addrs(), config).unwrap();
+        for item in 0..STORED {
+            client.set(item, format!("eq{item}").as_bytes()).unwrap();
+        }
+        // Killed under the client's live connection: the first request
+        // to touch it finds out mid-request.
+        if let Some(server) = dead {
+            fleet.servers[server].shutdown();
+        }
+        Side { fleet, client }
+    }
+
+    // Fleets shared across proptest cases (starting servers per case
+    // would dominate the run); the Mutex serializes cases. One pair is
+    // healthy, the other has lost server 2 for good.
+    fn pairs() -> &'static Mutex<[Pair; 2]> {
+        static PAIRS: OnceLock<Mutex<[Pair; 2]>> = OnceLock::new();
+        PAIRS.get_or_init(|| {
+            Mutex::new([None, Some(2)].map(|dead| Pair {
+                pipelined: side(true, dead),
+                sequential: side(false, dead),
+            }))
         })
     }
 
+    type Outcome = (Vec<Option<Vec<u8>>>, ClientStats);
+
+    /// Evict each `(item, replica)` of `evicted` — never the
+    /// distinguished copy — as LRU pressure under overbooking would,
+    /// then read `request`: on both sides of `pair`, which must agree on
+    /// the values and on every counter.
+    fn read_both(pair: &mut Pair, evicted: &[(u64, usize)], request: &[u64]) -> Outcome {
+        let [piped, seq] = [&mut pair.pipelined, &mut pair.sequential].map(|side| {
+            for &(item, replica) in evicted {
+                let server = side.client.bundler().placement().replicas(item)[replica];
+                side.fleet.store(server as usize).delete(&item_key(item));
+            }
+            let before = side.client.stats();
+            let values = side.client.multi_get(request).unwrap();
+            (values, side.client.stats().since(&before))
+        });
+        assert_eq!(piped, seq);
+        piped
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
         /// Pipelining is a latency optimization, not a semantic change:
-        /// for any request mix (dupes, absent items, empty) the
-        /// pipelined client returns exactly what the sequential one
-        /// does, and both match ground truth.
+        /// the sequential order is the same loop with each receive
+        /// directly after its send, so for any request (dupes, absent
+        /// items, empty), any set of evicted replicas (planned misses,
+        /// hitchhiker rescue, round 2, write-back) and with or without
+        /// a dead server (failed transactions, round 3) the two clients
+        /// return the same values and move every counter alike.
         #[test]
         fn pipelined_multi_get_equals_sequential(
             request in proptest::collection::vec(0u64..600, 0..40),
+            evicted in proptest::collection::vec((0u64..STORED, 1usize..3), 0..30),
+            dead in any::<bool>(),
         ) {
-            let mut guard = env().lock().unwrap();
-            let env = &mut *guard;
-            let piped = env.pipelined.multi_get(&request).unwrap();
-            let seq = env.sequential.multi_get(&request).unwrap();
-            prop_assert_eq!(&piped, &seq);
-            for (item, value) in request.iter().zip(&piped) {
-                if *item < 400 {
-                    prop_assert_eq!(value.as_deref(), Some(format!("eq{item}").as_bytes()));
-                } else {
+            let mut guard = pairs().lock().unwrap();
+            let (values, stats) = read_both(&mut guard[usize::from(dead)], &evicted, &request);
+            prop_assert_eq!(stats.requests, 1);
+            for (item, value) in request.iter().zip(&values) {
+                if *item >= STORED {
                     prop_assert!(value.is_none());
+                } else if !dead {
+                    prop_assert_eq!(value.as_deref(), Some(format!("eq{item}").as_bytes()));
                 }
+            }
+            if !dead {
+                prop_assert_eq!(stats.failed_txns + stats.round3_txns + stats.reconnects, 0);
             }
         }
     }
+
+    /// The proptest above is only worth its name if its cases reach the
+    /// paths it lists; this replays a fixed script and checks they fire.
+    #[test]
+    fn equivalence_cases_reach_every_round() {
+        let mut guard = pairs().lock().unwrap();
+        let evicted: Vec<(u64, usize)> = (0..STORED).map(|item| (item, 1)).collect();
+        let request: Vec<u64> = (0..STORED).step_by(3).collect();
+        let before = guard.each_ref().map(|pair| pair.pipelined.client.stats());
+        for chunk in request.chunks(20) {
+            read_both(&mut guard[0], &evicted, chunk);
+            read_both(&mut guard[1], &evicted, chunk);
+        }
+        let [healthy, wounded] =
+            [0, 1].map(|i| guard[i].pipelined.client.stats().since(&before[i]));
+        assert!(healthy.planned_misses > 0, "{healthy:?}");
+        assert!(healthy.rescued_by_hitchhikers > 0, "{healthy:?}");
+        assert!(
+            healthy.round2_txns > 0 && healthy.writebacks > 0,
+            "{healthy:?}"
+        );
+        assert!(
+            wounded.failed_txns > 0 && wounded.round3_txns > 0,
+            "{wounded:?}"
+        );
+    }
+}
+
+/// A server that answers every request line of every connection with
+/// the same bytes.
+fn hostile_server(reply: &'static [u8]) -> SocketAddr {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let mut conn = conn.unwrap();
+            std::thread::spawn(move || {
+                let mut lines = BufReader::new(conn.try_clone().unwrap()).lines();
+                while let Some(Ok(_)) = lines.next() {
+                    if conn.write_all(reply).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn hostile_value_length_breaks_the_connection_not_the_process() {
+    // Regression: a VALUE line naming 2^64-1 bytes used to size a buffer
+    // and take the process down with it. Now it is a failed transaction
+    // like any other: the connection is dropped and redialed, the rounds
+    // run out of servers, and the item is reported unavailable.
+    let addr = hostile_server(b"VALUE item:5 0 18446744073709551615\r\n");
+    let mut client = RnbClient::connect(&[addr], RnbClientConfig::new(1)).unwrap();
+    assert_eq!(client.multi_get(&[5]).unwrap(), vec![None]);
+    let stats = client.stats();
+    assert_eq!(
+        (stats.round1_txns, stats.round2_txns, stats.round3_txns),
+        (1, 1, 1)
+    );
+    assert_eq!(stats.failed_txns, 2, "round 3 does not count failures");
+    assert_eq!(stats.reconnects, 2);
+    assert_eq!(stats.unavailable_items, 1);
 }
 
 #[test]

@@ -1,0 +1,83 @@
+//! What a steady-state client request allocates, counted: `multi_get`
+//! the vector it returns plus one buffer per value found, `multi_set`
+//! one op list however many entries the batch has. Everything between
+//! the caller and the sockets — plan, hitchhikers, request lines, reply
+//! parsing, per-item slots — lives in buffers the client keeps.
+//!
+//! The counter of `vendor/alloc-counter` is thread-local, so the fleet's
+//! own threads, in this process, do not show in it. Kept to a single
+//! `#[test]` so no sibling test muddies the warm-up ordering.
+
+use alloc_counter::{count_alloc, AllocCounterSystem};
+use rnb_client::{RnbClient, RnbClientConfig};
+use rnb_core::WritePolicy;
+use rnb_store::{Store, StoreServer};
+use std::sync::Arc;
+
+#[global_allocator]
+static ALLOC: AllocCounterSystem = AllocCounterSystem;
+
+#[test]
+fn steady_state_requests_allocate_only_what_they_return() {
+    let fleet: Vec<StoreServer> = (0..4)
+        .map(|_| StoreServer::start(Arc::new(Store::new(1 << 24))).unwrap())
+        .collect();
+    let addrs: Vec<_> = fleet.iter().map(StoreServer::addr).collect();
+    let value = [7u8; 96];
+
+    for policy in [WritePolicy::WriteAll, WritePolicy::InvalidateThenWrite] {
+        let config = RnbClientConfig::new(3).with_write_policy(policy);
+        let mut client = RnbClient::connect(&addrs, config).unwrap();
+
+        // multi_set: the largest batch first, to grow every pool.
+        let entries: Vec<(u64, &[u8])> = (0..256).map(|item| (item, &value[..])).collect();
+        client.multi_set(&entries).unwrap();
+        for batch in [&entries[..], &entries[..64], &entries[..16], &entries[..1]] {
+            let ((allocs, reallocs, _), outcome) = count_alloc(|| client.multi_set(batch));
+            outcome.unwrap();
+            assert_eq!(
+                (allocs, reallocs),
+                (1, 0),
+                "{policy:?}: a multi_set of {} entries allocates its op list, once",
+                batch.len()
+            );
+        }
+
+        // multi_get of resident items: n values and the vector of them.
+        // Under InvalidateThenWrite only the distinguished copies exist,
+        // so the first pass also misses, falls back and writes back.
+        let requests: Vec<Vec<u64>> = vec![
+            (0..256).collect(),
+            (0..40).map(|i| i * 5 + 1).collect(),
+            (0..13).map(|i| i * 17 + 3).collect(),
+            vec![200, 3, 77],
+            vec![9],
+            vec![],
+        ];
+        for request in &requests {
+            client.multi_get(request).unwrap();
+        }
+        for request in &requests {
+            let ((allocs, reallocs, _), values) = count_alloc(|| client.multi_get(request));
+            let values = values.unwrap();
+            assert!(values.iter().all(Option::is_some));
+            assert_eq!(
+                (allocs, reallocs),
+                (request.len() as u64 + u64::from(!request.is_empty()), 0),
+                "{policy:?}: a multi_get of {} resident items allocates them and their vector",
+                request.len()
+            );
+        }
+
+        // An absent item is no buffer. A request that names an item
+        // twice gets copies: one buffer per value handed out, on top of
+        // one per distinct value found.
+        client.multi_get(&[5, 900, 6]).unwrap();
+        let ((allocs, reallocs, _), values) = count_alloc(|| client.multi_get(&[5, 900, 6]));
+        assert_eq!(values.unwrap().iter().flatten().count(), 2);
+        assert_eq!((allocs, reallocs), (2 + 1, 0));
+        let ((allocs, reallocs, _), values) = count_alloc(|| client.multi_get(&[5, 900, 5, 6]));
+        assert_eq!(values.unwrap().iter().flatten().count(), 3);
+        assert_eq!((allocs, reallocs), (2 + 3 + 1, 0));
+    }
+}

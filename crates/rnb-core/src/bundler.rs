@@ -25,6 +25,10 @@ pub struct PlanScratch {
     /// `cand_flat[cand_off[i]..cand_off[i + 1]]`.
     cand_flat: Vec<u32>,
     cand_off: Vec<u32>,
+    /// Item buffers of transactions a smaller plan had no use for, kept
+    /// for the next larger one: request shapes alternate, and a plan
+    /// that shrinks must not free what the next one allocates again.
+    spare: Vec<Vec<ItemId>>,
     /// The pooled cover solver.
     planner: Planner,
 }
@@ -42,6 +46,58 @@ impl PlanScratch {
     /// ```
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The sorted, dedup'd items of the last planned request: the
+    /// planner's own index space, which [`PlanScratch::candidates`] and
+    /// [`PlanScratch::index_of`] share. An execution layer that keys its
+    /// per-item state by this index needs no map of its own.
+    ///
+    /// ```
+    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, RnbConfig};
+    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
+    /// let (mut scratch, mut plan) = (PlanScratch::new(), FetchPlan::default());
+    /// bundler.plan_into(&mut scratch, &[9, 4, 9, 1], &mut plan);
+    /// assert_eq!(scratch.items(), &[1, 4, 9]);
+    /// ```
+    pub fn items(&self) -> &[ItemId] {
+        &self.items
+    }
+
+    /// Position of `item` in [`PlanScratch::items`], if it was requested.
+    ///
+    /// ```
+    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, RnbConfig};
+    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
+    /// let (mut scratch, mut plan) = (PlanScratch::new(), FetchPlan::default());
+    /// bundler.plan_into(&mut scratch, &[9, 4, 1], &mut plan);
+    /// assert_eq!(scratch.index_of(4), Some(1));
+    /// assert_eq!(scratch.index_of(5), None);
+    /// ```
+    pub fn index_of(&self, item: ItemId) -> Option<usize> {
+        self.items.binary_search(&item).ok()
+    }
+
+    /// The replica servers of `items()[index]`, distinguished copy
+    /// first, as the last plan saw them — the candidate table the planner
+    /// built anyway, so a hitchhiking or fallback pass need not hash any
+    /// item a second time. Empty for an index the last plan did not have.
+    ///
+    /// ```
+    /// use rnb_core::{Bundler, FetchPlan, Placement, PlanScratch, RnbConfig};
+    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
+    /// let (mut scratch, mut plan) = (PlanScratch::new(), FetchPlan::default());
+    /// bundler.plan_into(&mut scratch, &[7, 3], &mut plan);
+    /// assert_eq!(scratch.candidates(1), bundler.placement().replicas(7));
+    /// bundler.plan_into(&mut scratch, &[3], &mut plan);
+    /// assert_eq!(scratch.candidates(0), bundler.placement().replicas(3));
+    /// assert!(scratch.candidates(1).is_empty());
+    /// ```
+    pub fn candidates(&self, index: usize) -> &[ServerId] {
+        match (self.cand_off.get(index), self.cand_off.get(index + 1)) {
+            (Some(&from), Some(&to)) => &self.cand_flat[from as usize..to as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -286,6 +342,7 @@ impl<P: Placement> Bundler<P> {
             replicas,
             cand_flat,
             cand_off,
+            spare,
             planner,
         } = scratch;
         items.clear();
@@ -294,35 +351,36 @@ impl<P: Placement> Bundler<P> {
         items.dedup();
         let requested = items.len();
         out.requested = requested;
+        // Cleared before any early return, so `PlanScratch::candidates`
+        // never answers from an earlier request's table.
+        cand_flat.clear();
+        cand_off.clear();
 
         if items.is_empty() {
-            out.transactions.clear();
+            retire_from(&mut out.transactions, 0, spare);
             return;
         }
 
-        // Fast path: one item → its distinguished copy, no cover needed.
+        // Fast path: one item → its distinguished copy (replica 0 either
+        // way), no cover needed.
         if requested == 1 {
             if matches!(target, Target::AtLeast(0) | Target::MaxTxns(0)) {
-                out.transactions.clear();
+                retire_from(&mut out.transactions, 0, spare);
                 return;
             }
-            let server = if self.single_item_to_distinguished {
-                self.placement.distinguished(items[0])
-            } else {
-                self.placement.replicas_into(items[0], replicas);
-                replicas[0]
-            };
-            let slot = txn_slot(&mut out.transactions, 0, server);
+            self.placement.replicas_into(items[0], replicas);
+            cand_off.push(0);
+            cand_flat.extend_from_slice(replicas);
+            cand_off.push(cand_flat.len() as u32);
+            let slot = txn_slot(&mut out.transactions, spare, 0, replicas[0]);
             slot.push(items[0]);
-            out.transactions.truncate(1);
+            retire_from(&mut out.transactions, 1, spare);
             return;
         }
 
         // Flat candidate table: cand_flat[cand_off[i]..cand_off[i+1]] =
         // replica servers of items[i]. Fed straight to the planner — no
         // CoverInstance, no per-item Vec.
-        cand_flat.clear();
-        cand_off.clear();
         cand_off.push(0);
         for &item in items.iter() {
             self.placement.replicas_into(item, replicas);
@@ -338,20 +396,22 @@ impl<P: Placement> Bundler<P> {
 
         let mut n = 0usize;
         for pick in cover.picks() {
-            let slot = txn_slot(&mut out.transactions, n, pick.label);
+            let slot = txn_slot(&mut out.transactions, spare, n, pick.label);
             slot.extend(pick.items.iter().map(|&idx| items[idx as usize]));
             n += 1;
         }
-        out.transactions.truncate(n);
+        retire_from(&mut out.transactions, n, spare);
 
         // §III-C1: a transaction that ended up with a single item is
-        // redirected to that item's distinguished copy, then transactions
-        // to the same server are re-merged (redirection may create pairs).
+        // redirected to that item's distinguished copy — the head of its
+        // row of the candidate table — then transactions to the same
+        // server are re-merged (redirection may create pairs).
         if self.single_item_to_distinguished {
             let mut changed = false;
             for t in out.transactions.iter_mut() {
                 if t.items.len() == 1 {
-                    let d = self.placement.distinguished(t.items[0]);
+                    let row = items.binary_search(&t.items[0]).unwrap_or(0);
+                    let d = cand_flat[cand_off[row] as usize];
                     if d != t.server {
                         t.server = d;
                         changed = true;
@@ -359,7 +419,8 @@ impl<P: Placement> Bundler<P> {
                 }
             }
             if changed {
-                merge_by_server(&mut out.transactions);
+                let kept = merge_by_server(&mut out.transactions);
+                retire_from(&mut out.transactions, kept, spare);
             }
         }
     }
@@ -368,17 +429,32 @@ impl<P: Placement> Bundler<P> {
 /// Reuse (or create) transaction slot `idx` of `transactions` for
 /// `server`, returning its cleared item buffer — the pooled counterpart of
 /// pushing a fresh `Transaction`.
-fn txn_slot(transactions: &mut Vec<Transaction>, idx: usize, server: ServerId) -> &mut Vec<ItemId> {
+fn txn_slot<'a>(
+    transactions: &'a mut Vec<Transaction>,
+    spare: &mut Vec<Vec<ItemId>>,
+    idx: usize,
+    server: ServerId,
+) -> &'a mut Vec<ItemId> {
     if idx == transactions.len() {
         transactions.push(Transaction {
             server,
-            items: Vec::new(),
+            items: spare.pop().unwrap_or_default(),
         });
     } else {
         transactions[idx].server = server;
         transactions[idx].items.clear();
     }
     &mut transactions[idx].items
+}
+
+/// Cut `transactions` down to its first `keep`, keeping the item buffers
+/// of the rest in `spare` — the pooled counterpart of `truncate`.
+fn retire_from(transactions: &mut Vec<Transaction>, keep: usize, spare: &mut Vec<Vec<ItemId>>) {
+    spare.extend(transactions.drain(keep.min(transactions.len())..).map(|t| {
+        let mut items = t.items;
+        items.clear();
+        items
+    }));
 }
 
 /// Internal planning target (maps onto [`CoverTarget`]).
@@ -392,8 +468,9 @@ enum Target {
 /// Merge transactions targeting the same server in place, preserving
 /// first-seen order of servers. Items of a merged-away transaction are
 /// appended (moved, not copied) onto the first transaction for that
-/// server.
-fn merge_by_server(transactions: &mut Vec<Transaction>) {
+/// server. Returns how many transactions are left: the merged-away ones
+/// sit emptied behind them, for the caller to cut off.
+fn merge_by_server(transactions: &mut [Transaction]) -> usize {
     let mut kept = 0usize;
     for i in 0..transactions.len() {
         let server = transactions[i].server;
@@ -405,7 +482,7 @@ fn merge_by_server(transactions: &mut Vec<Transaction>) {
             kept += 1;
         }
     }
-    transactions.truncate(kept);
+    kept
 }
 
 #[cfg(test)]
@@ -640,7 +717,8 @@ mod tests {
                 items: vec![3],
             },
         ];
-        merge_by_server(&mut ts);
+        let kept = merge_by_server(&mut ts);
+        ts.truncate(kept);
         assert_eq!(ts.len(), 2);
         assert_eq!(ts[0].server, 2);
         assert_eq!(ts[0].items, vec![1, 3]);

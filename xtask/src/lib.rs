@@ -1,14 +1,18 @@
 //! Workspace automation for the RnB reproduction.
 //!
-//! The one task so far is `lint`: a repo-specific static-analysis pass
-//! enforcing rules that rustc and clippy cannot express (see
-//! [`rules`] for the catalogue R1–R10; R7–R10 work over the approximate
-//! call graph built by [`lexer`]/[`items`]/[`callgraph`]). It is wired
-//! in three places so it cannot be forgotten:
+//! `lint` is a repo-specific static-analysis pass enforcing rules that
+//! rustc and clippy cannot express (see [`rules`] for the catalogue
+//! R1–R10; R7–R10 work over the approximate call graph built by
+//! [`lexer`]/[`items`]/[`callgraph`]). It is wired in three places so it
+//! cannot be forgotten:
 //!
 //! * `cargo run -p xtask -- lint` — the developer entry point,
 //! * `tests/lint_clean.rs` — tier-1 (`cargo test -q`) runs it forever,
 //! * `.github/workflows/ci.yml` — CI runs the binary form.
+//!
+//! `e2e-pairs` ([`pairs`]) measures the working tree against a parent
+//! revision through `BENCHMARK.json`'s command, in alternating pairs over
+//! unseen seeds, and appends the record to `BENCH_e2e.json`.
 //!
 //! Everything is std-only: the build environment may have no crates.io
 //! registry at all (see "Offline builds" in README.md).
@@ -16,7 +20,9 @@
 pub mod callgraph;
 pub mod inventory;
 pub mod items;
+pub mod json;
 pub mod lexer;
+pub mod pairs;
 pub mod rules;
 pub mod scrub;
 
@@ -113,7 +119,7 @@ impl LintReport {
 }
 
 /// Escape `s` as a JSON string literal (std-only, no serde available).
-fn json_string(s: &str) -> String {
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -6,6 +6,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(args.iter().any(|a| a == "--json")),
+        Some("e2e-pairs") => run_pairs(args.into_iter().skip(1)),
         Some(other) => {
             eprintln!("unknown task {other:?}");
             print_usage();
@@ -24,6 +25,22 @@ fn print_usage() {
     eprintln!("tasks:");
     eprintln!("  lint [--json]    run the repo-specific static-analysis rules (R1-R10);");
     eprintln!("                   --json prints machine-readable diagnostics on stdout");
+    eprintln!("  e2e-pairs --parent <rev> --pairs <n> [--workload <name>]...");
+    eprintln!("                   run BENCHMARK.json's command on <rev> and on the working");
+    eprintln!("                   tree in alternating pairs over unseen seeds, and append");
+    eprintln!("                   the medians, quartiles and pairs won to BENCH_e2e.json");
+}
+
+fn run_pairs(argv: impl Iterator<Item = String>) -> ExitCode {
+    let outcome = xtask::pairs::PairsArgs::parse(argv)
+        .and_then(|args| xtask::pairs::run(&xtask::workspace_root(), &args));
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("e2e-pairs: {err}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn run_lint(json: bool) -> ExitCode {

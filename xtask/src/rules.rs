@@ -734,7 +734,10 @@ pub const RULES: &[(&str, &str)] = &[
 /// `get_multi`/`get_multi_with` are the store's batched
 /// read entry points and `set_multi` the batched write entry point;
 /// `multi_get` is the client-side plan→fetch→writeback driver and
-/// `multi_set` its write-side sibling (plan→burst).
+/// `multi_set` its write-side sibling (plan→burst); `run_round` is the
+/// read rounds' send/receive loop and `send_request` / `recv_values` the
+/// connection halves it drives — called through closures the graph does
+/// not trace, so they are roots in their own right.
 pub const CLONE_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/server.rs", "worker_loop"),
     ("crates/rnb-store/src/server.rs", "serve_burst"),
@@ -742,6 +745,9 @@ pub const CLONE_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/poller.rs", "wait"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
+    ("crates/rnb-client/src/client.rs", "run_round"),
+    ("crates/rnb-store/src/client.rs", "send_request"),
+    ("crates/rnb-store/src/client.rs", "recv_values"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
 ];
 
@@ -755,14 +761,8 @@ pub const CLONE_ALLOWLIST: &[(&str, &str, &str)] = &[
     (
         "crates/rnb-client/src/client.rs",
         "multi_get",
-        "output materialization: the per-item result Vec owns its values, and \
-         duplicate requested items each need an owned copy of the shared hit",
-    ),
-    (
-        "crates/rnb-store/src/client.rs",
-        "recv_gets",
-        "duplicate requested keys each receive an owned copy of the VALUE \
-         payload; unique-key requests always take the move path",
+        "the returned values are owned; a duplicated request item needs its \
+         own copy",
     ),
     (
         "crates/rnb-store/src/shard.rs",
@@ -793,6 +793,9 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/store.rs", "set_multi_with"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
+    ("crates/rnb-client/src/client.rs", "run_round"),
+    ("crates/rnb-store/src/client.rs", "send_request"),
+    ("crates/rnb-store/src/client.rs", "recv_values"),
 ];
 
 /// What R9 hunts in the closure: the R1 panic family plus the slice
