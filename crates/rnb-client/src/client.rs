@@ -18,9 +18,12 @@ pub struct RnbClientConfig {
     /// Placement and bundling configuration (server count must match the
     /// address list handed to [`RnbClient::connect`]).
     pub rnb: RnbConfig,
-    /// Append hitchhikers to planned transactions (§III-C2).
+    /// Append hitchhikers to planned transactions (§III-C2) — for items
+    /// planned on a server that has missed within its last
+    /// [`HITCHHIKE_WINDOW`] round-1 transactions. Off: never.
     pub hitchhiking: bool,
-    /// Write recovered misses back to the planned replica (§III-C2).
+    /// Write recovered misses back to the planned replica (§III-C2), in
+    /// one pipelined burst per server.
     pub writeback: bool,
     /// How `set` propagates to replicas (§III-G / §IV).
     pub write_policy: WritePolicy,
@@ -112,6 +115,11 @@ impl ServerConn {
         self.conn.as_mut()
     }
 
+    /// Whether a connection is up: false from an error until a redial.
+    fn is_live(&self) -> bool {
+        self.conn.is_some()
+    }
+
     /// Never reuse this connection again; the next use reconnects.
     fn mark_broken(&mut self) {
         self.conn = None;
@@ -133,64 +141,69 @@ fn conn_for<'a>(
     Ok(conn)
 }
 
-/// Execute one phase of a bundled write batch: send every group's burst
-/// before reading any reply (PR 8's read-pipelining shape replayed on
-/// the write side, so a phase costs one RTT, not the sum of per-server
-/// RTTs). `ops` holds the groups' ops back to back, in group order. A
-/// failed send or receive marks that connection broken, counts a failed
-/// transaction, and records the first error; surviving bursts still
-/// complete — desync on one server must not corrupt the others.
-fn run_write_bursts(
-    conns: &mut [ServerConn],
-    stats: &mut ClientStats,
-    groups: &[WriteGroup],
-    ops: &[StorageOp<'_>],
-    (sent, acks): (&mut Vec<bool>, &mut Vec<bool>),
-    first_err: &mut Option<io::Error>,
-) {
-    sent.clear();
-    for (group, burst) in bursts(groups, ops) {
-        let s = group.server as usize;
-        stats.write_txns += 1;
-        let outcome = conn_for(conns, stats, s).and_then(|c| c.send_storage_batch(burst));
-        sent.push(outcome.is_ok());
-        if let Err(e) = outcome {
-            conns[s].mark_broken();
-            stats.failed_txns += 1;
-            first_err.get_or_insert(e);
-        }
-    }
-    for ((group, burst), _) in bursts(groups, ops)
-        .zip(sent.iter())
-        .filter(|(_, &sent)| sent)
-    {
-        let s = group.server as usize;
-        let outcome = match conns[s].active() {
-            Some(c) => c.recv_storage_batch(burst, acks),
-            // A later send on the same server broke the conn; the
-            // pending replies are lost.
-            None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-        };
-        if let Err(e) = outcome {
-            conns[s].mark_broken();
-            stats.failed_txns += 1;
-            first_err.get_or_insert(e);
-        }
-    }
+/// One server's storage burst in a write phase: ops `ops` of the phase.
+struct Burst {
+    server: ServerId,
+    ops: Span,
+    sent: bool,
 }
 
-/// Each group with its ops, out of `ops` holding every group's back to
-/// back.
-fn bursts<'a, 'o>(
-    groups: &'a [WriteGroup],
-    ops: &'a [StorageOp<'o>],
-) -> impl Iterator<Item = (&'a WriteGroup, &'a [StorageOp<'o>])> {
-    let mut from = 0;
-    groups.iter().map(move |group| {
-        let burst = ops.get(from..from + group.ops.len()).unwrap_or_default();
-        from += group.ops.len();
-        (group, burst)
-    })
+/// Execute one write phase, one storage burst per server: every burst
+/// is sent before any reply is read (the read rounds' pipelining on the
+/// write side, so a phase costs one RTT, not the sum of per-server
+/// RTTs); with `pipeline` off, the same loop over batches of one, as in
+/// [`run_round`]. `op(i)` builds op `i` of the phase as it goes out, so
+/// no op list is collected. `count` bumps the phase's transaction
+/// counter once per burst.
+///
+/// A failed send or receive marks that connection broken and counts a
+/// failed transaction; surviving bursts still complete — desync on one
+/// server must not corrupt the others. Returns the acknowledged ops and
+/// the first error.
+fn run_write_bursts<'o>(
+    conns: &mut [ServerConn],
+    stats: &mut ClientStats,
+    bursts: &mut [Burst],
+    pipeline: bool,
+    count: fn(&mut ClientStats),
+    op: impl Fn(usize) -> StorageOp<'o>,
+    acks: &mut Vec<bool>,
+) -> (u64, Option<io::Error>) {
+    let mut acked = 0;
+    let mut first_err = None;
+    let batch = if pipeline { bursts.len().max(1) } else { 1 };
+    for batch in bursts.chunks_mut(batch) {
+        for burst in batch.iter_mut() {
+            count(stats);
+            let s = burst.server as usize;
+            let ops = burst.ops.range().map(&op);
+            let outcome = conn_for(conns, stats, s).and_then(|c| c.send_storage_batch(ops));
+            burst.sent = outcome.is_ok();
+            if let Err(e) = outcome {
+                conns[s].mark_broken();
+                stats.failed_txns += 1;
+                first_err.get_or_insert(e);
+            }
+        }
+        for burst in batch.iter().filter(|burst| burst.sent) {
+            let s = burst.server as usize;
+            let outcome = match conns[s].active() {
+                Some(c) => c.recv_storage_batch(burst.ops.range().map(&op), acks),
+                // A later send on the same server broke the conn; the
+                // pending replies are lost.
+                None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
+            };
+            match outcome {
+                Ok(()) => acked += acks.iter().filter(|&&ack| ack).count() as u64,
+                Err(e) => {
+                    conns[s].mark_broken();
+                    stats.failed_txns += 1;
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+    }
+    (acked, first_err)
 }
 
 /// A `from..to` range that is `Copy`, which std's is not.
@@ -203,6 +216,37 @@ struct Span {
 impl Span {
     fn range(self) -> Range<usize> {
         self.from..self.to
+    }
+}
+
+/// Wire keys back to back in one pooled buffer, each addressed by the
+/// position it was pushed at.
+#[derive(Default)]
+struct KeyArena {
+    bytes: Vec<u8>,
+    spans: Vec<Span>,
+}
+
+impl KeyArena {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.spans.clear();
+    }
+
+    fn push(&mut self, item: ItemId) {
+        let from = self.bytes.len();
+        write_item_key(item, &mut self.bytes);
+        let to = self.bytes.len();
+        self.spans.push(Span { from, to });
+    }
+
+    /// The `i`-th key pushed.
+    fn get(&self, i: usize) -> &[u8] {
+        let key = self
+            .spans
+            .get(i)
+            .and_then(|span| self.bytes.get(span.range()));
+        key.unwrap_or_default()
     }
 }
 
@@ -387,22 +431,86 @@ struct ReadScratch {
     slots: Vec<Option<Vec<u8>>>,
     /// Planned fetches that missed: (planner index, the server asked).
     missed: Vec<(usize, ServerId)>,
-    /// Round 2's fetches: (distinguished server, arrival order, planner
-    /// index), sorted to group by server.
-    second: Vec<(ServerId, usize, usize)>,
+    /// Round 2's fetches, then the write-backs: (server, arrival order,
+    /// planner index), sorted to group by server.
+    by_server: Vec<(ServerId, usize, usize)>,
     /// Planner indices left to round 3.
     third: Vec<usize>,
+    /// Per server, the round-1 transactions left before its planned
+    /// items stop carrying hitchhikers; sized by the fleet.
+    countdown: Vec<u32>,
 }
 
-/// Pooled buffers of `multi_set`.
+/// Clean round-1 transactions in a row after which a server's planned
+/// items stop carrying hitchhikers. A planned miss or a failed
+/// transaction there re-arms the count; a client starts armed.
+/// Hitchhikers insure against misses (§III-C2), so they are paid for
+/// only where misses have been seen: at the per-transaction miss rates
+/// of overbooked or write-heavy fleets (≈ 0.7–0.8) 64 clean
+/// transactions in a row do not happen, and on a resident fleet the
+/// insurance costs each server its first 64 transactions.
+pub const HITCHHIKE_WINDOW: u32 = 64;
+
+/// Pooled buffers of the write bursts: `multi_set`'s phases and
+/// `multi_get`'s write-back.
 #[derive(Default)]
 struct WriteScratch {
-    /// The wire key of every entry of the batch, back to back, and each
-    /// key's range in it.
-    keys: Vec<u8>,
-    ranges: Vec<Span>,
-    sent: Vec<bool>,
+    /// Wire keys: one per entry of a `multi_set` batch, one per op of a
+    /// write-back.
+    keys: KeyArena,
+    /// A `multi_set` phase's ops, burst after burst, as batch entries.
+    order: Vec<usize>,
+    bursts: Vec<Burst>,
     acks: Vec<bool>,
+}
+
+impl WriteScratch {
+    /// Run one `multi_set` phase: `groups`, one burst per server, each
+    /// op built by `op(key, entry)` from its batch entry and the key
+    /// [`RnbClient::multi_set`] encoded for it.
+    fn run_phase<'s>(
+        &'s mut self,
+        conns: &mut [ServerConn],
+        stats: &mut ClientStats,
+        groups: &[WriteGroup],
+        op: impl Fn(&'s [u8], usize) -> StorageOp<'s>,
+    ) -> Option<io::Error> {
+        let WriteScratch {
+            keys,
+            order,
+            bursts,
+            acks,
+        } = self;
+        order.clear();
+        bursts.clear();
+        for group in groups {
+            let from = order.len();
+            order.extend(group.ops.iter().map(|&(_, entry)| entry));
+            let ops = Span {
+                from,
+                to: order.len(),
+            };
+            bursts.push(Burst {
+                server: group.server,
+                ops,
+                sent: false,
+            });
+        }
+        let keys: &'s KeyArena = keys;
+        let (_, err) = run_write_bursts(
+            conns,
+            stats,
+            bursts,
+            true,
+            |stats| stats.write_txns += 1,
+            |i| {
+                let entry = order.get(i).copied().unwrap_or_default();
+                op(keys.get(entry), entry)
+            },
+            acks,
+        );
+        err
+    }
 }
 
 /// A connected RnB deployment client.
@@ -443,7 +551,10 @@ impl RnbClient {
             writer,
             config,
             stats: ClientStats::default(),
-            read: ReadScratch::default(),
+            read: ReadScratch {
+                countdown: vec![HITCHHIKE_WINDOW; addrs.len()],
+                ..ReadScratch::default()
+            },
             batcher: WriteBatchPlanner::new(),
             write: WriteScratch::default(),
         })
@@ -495,6 +606,7 @@ impl RnbClient {
             config,
             stats,
             read,
+            write,
             ..
         } = self;
         let ReadScratch {
@@ -506,8 +618,9 @@ impl RnbClient {
             wire,
             slots,
             missed,
-            second,
+            by_server,
             third,
+            countdown,
         } = read;
         bundler.plan_into(plan_scratch, items, plan);
         let distinct = plan_scratch.items();
@@ -523,10 +636,11 @@ impl RnbClient {
 
         // Hitchhikers (§III-C2): a planned item rides along on every
         // other transaction of the plan that goes to one of its replica
-        // servers. The replicas are the candidate table the plan was
-        // covered from; an item is planned once, its replicas are
-        // distinct servers and a server has one transaction, so no item
-        // reaches a transaction twice.
+        // servers — while its planned server has missed lately (see
+        // `HITCHHIKE_WINDOW`). The replicas are the candidate table the
+        // plan was covered from; an item is planned once, its replicas
+        // are distinct servers and a server has one transaction, so no
+        // item reaches a transaction twice.
         if extras.len() < plan.transactions.len() {
             extras.resize_with(plan.transactions.len(), Vec::new);
         }
@@ -543,7 +657,11 @@ impl RnbClient {
             }
             let mut next = planned.iter();
             for (ti, txn) in plan.transactions.iter().enumerate() {
-                for &index in next.by_ref().take(txn.items.len()) {
+                let insured = countdown
+                    .get(txn.server as usize)
+                    .is_some_and(|&left| left > 0);
+                let of_txn = next.by_ref().take(txn.items.len());
+                for &index in of_txn.filter(|_| insured) {
                     for &server in plan_scratch.candidates(index) {
                         match txn_of_server.get(server as usize) {
                             Some(&Some(tj)) if tj != ti => extras[tj].push(index),
@@ -567,6 +685,7 @@ impl RnbClient {
                 wire.key(distinct[index], index);
             }
             wire.end(txn.items.len());
+            stats.hitchhikers += extra.len() as u64;
         }
         missed.clear();
         run_round(
@@ -580,10 +699,19 @@ impl RnbClient {
                 slots[index].get_or_insert_with(|| data.to_vec());
             },
             |txn, keys, answered, ok| {
+                let mut clean = ok;
                 for (key, &answered) in keys.iter().zip(answered).take(txn.planned) {
                     if !(ok && answered) {
                         missed.push((key.index, txn.server));
+                        clean = false;
                     }
+                }
+                if let Some(left) = countdown.get_mut(txn.server as usize) {
+                    *left = if clean {
+                        left.saturating_sub(1)
+                    } else {
+                        HITCHHIKE_WINDOW
+                    };
                 }
             },
         );
@@ -592,18 +720,18 @@ impl RnbClient {
         // fallback (§III-D), one transaction per distinguished server in
         // server order, each server's items in the order they missed.
         stats.planned_misses += missed.len() as u64;
-        second.clear();
+        by_server.clear();
         for (order, &(index, _)) in missed.iter().enumerate() {
             if slots[index].is_some() {
                 stats.rescued_by_hitchhikers += 1;
             } else {
                 let distinguished = plan_scratch.candidates(index).first();
-                second.push((distinguished.copied().unwrap_or_default(), order, index));
+                by_server.push((distinguished.copied().unwrap_or_default(), order, index));
             }
         }
-        second.sort_unstable();
+        by_server.sort_unstable();
         wire.clear();
-        for of_server in second.chunk_by(|a, b| a.0 == b.0) {
+        for of_server in by_server.chunk_by(|a, b| a.0 == b.0) {
             wire.begin(of_server[0].0);
             for &(_, _, index) in of_server {
                 wire.key(distinct[index], index);
@@ -665,23 +793,61 @@ impl RnbClient {
             }
         }
 
-        // Write-back recovered misses to their planned replica server.
-        // A write error is tolerated (the server may be the dead one)
-        // but still marks the connection broken — reusing it would
-        // desync the next round's replies.
+        // Write-back (§III-C2): each recovered miss goes back to the
+        // server it missed at, in one pipelined storage burst per server,
+        // each server's items in the order they missed. Write-back never
+        // dials: a server whose connection a failed transaction broke in
+        // this request, and nothing redialed since, is skipped — so a
+        // dead node costs no connect per item. A failed burst marks its
+        // connection broken like any other transaction.
         if config.writeback {
-            let key = &mut wire.line;
-            for &(index, server) in missed.iter() {
-                let s = server as usize;
-                if let Some(data) = &slots[index] {
-                    key.clear();
-                    write_item_key(distinct[index], key);
-                    match conn_for(conns, stats, s).and_then(|c| c.set(key, data, 0)) {
-                        Ok(()) => stats.writebacks += 1,
-                        Err(_) => conns[s].mark_broken(),
-                    }
+            by_server.clear();
+            for (at, &(index, server)) in missed.iter().enumerate() {
+                let live = conns.get(server as usize).is_some_and(ServerConn::is_live);
+                if live && slots[index].is_some() {
+                    by_server.push((server, at, index));
                 }
             }
+            by_server.sort_unstable();
+            let WriteScratch {
+                keys, bursts, acks, ..
+            } = write;
+            keys.clear();
+            bursts.clear();
+            for of_server in by_server.chunk_by(|a, b| a.0 == b.0) {
+                let from = keys.spans.len();
+                for &(_, _, index) in of_server {
+                    keys.push(distinct[index]);
+                }
+                let ops = Span {
+                    from,
+                    to: keys.spans.len(),
+                };
+                let server = of_server[0].0;
+                bursts.push(Burst {
+                    server,
+                    ops,
+                    sent: false,
+                });
+            }
+            // Op `i` writes back the `i`-th of `by_server`.
+            let (acked, _) = run_write_bursts(
+                conns,
+                stats,
+                bursts,
+                config.pipeline,
+                |stats| stats.writeback_txns += 1,
+                |i| StorageOp::Set {
+                    key: keys.get(i),
+                    value: by_server
+                        .get(i)
+                        .and_then(|&(_, _, index)| slots[index].as_deref())
+                        .unwrap_or_default(),
+                    flags: 0,
+                },
+                acks,
+            );
+            stats.writebacks += acked;
         }
 
         stats.requests += 1;
@@ -777,68 +943,37 @@ impl RnbClient {
             write,
             ..
         } = self;
-        let WriteScratch {
-            keys,
-            ranges,
-            sent,
-            acks,
-        } = write;
         let plan = batcher.plan_batch(writer, entries.iter().map(|&(item, _)| item));
-        let mut first_err = None;
 
-        // Every entry's key, encoded once; the ops of both phases borrow
-        // them by batch index. The op list is the call's one allocation.
-        keys.clear();
-        ranges.clear();
+        // Every entry's key, encoded once; the ops of both phases are
+        // built from them by batch index as they go out.
+        write.keys.clear();
         for &(item, _) in entries {
-            let from = keys.len();
-            write_item_key(item, keys);
-            ranges.push(Span {
-                from,
-                to: keys.len(),
-            });
+            write.keys.push(item);
         }
-        let key_of = |index: usize| ranges.get(index).and_then(|span| keys.get(span.range()));
-        let ops_of = |groups: &[WriteGroup]| groups.iter().map(|g| g.ops.len()).sum::<usize>();
-        let mut ops = Vec::with_capacity(ops_of(plan.invalidations).max(ops_of(plan.writes)));
 
         // Phase 1: invalidation bursts (InvalidateThenWrite only; empty
         // under WriteAll). Fully flushed — sent AND acknowledged —
         // before phase 2 starts.
-        for &(_, index) in plan.invalidations.iter().flat_map(|g| &g.ops) {
-            let key = key_of(index).unwrap_or_default();
-            ops.push(StorageOp::Delete { key });
-        }
-        run_write_bursts(
-            conns,
-            stats,
-            plan.invalidations,
-            &ops,
-            (sent, acks),
-            &mut first_err,
-        );
+        let invalidation_err = write.run_phase(conns, stats, plan.invalidations, |key, _| {
+            StorageOp::Delete { key }
+        });
 
         // Phase 2: the distinguished writes (every replica's write under
         // WriteAll), one burst per touched server.
-        ops.clear();
-        for &(_, index) in plan.writes.iter().flat_map(|g| &g.ops) {
-            ops.push(StorageOp::Set {
-                key: key_of(index).unwrap_or_default(),
-                value: entries[index].1.as_ref(),
+        let write_err = write.run_phase(conns, stats, plan.writes, |key, entry| {
+            let value = entries
+                .get(entry)
+                .map_or(&[][..], |(_, value)| value.as_ref());
+            StorageOp::Set {
+                key,
+                value,
                 flags: 0,
-            });
-        }
-        run_write_bursts(
-            conns,
-            stats,
-            plan.writes,
-            &ops,
-            (sent, acks),
-            &mut first_err,
-        );
+            }
+        });
 
         stats.writes += entries.len() as u64;
-        match first_err {
+        match invalidation_err.or(write_err) {
             Some(e) => Err(e),
             None => Ok(()),
         }

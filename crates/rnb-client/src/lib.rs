@@ -13,11 +13,13 @@
 //! * **Bundled multi-gets** (§III-A): one transaction per server chosen
 //!   by the greedy cover.
 //! * **Hitchhiking** (§III-C2): requested items with a replica on an
-//!   already-planned server are appended to that transaction.
+//!   already-planned server are appended to that transaction — for
+//!   items planned on a server that has missed within its last
+//!   [`HITCHHIKE_WINDOW`] round-1 transactions.
 //! * **Miss fallback** (§III-D): items missing from round 1 are fetched
 //!   from their distinguished copies in a bundled second round.
-//! * **Write-back** (§III-C2): round-1 misses that round 2 recovered are
-//!   re-installed on the planned replica server.
+//! * **Write-back** (§III-C2): recovered round-1 misses are re-installed
+//!   on the planned replica server, one pipelined burst per server.
 //! * **Writes** (§III-G / §IV): update-all-replicas, or the atomic
 //!   invalidate-then-write scheme; [`RnbClient::atomic_update`] runs a
 //!   CAS loop on the distinguished copy.
@@ -37,6 +39,6 @@ mod client;
 mod keys;
 mod stats;
 
-pub use client::{RnbClient, RnbClientConfig};
+pub use client::{RnbClient, RnbClientConfig, HITCHHIKE_WINDOW};
 pub use keys::{item_key, parse_item_key};
 pub use stats::ClientStats;

@@ -18,8 +18,12 @@ pub struct ClientStats {
     pub planned_misses: u64,
     /// Misses satisfied by a hitchhiker in the same round.
     pub rescued_by_hitchhikers: u64,
-    /// Replica write-backs performed.
+    /// Keys sent as hitchhikers: round-1 keys beyond the plan's own.
+    pub hitchhikers: u64,
+    /// Replica write-backs the servers acknowledged.
     pub writebacks: u64,
+    /// Write-back bursts sent: one per server a request writes back to.
+    pub writeback_txns: u64,
     /// Items the servers could not supply at all (not stored).
     pub unavailable_items: u64,
     /// Write operations issued (all policies).
@@ -71,7 +75,9 @@ impl ClientStats {
             rescued_by_hitchhikers: self
                 .rescued_by_hitchhikers
                 .saturating_sub(earlier.rescued_by_hitchhikers),
+            hitchhikers: self.hitchhikers.saturating_sub(earlier.hitchhikers),
             writebacks: self.writebacks.saturating_sub(earlier.writebacks),
+            writeback_txns: self.writeback_txns.saturating_sub(earlier.writeback_txns),
             unavailable_items: self
                 .unavailable_items
                 .saturating_sub(earlier.unavailable_items),
@@ -109,13 +115,15 @@ mod tests {
             round3_txns: 4,
             planned_misses: 5,
             rescued_by_hitchhikers: 6,
-            writebacks: 7,
-            unavailable_items: 8,
-            writes: 9,
-            write_txns: 10,
-            cas_retries: 11,
-            failed_txns: 12,
-            reconnects: 13,
+            hitchhikers: 7,
+            writebacks: 8,
+            writeback_txns: 9,
+            unavailable_items: 10,
+            writes: 11,
+            write_txns: 12,
+            cas_retries: 13,
+            failed_txns: 14,
+            reconnects: 15,
         };
         let later = ClientStats {
             requests: 11,
@@ -124,13 +132,15 @@ mod tests {
             round3_txns: 14,
             planned_misses: 15,
             rescued_by_hitchhikers: 16,
-            writebacks: 17,
-            unavailable_items: 18,
-            writes: 19,
-            write_txns: 20,
-            cas_retries: 21,
-            failed_txns: 22,
-            reconnects: 23,
+            hitchhikers: 17,
+            writebacks: 18,
+            writeback_txns: 19,
+            unavailable_items: 20,
+            writes: 21,
+            write_txns: 22,
+            cas_retries: 23,
+            failed_txns: 24,
+            reconnects: 25,
         };
         let delta = later.since(&earlier);
         let expect = ClientStats {
@@ -140,7 +150,9 @@ mod tests {
             round3_txns: 10,
             planned_misses: 10,
             rescued_by_hitchhikers: 10,
+            hitchhikers: 10,
             writebacks: 10,
+            writeback_txns: 10,
             unavailable_items: 10,
             writes: 10,
             write_txns: 10,

@@ -1,7 +1,7 @@
 //! End-to-end tests: RnbClient against a fleet of real StoreServers over
 //! loopback TCP — the paper's §IV proof-of-concept exercised as a system.
 
-use rnb_client::{item_key, ClientStats, RnbClient, RnbClientConfig};
+use rnb_client::{item_key, ClientStats, RnbClient, RnbClientConfig, HITCHHIKE_WINDOW};
 use rnb_core::{Placement, WritePolicy};
 use rnb_store::{Store, StoreServer};
 use std::net::SocketAddr;
@@ -110,6 +110,138 @@ fn round2_fallback_recovers_evicted_replicas_and_writes_back() {
             s.writebacks > 0 || s.rescued_by_hitchhikers > 0,
             "misses occurred but nothing recovered/wrote back: {s:?}"
         );
+    }
+}
+
+/// A resident fleet of six with items `0..300` on all three replicas, a
+/// fresh client, and a request its plan spreads over several servers.
+fn resident_fleet() -> (Fleet, RnbClient, Vec<u64>) {
+    let fleet = Fleet::start(6, 1 << 22);
+    let mut client = RnbClient::connect(&fleet.addrs(), RnbClientConfig::new(3)).unwrap();
+    for item in 0..300u64 {
+        client.set(item, format!("r{item}").as_bytes()).unwrap();
+    }
+    let request: Vec<u64> = (0..30).map(|i| i * 7).collect();
+    assert!(client.bundler().plan(&request).transactions.len() > 2);
+    (fleet, client, request)
+}
+
+/// Planned (item, server) pairs of `request` whose server is a replica,
+/// not the item's distinguished copy: deleting one there makes a miss
+/// that round 2 recovers.
+fn planned_on_replicas(client: &RnbClient, request: &[u64]) -> Vec<(u64, u32)> {
+    let placement = client.bundler().placement();
+    client
+        .bundler()
+        .plan(request)
+        .assignment()
+        .filter(|&(item, server)| placement.replicas(item)[0] != server)
+        .collect()
+}
+
+/// Delete `item` on `server` through the wire, as an eviction would.
+fn evict(fleet: &Fleet, item: u64, server: u32) {
+    let mut conn = rnb_store::StoreClient::connect(fleet.addrs()[server as usize]).unwrap();
+    assert!(conn.delete(&item_key(item)).unwrap());
+}
+
+#[test]
+fn write_back_is_one_burst_per_server() {
+    let (fleet, mut client, request) = resident_fleet();
+    // Every replica-planned item of the first two servers that have one.
+    let on_replicas = planned_on_replicas(&client, &request);
+    let mut servers: Vec<u32> = on_replicas.iter().map(|&(_, server)| server).collect();
+    servers.dedup();
+    let evicted: Vec<(u64, u32)> = on_replicas
+        .into_iter()
+        .filter(|(_, server)| servers[..2].contains(server))
+        .collect();
+    assert!(evicted.len() > 2, "{evicted:?}");
+    for &(item, server) in &evicted {
+        evict(&fleet, item, server);
+    }
+
+    let before = client.stats();
+    let values = client.multi_get(&request).unwrap();
+    assert!(values.iter().all(Option::is_some));
+    let d = client.stats().since(&before);
+    assert_eq!(d.planned_misses, evicted.len() as u64, "{d:?}");
+    assert_eq!(
+        d.writebacks,
+        evicted.len() as u64,
+        "every recovered miss: {d:?}"
+    );
+    assert_eq!(d.writeback_txns, 2, "one burst per server: {d:?}");
+    for &(item, server) in &evicted {
+        assert!(fleet.store(server as usize).get(&item_key(item)).is_some());
+    }
+
+    let before = client.stats();
+    client.multi_get(&request).unwrap();
+    let d = client.stats().since(&before);
+    assert_eq!(
+        (d.planned_misses, d.writebacks, d.writeback_txns),
+        (0, 0, 0)
+    );
+}
+
+#[test]
+fn hitchhikers_ride_only_for_servers_that_have_been_missing() {
+    let (fleet, mut client, request) = resident_fleet();
+    let plan = client.bundler().plan(&request);
+    let read = |client: &mut RnbClient| {
+        let before = client.stats();
+        assert!(client
+            .multi_get(&request)
+            .unwrap()
+            .iter()
+            .all(Option::is_some));
+        client.stats().since(&before)
+    };
+
+    // A fresh client is insured: its first HITCHHIKE_WINDOW requests
+    // (one clean round-1 transaction per planned server each) hitchhike.
+    for _ in 0..HITCHHIKE_WINDOW {
+        let d = read(&mut client);
+        assert!(d.hitchhikers > 0 && d.planned_misses == 0, "{d:?}");
+    }
+    // Then none: each server looks up exactly the items planned there.
+    let gets = |fleet: &Fleet| {
+        (0..6)
+            .map(|s| fleet.store(s).stats().gets)
+            .collect::<Vec<_>>()
+    };
+    let before = gets(&fleet);
+    let d = read(&mut client);
+    assert_eq!(d.hitchhikers, 0, "{d:?}");
+    let after = gets(&fleet);
+    for s in 0..6 {
+        let planned: usize = plan
+            .transactions
+            .iter()
+            .filter(|txn| txn.server as usize == s)
+            .map(|txn| txn.items.len())
+            .sum();
+        assert_eq!(after[s] - before[s], planned as u64, "server {s}");
+    }
+
+    // One evicted replica: the next request misses there (uninsured, so
+    // round 2 recovers it) and the one after hitchhikes again.
+    let (item, server) = planned_on_replicas(&client, &request)[0];
+    evict(&fleet, item, server);
+    let d = read(&mut client);
+    assert_eq!((d.planned_misses, d.hitchhikers, d.round2_txns), (1, 0, 1));
+    let d = read(&mut client);
+    assert!(d.hitchhikers > 0 && d.planned_misses == 0, "{d:?}");
+
+    // Switched off, never — not even cold.
+    let mut off = RnbClient::connect(
+        &fleet.addrs(),
+        RnbClientConfig::new(3).with_hitchhiking(false),
+    )
+    .unwrap();
+    for _ in 0..3 {
+        assert_eq!(read(&mut off).hitchhikers, 0);
     }
 }
 
@@ -443,9 +575,11 @@ mod pipelined_equivalence {
         /// the sequential order is the same loop with each receive
         /// directly after its send, so for any request (dupes, absent
         /// items, empty), any set of evicted replicas (planned misses,
-        /// hitchhiker rescue, round 2, write-back) and with or without
-        /// a dead server (failed transactions, round 3) the two clients
-        /// return the same values and move every counter alike.
+        /// hitchhikers and their rescues, round 2, write-back bursts)
+        /// and with or without a dead server (failed transactions,
+        /// round 3) the two clients return the same values and move
+        /// every counter alike — `hitchhikers` and `writeback_txns`
+        /// included.
         #[test]
         fn pipelined_multi_get_equals_sequential(
             request in proptest::collection::vec(0u64..600, 0..40),
@@ -486,6 +620,12 @@ mod pipelined_equivalence {
         assert!(healthy.rescued_by_hitchhikers > 0, "{healthy:?}");
         assert!(
             healthy.round2_txns > 0 && healthy.writebacks > 0,
+            "{healthy:?}"
+        );
+        // More ops written back than bursts: some burst carried several
+        // to one server.
+        assert!(
+            healthy.writebacks > healthy.writeback_txns && healthy.hitchhikers > 0,
             "{healthy:?}"
         );
         assert!(

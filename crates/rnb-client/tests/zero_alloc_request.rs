@@ -1,16 +1,18 @@
 //! What a steady-state client request allocates, counted: `multi_get`
-//! the vector it returns plus one buffer per value found, `multi_set`
-//! one op list however many entries the batch has. Everything between
-//! the caller and the sockets — plan, hitchhikers, request lines, reply
-//! parsing, per-item slots — lives in buffers the client keeps.
+//! the vector it returns plus one buffer per value found — whether it
+//! reads resident items or misses, falls back and writes back — and
+//! `multi_set` nothing, however many entries the batch has. Everything
+//! between the caller and the sockets — plan, hitchhikers, request
+//! lines, reply parsing, per-item slots, storage bursts — lives in
+//! buffers the client keeps.
 //!
 //! The counter of `vendor/alloc-counter` is thread-local, so the fleet's
 //! own threads, in this process, do not show in it. Kept to a single
 //! `#[test]` so no sibling test muddies the warm-up ordering.
 
 use alloc_counter::{count_alloc, AllocCounterSystem};
-use rnb_client::{RnbClient, RnbClientConfig};
-use rnb_core::WritePolicy;
+use rnb_client::{item_key, RnbClient, RnbClientConfig};
+use rnb_core::{Placement, WritePolicy};
 use rnb_store::{Store, StoreServer};
 use std::sync::Arc;
 
@@ -37,8 +39,8 @@ fn steady_state_requests_allocate_only_what_they_return() {
             outcome.unwrap();
             assert_eq!(
                 (allocs, reallocs),
-                (1, 0),
-                "{policy:?}: a multi_set of {} entries allocates its op list, once",
+                (0, 0),
+                "{policy:?}: a multi_set of {} entries builds its ops as they go out",
                 batch.len()
             );
         }
@@ -67,6 +69,32 @@ fn steady_state_requests_allocate_only_what_they_return() {
                 "{policy:?}: a multi_get of {} resident items allocates them and their vector",
                 request.len()
             );
+        }
+
+        // A request whose replicas were evicted: round-1 misses, round 2
+        // from the distinguished copies, write-back bursts. Still one
+        // buffer per value and the vector; the first pass grows the pools.
+        let request: Vec<u64> = (0..40).map(|i| i * 5 + 1).collect();
+        for warm in [false, true] {
+            for &item in &request {
+                let replicas = client.bundler().placement().replicas(item);
+                for &server in &replicas[1..] {
+                    fleet[server as usize].store().delete(&item_key(item));
+                }
+            }
+            let before = client.stats();
+            let ((allocs, reallocs, _), values) = count_alloc(|| client.multi_get(&request));
+            assert!(values.unwrap().iter().all(Option::is_some));
+            let d = client.stats().since(&before);
+            assert!(d.round2_txns > 0 && d.writeback_txns > 0, "{d:?}");
+            assert_eq!(d.writebacks, d.planned_misses, "{d:?}");
+            if warm {
+                assert_eq!(
+                    (allocs, reallocs),
+                    (request.len() as u64 + 1, 0),
+                    "{policy:?}: a multi_get that misses and writes back allocates what it returns"
+                );
+            }
         }
 
         // An absent item is no buffer. A request that names an item

@@ -81,7 +81,8 @@ pub fn render_json(report: &ScenarioReport) -> String {
             "    {{ \"round\": {}, \"phase\": \"{}\", \"requests\": {}, \"items\": {}, \
              \"round1_txns\": {}, \"round2_txns\": {}, \"round3_txns\": {}, \
              \"failed_txns\": {}, \"reconnects\": {}, \"planned_misses\": {}, \
-             \"writebacks\": {}, \"writes\": {}, \"write_txns\": {}, \
+             \"hitchhikers\": {}, \"writebacks\": {}, \"writeback_txns\": {}, \
+             \"writes\": {}, \"write_txns\": {}, \
              \"unavailable\": {}, \"miss_rate\": {:.6}, \
              \"tpr\": {:.4} }}{sep}\n",
             r.round,
@@ -94,7 +95,9 @@ pub fn render_json(report: &ScenarioReport) -> String {
             r.failed_txns,
             r.reconnects,
             r.planned_misses,
+            r.hitchhikers,
             r.writebacks,
+            r.writeback_txns,
             r.writes,
             r.write_txns,
             r.unavailable,

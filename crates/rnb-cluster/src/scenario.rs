@@ -215,8 +215,12 @@ pub struct RoundStats {
     pub reconnects: u64,
     /// Round-1 planned misses.
     pub planned_misses: u64,
-    /// Write-backs performed.
+    /// Keys sent as hitchhikers.
+    pub hitchhikers: u64,
+    /// Write-backs the servers acknowledged.
     pub writebacks: u64,
+    /// Write-back bursts (one per server a request wrote back to).
+    pub writeback_txns: u64,
     /// Items written via `multi_set` bursts this round.
     pub writes: u64,
     /// Write-side transactions (one per pipelined burst per touched
@@ -480,7 +484,9 @@ pub fn run_scenario(s: &Scenario) -> io::Result<ScenarioReport> {
             failed_txns: delta.failed_txns,
             reconnects: delta.reconnects,
             planned_misses: delta.planned_misses,
+            hitchhikers: delta.hitchhikers,
             writebacks: delta.writebacks,
+            writeback_txns: delta.writeback_txns,
             writes: delta.writes,
             write_txns: delta.write_txns,
             unavailable: delta.unavailable_items,
@@ -607,7 +613,9 @@ fn add(a: ClientStats, d: &ClientStats) -> ClientStats {
         round3_txns: a.round3_txns + d.round3_txns,
         planned_misses: a.planned_misses + d.planned_misses,
         rescued_by_hitchhikers: a.rescued_by_hitchhikers + d.rescued_by_hitchhikers,
+        hitchhikers: a.hitchhikers + d.hitchhikers,
         writebacks: a.writebacks + d.writebacks,
+        writeback_txns: a.writeback_txns + d.writeback_txns,
         unavailable_items: a.unavailable_items + d.unavailable_items,
         writes: a.writes + d.writes,
         write_txns: a.write_txns + d.write_txns,

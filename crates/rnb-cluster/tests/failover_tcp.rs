@@ -15,11 +15,17 @@
 //!   distinguished copy is alive are served there, the group whose
 //!   distinguished copy IS the victim fails again (`failed_txns`);
 //! * round 3: the survivor sweep walks each remaining item's replica
-//!   list and recovers it from the surviving copy (`round3_txns`).
+//!   list and recovers it from the surviving copy (`round3_txns`);
+//! * write-back: none — every miss was at the victim, whose transaction
+//!   failed, so the client does not dial it again once per item.
+//!
+//! The healthy requests before the kill and after the restart each find
+//! four replicas missing on the victim and write them back in one burst.
 
-use rnb_client::{RnbClient, RnbClientConfig};
+use rnb_client::{item_key, RnbClient, RnbClientConfig};
 use rnb_cluster::{Cluster, NodeConfig};
 use rnb_hash::Placement;
+use rnb_store::StoreClient;
 
 const VICTIM: u32 = 1;
 const UNIVERSE: u64 = 512;
@@ -68,9 +74,23 @@ fn kill_primary_replica_holder_mid_round() {
     }
     let expect: Vec<Option<Vec<u8>>> = request.iter().map(|&i| Some(value_for(i))).collect();
 
-    // Sanity round with the fleet healthy.
+    // Sanity round with the fleet healthy, after evicting from the victim
+    // the four items whose distinguished copy lives elsewhere: they miss,
+    // round 2 recovers them, and one burst writes them back.
+    let mut victim = StoreClient::connect(cluster.addrs()[VICTIM as usize]).expect("dial victim");
+    for &item in &request[4..] {
+        assert!(victim.delete(&item_key(item)).expect("evict"));
+    }
+    drop(victim);
+    let before = client.stats();
     let values = client.multi_get(&request).expect("healthy multi_get");
     assert_eq!(values, expect);
+    let d = client.stats().since(&before);
+    assert_eq!(
+        (d.planned_misses, d.writebacks, d.writeback_txns),
+        (4, 4, 1),
+        "{d:?}"
+    );
 
     // Mid-workload crash of the node every item is planned on.
     cluster.kill(VICTIM as usize).expect("kill victim");
@@ -97,19 +117,30 @@ fn kill_primary_replica_holder_mid_round() {
     assert_eq!(d.round3_txns, 8, "4 items x (dead replica, live replica)");
     assert_eq!(d.unavailable_items, 0, "k=2 loses nothing on one crash");
     assert_eq!(d.reconnects, 0, "failed dials are not reconnects");
+    // Every recovered item missed at the victim, whose transactions
+    // failed: nothing is written back, so the dead node is not dialed
+    // once per item.
+    assert_eq!((d.writebacks, d.writeback_txns), (0, 0), "{d:?}");
 
     // Restart on a fresh port; the client follows by slot index. The
-    // node comes back empty, so re-install the request's items (the
-    // deployment's repair step) before reading through it again.
+    // node comes back empty, so re-install the items whose distinguished
+    // copy lives there (the deployment's repair step) before reading
+    // through it again; the other four are replicas there, which the
+    // read repairs by write-back.
     let addr = cluster.restart(VICTIM as usize).expect("restart victim");
     client.set_server_addr(VICTIM as usize, addr);
     let before = client.stats();
-    for &item in &request {
+    for &item in &request[..4] {
         client.set(item, &value_for(item)).expect("repair");
     }
     let values = client.multi_get(&request).expect("post-restart multi_get");
     assert_eq!(values, expect);
     let d = client.stats().since(&before);
+    assert_eq!(
+        (d.planned_misses, d.writebacks, d.writeback_txns),
+        (4, 4, 1),
+        "{d:?}"
+    );
     assert!(
         d.reconnects >= 1,
         "the restarted node must have been re-dialed lazily"

@@ -8,7 +8,8 @@
 //! `get` reply parser of the workspace; the `Vec`-returning entry points
 //! collect from it.
 
-use crate::protocol::MAX_DATA_BLOCK;
+use crate::protocol::{write_stanza, MAX_DATA_BLOCK};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -210,11 +211,7 @@ impl StoreClient {
 
     /// `set key flags 0 len` + data. Errors on a non-`STORED` reply.
     pub fn set(&mut self, key: &[u8], value: &[u8], flags: u32) -> io::Result<()> {
-        self.writer.write_all(b"set ")?;
-        self.writer.write_all(key)?;
-        write!(self.writer, " {flags} 0 {}\r\n", value.len())?;
-        self.writer.write_all(value)?;
-        self.writer.write_all(b"\r\n")?;
+        self.write_storage(b"set ", key, value, flags, None)?;
         self.writer.flush()?;
         self.reply_line(|line| match line {
             b"STORED" => Ok(()),
@@ -406,24 +403,43 @@ impl StoreClient {
         }
     }
 
+    /// One storage command with its data block: `<verb> key flags 0
+    /// len[ token]`, the numbers formatted by hand (`write!` costs more
+    /// than the rest of the command). `verb` ends in its space.
+    fn write_storage(
+        &mut self,
+        verb: &[u8],
+        key: &[u8],
+        value: &[u8],
+        flags: u32,
+        token: Option<u64>,
+    ) -> io::Result<()> {
+        let bytes = u64::try_from(value.len()).unwrap_or_default();
+        let numbers = [u64::from(flags), 0, bytes, token.unwrap_or_default()];
+        let numbers = if token.is_some() {
+            &numbers[..]
+        } else {
+            &numbers[..3]
+        };
+        write_stanza(&mut self.writer, verb, key, numbers, value)
+    }
+
     /// Pipelining half 1 of the write path: write every storage command
     /// of `ops` into the socket with a single flush, without reading any
     /// reply. Pair each call with [`StoreClient::recv_storage_batch`]
     /// (same ops, same order) on this connection; interleaving other
     /// operations between the two halves desyncs the stream. An empty
-    /// burst sends nothing.
-    pub fn send_storage_batch(&mut self, ops: &[StorageOp<'_>]) -> io::Result<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
+    /// burst sends nothing. `ops` is a slice or any iterator of ops, so a
+    /// caller can build them as they go out instead of collecting them.
+    pub fn send_storage_batch<'a, I>(&mut self, ops: I) -> io::Result<()>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<StorageOp<'a>>,
+    {
         for op in ops {
-            match *op {
+            match *op.borrow() {
                 StorageOp::Set { key, value, flags } => {
-                    self.writer.write_all(b"set ")?;
-                    self.writer.write_all(key)?;
-                    write!(self.writer, " {flags} 0 {}\r\n", value.len())?;
-                    self.writer.write_all(value)?;
-                    self.writer.write_all(b"\r\n")?;
+                    self.write_storage(b"set ", key, value, flags, None)?;
                 }
                 StorageOp::Delete { key } => {
                     self.writer.write_all(b"delete ")?;
@@ -442,14 +458,14 @@ impl StoreClient {
     /// Any other reply (e.g. `SERVER_ERROR out of memory`) is a protocol
     /// error — the stream may hold further replies, so the caller must
     /// treat the connection as broken.
-    pub fn recv_storage_batch(
-        &mut self,
-        ops: &[StorageOp<'_>],
-        acks: &mut Vec<bool>,
-    ) -> io::Result<()> {
+    pub fn recv_storage_batch<'a, I>(&mut self, ops: I, acks: &mut Vec<bool>) -> io::Result<()>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<StorageOp<'a>>,
+    {
         acks.clear();
         for op in ops {
-            let ack = self.reply_line(|line| match (op, line) {
+            let ack = self.reply_line(|line| match (op.borrow(), line) {
                 (StorageOp::Set { .. }, b"STORED") => Ok(true),
                 (StorageOp::Delete { .. }, b"DELETED") => Ok(true),
                 (StorageOp::Delete { .. }, b"NOT_FOUND") => Ok(false),
@@ -469,42 +485,36 @@ impl StoreClient {
 
     /// `add`: true if stored (key was absent).
     pub fn add(&mut self, key: &[u8], value: &[u8], flags: u32) -> io::Result<bool> {
-        self.store_like("add", key, value, flags, None)
+        self.store_like(b"add ", key, value, flags, None)
     }
 
     /// `replace`: true if stored (key existed).
     pub fn replace(&mut self, key: &[u8], value: &[u8], flags: u32) -> io::Result<bool> {
-        self.store_like("replace", key, value, flags, None)
+        self.store_like(b"replace ", key, value, flags, None)
     }
 
     /// `cas`: `Ok(true)` if swapped, `Ok(false)` on a stale token or a
     /// missing key.
     pub fn cas(&mut self, key: &[u8], value: &[u8], flags: u32, token: u64) -> io::Result<bool> {
-        self.store_like("cas", key, value, flags, Some(token))
+        self.store_like(b"cas ", key, value, flags, Some(token))
     }
 
     fn store_like(
         &mut self,
-        verb: &str,
+        verb: &[u8],
         key: &[u8],
         value: &[u8],
         flags: u32,
         token: Option<u64>,
     ) -> io::Result<bool> {
-        write!(self.writer, "{verb} ")?;
-        self.writer.write_all(key)?;
-        match token {
-            Some(t) => write!(self.writer, " {flags} 0 {} {t}\r\n", value.len())?,
-            None => write!(self.writer, " {flags} 0 {}\r\n", value.len())?,
-        }
-        self.writer.write_all(value)?;
-        self.writer.write_all(b"\r\n")?;
+        self.write_storage(verb, key, value, flags, token)?;
         self.writer.flush()?;
         self.reply_line(|line| match line {
             b"STORED" => Ok(true),
             b"NOT_STORED" | b"EXISTS" | b"NOT_FOUND" => Ok(false),
             other => Err(proto_err(format!(
-                "{verb}: {}",
+                "{}: {}",
+                String::from_utf8_lossy(verb).trim_end(),
                 String::from_utf8_lossy(other)
             ))),
         })

@@ -446,8 +446,12 @@ pub fn next_request(buf: &[u8]) -> NextRequest<'_> {
     }
 }
 
+/// Room for the numbers of a stanza line: at most four, each a space and
+/// up to 20 digits, then the CRLF.
+const STANZA_HEAD: usize = 4 * 21 + 2;
+
 /// Append a space and `value` in decimal at `head[*len..]`.
-fn push_decimal(head: &mut [u8; 64], len: &mut usize, mut value: u64) {
+fn push_decimal(head: &mut [u8; STANZA_HEAD], len: &mut usize, mut value: u64) {
     head[*len] = b' ';
     let start = *len + 1;
     let mut end = start;
@@ -464,6 +468,33 @@ fn push_decimal(head: &mut [u8; 64], len: &mut usize, mut value: u64) {
     *len = end;
 }
 
+/// Write one stanza that carries a data block: `start` (a verb and its
+/// space), `key`, ` <n>` for each of `numbers` (at most four), CRLF,
+/// `data`, CRLF. A `VALUE` of a get reply and a storage command (`set
+/// <key> <flags> 0 <bytes>`) are both this shape. The numbers are
+/// formatted by hand: this runs once per item of every get reply and
+/// every stored op, and `write!` costs more than the rest of the stanza.
+pub(crate) fn write_stanza<W: Write>(
+    w: &mut W,
+    start: &[u8],
+    key: &[u8],
+    numbers: &[u64],
+    data: &[u8],
+) -> io::Result<()> {
+    let mut head = [0u8; STANZA_HEAD];
+    let mut len = 0;
+    for &number in numbers.iter().take(4) {
+        push_decimal(&mut head, &mut len, number);
+    }
+    head[len] = b'\r';
+    head[len + 1] = b'\n';
+    w.write_all(start)?;
+    w.write_all(key)?;
+    w.write_all(&head[..len + 2])?;
+    w.write_all(data)?;
+    w.write_all(b"\r\n")
+}
+
 /// Write one `VALUE` stanza of a get response. `cas` adds the token
 /// (the `gets` reply form).
 pub fn write_value<W: Write>(
@@ -473,27 +504,14 @@ pub fn write_value<W: Write>(
     data: &[u8],
     cas: Option<u64>,
 ) -> io::Result<()> {
-    // ` <flags> <bytes>[ <cas>]\r\n`, formatted by hand: this runs once
-    // per item of every get reply, and `write!` costs more than the
-    // rest of the stanza. At most 11 + 21 + 21 + 2 bytes.
-    let mut head = [0u8; 64];
-    let mut len = 0;
-    push_decimal(&mut head, &mut len, u64::from(flags));
-    push_decimal(
-        &mut head,
-        &mut len,
-        u64::try_from(data.len()).unwrap_or_default(),
-    );
-    if let Some(token) = cas {
-        push_decimal(&mut head, &mut len, token);
-    }
-    head[len] = b'\r';
-    head[len + 1] = b'\n';
-    w.write_all(b"VALUE ")?;
-    w.write_all(key)?;
-    w.write_all(&head[..len + 2])?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")
+    let bytes = u64::try_from(data.len()).unwrap_or_default();
+    let numbers = [u64::from(flags), bytes, cas.unwrap_or_default()];
+    let numbers = if cas.is_some() {
+        &numbers[..]
+    } else {
+        &numbers[..2]
+    };
+    write_stanza(w, b"VALUE ", key, numbers, data)
 }
 
 /// Terminate a get/stats response.
@@ -817,6 +835,12 @@ mod tests {
             &widest[..],
             b"VALUE k 4294967295 0 18446744073709551615\r\n\r\n"
         );
+        // A storage command is the same stanza; four numbers, all digits.
+        let mut cas = Vec::new();
+        let numbers = [u64::from(u32::MAX), 0, u64::MAX, u64::MAX];
+        write_stanza(&mut cas, b"cas ", b"k", &numbers, b"v").unwrap();
+        let line = b"cas k 4294967295 0 18446744073709551615 18446744073709551615\r\nv\r\n";
+        assert_eq!(&cas[..], line);
     }
 
     #[test]

@@ -746,6 +746,7 @@ pub const CLONE_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
+    ("crates/rnb-client/src/client.rs", "run_write_bursts"),
     ("crates/rnb-store/src/client.rs", "send_request"),
     ("crates/rnb-store/src/client.rs", "recv_values"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
@@ -794,6 +795,7 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
+    ("crates/rnb-client/src/client.rs", "run_write_bursts"),
     ("crates/rnb-store/src/client.rs", "send_request"),
     ("crates/rnb-store/src/client.rs", "recv_values"),
 ];
