@@ -70,6 +70,10 @@ fn main() {
                      [--workers N] [--control]"
                 );
                 println!("  --port 0     bind an OS-chosen port (printed on stdout)");
+                println!(
+                    "  --workers N  serving threads, each with its own epoll set and \
+                     connections (default: one per available core)"
+                );
                 println!("  --control    READY/shutdown/BYE handshake on stdout/stdin");
                 return;
             }
@@ -94,7 +98,7 @@ fn main() {
     // the only way to learn an OS-chosen (`--port 0`) address.
     println!("READY {}", server.addr());
     println!(
-        "rnb-stored listening on {} ({} MB budget, {} worker threads on one epoll set)",
+        "rnb-stored listening on {} ({} MB budget, {} workers, each with its own epoll set)",
         server.addr(),
         mem_mb,
         server.thread_count()

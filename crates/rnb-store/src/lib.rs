@@ -40,7 +40,6 @@
 pub mod client;
 pub mod clock;
 pub mod loadgen;
-mod poller;
 pub mod protocol;
 pub mod replicated;
 pub mod server;

@@ -76,11 +76,17 @@ pub struct StoreStats {
     /// Times a worker's `epoll_wait` returned (events, shutdown wake-ups
     /// and interrupted waits alike).
     pub poll_wakeups: AtomicU64,
-    /// Ready sockets the readiness set handed to a worker. Proportional
-    /// to what became ready, never to what is parked.
+    /// Ready listeners and connections a worker's set reported.
+    /// Proportional to what became ready, never to what is idle.
     pub poll_events: AtomicU64,
-    /// Connections parked and re-armed after a served burst.
-    pub conn_rearms: AtomicU64,
+    /// `read` system calls on client connections.
+    pub conn_reads: AtomicU64,
+    /// `write` system calls on client connections.
+    pub conn_writes: AtomicU64,
+    /// `accept` failures other than an empty backlog (fd exhaustion);
+    /// each one takes the listener out of that worker's set until one of
+    /// its connections closes.
+    pub accept_errors: AtomicU64,
 }
 
 /// A plain-data snapshot of [`StoreStats`].
@@ -134,10 +140,14 @@ pub struct StatsSnapshot {
     pub hot_demotions: u64,
     /// Times a worker's `epoll_wait` returned.
     pub poll_wakeups: u64,
-    /// Ready sockets handed to a worker.
+    /// Ready listeners and connections reported to a worker.
     pub poll_events: u64,
-    /// Connections parked and re-armed after a served burst.
-    pub conn_rearms: u64,
+    /// `read` system calls on client connections.
+    pub conn_reads: u64,
+    /// `write` system calls on client connections.
+    pub conn_writes: u64,
+    /// `accept` failures other than an empty backlog.
+    pub accept_errors: u64,
     /// Entries currently stored (filled in by the store).
     pub curr_items: u64,
     /// Bytes currently accounted (filled in by the store).
@@ -184,7 +194,9 @@ impl StoreStats {
             hot_demotions: self.hot_demotions.load(Ordering::Relaxed),
             poll_wakeups: self.poll_wakeups.load(Ordering::Relaxed),
             poll_events: self.poll_events.load(Ordering::Relaxed),
-            conn_rearms: self.conn_rearms.load(Ordering::Relaxed),
+            conn_reads: self.conn_reads.load(Ordering::Relaxed),
+            conn_writes: self.conn_writes.load(Ordering::Relaxed),
+            accept_errors: self.accept_errors.load(Ordering::Relaxed),
             curr_items,
             bytes,
         }
@@ -232,7 +244,9 @@ impl StatsSnapshot {
             ("hot_demotions".into(), self.hot_demotions.to_string()),
             ("poll_wakeups".into(), self.poll_wakeups.to_string()),
             ("poll_events".into(), self.poll_events.to_string()),
-            ("conn_rearms".into(), self.conn_rearms.to_string()),
+            ("conn_reads".into(), self.conn_reads.to_string()),
+            ("conn_writes".into(), self.conn_writes.to_string()),
+            ("accept_errors".into(), self.accept_errors.to_string()),
             ("curr_items".into(), self.curr_items.to_string()),
             ("bytes".into(), self.bytes.to_string()),
         ];
@@ -352,17 +366,23 @@ mod tests {
         let s = StoreStats::default();
         s.poll_wakeups.fetch_add(9, Ordering::Relaxed);
         s.poll_events.fetch_add(7, Ordering::Relaxed);
-        s.conn_rearms.fetch_add(4, Ordering::Relaxed);
+        s.conn_reads.fetch_add(6, Ordering::Relaxed);
+        s.conn_writes.fetch_add(5, Ordering::Relaxed);
+        s.accept_errors.fetch_add(2, Ordering::Relaxed);
         let snap = s.snapshot(0, 0);
         assert_eq!(snap.poll_wakeups, 9);
         assert_eq!(snap.poll_events, 7);
-        assert_eq!(snap.conn_rearms, 4);
+        assert_eq!(snap.conn_reads, 6);
+        assert_eq!(snap.conn_writes, 5);
+        assert_eq!(snap.accept_errors, 2);
 
         let lines = snap.stat_lines();
         let lookup = |name: &str| stat_line(&lines, name);
         assert_eq!(lookup("poll_wakeups"), "9");
         assert_eq!(lookup("poll_events"), "7");
-        assert_eq!(lookup("conn_rearms"), "4");
+        assert_eq!(lookup("conn_reads"), "6");
+        assert_eq!(lookup("conn_writes"), "5");
+        assert_eq!(lookup("accept_errors"), "2");
     }
 
     #[test]
@@ -390,7 +410,9 @@ mod tests {
             "hot_demotions",
             "poll_wakeups",
             "poll_events",
-            "conn_rearms",
+            "conn_reads",
+            "conn_writes",
+            "accept_errors",
             "get_batch_le_1",
             "get_batch_gt_128",
         ] {

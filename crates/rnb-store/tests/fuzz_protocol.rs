@@ -8,7 +8,7 @@
 //! 1. **No panics** — the parser is on the serving path (xtask R1); a
 //!    panicking parse is a remote crash.
 //! 2. **Progress** — `Request`/`Error` always consume at least one byte
-//!    and never more than the buffer holds, so the poller's drain loop
+//!    and never more than the buffer holds, so the serving loop
 //!    cannot spin or overrun; `Incomplete` consumes nothing by
 //!    contract; `Desync` closes the connection.
 //! 3. **Truncation stability** — feeding the same stream byte by byte

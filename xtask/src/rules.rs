@@ -10,7 +10,7 @@
 //! | R6 `doc-example-coverage` | `rnb-core` | every non-test `pub fn` in the public-API crate carries a ```-fenced doc example (doctested usage), or an allowlisted reason |
 //! | R7 `serving-path-clone` | call-graph closure of the serving roots | no `.clone()`/`.cloned()`/`.to_vec()`/`.to_owned()` reachable from the store's protocol loop or `RnbClient::multi_get`, outside the justified allowlist |
 //! | R8 `must-use-planner` | `rnb-cover` | every pure planner entry point carries `#[must_use]`: dropping a cover plan silently is always a bug |
-//! | R9 `transitive-panic-freedom` | call-graph closure of the serving roots | no panic-family call or panicking slice helper reachable from `worker_loop`/`drain_input`/`get_multi`/`multi_get`, except via registered invariants |
+//! | R9 `transitive-panic-freedom` | call-graph closure of the serving roots | no panic-family call or panicking slice helper reachable from `Worker::run`/`serve_conn`/`drain_input`/`get_multi`/`multi_get`, except via registered invariants |
 //! | R10 `lock-discipline` | `rnb-store` | no `.lock()` guard's live scope contains another `.lock()` or socket I/O — the machine-checked form of the "one lock per shard" invariant |
 //!
 //! All rules match against [`SourceFile::scrubbed`] text, so comments and
@@ -728,9 +728,11 @@ pub const RULES: &[(&str, &str)] = &[
 ];
 
 /// R7/R9 roots on the store side plus the client's batched read and
-/// write paths. `worker_loop` is what every serving thread runs
-/// (readiness wait → `serve_burst` → park) and `drain_input` the
-/// protocol loop every request flows through, public in its own right;
+/// write paths. `run` is the event loop every serving thread runs
+/// (`epoll_wait` → accept or `serve_conn`), `serve_conn` its answer to
+/// one ready connection (read → `drain_input` → write), and
+/// `drain_input` the protocol loop every request flows through, public
+/// in its own right;
 /// `get_multi`/`get_multi_with` are the store's batched
 /// read entry points and `set_multi` the batched write entry point;
 /// `multi_get` is the client-side plan→fetch→writeback driver and
@@ -739,10 +741,9 @@ pub const RULES: &[(&str, &str)] = &[
 /// connection halves it drives — called through closures the graph does
 /// not trace, so they are roots in their own right.
 pub const CLONE_ROOTS: &[(&str, &str)] = &[
-    ("crates/rnb-store/src/server.rs", "worker_loop"),
-    ("crates/rnb-store/src/server.rs", "serve_burst"),
+    ("crates/rnb-store/src/server.rs", "run"),
+    ("crates/rnb-store/src/server.rs", "serve_conn"),
     ("crates/rnb-store/src/server.rs", "drain_input"),
-    ("crates/rnb-store/src/poller.rs", "wait"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
@@ -784,10 +785,9 @@ pub const CLONE_ALLOWLIST: &[(&str, &str, &str)] = &[
 /// R9 roots: the serving closure entry points held to transitive
 /// panic-freedom.
 pub const PANIC_ROOTS: &[(&str, &str)] = &[
-    ("crates/rnb-store/src/server.rs", "worker_loop"),
-    ("crates/rnb-store/src/server.rs", "serve_burst"),
+    ("crates/rnb-store/src/server.rs", "run"),
+    ("crates/rnb-store/src/server.rs", "serve_conn"),
     ("crates/rnb-store/src/server.rs", "drain_input"),
-    ("crates/rnb-store/src/poller.rs", "wait"),
     ("crates/rnb-store/src/store.rs", "get_multi"),
     ("crates/rnb-store/src/store.rs", "get_multi_with"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
@@ -1759,14 +1759,14 @@ mod tests {
 
     // -------- R7 --------
 
-    const SERVE_ROOT: &[(&str, &str)] = &[("crates/rnb-store/src/server.rs", "serve_connection")];
+    const SERVE_ROOT: &[(&str, &str)] = &[("crates/rnb-store/src/server.rs", "serve_conn")];
 
     #[test]
-    fn r7_reintroduced_clone_in_serve_connection_fails() {
+    fn r7_reintroduced_clone_in_serve_conn_fails() {
         // The acceptance fixture: a clone() put back anywhere in the
         // serving closure — here one call away from the root — must fail.
         let files = vec![serving(
-            "fn serve_connection() { let req = parse(); handle(req); }\n\
+            "fn serve_conn() { let req = parse(); handle(req); }\n\
              fn handle(req: Req) { let owned = req.data.clone(); drop(owned); }\n\
              fn parse() -> Req { Req }\n",
         )];
@@ -1781,7 +1781,7 @@ mod tests {
     #[test]
     fn r7_clean_serving_path_passes() {
         let files = vec![serving(
-            "fn serve_connection(buf: &mut Vec<u8>) { fill(buf); }\n\
+            "fn serve_conn(buf: &mut Vec<u8>) { fill(buf); }\n\
              fn fill(buf: &mut Vec<u8>) { buf.extend_from_slice(b\"ok\"); }\n",
         )];
         let graph = CallGraph::build(&files);
@@ -1794,7 +1794,7 @@ mod tests {
     #[test]
     fn r7_ignores_unreachable_fns_and_test_code() {
         let files = vec![serving(
-            "fn serve_connection() { fast(); }\n\
+            "fn serve_conn() { fast(); }\n\
              fn fast() {}\n\
              fn cold_admin_path(x: &[u8]) { let v = x.to_vec(); drop(v); }\n\
              #[cfg(test)]\n\
@@ -1811,11 +1811,11 @@ mod tests {
     fn r7_allowlist_excuses_and_goes_stale() {
         let allow: &[(&str, &str, &str)] = &[(
             "crates/rnb-store/src/server.rs",
-            "serve_connection",
+            "serve_conn",
             "fixture reason",
         )];
         let dirty = vec![serving(
-            "fn serve_connection(buf: &[u8]) { let v = buf.to_owned(); drop(v); }\n",
+            "fn serve_conn(buf: &[u8]) { let v = buf.to_owned(); drop(v); }\n",
         )];
         let graph = CallGraph::build(&dirty);
         assert_eq!(
@@ -1823,7 +1823,7 @@ mod tests {
             Vec::new()
         );
         // Once the copy disappears, the unused entry itself is the finding.
-        let clean = vec![serving("fn serve_connection() {}\n")];
+        let clean = vec![serving("fn serve_conn() {}\n")];
         let graph = CallGraph::build(&clean);
         let v = check_serving_clone_with(&clean, &graph, SERVE_ROOT, allow);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -1921,7 +1921,7 @@ mod tests {
     #[test]
     fn r9_transitive_panic_detected_two_hops_out() {
         let files = vec![serving(
-            "fn serve_connection() { decode(); }\n\
+            "fn serve_conn() { decode(); }\n\
              fn decode() { verify(); }\n\
              fn verify(header: &[u8]) { let _ = header.split_at(4); }\n",
         )];
@@ -1934,9 +1934,28 @@ mod tests {
     }
 
     #[test]
+    fn r9_panic_behind_the_event_loop_method_calls_fails() {
+        // The store's root is the worker's event loop, which reaches the
+        // serve function through `self.` method calls.
+        let files = vec![serving(
+            "impl Worker {\n\
+                 fn run(mut self) { loop { self.serve(1); } }\n\
+                 fn serve(&mut self, token: u64) { serve_conn(&mut self.conn); }\n\
+             }\n\
+             fn serve_conn(conn: &mut Conn) { let _ = conn.input.split_at(4); }\n",
+        )];
+        let graph = CallGraph::build(&files);
+        let root: &[(&str, &str)] = &[("crates/rnb-store/src/server.rs", "run")];
+        let v = check_transitive_panic_with(&files, &graph, root, &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 5);
+        assert!(v[0].message.contains("serve_conn"));
+    }
+
+    #[test]
     fn r9_clean_result_propagation_passes() {
         let files = vec![serving(
-            "fn serve_connection() -> Result<(), E> { decode()?; Ok(()) }\n\
+            "fn serve_conn() -> Result<(), E> { decode()?; Ok(()) }\n\
              fn decode() -> Result<(), E> { Err(E) }\n",
         )];
         let graph = CallGraph::build(&files);
@@ -1950,12 +1969,12 @@ mod tests {
     fn r9_registered_invariant_excuses_and_goes_stale() {
         let registry: &[(&str, &str, &str, &str)] = &[(
             "crates/rnb-store/src/server.rs",
-            "serve_connection",
+            "serve_conn",
             ".unwrap()",
             "fixture invariant",
         )];
         let dirty = vec![serving(
-            "fn serve_connection(x: Option<u8>) { let _ = x.unwrap(); }\n",
+            "fn serve_conn(x: Option<u8>) { let _ = x.unwrap(); }\n",
         )];
         let graph = CallGraph::build(&dirty);
         assert_eq!(
@@ -1965,14 +1984,14 @@ mod tests {
         // The registration is per pattern: a different panic in the same
         // function is still a finding.
         let other_pattern = vec![serving(
-            "fn serve_connection(x: Option<u8>) { let _ = x.unwrap(); panic!(\"no\"); }\n",
+            "fn serve_conn(x: Option<u8>) { let _ = x.unwrap(); panic!(\"no\"); }\n",
         )];
         let graph = CallGraph::build(&other_pattern);
         let v = check_transitive_panic_with(&other_pattern, &graph, SERVE_ROOT, registry);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("panic!("));
         // And the row goes stale once the unwrap is gone.
-        let clean = vec![serving("fn serve_connection() {}\n")];
+        let clean = vec![serving("fn serve_conn() {}\n")];
         let graph = CallGraph::build(&clean);
         let v = check_transitive_panic_with(&clean, &graph, SERVE_ROOT, registry);
         assert_eq!(v.len(), 1, "{v:?}");
