@@ -23,7 +23,8 @@ pub struct RnbClientConfig {
     /// [`HITCHHIKE_WINDOW`] round-1 transactions. Off: never.
     pub hitchhiking: bool,
     /// Write recovered misses back to the planned replica (§III-C2), in
-    /// one pipelined burst per server.
+    /// one pipelined burst of `noreply` sets per server that nothing
+    /// waits for.
     pub writeback: bool,
     /// How `set` propagates to replicas (§III-G / §IV).
     pub write_policy: WritePolicy,
@@ -158,7 +159,8 @@ struct Burst {
 ///
 /// A failed send or receive marks that connection broken and counts a
 /// failed transaction; surviving bursts still complete — desync on one
-/// server must not corrupt the others. Returns the acknowledged ops and
+/// server must not corrupt the others. Returns the acknowledged ops
+/// (a quiet op counts once sent, and its receive waits for nothing) and
 /// the first error.
 fn run_write_bursts<'o>(
     conns: &mut [ServerConn],
@@ -795,11 +797,14 @@ impl RnbClient {
 
         // Write-back (§III-C2): each recovered miss goes back to the
         // server it missed at, in one pipelined storage burst per server,
-        // each server's items in the order they missed. Write-back never
-        // dials: a server whose connection a failed transaction broke in
-        // this request, and nothing redialed since, is skipped — so a
-        // dead node costs no connect per item. A failed burst marks its
-        // connection broken like any other transaction.
+        // each server's items in the order they missed. The bursts are
+        // quiet `noreply` sets, a cache fill nobody reads back, so the
+        // request returns once they are sent; whatever this client sends
+        // that server later rides the same connection behind them.
+        // Write-back never dials: a server whose connection a failed
+        // transaction broke in this request, and nothing redialed since,
+        // is skipped — so a dead node costs no connect per item. A failed
+        // burst marks its connection broken like any other transaction.
         if config.writeback {
             by_server.clear();
             for (at, &(index, server)) in missed.iter().enumerate() {
@@ -844,6 +849,7 @@ impl RnbClient {
                         .and_then(|&(_, _, index)| slots[index].as_deref())
                         .unwrap_or_default(),
                     flags: 0,
+                    noreply: true,
                 },
                 acks,
             );
@@ -969,6 +975,7 @@ impl RnbClient {
                 key,
                 value,
                 flags: 0,
+                noreply: false,
             }
         });
 

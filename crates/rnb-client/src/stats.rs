@@ -20,7 +20,9 @@ pub struct ClientStats {
     pub rescued_by_hitchhikers: u64,
     /// Keys sent as hitchhikers: round-1 keys beyond the plan's own.
     pub hitchhikers: u64,
-    /// Replica write-backs the servers acknowledged.
+    /// Replica write-backs sent on a live connection. They go out as
+    /// `noreply` sets, so no server acknowledges them: a write-back the
+    /// server refuses (for memory) still counts.
     pub writebacks: u64,
     /// Write-back bursts sent: one per server a request writes back to.
     pub writeback_txns: u64,

@@ -26,6 +26,11 @@ impl Fleet {
     fn store(&self, i: usize) -> &Arc<Store> {
         self.servers[i].store()
     }
+
+    /// `set`s applied across the fleet.
+    fn sets(&self) -> u64 {
+        self.servers.iter().map(|s| s.store().stats().sets).sum()
+    }
 }
 
 #[test]
@@ -172,10 +177,9 @@ fn write_back_is_one_burst_per_server() {
         "every recovered miss: {d:?}"
     );
     assert_eq!(d.writeback_txns, 2, "one burst per server: {d:?}");
-    for &(item, server) in &evicted {
-        assert!(fleet.store(server as usize).get(&item_key(item)).is_some());
-    }
 
+    // The bursts were not acknowledged, but the next read rides the same
+    // connections behind them, so by the time it returns they are in.
     let before = client.stats();
     client.multi_get(&request).unwrap();
     let d = client.stats().since(&before);
@@ -183,6 +187,48 @@ fn write_back_is_one_burst_per_server() {
         (d.planned_misses, d.writebacks, d.writeback_txns),
         (0, 0, 0)
     );
+    for &(item, server) in &evicted {
+        assert!(fleet.store(server as usize).get(&item_key(item)).is_some());
+    }
+}
+
+#[test]
+fn write_back_lands_before_the_same_clients_later_writes() {
+    // Item X is written back to replica R unacknowledged; straight after,
+    // the same client invalidates X everywhere but its distinguished copy
+    // and writes it there. The invalidation of R rides R's connection
+    // behind the write-back, so it cannot be overtaken by it: R ends up
+    // empty, never holding the stale value.
+    let (fleet, mut restorer, request) = resident_fleet();
+    let config = RnbClientConfig::new(3).with_write_policy(WritePolicy::InvalidateThenWrite);
+    let mut client = RnbClient::connect(&fleet.addrs(), config).unwrap();
+    for (item, replica) in planned_on_replicas(&client, &request) {
+        evict(&fleet, item, replica);
+        let before = client.stats();
+        assert!(client
+            .multi_get(&request)
+            .unwrap()
+            .iter()
+            .all(Option::is_some));
+        let d = client.stats().since(&before);
+        assert_eq!((d.planned_misses, d.writebacks), (1, 1), "{d:?}");
+
+        client.multi_set(&[(item, &b"fresh"[..])]).unwrap();
+        let key = item_key(item);
+        let mut bare = rnb_store::StoreClient::connect(fleet.addrs()[replica as usize]).unwrap();
+        let got = bare.get_multi(&[&key[..]]).unwrap();
+        assert_eq!(
+            got,
+            vec![None],
+            "item {item}: stale copy on server {replica}"
+        );
+        let distinguished = client.bundler().placement().replicas(item)[0];
+        let got = fleet.store(distinguished as usize).get(&key);
+        assert_eq!(got.map(|v| v.data.to_vec()), Some(b"fresh".to_vec()));
+
+        // Put the item back on every replica, as the fleet had it.
+        restorer.set(item, format!("r{item}").as_bytes()).unwrap();
+    }
 }
 
 #[test]
@@ -509,6 +555,23 @@ mod pipelined_equivalence {
     struct Side {
         fleet: Fleet,
         client: RnbClient,
+        /// The fleet's `set`s once populated.
+        populated: u64,
+    }
+
+    impl Side {
+        /// Wait until the fleet has applied every write-back the client
+        /// sent. They are not acknowledged, and an eviction that
+        /// overtook one would be undone by it.
+        fn settle(&self) {
+            let sent = self.populated + self.client.stats().writebacks;
+            let mut polls = 0u64;
+            while self.fleet.sets() < sent {
+                polls += 1;
+                assert!(polls < 50_000_000, "write-backs never landed");
+                std::thread::yield_now();
+            }
+        }
     }
 
     /// A pipelined and a sequential client, each on a fleet of its own:
@@ -533,7 +596,12 @@ mod pipelined_equivalence {
         if let Some(server) = dead {
             fleet.servers[server].shutdown();
         }
-        Side { fleet, client }
+        let populated = fleet.sets();
+        Side {
+            fleet,
+            client,
+            populated,
+        }
     }
 
     // Fleets shared across proptest cases (starting servers per case
@@ -557,6 +625,7 @@ mod pipelined_equivalence {
     /// the values and on every counter.
     fn read_both(pair: &mut Pair, evicted: &[(u64, usize)], request: &[u64]) -> Outcome {
         let [piped, seq] = [&mut pair.pipelined, &mut pair.sequential].map(|side| {
+            side.settle();
             for &(item, replica) in evicted {
                 let server = side.client.bundler().placement().replicas(item)[replica];
                 side.fleet.store(server as usize).delete(&item_key(item));

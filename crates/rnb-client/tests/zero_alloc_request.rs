@@ -76,6 +76,11 @@ fn steady_state_requests_allocate_only_what_they_return() {
         // buffer per value and the vector; the first pass grows the pools.
         let request: Vec<u64> = (0..40).map(|i| i * 5 + 1).collect();
         for warm in [false, true] {
+            // Write-backs are not acknowledged, so one still in flight
+            // could land after the evictions below. This read sends to
+            // every server the last pass wrote back to, on the same
+            // connections, and so returns only once they are applied.
+            client.multi_get(&request).unwrap();
             for &item in &request {
                 let replicas = client.bundler().placement().replicas(item);
                 for &server in &replicas[1..] {

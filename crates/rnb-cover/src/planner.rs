@@ -9,7 +9,7 @@
 //! * **[`CoverScratch`]** pools every buffer. The universe only grows the
 //!   pools; subsequent requests zero words in place instead of
 //!   reallocating.
-//! * An **epoch-stamped interner** ([`LabelInterner`]) replaces the
+//! * An **epoch-stamped interner** (`LabelInterner`) replaces the
 //!   per-request `HashMap`: a flat stamp array is "cleared" by bumping one
 //!   epoch counter.
 //! * A **fused greedy inner loop** computes each winner's gain, the

@@ -43,7 +43,8 @@ pub struct StoreClient {
 /// buffer, so a burst costs no per-op allocation.
 #[derive(Debug, Clone, Copy)]
 pub enum StorageOp<'a> {
-    /// `set key flags 0 len` + data block → `STORED`.
+    /// `set key flags 0 len[ noreply]` + data block → `STORED`, or
+    /// nothing at all when quiet.
     Set {
         /// Key bytes (no spaces or control characters).
         key: &'a [u8],
@@ -51,6 +52,9 @@ pub enum StorageOp<'a> {
         value: &'a [u8],
         /// Opaque client flags echoed back on reads.
         flags: u32,
+        /// Quiet: the server answers nothing, whatever the outcome, so
+        /// the receive half reads nothing for it either.
+        noreply: bool,
     },
     /// `delete key` → `DELETED` / `NOT_FOUND`.
     Delete {
@@ -211,7 +215,7 @@ impl StoreClient {
 
     /// `set key flags 0 len` + data. Errors on a non-`STORED` reply.
     pub fn set(&mut self, key: &[u8], value: &[u8], flags: u32) -> io::Result<()> {
-        self.write_storage(b"set ", key, value, flags, None)?;
+        self.write_storage(b"set ", key, value, flags, None, false)?;
         self.writer.flush()?;
         self.reply_line(|line| match line {
             b"STORED" => Ok(()),
@@ -311,9 +315,8 @@ impl StoreClient {
     /// Errors leave the stream desynced and the connection must not be
     /// reused: a `VALUE` for a key that was not requested (the telltale
     /// of a reply left over from an earlier, failed request), a block
-    /// not CRLF-terminated, a length over
-    /// [`MAX_DATA_BLOCK`](crate::protocol::MAX_DATA_BLOCK), or any other
-    /// line.
+    /// not CRLF-terminated, a length over [`MAX_DATA_BLOCK`], or any
+    /// other line.
     pub fn recv_values<'k>(
         &mut self,
         count: usize,
@@ -404,8 +407,8 @@ impl StoreClient {
     }
 
     /// One storage command with its data block: `<verb> key flags 0
-    /// len[ token]`, the numbers formatted by hand (`write!` costs more
-    /// than the rest of the command). `verb` ends in its space.
+    /// len[ token][ noreply]`, the numbers formatted by hand (`write!`
+    /// costs more than the rest of the command). `verb` ends in its space.
     fn write_storage(
         &mut self,
         verb: &[u8],
@@ -413,6 +416,7 @@ impl StoreClient {
         value: &[u8],
         flags: u32,
         token: Option<u64>,
+        noreply: bool,
     ) -> io::Result<()> {
         let bytes = u64::try_from(value.len()).unwrap_or_default();
         let numbers = [u64::from(flags), 0, bytes, token.unwrap_or_default()];
@@ -421,7 +425,7 @@ impl StoreClient {
         } else {
             &numbers[..3]
         };
-        write_stanza(&mut self.writer, verb, key, numbers, value)
+        write_stanza(&mut self.writer, verb, key, numbers, noreply, value)
     }
 
     /// Pipelining half 1 of the write path: write every storage command
@@ -438,9 +442,12 @@ impl StoreClient {
     {
         for op in ops {
             match *op.borrow() {
-                StorageOp::Set { key, value, flags } => {
-                    self.write_storage(b"set ", key, value, flags, None)?;
-                }
+                StorageOp::Set {
+                    key,
+                    value,
+                    flags,
+                    noreply,
+                } => self.write_storage(b"set ", key, value, flags, None, noreply)?,
                 StorageOp::Delete { key } => {
                     self.writer.write_all(b"delete ")?;
                     self.writer.write_all(key)?;
@@ -451,13 +458,14 @@ impl StoreClient {
         self.writer.flush()
     }
 
-    /// Pipelining half 2 of the write path: read one status line per op
-    /// of an earlier [`StoreClient::send_storage_batch`] with the same
-    /// ops. `acks` is cleared and refilled positionally: `true` for
-    /// `STORED`/`DELETED`, `false` for a `delete` that found nothing.
-    /// Any other reply (e.g. `SERVER_ERROR out of memory`) is a protocol
-    /// error — the stream may hold further replies, so the caller must
-    /// treat the connection as broken.
+    /// Pipelining half 2 of the write path: read one status line per
+    /// acknowledged op of an earlier [`StoreClient::send_storage_batch`]
+    /// with the same ops. `acks` is cleared and refilled positionally:
+    /// `true` for `STORED`/`DELETED` and for a quiet op, which is
+    /// answered by nothing and so reads nothing; `false` for a `delete`
+    /// that found nothing. Any other reply (e.g. `SERVER_ERROR out of
+    /// memory`) is a protocol error — the stream may hold further
+    /// replies, so the caller must treat the connection as broken.
     pub fn recv_storage_batch<'a, I>(&mut self, ops: I, acks: &mut Vec<bool>) -> io::Result<()>
     where
         I: IntoIterator,
@@ -465,6 +473,10 @@ impl StoreClient {
     {
         acks.clear();
         for op in ops {
+            if let StorageOp::Set { noreply: true, .. } = op.borrow() {
+                acks.push(true);
+                continue;
+            }
             let ack = self.reply_line(|line| match (op.borrow(), line) {
                 (StorageOp::Set { .. }, b"STORED") => Ok(true),
                 (StorageOp::Delete { .. }, b"DELETED") => Ok(true),
@@ -507,7 +519,7 @@ impl StoreClient {
         flags: u32,
         token: Option<u64>,
     ) -> io::Result<bool> {
-        self.write_storage(verb, key, value, flags, token)?;
+        self.write_storage(verb, key, value, flags, token, false)?;
         self.writer.flush()?;
         self.reply_line(|line| match line {
             b"STORED" => Ok(true),
@@ -664,23 +676,31 @@ mod tests {
 
     #[test]
     fn storage_batch_halves_round_trip() {
-        // One flush carries the whole burst; one status line per op
-        // comes back positionally.
+        // One flush carries the whole burst; one status line per
+        // acknowledged op comes back positionally, none for a quiet one.
         let addr = fake_server(b"STORED\r\nDELETED\r\nNOT_FOUND\r\n");
         let mut client = StoreClient::connect(addr).unwrap();
+        let set = |key, noreply| StorageOp::Set {
+            key,
+            value: b"v1",
+            flags: 7,
+            noreply,
+        };
         let ops = [
-            StorageOp::Set {
-                key: b"a",
-                value: b"v1",
-                flags: 7,
-            },
+            set(b"a", false),
+            set(b"q", true),
             StorageOp::Delete { key: b"a" },
             StorageOp::Delete { key: b"ghost" },
         ];
         client.send_storage_batch(&ops).unwrap();
         let mut acks = Vec::new();
         client.recv_storage_batch(&ops, &mut acks).unwrap();
-        assert_eq!(acks, vec![true, true, false]);
+        assert_eq!(acks, vec![true, true, true, false]);
+        // A burst of quiet ops alone reads nothing: the scripted server
+        // has no reply left, so a read would hang.
+        client.send_storage_batch(&ops[1..2]).unwrap();
+        client.recv_storage_batch(&ops[1..2], &mut acks).unwrap();
+        assert_eq!(acks, vec![true]);
         // An empty burst moves no bytes in either half.
         client.send_storage_batch(&[]).unwrap();
         client.recv_storage_batch(&[], &mut acks).unwrap();
@@ -697,6 +717,7 @@ mod tests {
             key: b"k",
             value: b"v",
             flags: 0,
+            noreply: false,
         }];
         client.send_storage_batch(&ops).unwrap();
         let mut acks = Vec::new();

@@ -12,8 +12,8 @@
 //! `Vec<Vec<u8>>`. Paired with [`next_request`] cutting requests out of
 //! a connection's pooled input buffer, the serving loop runs
 //! allocation-free at steady state (proven by the `zero_alloc_serve`
-//! integration test). [`read_line`] / [`read_data_block`] are the
-//! blocking, allocating readers the client side parses replies with.
+//! integration test). [`read_line`] is a blocking, allocating line
+//! reader for tests and tools; the client parses replies in place.
 
 // Wire-format module: every narrowing here changes what goes on the wire,
 // so lossy `as` casts are denied — use `try_from` and surface the error.
@@ -374,23 +374,38 @@ pub enum NextRequest<'a> {
         consumed: usize,
     },
     /// Unrecoverable framing violation (data block not CRLF-terminated,
-    /// or a `bytes` field beyond [`MAX_DATA_BLOCK`]): the stream is
-    /// desynced and the connection must close.
+    /// a `bytes` field beyond [`MAX_DATA_BLOCK`], or no request line
+    /// within [`MAX_REQUEST_LINE`] bytes): the stream is desynced and
+    /// the connection must close.
     Desync,
 }
+
+/// Upper bound on the bytes [`next_request`] scans for a request line,
+/// leading blank lines and terminator included. 1 MiB holds a `get` of
+/// about 40,000 keys of the longest form `rnb-client` sends (`item:`
+/// and 20 digits); a peer that sends more without ending its line is
+/// cut off instead of growing its connection's input forever.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Try to extract one complete request from the front of `buf`.
 ///
 /// Blank lines ahead of the request are skipped silently (their bytes
-/// are folded into `consumed`).
+/// are folded into `consumed`). A request line that does not end within
+/// the first [`MAX_REQUEST_LINE`] bytes is [`NextRequest::Desync`],
+/// whether or not its terminator has arrived yet.
 /// The caller drains `consumed` bytes after handling the result; on
 /// [`NextRequest::Incomplete`] nothing may be drained.
 pub fn next_request(buf: &[u8]) -> NextRequest<'_> {
+    let scanned = &buf[..buf.len().min(MAX_REQUEST_LINE)];
     let mut offset = 0usize;
     loop {
         let rest = &buf[offset..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            return NextRequest::Incomplete;
+        let Some(nl) = scanned[offset..].iter().position(|&b| b == b'\n') else {
+            return if scanned.len() == MAX_REQUEST_LINE {
+                NextRequest::Desync
+            } else {
+                NextRequest::Incomplete
+            };
         };
         // Strip the terminator the way `read_line` does: the LF and any
         // trailing CRs.
@@ -446,9 +461,12 @@ pub fn next_request(buf: &[u8]) -> NextRequest<'_> {
     }
 }
 
+/// The token that asks the server not to answer a storage command.
+const NOREPLY: &[u8] = b" noreply";
+
 /// Room for the numbers of a stanza line: at most four, each a space and
-/// up to 20 digits, then the CRLF.
-const STANZA_HEAD: usize = 4 * 21 + 2;
+/// up to 20 digits, then the `noreply` token and the CRLF.
+const STANZA_HEAD: usize = 4 * 21 + NOREPLY.len() + 2;
 
 /// Append a space and `value` in decimal at `head[*len..]`.
 fn push_decimal(head: &mut [u8; STANZA_HEAD], len: &mut usize, mut value: u64) {
@@ -469,22 +487,28 @@ fn push_decimal(head: &mut [u8; STANZA_HEAD], len: &mut usize, mut value: u64) {
 }
 
 /// Write one stanza that carries a data block: `start` (a verb and its
-/// space), `key`, ` <n>` for each of `numbers` (at most four), CRLF,
-/// `data`, CRLF. A `VALUE` of a get reply and a storage command (`set
-/// <key> <flags> 0 <bytes>`) are both this shape. The numbers are
-/// formatted by hand: this runs once per item of every get reply and
-/// every stored op, and `write!` costs more than the rest of the stanza.
+/// space), `key`, ` <n>` for each of `numbers` (at most four), ` noreply`
+/// if `noreply`, CRLF, `data`, CRLF. A `VALUE` of a get reply and a
+/// storage command (`set <key> <flags> 0 <bytes>`) are both this shape.
+/// The numbers are formatted by hand: this runs once per item of every
+/// get reply and every stored op, and `write!` costs more than the rest
+/// of the stanza.
 pub(crate) fn write_stanza<W: Write>(
     w: &mut W,
     start: &[u8],
     key: &[u8],
     numbers: &[u64],
+    noreply: bool,
     data: &[u8],
 ) -> io::Result<()> {
     let mut head = [0u8; STANZA_HEAD];
     let mut len = 0;
     for &number in numbers.iter().take(4) {
         push_decimal(&mut head, &mut len, number);
+    }
+    for &byte in NOREPLY.iter().filter(|_| noreply) {
+        head[len] = byte;
+        len += 1;
     }
     head[len] = b'\r';
     head[len + 1] = b'\n';
@@ -511,7 +535,7 @@ pub fn write_value<W: Write>(
     } else {
         &numbers[..2]
     };
-    write_stanza(w, b"VALUE ", key, numbers, data)
+    write_stanza(w, b"VALUE ", key, numbers, false, data)
 }
 
 /// Terminate a get/stats response.
@@ -835,12 +859,20 @@ mod tests {
             &widest[..],
             b"VALUE k 4294967295 0 18446744073709551615\r\n\r\n"
         );
-        // A storage command is the same stanza; four numbers, all digits.
+        // A storage command is the same stanza; four numbers, all digits,
+        // and the widest line of all carries `noreply` too.
         let mut cas = Vec::new();
         let numbers = [u64::from(u32::MAX), 0, u64::MAX, u64::MAX];
-        write_stanza(&mut cas, b"cas ", b"k", &numbers, b"v").unwrap();
+        write_stanza(&mut cas, b"cas ", b"k", &numbers, false, b"v").unwrap();
         let line = b"cas k 4294967295 0 18446744073709551615 18446744073709551615\r\nv\r\n";
         assert_eq!(&cas[..], line);
+        let mut quiet = Vec::new();
+        write_stanza(&mut quiet, b"cas ", b"k", &numbers, true, b"v").unwrap();
+        let line = b"cas k 4294967295 0 18446744073709551615 18446744073709551615 noreply\r\nv\r\n";
+        assert_eq!(&quiet[..], line);
+        let Ok(Command::Cas { noreply: true, .. }) = parse_command(&line[..line.len() - 5]) else {
+            panic!("the server must read its own noreply form");
+        };
     }
 
     #[test]

@@ -563,6 +563,14 @@ fn execute_command(
     gets: &mut GetPathScratch,
     response: &mut Vec<u8>,
 ) -> io::Result<Reply> {
+    let quiet = matches!(
+        cmd,
+        Command::Set { noreply: true, .. }
+            | Command::Cas { noreply: true, .. }
+            | Command::Arith { noreply: true, .. }
+            | Command::Delete { noreply: true, .. }
+    );
+    let replied_before = response.len();
     match cmd {
         Command::Get { keys, with_cas } => {
             let GetPathScratch {
@@ -666,6 +674,10 @@ fn execute_command(
         Command::Version => response.extend_from_slice(reply::VERSION),
         Command::Quit => return Ok(Reply::Quit),
     }
+    debug_assert!(
+        !quiet || response.len() == replied_before,
+        "the server writes nothing for a noreply command it parsed, whatever the outcome"
+    );
     Ok(Reply::Continue)
 }
 
@@ -960,13 +972,17 @@ mod tests {
         let (_server, mut client) = start();
         let keys: Vec<Vec<u8>> = (0..40).map(|i| format!("bk{i}").into_bytes()).collect();
         let vals: Vec<Vec<u8>> = (0..40).map(|i| format!("bv{i}").into_bytes()).collect();
+        // Every third set is quiet: the server answers the others only,
+        // and the get below would desync on a stray reply.
         let sets: Vec<StorageOp<'_>> = keys
             .iter()
             .zip(&vals)
-            .map(|(k, v)| StorageOp::Set {
+            .enumerate()
+            .map(|(i, (k, v))| StorageOp::Set {
                 key: k,
                 value: v,
                 flags: 5,
+                noreply: i % 3 == 0,
             })
             .collect();
         let mut acks = Vec::new();
@@ -1028,17 +1044,36 @@ mod tests {
 
     #[test]
     fn batched_noreply_sets_stay_silent() {
+        // Clients send `noreply` and read nothing back for it, so one
+        // stray line would desync their next reply: a quiet command is
+        // answered by nothing, stored or refused, alone or in a batched
+        // run. A store of 16 shards of 256 KiB refuses a 300 KiB value.
         let (server, _client) = start();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .write_all(b"set quiet 0 0 1 noreply\r\nq\r\nset loud 0 0 1\r\nl\r\nget quiet\r\n")
-            .unwrap();
-        let mut reader = io::BufReader::new(stream);
-        // Only the second set replies; the noreply one was still stored.
-        let line = protocol::read_line(&mut reader).unwrap().unwrap();
-        assert_eq!(line, b"STORED");
-        let line = protocol::read_line(&mut reader).unwrap().unwrap();
-        assert_eq!(line, b"VALUE quiet 0 1");
+        let big = |verb: &str| {
+            let mut command = format!("{verb} big 0 0 {} noreply\r\n", 300 << 10).into_bytes();
+            command.resize(command.len() + (300 << 10), b'x');
+            [command, b"\r\n".to_vec()].concat()
+        };
+        let script: Vec<u8> = [
+            &b"set quiet 0 0 1 noreply\r\nq\r\nset loud 0 0 1\r\nl\r\nget quiet\r\n"[..],
+            // Refused alone, then inside a run of sets, then on the
+            // unbatched path.
+            &big("set")[..],
+            &b"get big\r\nset a 0 0 1\r\na\r\n"[..],
+            &big("set")[..],
+            &b"set b 0 0 1\r\nb\r\n"[..],
+            &big("add")[..],
+            &b"delete ghost noreply\r\ndelete a\r\nquit\r\n"[..],
+        ]
+        .concat();
+        stream.write_all(&script).unwrap();
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).unwrap();
+        let acknowledged = "STORED\r\nVALUE quiet 0 1\r\nq\r\nEND\r\n\
+                            END\r\nSTORED\r\nSTORED\r\nDELETED\r\n";
+        assert_eq!(String::from_utf8_lossy(&response), acknowledged);
+        assert_eq!(server.store().stats().oom_errors, 3);
     }
 
     #[test]
@@ -1439,6 +1474,36 @@ mod tests {
         let mut got = vec![0u8; expect.len()];
         a.read_exact(&mut got).unwrap();
         assert!(got == expect, "slow reader's replies corrupted");
+    }
+
+    #[test]
+    fn endless_request_line_closes_only_its_connection() {
+        // One worker. A peer that streams a request line past
+        // MAX_REQUEST_LINE without ending it, or as many blank lines, is
+        // cut off; the worker goes on serving everyone else.
+        let server = StoreServer::start_with(
+            Arc::new(Store::new(1 << 20)),
+            0,
+            ServerConfig { workers: 1 },
+        )
+        .unwrap();
+        let mut other = StoreClient::connect(server.addr()).unwrap();
+        for endless in [
+            b"get ".repeat(protocol::MAX_REQUEST_LINE / 4),
+            b"\r\n".repeat(protocol::MAX_REQUEST_LINE / 2),
+        ] {
+            let mut peer = TcpStream::connect(server.addr()).unwrap();
+            peer.write_all(&endless).unwrap();
+            let mut rest = Vec::new();
+            // Closed without a reply: EOF, or a reset if the close beat
+            // some of the bytes.
+            let read = peer.read_to_end(&mut rest);
+            assert!(read.is_err() || rest.is_empty(), "{read:?}, {rest:?}");
+            assert!(other.version().unwrap().contains("rnb-store"));
+        }
+        poll_until("the cut-off peers retired", || {
+            server.live_connections() == 1
+        });
     }
 
     #[test]

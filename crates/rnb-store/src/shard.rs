@@ -8,11 +8,11 @@
 //! [`TestClock`](crate::clock::TestClock) and the xtask R2 lint keeps
 //! this file wall-clock-free.
 //!
-//! Lookups go through [`KeyIndex`], an open-addressed slot index keyed by
+//! Lookups go through `KeyIndex`, an open-addressed slot index keyed by
 //! a precomputed xxh64 of the key. The same hash the parent
 //! [`Store`](crate::Store) computes to route a key to a shard is reused
 //! for the in-shard probe, so the batched read path
-//! ([`Shard::get_many`]) hashes every key exactly once end to end.
+//! (`Shard::get_many`) hashes every key exactly once end to end.
 
 use crate::clock::{duration_to_ticks, Clock, Tick};
 use rnb_hash::xxhash::xxh64;

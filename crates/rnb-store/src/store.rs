@@ -3,7 +3,7 @@
 //! The read path is batch-first: [`Store::get_multi`] groups keys by
 //! shard in a pooled [`GetScratch`], locks each touched shard exactly
 //! once, and hands the whole per-shard batch to
-//! [`Shard::get_many`](crate::Shard) — one lock round-trip and one clock
+//! [`Shard`]'s `get_many` — one lock round-trip and one clock
 //! read per shard instead of one per key. The seed per-key loop survives
 //! as [`Store::get_multi_reference`], the oracle the proptests and the
 //! `BENCH_store.json` benchmark compare against.

@@ -21,7 +21,7 @@
 //!    error into a connection kill or vice versa.
 
 use proptest::prelude::*;
-use rnb_store::protocol::{next_request, NextRequest};
+use rnb_store::protocol::{next_request, NextRequest, MAX_REQUEST_LINE};
 
 /// A classification that can be compared across prefix lengths (borrow
 /// of the line/data is reduced to owned bytes).
@@ -78,8 +78,14 @@ fn check_progress(buf: &[u8]) {
 /// non-`Incomplete` classification must be reproduced verbatim by every
 /// longer prefix (including the full buffer).
 fn check_truncation_stability(stream: &[u8]) {
+    check_stability_at(stream, 0..=stream.len());
+}
+
+/// [`check_truncation_stability`] over the prefixes of `stream` of the
+/// given ascending lengths only.
+fn check_stability_at(stream: &[u8], lens: impl IntoIterator<Item = usize>) {
     let mut first: Option<(usize, Outcome)> = None;
-    for len in 0..=stream.len() {
+    for len in lens {
         let prefix = &stream[..len];
         check_progress(prefix);
         match (&first, classify(prefix)) {
@@ -118,6 +124,47 @@ fn template(which: usize, key: &str, flags: u32, payload: &[u8]) -> Vec<u8> {
         }
         4 => format!("delete {key}\r\n").into_bytes(),
         _ => b"version\r\n".to_vec(),
+    }
+}
+
+/// Request lines at the [`MAX_REQUEST_LINE`] cap: a `get` whose line,
+/// terminator included, is exactly the cap long is served; one byte
+/// longer is `Desync`, terminated or not, and so is a flood of blank
+/// lines, which count towards the cap. Every prefix shorter than the cap
+/// is `Incomplete`. Each stream is checked at the prefixes around the
+/// cap and at a stride elsewhere (every prefix of a megabyte would take
+/// minutes).
+#[test]
+fn request_line_cap_classifies_stably() {
+    let mut at_cap = b"get".to_vec();
+    while at_cap.len() + 26 < MAX_REQUEST_LINE - 2 {
+        at_cap.extend_from_slice(b" item:18446744073709551615");
+    }
+    at_cap.resize(MAX_REQUEST_LINE - 2, b'7');
+    at_cap.extend_from_slice(b"\r\n");
+    let mut past_cap = at_cap.clone();
+    past_cap.insert(4, b'7');
+    let unterminated = &past_cap[..past_cap.len() - 2];
+    let flood = b"\r\n".repeat(MAX_REQUEST_LINE / 2);
+    let served = Outcome::Request {
+        line: at_cap[..MAX_REQUEST_LINE - 2].to_vec(),
+        data: Vec::new(),
+        consumed: MAX_REQUEST_LINE,
+    };
+    for (stream, want) in [
+        (&at_cap[..], served),
+        (&past_cap[..], Outcome::Desync),
+        (unterminated, Outcome::Desync),
+        (&flood[..], Outcome::Desync),
+    ] {
+        let stream = [stream, &b"version\r\n"[..]].concat();
+        let near_cap = MAX_REQUEST_LINE - 3..MAX_REQUEST_LINE + 3;
+        let mut lens: Vec<usize> = (0..stream.len()).step_by(65_521).chain(near_cap).collect();
+        lens.push(stream.len());
+        lens.sort_unstable();
+        check_stability_at(&stream, lens);
+        assert_eq!(classify(&stream), Some(want));
+        assert_eq!(classify(&stream[..MAX_REQUEST_LINE - 1]), None);
     }
 }
 
