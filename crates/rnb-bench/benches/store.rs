@@ -12,10 +12,8 @@
 //! [`Store::set`] loop against the shard-batched
 //! [`Store::set_multi_with`], plus a pipelined loopback-TCP throughput
 //! figure (gated only when the committed `"cores"` matches this
-//! machine), plus a **contended** sweep
-//! (threads ∈ {1,2,4,8} × {uniform, zipf}) pitting the mutex-only store
-//! ([`HotConfig::disabled`]) against the flat-combining replicated hot
-//! shards. Flags after `--`:
+//! machine), plus the same probe with idle connections parked. Flags
+//! after `--`:
 //!
 //! * `--quick`   — reduced iteration budget (CI smoke).
 //! * `--enforce` — exit non-zero if the checkpoint cell (M=100,
@@ -26,22 +24,19 @@
 //!   write cells) regresses more than 10% against the committed
 //!   `BENCH_store.json`. Speedup is a same-machine, same-budget ratio,
 //!   so the gate is portable across CI hardware where absolute
-//!   ns/request are not. Contended gates are parallelism-conditional:
-//!   the full 3× Zipf-8-thread requirement applies on ≥ 8 cores, a
-//!   collapse floor elsewhere, and the baseline comparison only fires
-//!   when the committed `"cores"` matches the current machine.
+//!   ns/request are not.
 //!
 //! Under `cargo test` (`--test` in argv) only the Criterion smoke pass
 //! runs; the grid is skipped and the committed JSON is left untouched.
 
 use criterion::{criterion_group, Criterion, Throughput};
-use rnb_store::{Clock, GetScratch, HotConfig, SetEntry, Store, StoreServer};
-use rnb_workload::{Op, ReadWriteMix, RequestStream, UniformRequests, ZipfRequests};
+use rnb_store::{Clock, GetScratch, SetEntry, Store, StoreServer};
+use rnb_workload::{Op, ReadWriteMix, UniformRequests};
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Keyspace and request shapes for one cell: `4*m` keys, 8 rotating
@@ -54,12 +49,7 @@ struct CellData {
 }
 
 fn cell_data(m: usize, shards: usize, vlen: usize) -> CellData {
-    // Hot-shard promotion is pinned off: this grid isolates batched vs
-    // per-key locking on the plain mutex store (the 1-shard cells would
-    // otherwise cross the default promote threshold mid-run and start
-    // measuring the replica path — that comparison lives in the
-    // contended sweep below).
-    let store = Store::with_config(64 << 20, shards, Clock::real(), HotConfig::disabled());
+    let store = Store::with_clock(64 << 20, shards, Clock::real());
     let nkeys = 4 * m;
     let keys: Vec<Vec<u8>> = (0..nkeys)
         .map(|i| format!("key-{i:05}").into_bytes())
@@ -460,7 +450,7 @@ const IDLE_CHILD_CHUNK: usize = 2_500;
 const FD_MARGIN: usize = 512;
 /// `--enforce`: throughput with 10k idle connections parked must stay
 /// above this fraction of the 0-idle figure. A same-run, same-machine
-/// ratio, so the gate is portable. Dispatch is O(ready) — parked
+/// ratio, so the gate is portable. A worker's wake-up is O(ready) — parked
 /// connections sleep in the kernel's readiness set and cost the busy
 /// one nothing — so the committed figure sits at parity and the floor
 /// leaves room only for the noise of neighbouring sub-second probes.
@@ -646,193 +636,6 @@ fn run_connections() -> std::io::Result<Vec<ConnectionsCell>> {
     Ok(cells)
 }
 
-/// Reader-thread counts swept by the contended section.
-const CONTENDED_THREADS: &[usize] = &[1, 2, 4, 8];
-/// Keys per request (matches the paper's M=100 micro-benchmark shape).
-const CONTENDED_M: usize = 100;
-/// Key universe for the contended cells.
-const CONTENDED_KEYS: usize = 16_384;
-/// Shard count: small enough that a Zipf head concentrates on one shard.
-const CONTENDED_SHARDS: usize = 8;
-/// Zipf exponent for the skewed arm (top 1% of ids ≫ half the draws).
-const ZIPF_EXPONENT: f64 = 1.3;
-/// One set per this many multi-get rounds (exercises the combiner;
-/// roughly the paper's 1-set-per-1000-gets mix at M=100).
-const WRITE_EVERY: usize = 64;
-/// Full-parallelism gate (ISSUE acceptance): with ≥ 8 cores, the
-/// replicated store must beat the mutex store by this factor on the
-/// 8-thread Zipf cell.
-const MIN_CONTENDED_RATIO_8CORE: f64 = 3.0;
-/// Sanity floor everywhere else: replication must never *cost* more
-/// than this, even time-sliced on a single core (the slack below 1.0
-/// is noise margin for short CI quick runs, not an accepted tax — the
-/// committed full-budget cells sit near or above parity).
-const MIN_CONTENDED_RATIO_FLOOR: f64 = 0.4;
-/// Contended cells are noisier than the single-threaded grid; tolerate
-/// a larger geo-mean ratio regression before failing `--enforce`.
-const MAX_CONTENDED_REGRESSION: f64 = 1.25;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Skew {
-    Uniform,
-    Zipf,
-}
-
-impl Skew {
-    fn name(self) -> &'static str {
-        match self {
-            Skew::Uniform => "uniform",
-            Skew::Zipf => "zipf",
-        }
-    }
-}
-
-struct ContendedCell {
-    threads: usize,
-    skew: Skew,
-    mutex_items_per_sec: f64,
-    replicated_items_per_sec: f64,
-}
-
-impl ContendedCell {
-    fn key(&self) -> String {
-        format!("t{}_{}", self.threads, self.skew.name())
-    }
-
-    /// Replicated over mutex: > 1 means replication won the cell.
-    fn ratio(&self) -> f64 {
-        self.replicated_items_per_sec / self.mutex_items_per_sec
-    }
-}
-
-fn requests_for(skew: Skew, seed: u64) -> Box<dyn RequestStream + Send> {
-    match skew {
-        Skew::Uniform => Box::new(UniformRequests::new(
-            CONTENDED_KEYS as u64,
-            CONTENDED_M,
-            seed,
-        )),
-        Skew::Zipf => Box::new(ZipfRequests::new(
-            CONTENDED_KEYS as u64,
-            CONTENDED_M,
-            ZIPF_EXPONENT,
-            seed,
-        )),
-    }
-}
-
-/// The replicated arm's promotion policy: windows small enough that the
-/// warmup phase promotes the Zipf-hot shards before timing starts, one
-/// replica per reader thread.
-fn replicated_cfg(threads: usize) -> HotConfig {
-    HotConfig {
-        window: 1 << 12,
-        promote_accesses: 1 << 10,
-        demote_accesses: 1 << 6,
-        replicas: threads.max(1),
-    }
-}
-
-/// Aggregate get_multi items/sec across `threads` readers hammering one
-/// store arm. Each thread replays a deterministic per-seed plan of
-/// requests (pre-generated, so RNG cost stays out of the timed loop)
-/// with one set per [`WRITE_EVERY`] rounds mixed in.
-fn run_contended_arm(hot_cfg: HotConfig, threads: usize, skew: Skew, quick: bool) -> f64 {
-    let store = Store::with_config(64 << 20, CONTENDED_SHARDS, Clock::real(), hot_cfg);
-    let keys: Vec<Vec<u8>> = (0..CONTENDED_KEYS)
-        .map(|i| format!("key-{i:05}").into_bytes())
-        .collect();
-    for k in &keys {
-        store.set(k, &[b'x'; 10], 0, false);
-    }
-    let rounds = if quick { 1500 } else { 8000 };
-    // Warmup must cross several promotion windows (window 4Ki accesses,
-    // each round is CONTENDED_M accesses).
-    let warmup = (rounds / 4).max(128);
-    let plans: Vec<Vec<Vec<u64>>> = (0..threads)
-        .map(|t| {
-            let mut gen = requests_for(skew, 0xC0FFEE + t as u64);
-            (0..64).map(|_| gen.next_request()).collect()
-        })
-        .collect();
-
-    let barrier = Barrier::new(threads + 1);
-    let mut elapsed = 0.0f64;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|plan| {
-                let keys = &keys;
-                let store = &store;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let mut scratch = GetScratch::new();
-                    let mut out = Vec::new();
-                    let run = |i: usize, scratch: &mut GetScratch, out: &mut Vec<_>| {
-                        let req = &plan[i % plan.len()];
-                        let hits = store.get_multi_with(
-                            scratch,
-                            req.len(),
-                            |j| keys[req[j] as usize].as_slice(),
-                            out,
-                        );
-                        black_box(hits);
-                        if i.is_multiple_of(WRITE_EVERY) {
-                            store.set(&keys[req[0] as usize], &[b'y'; 10], 0, false);
-                        }
-                    };
-                    for i in 0..warmup {
-                        run(i, &mut scratch, &mut out);
-                    }
-                    barrier.wait();
-                    for i in 0..rounds {
-                        run(i, &mut scratch, &mut out);
-                    }
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        for h in handles {
-            let _ = h.join();
-        }
-        elapsed = start.elapsed().as_secs_f64();
-    });
-    (threads * rounds * CONTENDED_M) as f64 / elapsed
-}
-
-fn run_contended(quick: bool) -> Vec<ContendedCell> {
-    let mut cells = Vec::new();
-    println!("\n[store contended] mutex store vs replicated hot shards (items/s, aggregate)");
-    println!(
-        "{:<12} {:>16} {:>16} {:>8}",
-        "cell", "mutex", "replicated", "ratio"
-    );
-    for &threads in CONTENDED_THREADS {
-        for skew in [Skew::Uniform, Skew::Zipf] {
-            let mutex_items_per_sec =
-                run_contended_arm(HotConfig::disabled(), threads, skew, quick);
-            let replicated_items_per_sec =
-                run_contended_arm(replicated_cfg(threads), threads, skew, quick);
-            let cell = ContendedCell {
-                threads,
-                skew,
-                mutex_items_per_sec,
-                replicated_items_per_sec,
-            };
-            println!(
-                "{:<12} {:>16.0} {:>16.0} {:>7.2}x",
-                cell.key(),
-                cell.mutex_items_per_sec,
-                cell.replicated_items_per_sec,
-                cell.ratio()
-            );
-            cells.push(cell);
-        }
-    }
-    cells
-}
-
 fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -840,7 +643,6 @@ fn cores() -> usize {
 fn render_json(
     cells: &[Cell],
     writes: &[WriteCell],
-    contended: &[ContendedCell],
     connections: &[ConnectionsCell],
     tcp: Option<(usize, f64)>,
 ) -> String {
@@ -898,21 +700,6 @@ fn render_json(
             c.seq_ns,
             c.batched_ns,
             c.speedup()
-        ));
-    }
-    out.push_str("  ],\n  \"contended\": [\n");
-    for (i, c) in contended.iter().enumerate() {
-        let sep = if i + 1 == contended.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{ \"cell\": \"{}\", \"threads\": {}, \"skew\": \"{}\", \
-             \"mutex_items_per_sec\": {:.0}, \"replicated_items_per_sec\": {:.0}, \
-             \"ratio\": {:.2} }}{sep}\n",
-            c.key(),
-            c.threads,
-            c.skew.name(),
-            c.mutex_items_per_sec,
-            c.replicated_items_per_sec,
-            c.ratio()
         ));
     }
     out.push_str("  ],\n  \"connections\": [\n");
@@ -993,35 +780,6 @@ fn parse_write_baseline(text: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Pull the contended `ratio` per cell out of a previously emitted JSON
-/// file (same line-oriented contract as [`parse_baseline`]; contended
-/// lines carry `mutex_items_per_sec` instead of `ref_ns`).
-fn parse_contended_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(cell_at) = line.find("\"cell\": \"") else {
-            continue;
-        };
-        let rest = &line[cell_at + 9..];
-        let Some(cell_end) = rest.find('"') else {
-            continue;
-        };
-        let cell = rest[..cell_end].to_string();
-        if !line.contains("\"mutex_items_per_sec\": ") {
-            continue;
-        }
-        let Some(at) = line.find("\"ratio\": ") else {
-            continue;
-        };
-        let num = &line[at + 9..];
-        let end = num.find([',', ' ', '}']).unwrap_or(num.len());
-        if let Ok(ratio) = num[..end].parse::<f64>() {
-            out.push((cell, ratio));
-        }
-    }
-    out
-}
-
 /// The committed `tcp_pipelined` items/sec of a previously emitted JSON
 /// file, if present (same line-oriented contract as [`parse_baseline`]).
 fn parse_tcp_baseline(text: &str) -> Option<f64> {
@@ -1084,8 +842,6 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
         }
     };
 
-    let contended = run_contended(quick);
-
     let connections = match run_connections() {
         Ok(cells) => cells,
         Err(e) => {
@@ -1094,7 +850,7 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
         }
     };
 
-    let json = render_json(&cells, &writes, &contended, &connections, tcp);
+    let json = render_json(&cells, &writes, &connections, tcp);
     match std::fs::write(JSON_PATH, &json) {
         Ok(()) => println!("[store grid] wrote {JSON_PATH}"),
         Err(e) => eprintln!("[store grid] could not write {JSON_PATH}: {e}"),
@@ -1205,67 +961,10 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
         }
     }
 
-    // Contended gates. Absolute ratios depend on real parallelism: the
-    // full ISSUE gate (Zipf, 8 threads, replicated ≥ 3x mutex) only
-    // means something when 8 hardware threads exist; elsewhere a floor
-    // guards against the replicated path collapsing.
-    let ncores = cores();
-    for cell in &contended {
-        let floor = if ncores >= 8 && cell.threads == 8 && cell.skew == Skew::Zipf {
-            MIN_CONTENDED_RATIO_8CORE
-        } else {
-            MIN_CONTENDED_RATIO_FLOOR
-        };
-        if enforce && cell.ratio() < floor {
-            eprintln!(
-                "[store contended] FAIL: {} ratio {:.2}x below the {floor}x floor ({ncores} cores)",
-                cell.key(),
-                cell.ratio()
-            );
-            failed = true;
-        }
-    }
-    if let Some(text) = baseline_text.as_deref() {
-        // Ratio regressions are only comparable on matching hardware:
-        // the committed baseline records its core count, and the gate is
-        // skipped when ours differs (a 1-core CI runner can't reproduce
-        // an 8-core baseline's contention behaviour, or vice versa).
-        let base_cores = parse_baseline_cores(text);
-        if base_cores == Some(ncores) {
-            let base = parse_contended_baseline(text);
-            let mut log_sum = 0.0f64;
-            let mut count = 0usize;
-            for cell in &contended {
-                if let Some((_, base_ratio)) = base.iter().find(|(key, _)| *key == cell.key()) {
-                    log_sum += (base_ratio / cell.ratio()).ln();
-                    count += 1;
-                }
-            }
-            if count > 0 {
-                let ratio = (log_sum / count as f64).exp();
-                println!(
-                    "[store contended] baseline/current ratio (geo-mean over {count} cells): {ratio:.3}x"
-                );
-                if enforce && ratio > MAX_CONTENDED_REGRESSION {
-                    eprintln!(
-                        "[store contended] FAIL: replicated-path ratio regressed {:.1}% vs committed baseline (limit {:.0}%)",
-                        (ratio - 1.0) * 100.0,
-                        (MAX_CONTENDED_REGRESSION - 1.0) * 100.0
-                    );
-                    failed = true;
-                }
-            }
-        } else {
-            println!(
-                "[store contended] baseline cores {base_cores:?} != current {ncores}; skipping contended regression gate"
-            );
-        }
-    }
-
     // Connections gates. The idle-ratio floor is a same-run ratio
     // (portable); the missing-sweep and thread-bound checks are
     // structural; the absolute-throughput comparison is cores-matching
-    // only, like the contended gate.
+    // only: wire throughput mixes in kernel and socket costs.
     if enforce && connections.is_empty() {
         eprintln!("[store connections] FAIL: sweep produced no cells under --enforce");
         failed = true;
@@ -1301,7 +1000,7 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
         }
     }
     if let (Some(text), Some((_, tcp_now))) = (baseline_text.as_deref(), tcp) {
-        if parse_baseline_cores(text) == Some(ncores) {
+        if parse_baseline_cores(text) == Some(cores()) {
             if let Some(tcp_base) = parse_tcp_baseline(text) {
                 println!(
                     "[store connections] tcp_pipelined {tcp_now:.0} vs committed {tcp_base:.0} items/s"

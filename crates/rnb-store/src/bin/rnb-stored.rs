@@ -17,6 +17,7 @@
 //! signals are involved, so harnesses synchronize on pipes alone,
 //! without sleeps or SIGTERM races.
 
+use rnb_store::store::DEFAULT_SHARDS;
 use rnb_store::{ServerConfig, Store, StoreServer};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -51,8 +52,8 @@ fn main() {
                 shards = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .filter(|&s| s > 0)
-                        .unwrap_or_else(|| die("--shards needs a positive number")),
+                        .filter(|s: &usize| s.is_power_of_two())
+                        .unwrap_or_else(|| die("--shards needs a power of two")),
                 );
             }
             "--workers" => {
@@ -70,6 +71,7 @@ fn main() {
                      [--workers N] [--control]"
                 );
                 println!("  --port 0     bind an OS-chosen port (printed on stdout)");
+                println!("  --shards N   store shards, a power of two (default: {DEFAULT_SHARDS})");
                 println!(
                     "  --workers N  serving threads, each with its own epoll set and \
                      connections (default: one per available core)"
@@ -81,9 +83,12 @@ fn main() {
         }
     }
 
+    let mem = mem_mb
+        .checked_mul(1 << 20)
+        .unwrap_or_else(|| die("--mem is too large to count in bytes"));
     let store = match shards {
-        Some(s) => Arc::new(Store::with_shards(mem_mb << 20, s)),
-        None => Arc::new(Store::new(mem_mb << 20)),
+        Some(s) => Arc::new(Store::with_shards(mem, s)),
+        None => Arc::new(Store::new(mem)),
     };
     let mut config = ServerConfig::default();
     if let Some(w) = workers {

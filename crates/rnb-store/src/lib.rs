@@ -20,11 +20,6 @@
 //!   `-m`-bounded slab+LRU behaviour at item granularity.
 //! * [`store::Store`] — a sharded concurrent store (parking_lot mutex per
 //!   shard, xxHash shard selection) with memcached-style counters.
-//! * [`replicated`] — flat-combining replication for hot shards: shards
-//!   promoted under skewed (Zipf) load serve reads from per-thread
-//!   replicas and funnel writes through an operation-log combiner, one
-//!   primary lock per drained batch (DESIGN.md "Flat combining &
-//!   hot-shard replication").
 //! * [`protocol`] — the memcached **text protocol** subset the experiments
 //!   need: `get` (multi-key), `set`, `delete`, `stats`, `version`, `quit`.
 //! * [`server`] / [`client`] — a TCP server (a fixed pool of workers
@@ -41,7 +36,6 @@ pub mod client;
 pub mod clock;
 pub mod loadgen;
 pub mod protocol;
-pub mod replicated;
 pub mod server;
 pub mod shard;
 pub mod stats;
@@ -51,7 +45,6 @@ pub mod udp;
 pub use client::{StorageOp, StoreClient};
 pub use clock::{Clock, RealClock, TestClock, Tick};
 pub use loadgen::{run_load, run_load_with_clock, LoadReport, LoadSpec};
-pub use replicated::{Dispatch, ReadOp, ReadOutcome, WriteOp, WriteOutcome};
 pub use server::{drain_input, ConnScratch, ServerConfig, StoreServer};
-pub use store::{GetScratch, HotConfig, SetEntry, Store};
+pub use store::{GetScratch, SetEntry, Store};
 pub use udp::{UdpStoreClient, UdpStoreServer};

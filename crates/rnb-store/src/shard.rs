@@ -86,7 +86,7 @@ pub struct Value {
     pub cas: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     key: Box<[u8]>,
     value: Arc<[u8]>,
@@ -128,7 +128,7 @@ fn probe_start(hash: u64, mask: usize) -> usize {
 /// pair. The hash is computed by the caller exactly once and stored in
 /// the node, which is what lets [`Shard::get_many`] skip per-key
 /// rehashing entirely.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct KeyIndex {
     /// `EMPTY`, `TOMB`, or `slot + 2`. Length is a power of two (or zero
     /// before the first insert); at least one bucket is always `EMPTY`,
@@ -375,45 +375,6 @@ impl Shard {
         hits
     }
 
-    /// Non-mutating single-key lookup: resolves against the index and
-    /// the given tick without LRU promotion and without reclaiming
-    /// expired entries. This is the read replicas' serving step
-    /// ([`peek_many`](Shard::peek_many)) — replicas must stay a pure
-    /// function of the applied operation log, so reads may not mutate.
-    pub(crate) fn peek_at(&self, hash: u64, key: &[u8], now: Tick) -> Option<Value> {
-        let idx = self.index.find(hash, key, &self.nodes)?;
-        if self.nodes[idx].expired(now) {
-            return None;
-        }
-        Some(Value {
-            data: Arc::clone(&self.nodes[idx].value),
-            flags: self.nodes[idx].flags,
-            cas: self.nodes[idx].cas,
-        })
-    }
-
-    /// Batched non-mutating lookup: the replica-read counterpart of
-    /// [`get_many`](Shard::get_many). Same `(hash, key, pos)` batch
-    /// contract and one clock read per batch, but takes `&self`: no LRU
-    /// promotion and no lazy expiry removal, so concurrent replica
-    /// readers only need a shared data guard and replica state remains
-    /// determined by the log alone. Returns the number of hits.
-    pub(crate) fn peek_many<'k, I>(&self, batch: I, out: &mut [Option<Value>]) -> usize
-    where
-        I: IntoIterator<Item = (u64, &'k [u8], usize)>,
-    {
-        let now = self.clock.now();
-        let mut hits = 0;
-        for (hash, key, pos) in batch {
-            let value = self.peek_at(hash, key, now);
-            hits += usize::from(value.is_some());
-            if let Some(out_slot) = out.get_mut(pos) {
-                *out_slot = value;
-            }
-        }
-        hits
-    }
-
     /// Presence probe without LRU promotion (expired entries report
     /// absent but are left for lazy removal).
     pub fn contains(&self, key: &[u8]) -> bool {
@@ -422,7 +383,7 @@ impl Shard {
     }
 
     /// [`contains`](Shard::contains) against an explicit tick.
-    pub(crate) fn contains_at(&self, key: &[u8], now: Tick) -> bool {
+    fn contains_at(&self, key: &[u8], now: Tick) -> bool {
         self.index
             .find(key_hash(key), key, &self.nodes)
             .is_some_and(|idx| !self.nodes[idx].expired(now))
@@ -430,44 +391,9 @@ impl Shard {
 
     /// The current tick of the injected clock: the batched write path
     /// reads it once per touched shard (every entry of the sub-batch
-    /// shares the tick), and test oracles drive
-    /// [`Dispatch`](crate::replicated::Dispatch) at an explicit tick.
+    /// shares the tick).
     pub(crate) fn now(&self) -> Tick {
         self.clock.now()
-    }
-
-    /// A handle to the shard's injected clock (clones share the
-    /// timeline), used when promoting the shard to a replicated hot
-    /// shard so log ticks come from the same time source.
-    pub(crate) fn clock_handle(&self) -> Clock {
-        self.clock.clone()
-    }
-
-    /// A deep copy of this shard for use as a read replica: same
-    /// entries, same LRU order, same CAS counter, same clock timeline.
-    /// Because the copy and the original agree on every piece of state
-    /// an operation consults, replaying the same operation log against
-    /// both yields identical outcomes — the log/replica consistency
-    /// invariant (INVARIANTS.md).
-    pub(crate) fn replica_copy(&self) -> Shard {
-        let copy = Shard {
-            index: self.index.clone(),
-            nodes: self.nodes.clone(),
-            free: self.free.clone(),
-            head: self.head,
-            tail: self.tail,
-            mem_used: self.mem_used,
-            unpinned_bytes: self.unpinned_bytes,
-            mem_limit: self.mem_limit,
-            cas_counter: self.cas_counter,
-            clock: self.clock.clone(),
-        };
-        debug_assert_eq!(
-            copy.len(),
-            self.len(),
-            "replica copy must preserve the entry count"
-        );
-        copy
     }
 
     /// Store `key` → `value`, evicting LRU entries as needed.
@@ -490,11 +416,9 @@ impl Shard {
         self.set_full_at(key, value, flags, pinned, ttl, now)
     }
 
-    /// [`set_full`](Shard::set_full) against an explicit tick. The
-    /// replicated write path records one tick per combined batch and
-    /// replays every operation in the batch at that tick, so primary and
-    /// replicas make identical TTL/eviction decisions.
-    pub(crate) fn set_full_at(
+    /// [`set_full`](Shard::set_full) against an explicit tick, so a
+    /// conditional write decides and stores at the same instant.
+    fn set_full_at(
         &mut self,
         key: &[u8],
         value: &[u8],
@@ -626,18 +550,6 @@ impl Shard {
         ttl: Option<Duration>,
     ) -> Option<SetOutcome> {
         let now = self.clock.now();
-        self.add_at(key, value, flags, ttl, now)
-    }
-
-    /// [`add`](Shard::add) against an explicit tick.
-    pub(crate) fn add_at(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        ttl: Option<Duration>,
-        now: Tick,
-    ) -> Option<SetOutcome> {
         if self.contains_at(key, now) {
             return None;
         }
@@ -654,18 +566,6 @@ impl Shard {
         ttl: Option<Duration>,
     ) -> Option<SetOutcome> {
         let now = self.clock.now();
-        self.replace_at(key, value, flags, ttl, now)
-    }
-
-    /// [`replace`](Shard::replace) against an explicit tick.
-    pub(crate) fn replace_at(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        ttl: Option<Duration>,
-        now: Tick,
-    ) -> Option<SetOutcome> {
         if !self.contains_at(key, now) {
             return None;
         }
@@ -688,19 +588,6 @@ impl Shard {
         ttl: Option<Duration>,
     ) -> CasOutcome {
         let now = self.clock.now();
-        self.cas_at(key, value, flags, token, ttl, now)
-    }
-
-    /// [`cas`](Shard::cas) against an explicit tick.
-    pub(crate) fn cas_at(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        token: u64,
-        ttl: Option<Duration>,
-        now: Tick,
-    ) -> CasOutcome {
         match self.index.find(key_hash(key), key, &self.nodes) {
             None => CasOutcome::NotFound,
             Some(idx) if self.nodes[idx].expired(now) => {
@@ -723,22 +610,10 @@ impl Shard {
     /// `incr`/`decr`: treat the value as an ASCII unsigned decimal and
     /// add `delta` (saturating at 0 for decrements, wrapping at `u64` for
     /// increments — memcached semantics). The remaining TTL is preserved
-    /// exactly in clock ticks.
+    /// exactly in clock ticks: the lookup, the TTL-remaining computation
+    /// and the rewrite all read one `now`.
     pub fn arith(&mut self, key: &[u8], delta: u64, negative: bool) -> ArithOutcome {
         let now = self.clock.now();
-        self.arith_at(key, delta, negative, now)
-    }
-
-    /// [`arith`](Shard::arith) against an explicit tick: the lookup, the
-    /// TTL-remaining computation and the rewrite all use the same `now`,
-    /// so a log replay reproduces the exact stored deadline.
-    pub(crate) fn arith_at(
-        &mut self,
-        key: &[u8],
-        delta: u64,
-        negative: bool,
-        now: Tick,
-    ) -> ArithOutcome {
         let Some(current) = self.get_at(key_hash(key), key, now) else {
             return ArithOutcome::NotFound;
         };

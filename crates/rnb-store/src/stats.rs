@@ -61,18 +61,6 @@ pub struct StoreStats {
     pub bytes_read: AtomicU64,
     /// Bytes written back to client connections.
     pub bytes_written: AtomicU64,
-    /// Key lookups served from a hot shard's read replica instead of the
-    /// shard mutex.
-    pub replica_reads: AtomicU64,
-    /// Flat-combining batches applied (each batch = one primary-shard
-    /// lock acquisition covering every drained write).
-    pub combiner_batches: AtomicU64,
-    /// Operations appended to hot-shard operation logs.
-    pub log_appends: AtomicU64,
-    /// Shards promoted to replicated "hot" mode.
-    pub hot_promotions: AtomicU64,
-    /// Hot shards demoted back to the plain mutex path.
-    pub hot_demotions: AtomicU64,
     /// Times a worker's `epoll_wait` returned (events, shutdown wake-ups
     /// and interrupted waits alike).
     pub poll_wakeups: AtomicU64,
@@ -128,16 +116,6 @@ pub struct StatsSnapshot {
     pub bytes_read: u64,
     /// Bytes written back to client connections.
     pub bytes_written: u64,
-    /// Key lookups served from hot-shard read replicas.
-    pub replica_reads: u64,
-    /// Flat-combining batches applied.
-    pub combiner_batches: u64,
-    /// Operations appended to hot-shard operation logs.
-    pub log_appends: u64,
-    /// Shards promoted to replicated "hot" mode.
-    pub hot_promotions: u64,
-    /// Hot shards demoted back to the mutex path.
-    pub hot_demotions: u64,
     /// Times a worker's `epoll_wait` returned.
     pub poll_wakeups: u64,
     /// Ready listeners and connections reported to a worker.
@@ -187,11 +165,6 @@ impl StoreStats {
             get_batch_hist,
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            replica_reads: self.replica_reads.load(Ordering::Relaxed),
-            combiner_batches: self.combiner_batches.load(Ordering::Relaxed),
-            log_appends: self.log_appends.load(Ordering::Relaxed),
-            hot_promotions: self.hot_promotions.load(Ordering::Relaxed),
-            hot_demotions: self.hot_demotions.load(Ordering::Relaxed),
             poll_wakeups: self.poll_wakeups.load(Ordering::Relaxed),
             poll_events: self.poll_events.load(Ordering::Relaxed),
             conn_reads: self.conn_reads.load(Ordering::Relaxed),
@@ -237,11 +210,6 @@ impl StatsSnapshot {
             ),
             ("bytes_read".into(), self.bytes_read.to_string()),
             ("bytes_written".into(), self.bytes_written.to_string()),
-            ("replica_reads".into(), self.replica_reads.to_string()),
-            ("combiner_batches".into(), self.combiner_batches.to_string()),
-            ("log_appends".into(), self.log_appends.to_string()),
-            ("hot_promotions".into(), self.hot_promotions.to_string()),
-            ("hot_demotions".into(), self.hot_demotions.to_string()),
             ("poll_wakeups".into(), self.poll_wakeups.to_string()),
             ("poll_events".into(), self.poll_events.to_string()),
             ("conn_reads".into(), self.conn_reads.to_string()),
@@ -338,30 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_counters_round_trip_through_stat_lines() {
-        let s = StoreStats::default();
-        s.replica_reads.fetch_add(11, Ordering::Relaxed);
-        s.combiner_batches.fetch_add(3, Ordering::Relaxed);
-        s.log_appends.fetch_add(17, Ordering::Relaxed);
-        s.hot_promotions.fetch_add(2, Ordering::Relaxed);
-        s.hot_demotions.fetch_add(1, Ordering::Relaxed);
-        let snap = s.snapshot(0, 0);
-        assert_eq!(snap.replica_reads, 11);
-        assert_eq!(snap.combiner_batches, 3);
-        assert_eq!(snap.log_appends, 17);
-        assert_eq!(snap.hot_promotions, 2);
-        assert_eq!(snap.hot_demotions, 1);
-
-        let lines = snap.stat_lines();
-        let lookup = |name: &str| stat_line(&lines, name);
-        assert_eq!(lookup("replica_reads"), "11");
-        assert_eq!(lookup("combiner_batches"), "3");
-        assert_eq!(lookup("log_appends"), "17");
-        assert_eq!(lookup("hot_promotions"), "2");
-        assert_eq!(lookup("hot_demotions"), "1");
-    }
-
-    #[test]
     fn readiness_counters_round_trip_through_stat_lines() {
         let s = StoreStats::default();
         s.poll_wakeups.fetch_add(9, Ordering::Relaxed);
@@ -403,11 +347,6 @@ mod tests {
             "arith_non_numeric",
             "bytes_read",
             "bytes_written",
-            "replica_reads",
-            "combiner_batches",
-            "log_appends",
-            "hot_promotions",
-            "hot_demotions",
             "poll_wakeups",
             "poll_events",
             "conn_reads",

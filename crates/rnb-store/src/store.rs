@@ -1,4 +1,6 @@
-//! The sharded concurrent store.
+//! The sharded concurrent store: a power-of-two `Vec` of
+//! `Mutex<Shard>`, each shard one byte-budgeted LRU that every read and
+//! write refreshes.
 //!
 //! The read path is batch-first: [`Store::get_multi`] groups keys by
 //! shard in a pooled [`GetScratch`], locks each touched shard exactly
@@ -9,13 +11,13 @@
 //! `BENCH_store.json` benchmark compare against.
 
 use crate::clock::Clock;
-use crate::replicated::{HotShard, WriteOp, WriteOutcome};
 use crate::shard::{self, ArithOutcome, CasOutcome, SetOutcome, Shard, Value};
 use crate::stats::{StatsSnapshot, StoreStats};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+#[cfg(test)]
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// Default shard count (power of two; one mutex each keeps contention low
@@ -93,105 +95,6 @@ pub struct SetEntry<'a> {
     pub ttl: Option<Duration>,
 }
 
-/// Promotion/demotion policy for flat-combining hot-shard replication
-/// (see `replicated.rs` and DESIGN.md "Flat combining & hot-shard
-/// replication").
-///
-/// Promotion is driven by cheap per-shard access counters: every
-/// `window` store-wide accesses, each shard's share of the window is
-/// inspected — a cold shard that absorbed at least `promote_accesses`
-/// of them is promoted (its reads move to per-thread replicas, its
-/// writes to the flat combiner), and a hot shard that fell below
-/// `demote_accesses` is demoted back to the plain mutex path.
-#[derive(Debug, Clone)]
-pub struct HotConfig {
-    /// Store-wide accesses per inspection window; `0` disables
-    /// replication entirely (every shard stays on the mutex path).
-    pub window: u64,
-    /// Per-shard accesses within one window that trigger promotion.
-    pub promote_accesses: u64,
-    /// Hot shards seeing fewer accesses than this in a window cool down.
-    pub demote_accesses: u64,
-    /// Read replicas per hot shard (one per reader thread is ideal;
-    /// threads round-robin across them).
-    pub replicas: usize,
-}
-
-impl Default for HotConfig {
-    /// Promote a shard that absorbs ≥ 1/4 of a 64Ki-access window
-    /// (a uniform workload on 16 shards gives each ~1/16, so only a
-    /// genuinely skewed hot spot qualifies); demote below 1/16.
-    fn default() -> Self {
-        let replicas = std::thread::available_parallelism()
-            .map_or(4, usize::from)
-            .min(8);
-        HotConfig {
-            window: 1 << 16,
-            promote_accesses: 1 << 14,
-            demote_accesses: 1 << 12,
-            replicas,
-        }
-    }
-}
-
-impl HotConfig {
-    /// No shard is ever promoted: the store behaves exactly like the
-    /// pre-replication single-mutex-per-shard design. This is the
-    /// baseline arm of the contended benchmark.
-    pub fn disabled() -> Self {
-        HotConfig {
-            window: 0,
-            promote_accesses: u64::MAX,
-            demote_accesses: 0,
-            replicas: 1,
-        }
-    }
-}
-
-/// Per-shard access counters, updated with relaxed atomics so they are
-/// readable (and writable) without touching the shard's data mutex —
-/// the promotion heuristic samples them on the hot path.
-#[derive(Debug, Default)]
-struct ShardCounters {
-    /// Key lookups routed to this shard.
-    gets: AtomicU64,
-    /// Lookups that hit.
-    hits: AtomicU64,
-    /// Write operations routed to this shard.
-    writes: AtomicU64,
-    /// Accesses within the current promotion window (reset on roll).
-    window: AtomicU64,
-}
-
-/// A plain-data reading of one shard's access counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounterSnapshot {
-    /// Key lookups routed to this shard.
-    pub gets: u64,
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Write operations routed to this shard.
-    pub writes: u64,
-}
-
-/// One shard slot: the data mutex, the lock-free access counters, and
-/// the replication harness when the shard is hot. Lock order within a
-/// slot is always `hot` (read/write) before `data` — promotion copies
-/// replicas under both, which is what makes routing race-free.
-///
-/// `hinted_hot` is a relaxed mirror of `hot.is_some()` so the (common)
-/// cold path never touches the `hot` RwLock at all. The hint is flipped
-/// to `true` *while promotion still holds the data mutex*, so a direct
-/// operation that re-checks the hint after acquiring the data mutex and
-/// sees `false` is guaranteed to run before the replicas are copied —
-/// its effect is captured by the copy, never lost.
-struct ShardSlot {
-    data: Mutex<Shard>,
-    hot: RwLock<Option<Arc<HotShard>>>,
-    hinted_hot: AtomicBool,
-    counters: ShardCounters,
-}
-
 /// A concurrent, memory-bounded key-value store.
 ///
 /// ```
@@ -205,14 +108,11 @@ struct ShardSlot {
 /// assert_eq!(store.stats().get_txns, 2);
 /// ```
 pub struct Store {
-    slots: Vec<ShardSlot>,
+    shards: Vec<Mutex<Shard>>,
     mask: u64,
-    stats: Arc<StoreStats>,
-    hot_cfg: HotConfig,
-    /// Store-wide access counter driving the promotion windows.
-    access_window: AtomicU64,
-    /// Shard-mutex acquisitions made by the batched multi-get path; the
-    /// regression tests assert it never exceeds the shards touched.
+    stats: StoreStats,
+    /// Shard-mutex acquisitions made by the batched get, set and delete
+    /// paths; the regression tests assert one per shard touched.
     #[cfg(test)]
     multi_lock_acquisitions: AtomicU64,
 }
@@ -235,31 +135,17 @@ impl Store {
     /// handle you kept to drive expiry deterministically, even across the
     /// server's connection threads.
     pub fn with_clock(mem_limit: usize, shards: usize, clock: Clock) -> Self {
-        Self::with_config(mem_limit, shards, clock, HotConfig::default())
-    }
-
-    /// The fully-explicit constructor: shard count, clock, and the
-    /// hot-shard promotion policy ([`HotConfig::disabled`] pins every
-    /// shard to the plain mutex path).
-    pub fn with_config(mem_limit: usize, shards: usize, clock: Clock, hot_cfg: HotConfig) -> Self {
         assert!(
             shards.is_power_of_two(),
             "shard count must be a power of two"
         );
         let per_shard = mem_limit / shards;
         Store {
-            slots: (0..shards)
-                .map(|_| ShardSlot {
-                    data: Mutex::new(Shard::with_clock(per_shard, clock.clone())),
-                    hot: RwLock::new(None),
-                    hinted_hot: AtomicBool::new(false),
-                    counters: ShardCounters::default(),
-                })
+            shards: (0..shards)
+                .map(|_| Mutex::new(Shard::with_clock(per_shard, clock.clone())))
                 .collect(),
             mask: (shards - 1) as u64,
-            stats: Arc::new(StoreStats::default()),
-            hot_cfg,
-            access_window: AtomicU64::new(0),
+            stats: StoreStats::default(),
             #[cfg(test)]
             multi_lock_acquisitions: AtomicU64::new(0),
         }
@@ -273,24 +159,7 @@ impl Store {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// One shard's access counters, read with relaxed atomics — no data
-    /// lock is taken, so this is safe to sample from monitoring threads
-    /// at any rate.
-    pub fn shard_counters(&self, idx: usize) -> ShardCounterSnapshot {
-        let c = &self.slots[idx & self.mask as usize].counters;
-        ShardCounterSnapshot {
-            gets: c.gets.load(Ordering::Relaxed),
-            hits: c.hits.load(Ordering::Relaxed),
-            writes: c.writes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Is shard `idx` currently promoted to replicated hot mode?
-    pub fn shard_is_hot(&self, idx: usize) -> bool {
-        self.slots[idx & self.mask as usize].hot.read().is_some()
+        self.shards.len()
     }
 
     /// Which shard index `key` routes to.
@@ -298,163 +167,18 @@ impl Store {
         (shard::key_hash(key) & self.mask) as usize
     }
 
-    /// Which shard index `key` routes to (test-only introspection for
-    /// coverage assertions).
-    #[cfg(test)]
-    fn shard_index(&self, key: &[u8]) -> usize {
-        self.shard_index_of(key)
-    }
-
-    /// Record `n` accesses against shard `sh` and roll the promotion
-    /// window when the store-wide counter crosses a window boundary.
-    /// Called before the shard's guards are taken, so promotion (which
-    /// needs the write side of the `hot` lock) can never self-deadlock.
-    fn note_accesses(&self, sh: usize, n: u64) {
-        let window = self.hot_cfg.window;
-        if window == 0 {
-            // Promotion disabled: the window counters are never read
-            // (`roll_window` never runs), so skip the RMWs entirely and
-            // keep the disabled store's serving path tax-free.
-            return;
-        }
-        self.slots[sh]
-            .counters
-            .window
-            .fetch_add(n, Ordering::Relaxed);
-        let prev = self.access_window.fetch_add(n, Ordering::Relaxed);
-        if prev / window != (prev + n) / window {
-            self.roll_window();
-        }
-    }
-
-    /// Inspect every shard's share of the finished window: promote the
-    /// skew winners, cool down hot shards whose traffic faded. Runs on
-    /// the (single) thread that crossed the window boundary; concurrent
-    /// rolls are harmless (promotion/demotion re-check under the write
-    /// lock).
-    fn roll_window(&self) {
-        for slot in &self.slots {
-            let seen = slot.counters.window.swap(0, Ordering::Relaxed);
-            let is_hot = slot.hot.read().is_some();
-            if !is_hot && seen >= self.hot_cfg.promote_accesses {
-                self.promote(slot);
-            } else if is_hot && seen < self.hot_cfg.demote_accesses {
-                self.demote(slot);
-            }
-        }
-    }
-
-    /// Promote one shard: build its replication harness (replicas are
-    /// copied under the data lock, so they start exactly in sync with
-    /// the primary) and install it. Holding the `hot` write lock for the
-    /// whole build excludes every reader/writer of the slot — from their
-    /// next operation on, they route through the harness.
-    fn promote(&self, slot: &ShardSlot) {
-        let mut hot = slot.hot.write();
-        if hot.is_some() {
-            return;
-        }
-        let built = {
-            let data = slot.data.lock();
-            let built = Arc::new(HotShard::new(
-                &data,
-                self.hot_cfg.replicas,
-                Arc::clone(&self.stats),
-            ));
-            // Publish the hint while still holding the data mutex: any
-            // direct operation that acquires the mutex after this point
-            // re-checks the hint and re-routes, so the replica copy
-            // above can never miss a concurrent direct mutation.
-            slot.hinted_hot.store(true, Ordering::Relaxed);
-            built
-        };
-        *hot = Some(built);
-        self.stats.hot_promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Demote one shard back to the plain mutex path. The primary (in
-    /// `slot.data`) has every combined write applied, so dropping the
-    /// harness loses nothing; the replicas and log are freed with the
-    /// last in-flight `Arc`.
-    fn demote(&self, slot: &ShardSlot) {
-        let mut hot = slot.hot.write();
-        if hot.take().is_some() {
-            slot.hinted_hot.store(false, Ordering::Relaxed);
-            self.stats.hot_demotions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Route one write: through the flat combiner while the shard is
-    /// hot, directly under the data mutex otherwise. The `hot` read
-    /// guard is held across the whole operation — that is what makes
-    /// promotion/demotion atomic with respect to in-flight writes (a
-    /// promotion cannot copy replicas halfway through a direct write,
-    /// and a combiner write cannot race a demotion's final state).
-    fn apply_write<F>(
-        &self,
-        key: &[u8],
-        hot_op: F,
-        direct: impl FnOnce(&mut Shard) -> WriteOutcome,
-    ) -> WriteOutcome
-    where
-        F: FnOnce() -> WriteOp,
-    {
-        let sh = self.shard_index_of(key);
-        self.note_accesses(sh, 1);
-        let slot = &self.slots[sh];
-        slot.counters.writes.fetch_add(1, Ordering::Relaxed);
-        if !slot.hinted_hot.load(Ordering::Relaxed) {
-            // Cold fast path: no RwLock traffic. The hint is re-checked
-            // under the data mutex (see ShardSlot) — a concurrent
-            // promotion either waits for this write (and copies it) or
-            // flips the hint first, in which case we fall through.
-            let mut shard = slot.data.lock();
-            if !slot.hinted_hot.load(Ordering::Relaxed) {
-                return direct(&mut shard);
-            }
-        }
-        let hot = slot.hot.read();
-        if let Some(h) = hot.as_ref() {
-            h.write(hot_op(), &slot.data)
-        } else {
-            let mut shard = slot.data.lock();
-            direct(&mut shard)
-        }
+    /// The shard `key` routes to.
+    fn shard_of(&self, key: &[u8]) -> &Mutex<Shard> {
+        &self.shards[self.shard_index_of(key)]
     }
 
     /// Fetch one key.
     pub fn get(&self, key: &[u8]) -> Option<Value> {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         self.stats.get_txns.fetch_add(1, Ordering::Relaxed);
-        let h = shard::key_hash(key);
-        let sh = (h & self.mask) as usize;
-        self.note_accesses(sh, 1);
-        let slot = &self.slots[sh];
-        let got = 'got: {
-            if !slot.hinted_hot.load(Ordering::Relaxed) {
-                // Cold fast path; hint re-checked under the data mutex
-                // because `get` mutates (LRU order, expired removal) and
-                // a promotion copying replicas mid-mutation would fork
-                // primary and replica LRU state.
-                let mut guard = slot.data.lock();
-                if !slot.hinted_hot.load(Ordering::Relaxed) {
-                    break 'got guard.get(key);
-                }
-            }
-            let hot = slot.hot.read();
-            if let Some(hs) = hot.as_ref() {
-                self.stats.replica_reads.fetch_add(1, Ordering::Relaxed);
-                let mut out = [None];
-                hs.read_many(std::iter::once((h, key, 0usize)), &mut out);
-                out[0].take()
-            } else {
-                slot.data.lock().get(key)
-            }
-        };
-        slot.counters.gets.fetch_add(1, Ordering::Relaxed);
+        let got = self.shard_of(key).lock().get(key);
         match got {
             Some(v) => {
-                slot.counters.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(v)
             }
@@ -515,50 +239,20 @@ impl Store {
         self.stats.count_get_batch(count);
         out.clear();
         out.resize(count, None);
-        scratch.begin(self.slots.len());
+        scratch.begin(self.shards.len());
         for i in 0..count {
             let h = shard::key_hash(key_at(i));
             scratch.push((h & self.mask) as usize, i, h);
         }
         let mut hits = 0usize;
         for &sh in &scratch.touched {
-            let slot = &self.slots[sh];
-            let batch = scratch.buckets[sh].entries.len() as u64;
-            self.note_accesses(sh, batch);
             let entries = scratch.buckets[sh]
                 .entries
                 .iter()
                 .map(|&(pos, h)| (h, key_at(pos), pos));
-            let shard_hits = 'serve: {
-                if !slot.hinted_hot.load(Ordering::Relaxed) {
-                    // Cold fast path (hint re-checked under the mutex,
-                    // see ShardSlot): one lock per touched shard, as in
-                    // the pre-replication design.
-                    #[cfg(test)]
-                    self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-                    let mut guard = slot.data.lock();
-                    if !slot.hinted_hot.load(Ordering::Relaxed) {
-                        break 'serve guard.get_many(entries, out);
-                    }
-                }
-                let hot = slot.hot.read();
-                if let Some(hs) = hot.as_ref() {
-                    // Hot shard: serve the whole sub-batch from this
-                    // thread's replica — no shared mutex on the read path.
-                    self.stats.replica_reads.fetch_add(batch, Ordering::Relaxed);
-                    hs.read_many(entries, out)
-                } else {
-                    #[cfg(test)]
-                    self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-                    let mut guard = slot.data.lock();
-                    guard.get_many(entries, out)
-                }
-            };
-            slot.counters.gets.fetch_add(batch, Ordering::Relaxed);
-            slot.counters
-                .hits
-                .fetch_add(shard_hits as u64, Ordering::Relaxed);
-            hits += shard_hits;
+            #[cfg(test)]
+            self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+            hits += self.shards[sh].lock().get_many(entries, out);
         }
         self.stats.hits.fetch_add(hits as u64, Ordering::Relaxed);
         self.stats
@@ -582,7 +276,7 @@ impl Store {
         let out: Vec<Option<Value>> = keys
             .iter()
             .map(|key| {
-                let v = self.slots[self.shard_index_of(key)].data.lock().get(key);
+                let v = self.shard_of(key).lock().get(key);
                 if v.is_some() {
                     hits += 1;
                 }
@@ -611,18 +305,9 @@ impl Store {
         ttl: Option<Duration>,
     ) -> SetOutcome {
         let outcome = self
-            .apply_write(
-                key,
-                || WriteOp::Set {
-                    key: Arc::from(key),
-                    value: Arc::from(value),
-                    flags,
-                    pinned,
-                    ttl,
-                },
-                |shard| WriteOutcome::Set(shard.set_full(key, value, flags, pinned, ttl)),
-            )
-            .into_set();
+            .shard_of(key)
+            .lock()
+            .set_full(key, value, flags, pinned, ttl);
         self.count_set(&outcome);
         outcome
     }
@@ -645,11 +330,9 @@ impl Store {
     ///
     /// The write-side analogue of [`Store::get_multi_with`]: keys are
     /// grouped by shard through the pooled `scratch`, then each touched
-    /// shard's sub-batch is applied under a single data-lock acquisition
-    /// and a single clock read (cold shards), or enqueued into the flat
-    /// combiner as one batch — one drained batch, one primary lock —
-    /// while the shard is hot. `outcomes` is cleared and refilled in
-    /// entry order. Entries are applied in batch order within each
+    /// shard's sub-batch is applied under a single lock acquisition and
+    /// a single clock read. `outcomes` is cleared and refilled in entry
+    /// order. Entries are applied in batch order within each
     /// shard, so duplicate keys resolve exactly as a sequential
     /// [`Store::set_with_ttl`] loop would (later entry wins); stats
     /// accounting matches the sequential loop per op.
@@ -677,69 +360,20 @@ impl Store {
     {
         outcomes.clear();
         outcomes.resize(count, SetOutcome::Stored { evicted: 0 });
-        scratch.begin(self.slots.len());
+        scratch.begin(self.shards.len());
         for i in 0..count {
             let h = shard::key_hash(entry_at(i).key);
             scratch.push((h & self.mask) as usize, i, h);
         }
         for &sh in &scratch.touched {
-            let slot = &self.slots[sh];
-            let bucket = &scratch.buckets[sh].entries;
-            let batch = bucket.len() as u64;
-            self.note_accesses(sh, batch);
-            slot.counters.writes.fetch_add(batch, Ordering::Relaxed);
-            'apply: {
-                if !slot.hinted_hot.load(Ordering::Relaxed) {
-                    // Cold fast path (hint re-checked under the mutex,
-                    // see ShardSlot): one lock and one clock read for
-                    // the whole sub-batch.
-                    #[cfg(test)]
-                    self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-                    let mut guard = slot.data.lock();
-                    if !slot.hinted_hot.load(Ordering::Relaxed) {
-                        let now = guard.now();
-                        for &(pos, h) in bucket {
-                            let e = entry_at(pos);
-                            outcomes[pos] = guard
-                                .set_full_hashed(h, e.key, e.value, e.flags, e.pinned, e.ttl, now);
-                        }
-                        break 'apply;
-                    }
-                }
-                let hot = slot.hot.read();
-                if let Some(hs) = hot.as_ref() {
-                    // Hot shard: the whole sub-batch enters the combiner
-                    // queue before combining starts, so it drains as one
-                    // batch — one log tick, one primary acquisition.
-                    let mut hot_out = Vec::with_capacity(bucket.len());
-                    hs.write_many(
-                        bucket.iter().map(|&(pos, _)| {
-                            let e = entry_at(pos);
-                            WriteOp::Set {
-                                key: Arc::from(e.key),
-                                value: Arc::from(e.value),
-                                flags: e.flags,
-                                pinned: e.pinned,
-                                ttl: e.ttl,
-                            }
-                        }),
-                        &slot.data,
-                        &mut hot_out,
-                    );
-                    for (&(pos, _), outcome) in bucket.iter().zip(hot_out) {
-                        outcomes[pos] = outcome.into_set();
-                    }
-                } else {
-                    #[cfg(test)]
-                    self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-                    let mut guard = slot.data.lock();
-                    let now = guard.now();
-                    for &(pos, h) in bucket {
-                        let e = entry_at(pos);
-                        outcomes[pos] =
-                            guard.set_full_hashed(h, e.key, e.value, e.flags, e.pinned, e.ttl, now);
-                    }
-                }
+            #[cfg(test)]
+            self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+            let mut guard = self.shards[sh].lock();
+            let now = guard.now();
+            for &(pos, h) in &scratch.buckets[sh].entries {
+                let e = entry_at(pos);
+                outcomes[pos] =
+                    guard.set_full_hashed(h, e.key, e.value, e.flags, e.pinned, e.ttl, now);
             }
         }
         // Stats are folded over the batch first — one atomic add per
@@ -779,50 +413,17 @@ impl Store {
     {
         deleted.clear();
         deleted.resize(count, false);
-        scratch.begin(self.slots.len());
+        scratch.begin(self.shards.len());
         for i in 0..count {
             let h = shard::key_hash(key_at(i));
             scratch.push((h & self.mask) as usize, i, h);
         }
         for &sh in &scratch.touched {
-            let slot = &self.slots[sh];
-            let bucket = &scratch.buckets[sh].entries;
-            let batch = bucket.len() as u64;
-            self.note_accesses(sh, batch);
-            slot.counters.writes.fetch_add(batch, Ordering::Relaxed);
-            'apply: {
-                if !slot.hinted_hot.load(Ordering::Relaxed) {
-                    #[cfg(test)]
-                    self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-                    let mut guard = slot.data.lock();
-                    if !slot.hinted_hot.load(Ordering::Relaxed) {
-                        for &(pos, h) in bucket {
-                            deleted[pos] = guard.delete_hashed(h, key_at(pos));
-                        }
-                        break 'apply;
-                    }
-                }
-                let hot = slot.hot.read();
-                if let Some(hs) = hot.as_ref() {
-                    let mut hot_out = Vec::with_capacity(bucket.len());
-                    hs.write_many(
-                        bucket.iter().map(|&(pos, _)| WriteOp::Delete {
-                            key: Arc::from(key_at(pos)),
-                        }),
-                        &slot.data,
-                        &mut hot_out,
-                    );
-                    for (&(pos, _), outcome) in bucket.iter().zip(hot_out) {
-                        deleted[pos] = outcome.into_deleted();
-                    }
-                } else {
-                    #[cfg(test)]
-                    self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-                    let mut guard = slot.data.lock();
-                    for &(pos, h) in bucket {
-                        deleted[pos] = guard.delete_hashed(h, key_at(pos));
-                    }
-                }
+            #[cfg(test)]
+            self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+            let mut guard = self.shards[sh].lock();
+            for &(pos, h) in &scratch.buckets[sh].entries {
+                deleted[pos] = guard.delete_hashed(h, key_at(pos));
             }
         }
         let removed = deleted.iter().filter(|&&d| d).count() as u64;
@@ -837,18 +438,7 @@ impl Store {
         flags: u32,
         ttl: Option<Duration>,
     ) -> Option<SetOutcome> {
-        let outcome = self
-            .apply_write(
-                key,
-                || WriteOp::Add {
-                    key: Arc::from(key),
-                    value: Arc::from(value),
-                    flags,
-                    ttl,
-                },
-                |shard| WriteOutcome::Conditional(shard.add(key, value, flags, ttl)),
-            )
-            .into_conditional();
+        let outcome = self.shard_of(key).lock().add(key, value, flags, ttl);
         if let Some(o) = &outcome {
             self.count_set(o);
         }
@@ -863,18 +453,7 @@ impl Store {
         flags: u32,
         ttl: Option<Duration>,
     ) -> Option<SetOutcome> {
-        let outcome = self
-            .apply_write(
-                key,
-                || WriteOp::Replace {
-                    key: Arc::from(key),
-                    value: Arc::from(value),
-                    flags,
-                    ttl,
-                },
-                |shard| WriteOutcome::Conditional(shard.replace(key, value, flags, ttl)),
-            )
-            .into_conditional();
+        let outcome = self.shard_of(key).lock().replace(key, value, flags, ttl);
         if let Some(o) = &outcome {
             self.count_set(o);
         }
@@ -890,19 +469,7 @@ impl Store {
         token: u64,
         ttl: Option<Duration>,
     ) -> CasOutcome {
-        let outcome = self
-            .apply_write(
-                key,
-                || WriteOp::Cas {
-                    key: Arc::from(key),
-                    value: Arc::from(value),
-                    flags,
-                    token,
-                    ttl,
-                },
-                |shard| WriteOutcome::Cas(shard.cas(key, value, flags, token, ttl)),
-            )
-            .into_cas();
+        let outcome = self.shard_of(key).lock().cas(key, value, flags, token, ttl);
         match outcome {
             CasOutcome::Stored => {
                 self.stats.cas_ok.fetch_add(1, Ordering::Relaxed);
@@ -921,17 +488,7 @@ impl Store {
 
     /// `incr` (`negative = false`) / `decr` (`negative = true`).
     pub fn arith(&self, key: &[u8], delta: u64, negative: bool) -> ArithOutcome {
-        let outcome = self
-            .apply_write(
-                key,
-                || WriteOp::Arith {
-                    key: Arc::from(key),
-                    delta,
-                    negative,
-                },
-                |shard| WriteOutcome::Arith(shard.arith(key, delta, negative)),
-            )
-            .into_arith();
+        let outcome = self.shard_of(key).lock().arith(key, delta, negative);
         match outcome {
             ArithOutcome::Value(_) => {
                 let hits = if negative {
@@ -962,34 +519,12 @@ impl Store {
     /// included); returns how many were removed. `len()`/`mem_used()`
     /// reflect the sweep immediately.
     pub fn sweep_expired(&self) -> usize {
-        // Hot shards are skipped: sweeping the primary behind the
-        // combiner's back would diverge it from the replicas (the removal
-        // never enters the op log). Hot shards still expire entries lazily
-        // on read/write, and a later sweep after demotion reclaims them.
-        self.slots
-            .iter()
-            .map(|slot| {
-                let hot = slot.hot.read();
-                if hot.is_some() {
-                    0
-                } else {
-                    slot.data.lock().sweep_expired()
-                }
-            })
-            .sum()
+        self.shards.iter().map(|s| s.lock().sweep_expired()).sum()
     }
 
     /// Delete a key; true if it existed.
     pub fn delete(&self, key: &[u8]) -> bool {
-        let deleted = self
-            .apply_write(
-                key,
-                || WriteOp::Delete {
-                    key: Arc::from(key),
-                },
-                |shard| WriteOutcome::Deleted(shard.delete(key)),
-            )
-            .into_deleted();
+        let deleted = self.shard_of(key).lock().delete(key);
         if deleted {
             self.stats.deletes.fetch_add(1, Ordering::Relaxed);
         }
@@ -998,7 +533,7 @@ impl Store {
 
     /// Entries across all shards.
     pub fn len(&self) -> usize {
-        self.slots.iter().map(|s| s.data.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// True if the store holds nothing.
@@ -1008,7 +543,7 @@ impl Store {
 
     /// Bytes accounted across all shards.
     pub fn mem_used(&self) -> usize {
-        self.slots.iter().map(|s| s.data.lock().mem_used()).sum()
+        self.shards.iter().map(|s| s.lock().mem_used()).sum()
     }
 
     /// Counter snapshot.
@@ -1084,7 +619,7 @@ mod tests {
         }
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
         let distinct: std::collections::HashSet<usize> =
-            refs.iter().map(|k| store.shard_index(k)).collect();
+            refs.iter().map(|k| store.shard_index_of(k)).collect();
         assert!(distinct.len() > 1, "keys should span several shards");
 
         store.multi_lock_acquisitions.store(0, Ordering::Relaxed);
@@ -1116,7 +651,7 @@ mod tests {
             })
             .collect();
         let distinct: std::collections::HashSet<usize> =
-            keys.iter().map(|k| store.shard_index(k)).collect();
+            keys.iter().map(|k| store.shard_index_of(k)).collect();
         assert!(distinct.len() > 1, "keys should span several shards");
 
         let mut scratch = GetScratch::new();
@@ -1255,7 +790,7 @@ mod tests {
             .collect();
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
         let covered: std::collections::HashSet<usize> =
-            refs.iter().map(|k| store.shard_index(k)).collect();
+            refs.iter().map(|k| store.shard_index_of(k)).collect();
         assert_eq!(covered.len(), 8, "64 keys must cover all 8 shards");
         for (i, k) in keys.iter().enumerate() {
             store.set(k, format!("v{i}").as_bytes(), 0, false);
@@ -1335,6 +870,32 @@ mod tests {
         let s = store.stats();
         assert!(s.evictions > 0, "pressure should evict");
         assert!(s.curr_items < 1000);
+    }
+
+    /// More accesses than one 2^16-access window, all on one shard.
+    const BUSY_SHARD_ACCESSES: u32 = (1 << 16) + 1024;
+
+    #[test]
+    fn reads_keep_a_hot_key_resident_on_a_busy_shard() {
+        // LRU order sees every read however busy the shard: the key read
+        // most outlives the new keys that force evictions after it.
+        let store = Store::with_shards(16 * 1024, 1);
+        store.set(b"hot", b"v", 0, false);
+        for i in 0..BUSY_SHARD_ACCESSES {
+            if i % 4 == 0 {
+                assert!(store.get(b"hot").is_some());
+            } else {
+                store.get(format!("cold-{}", i % 64).as_bytes());
+            }
+        }
+        for i in 0..2_000u32 {
+            store.set(format!("new-{i}").as_bytes(), &[0u8; 10], 0, false);
+            assert!(
+                store.get(b"hot").is_some(),
+                "hot key evicted after {i} new keys"
+            );
+        }
+        assert!(store.stats().evictions > 0, "new keys must force evictions");
     }
 
     #[test]
@@ -1435,112 +996,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_counters_readable_without_data_lock() {
-        let store = Store::with_shards(1 << 20, 1);
-        store.set(b"k", b"v", 0, false);
-        store.get(b"k");
-        store.get(b"missing");
-        store.get_multi(&[b"k", b"missing"]);
-        let c = store.shard_counters(0);
-        assert_eq!(c.writes, 1);
-        assert_eq!(c.gets, 4);
-        assert_eq!(c.hits, 2);
-    }
-
-    /// Drives a shard through the full lifecycle: cold → promoted (hot,
-    /// replica reads + combined writes) → demoted back to the mutex path,
-    /// with the data surviving each transition.
-    #[test]
-    fn hot_promotion_and_demotion_cycle() {
-        let cfg = HotConfig {
-            window: 64,
-            promote_accesses: 32,
-            demote_accesses: 16,
-            replicas: 2,
-        };
-        let store = Store::with_config(1 << 20, 2, Clock::real(), cfg);
-
-        // Find one key per shard so we can steer the access skew.
-        let mut k0 = None;
-        let mut k1 = None;
-        for i in 0u32..64 {
-            let key = format!("key-{i}").into_bytes();
-            match store.shard_index(&key) {
-                0 if k0.is_none() => k0 = Some(key),
-                1 if k1.is_none() => k1 = Some(key),
-                _ => {}
-            }
-        }
-        let (k0, k1) = (k0.unwrap(), k1.unwrap());
-
-        store.set(&k0, b"v0", 0, false);
-        assert!(!store.shard_is_hot(0));
-
-        // Skewed load: shard 0 dominates the window → promoted.
-        for _ in 0..200 {
-            store.get(&k0);
-        }
-        assert!(store.shard_is_hot(0));
-        assert!(store.stats().hot_promotions >= 1);
-
-        // Pre-promotion data is visible through the replicas, and writes
-        // funnel through the combiner while staying readable.
-        assert_eq!(&store.get(&k0).unwrap().data[..], b"v0");
-        store.set(&k0, b"v1", 0, false);
-        assert_eq!(&store.get(&k0).unwrap().data[..], b"v1");
-        let s = store.stats();
-        assert!(s.combiner_batches >= 1);
-        assert!(s.log_appends >= 1);
-        assert!(s.replica_reads >= 1);
-
-        // Shift the skew to shard 1: shard 0 falls under the demotion
-        // floor at the next window roll and reverts to the mutex path.
-        store.set(&k1, b"w", 0, false);
-        for _ in 0..300 {
-            store.get(&k1);
-        }
-        assert!(!store.shard_is_hot(0));
-        assert!(store.stats().hot_demotions >= 1);
-
-        // The primary absorbed every combined write before demotion.
-        assert_eq!(&store.get(&k0).unwrap().data[..], b"v1");
-    }
-
-    /// `HotConfig::disabled` must never promote, no matter the skew.
-    #[test]
-    fn disabled_hot_config_never_promotes() {
-        let store = Store::with_config(1 << 20, 1, Clock::real(), HotConfig::disabled());
-        store.set(b"k", b"v", 0, false);
-        for _ in 0..500 {
-            store.get(b"k");
-        }
-        assert!(!store.shard_is_hot(0));
-        assert_eq!(store.stats().hot_promotions, 0);
-    }
-
-    /// Expired entries in a hot shard are skipped by `sweep_expired`
-    /// (sweeping behind the combiner would fork primary and replicas) but
-    /// still expire from the reader's point of view.
-    #[test]
-    fn sweep_skips_hot_shards_but_reads_still_expire() {
+    fn sweep_reclaims_expired_entries_on_a_busy_shard() {
         use crate::clock::TestClock;
         use std::time::Duration;
 
         let clock = TestClock::new();
-        let cfg = HotConfig {
-            window: 8,
-            promote_accesses: 4,
-            demote_accesses: 1,
-            replicas: 1,
-        };
-        let store = Store::with_config(1 << 20, 1, clock.clone().into(), cfg);
+        let store = Store::with_clock(1 << 20, 1, clock.clone().into());
         store.set_with_ttl(b"t", b"1", 0, false, Some(Duration::from_secs(5)));
-        for _ in 0..32 {
-            store.get(b"t");
+        store.set(b"keep", b"2", 0, false);
+        for _ in 0..BUSY_SHARD_ACCESSES {
+            store.get(b"keep");
         }
-        assert!(store.shard_is_hot(0));
         clock.advance(Duration::from_secs(6));
-        assert_eq!(store.sweep_expired(), 0);
-        assert!(store.get(b"t").is_none());
+        assert_eq!(store.sweep_expired(), 1);
+        assert_eq!(store.len(), 1);
+        assert!(store.get(b"keep").is_some());
     }
 }

@@ -48,7 +48,17 @@ fn traffic_script(keys: &[String]) -> Vec<u8> {
 
 #[test]
 fn steady_state_serving_does_not_allocate() {
-    let store = Store::with_shards(1 << 22, 8);
+    assert_steady_state_allocation_free(8, 2);
+    // One pass is 100 store accesses, so 700 passes put more than 2^16
+    // on the single shard before anything is counted.
+    assert_steady_state_allocation_free(1, 700);
+}
+
+/// Serve the traffic script `warm_passes` times against a fresh
+/// `shards`-shard store, then require five more passes to make no
+/// allocator call at all.
+fn assert_steady_state_allocation_free(shards: usize, warm_passes: usize) {
+    let store = Store::with_shards(1 << 22, shards);
     let keys: Vec<String> = (0..20).map(|i| format!("key-{i}")).collect();
     for k in &keys {
         store.set(k.as_bytes(), &[b'0'; VALUE_LEN], 0, false);
@@ -58,7 +68,7 @@ fn steady_state_serving_does_not_allocate() {
 
     // Warm-up: grows every pooled buffer to the script's steady-state
     // shape (and leaves each value's Arc at refcount 1).
-    for _ in 0..2 {
+    for _ in 0..warm_passes {
         let served = drain_input(&store, &script, &mut scratch).expect("in-memory replies");
         assert_eq!(served, (script.len(), false), "whole script, no close");
     }
@@ -80,7 +90,7 @@ fn steady_state_serving_does_not_allocate() {
         assert_eq!(
             (allocs, reallocs, deallocs),
             (0, 0, 0),
-            "round {round}: the command loop touched the allocator"
+            "{shards} shards, round {round}: the command loop touched the allocator"
         );
     }
 

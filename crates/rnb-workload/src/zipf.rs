@@ -1,6 +1,5 @@
-//! Zipf-skewed Monte-Carlo requests — the contention workload behind
-//! hot-shard promotion (DESIGN.md "Flat combining & hot-shard
-//! replication").
+//! Zipf-skewed Monte-Carlo requests — the skewed traffic behind the
+//! cluster harness's hot-key storm.
 //!
 //! Uniform draws ([`UniformRequests`](crate::UniformRequests)) spread
 //! load evenly across shards; real key-value traffic concentrates on a

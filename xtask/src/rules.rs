@@ -759,28 +759,12 @@ pub const CLONE_PATTERNS: &[&str] = &[".clone()", ".cloned()", ".to_vec()", ".to
 /// `(file, fn, reason)` triples excused from R7. Same hygiene as the
 /// other allowlists: an entry whose function left the serving closure or
 /// no longer copies is reported stale.
-pub const CLONE_ALLOWLIST: &[(&str, &str, &str)] = &[
-    (
-        "crates/rnb-client/src/client.rs",
-        "multi_get",
-        "the returned values are owned; a duplicated request item needs its \
+pub const CLONE_ALLOWLIST: &[(&str, &str, &str)] = &[(
+    "crates/rnb-client/src/client.rs",
+    "multi_get",
+    "the returned values are owned; a duplicated request item needs its \
          own copy",
-    ),
-    (
-        "crates/rnb-store/src/shard.rs",
-        "replica_copy",
-        "hot-shard promotion snapshots the primary by deep-copying its index, \
-         node arena, and free list; the copy is the point. Runs once per \
-         promotion (amortised over a whole access window), never per request",
-    ),
-    (
-        "crates/rnb-store/src/shard.rs",
-        "clock_handle",
-        "Clock is an Arc-backed handle; cloning it shares the timeline (no \
-         data copy) so the hot shard's op log stamps ticks from the same \
-         source as the shard it replicates. Promotion-time only",
-    ),
-];
+)];
 
 /// R9 roots: the serving closure entry points held to transitive
 /// panic-freedom.
@@ -855,26 +839,6 @@ pub const PANIC_INVARIANT_REGISTRY: &[(&str, &str, &str, &str)] = &[
         ".copy_from_slice(",
         "the in-place overwrite arm is guarded by `buf.len() == value.len()` \
          in the same match pattern",
-    ),
-    (
-        "crates/rnb-store/src/replicated.rs",
-        "outcome_mismatch",
-        "unreachable!(",
-        "each WriteOp variant maps to exactly one WriteOutcome variant in \
-         `Dispatch::dispatch_mut` (Set→Set, Add/Replace→Conditional, Cas→Cas, \
-         Arith→Arith, Delete→Deleted), and every `into_*` accessor is called \
-         by the store wrapper that built the matching WriteOp variant, so the \
-         mismatch arm is statically dead; reaching it means dispatch itself \
-         was edited wrong, which the oracle proptest catches first",
-    ),
-    (
-        "crates/rnb-store/src/replicated.rs",
-        "take_result",
-        "unreachable!(",
-        "`WriteSlot::deliver` stores the outcome *before* the release-store \
-         of `done`, and `take_result` is only called after an acquire-load of \
-         `done` observed `true`, so the outcome slot cannot be empty — the \
-         release/acquire pair orders the two writes",
     ),
     (
         "crates/rnb-core/src/bundler.rs",
@@ -2023,36 +1987,6 @@ mod tests {
         assert_eq!(v[0].rule, "R10/lock-discipline");
         assert_eq!(v[0].line, 4);
         assert!(v[0].message.contains("rebalance"));
-        assert!(v[0].message.contains("another `.lock()`"));
-    }
-
-    #[test]
-    fn r10_combiner_nested_lock_regression_fails() {
-        // The hot-shard combiner's cardinal sin, as a fixture: applying
-        // a drained batch to the primary while also taking a replica's
-        // lock inside the same guard scope. The real `combine` /
-        // `catch_up` in replicated.rs keep the two acquisitions in
-        // disjoint scopes; this is the regression shape R10 must catch
-        // if that structure decays.
-        let files = vec![SourceFile::new(
-            "crates/rnb-store/src/replicated.rs",
-            "impl HotShard {\n\
-                 fn combine(&self, primary: &Mutex<Shard>) {\n\
-                     let mut shard = primary.lock();\n\
-                     for replica in &self.replicas {\n\
-                         let mut r = replica.data.lock();\n\
-                         r.apply();\n\
-                     }\n\
-                     drop(shard);\n\
-                 }\n\
-             }\n",
-        )];
-        let graph = CallGraph::build(&files);
-        let v = check_lock_discipline_with(&files, &graph, &[]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "R10/lock-discipline");
-        assert_eq!(v[0].line, 5);
-        assert!(v[0].message.contains("combine"));
         assert!(v[0].message.contains("another `.lock()`"));
     }
 
