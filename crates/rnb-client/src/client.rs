@@ -441,6 +441,17 @@ struct ReadScratch {
     /// Per server, the round-1 transactions left before its planned
     /// items stop carrying hitchhikers; sized by the fleet.
     countdown: Vec<u32>,
+    /// Per planner index, a bit per candidate position whose server
+    /// answered this request without the item (bit 0: distinguished).
+    refused: Vec<u32>,
+    /// Per server, whether a transaction to it failed in this request;
+    /// sized by the fleet.
+    failed: Vec<bool>,
+}
+
+/// The bit of candidate position `at` in a [`ReadScratch::refused`] mask.
+fn candidate_bit(at: usize) -> u32 {
+    1u32.checked_shl(at as u32).unwrap_or(0)
 }
 
 /// Clean round-1 transactions in a row after which a server's planned
@@ -555,6 +566,7 @@ impl RnbClient {
             stats: ClientStats::default(),
             read: ReadScratch {
                 countdown: vec![HITCHHIKE_WINDOW; addrs.len()],
+                failed: vec![false; addrs.len()],
                 ..ReadScratch::default()
             },
             batcher: WriteBatchPlanner::new(),
@@ -595,8 +607,8 @@ impl RnbClient {
     }
 
     /// Fetch `items` with full RnB treatment. Returns one entry per input
-    /// position; `None` means no server (including the distinguished
-    /// copy) holds the item.
+    /// position; `None` means the item's distinguished copy does not hold
+    /// it (if that server is down: no other replica does either).
     ///
     /// At steady state the call allocates the returned vector and one
     /// buffer per found value, nothing else: every value is copied once,
@@ -623,11 +635,16 @@ impl RnbClient {
             by_server,
             third,
             countdown,
+            refused,
+            failed,
         } = read;
         bundler.plan_into(plan_scratch, items, plan);
         let distinct = plan_scratch.items();
         slots.clear();
         slots.resize_with(distinct.len(), || None);
+        refused.clear();
+        refused.resize(distinct.len(), 0);
+        failed.fill(false);
 
         // Every planned item is one of `distinct`; looked up once.
         planned.clear();
@@ -700,14 +717,21 @@ impl RnbClient {
             |index, data| {
                 slots[index].get_or_insert_with(|| data.to_vec());
             },
+            // A key answered without, planned or hitchhiker, is refused.
             |txn, keys, answered, ok| {
                 let mut clean = ok;
-                for (key, &answered) in keys.iter().zip(answered).take(txn.planned) {
-                    if !(ok && answered) {
+                for (at, (key, &answered)) in keys.iter().zip(answered).enumerate() {
+                    if ok && !answered {
+                        let candidates = plan_scratch.candidates(key.index);
+                        let bit = candidates.iter().position(|&s| s == txn.server);
+                        refused[key.index] |= bit.map_or(0, candidate_bit);
+                    }
+                    if at < txn.planned && !(ok && answered) {
                         missed.push((key.index, txn.server));
                         clean = false;
                     }
                 }
+                failed[txn.server as usize] |= !ok;
                 if let Some(left) = countdown.get_mut(txn.server as usize) {
                     *left = if clean {
                         left.saturating_sub(1)
@@ -720,12 +744,15 @@ impl RnbClient {
 
         // Misses not rescued by hitchhikers → bundled distinguished
         // fallback (§III-D), one transaction per distinguished server in
-        // server order, each server's items in the order they missed.
+        // server order, each server's items in the order they missed, "if
+        // we did not yet fetch their distinguished copy" — else unavailable.
         stats.planned_misses += missed.len() as u64;
         by_server.clear();
         for (order, &(index, _)) in missed.iter().enumerate() {
             if slots[index].is_some() {
                 stats.rescued_by_hitchhikers += 1;
+            } else if refused[index] & candidate_bit(0) != 0 {
+                stats.unavailable_items += 1;
             } else {
                 let distinguished = plan_scratch.candidates(index).first();
                 by_server.push((distinguished.copied().unwrap_or_default(), order, index));
@@ -749,12 +776,13 @@ impl RnbClient {
             config.pipeline,
             |stats| stats.round2_txns += 1,
             |index, data| slots[index] = Some(data.to_vec()),
-            |_, keys, answered, ok| {
+            |txn, keys, answered, ok| {
                 if ok {
                     unavailable += answered.iter().filter(|&&answered| !answered).count() as u64;
                 } else {
                     // Even the distinguished server is down: survivor
                     // round over the remaining replicas.
+                    failed[txn.server as usize] = true;
                     third.extend(keys.iter().map(|key| key.index));
                 }
             },
@@ -764,6 +792,8 @@ impl RnbClient {
         // Round 3 (failure path only): per-item sweep over surviving
         // replicas. Lazy reconnection matters here — a restarted server
         // is dialed fresh instead of erroring forever on a dead stream.
+        // A server that failed in this request, or answered it without
+        // the item, is not asked again.
         for &index in third.iter() {
             let line = &mut wire.line;
             line.clear();
@@ -771,9 +801,12 @@ impl RnbClient {
             write_item_key(distinct[index], line);
             let key_end = line.len();
             line.extend_from_slice(b"\r\n");
-            for &server in plan_scratch.candidates(index) {
-                stats.round3_txns += 1;
+            for (at, &server) in plan_scratch.candidates(index).iter().enumerate() {
                 let s = server as usize;
+                if failed[s] || refused[index] & candidate_bit(at) != 0 {
+                    continue;
+                }
+                stats.round3_txns += 1;
                 let slot = &mut slots[index];
                 let reply = conn_for(conns, stats, s).and_then(|c| {
                     c.send_request(line)?;
@@ -787,7 +820,10 @@ impl RnbClient {
                 match reply {
                     Ok(()) if slot.is_some() => break,
                     Ok(()) => {}
-                    Err(_) => conns[s].mark_broken(),
+                    Err(_) => {
+                        conns[s].mark_broken();
+                        failed[s] = true;
+                    }
                 }
             }
             if slots[index].is_none() {
@@ -893,9 +929,9 @@ impl RnbClient {
         out
     }
 
-    /// Store `item` on all of its replica servers per the write policy.
-    /// The distinguished copy is written with `add`-then-`replace`
-    /// fallback to plain `set` — rnb-store pins via its in-process API,
+    /// Store `item` on all of its replica servers per the write policy:
+    /// the policy's invalidations first, one `delete` each, then one plain
+    /// `set` per written copy. rnb-store pins via its in-process API only,
     /// so over the wire the distinguished copy is an ordinary entry.
     pub fn set(&mut self, item: ItemId, value: &[u8]) -> io::Result<()> {
         let plan = self.writer.plan_write(item);

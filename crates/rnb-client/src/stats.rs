@@ -26,7 +26,8 @@ pub struct ClientStats {
     pub writebacks: u64,
     /// Write-back bursts sent: one per server a request writes back to.
     pub writeback_txns: u64,
-    /// Items the servers could not supply at all (not stored).
+    /// Items no server supplied. One its distinguished server answered
+    /// without in round 1 is counted at once, with no round-2 transaction.
     pub unavailable_items: u64,
     /// Write operations issued (all policies).
     pub writes: u64,

@@ -102,6 +102,32 @@ fn steady_state_requests_allocate_only_what_they_return() {
             }
         }
 
+        // An item gone from every copy and planned on its distinguished
+        // one: it misses there and is unavailable without a round 2. One
+        // buffer per value found and the vector, nothing for the flag.
+        let request: Vec<u64> = (0..13).map(|i| i * 17 + 3).collect();
+        let placement = client.bundler().placement();
+        let (gone, _) = client
+            .bundler()
+            .plan(&request)
+            .assignment()
+            .find(|&(item, server)| placement.replicas(item)[0] == server)
+            .expect("some item is planned on its distinguished copy");
+        for server in placement.replicas(gone) {
+            fleet[server as usize].store().delete(&item_key(gone));
+        }
+        client.multi_get(&request).unwrap();
+        let before = client.stats();
+        let ((allocs, reallocs, _), values) = count_alloc(|| client.multi_get(&request));
+        let found = values.unwrap().iter().flatten().count() as u64;
+        let d = client.stats().since(&before);
+        assert_eq!((found, d.unavailable_items), (request.len() as u64 - 1, 1));
+        assert_eq!(
+            (allocs, reallocs),
+            (found + 1, 0),
+            "{policy:?}: a multi_get whose distinguished copy misses allocates what it returns"
+        );
+
         // An absent item is no buffer. A request that names an item
         // twice gets copies: one buffer per value handed out, on top of
         // one per distinct value found.

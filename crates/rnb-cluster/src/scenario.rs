@@ -217,7 +217,8 @@ pub struct RoundStats {
     pub planned_misses: u64,
     /// Keys sent as hitchhikers.
     pub hitchhikers: u64,
-    /// Write-backs the servers acknowledged.
+    /// Write-backs sent: `noreply` sets, counted when they go out on a
+    /// live connection, never acknowledged.
     pub writebacks: u64,
     /// Write-back bursts (one per server a request wrote back to).
     pub writeback_txns: u64,

@@ -15,7 +15,8 @@
 //!   distinguished copy is alive are served there, the group whose
 //!   distinguished copy IS the victim fails again (`failed_txns`);
 //! * round 3: the survivor sweep walks each remaining item's replica
-//!   list and recovers it from the surviving copy (`round3_txns`);
+//!   list, skipping the victim whose transactions already failed, and
+//!   recovers it from the surviving copy (`round3_txns`);
 //! * write-back: none — every miss was at the victim, whose transaction
 //!   failed, so the client does not dial it again once per item.
 //!
@@ -113,8 +114,12 @@ fn kill_primary_replica_holder_mid_round() {
         "round-1 txn and the victim's round-2 txn both fail"
     );
     // ...and the survivor sweep recovers the 4 victim-distinguished
-    // items, trying the dead replica then the live one for each.
-    assert_eq!(d.round3_txns, 8, "4 items x (dead replica, live replica)");
+    // items from their live replica, without dialing the victim again:
+    // its transactions already failed in this request.
+    assert_eq!(
+        d.round3_txns, 4,
+        "4 items x live replica; the failed victim is skipped"
+    );
     assert_eq!(d.unavailable_items, 0, "k=2 loses nothing on one crash");
     assert_eq!(d.reconnects, 0, "failed dials are not reconnects");
     // Every recovered item missed at the victim, whose transactions

@@ -6,7 +6,7 @@ use crate::metrics::Metrics;
 use crate::server::SimServer;
 use rnb_core::{Bundler, FetchPlan, PlacementStrategy, PlanScratch, WritePolicy};
 use rnb_hash::{ItemId, Placement, ServerId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Per-request execution summary (the per-request slice of [`Metrics`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -217,6 +217,10 @@ impl SimCluster {
         };
         let mut satisfied: HashMap<ItemId, bool> = HashMap::with_capacity(plan.planned_items());
         let mut misses: Vec<(ItemId, ServerId)> = Vec::new();
+        // Items whose distinguished server missed them in round 1, planned
+        // there or probed there as a hitchhiker (only possible under
+        // `DistinguishedMode::InLru`).
+        let mut refused: HashSet<ItemId> = HashSet::new();
         for (ti, txn) in plan.transactions.iter().enumerate() {
             self.server_txns[txn.server as usize] += 1;
             let server = &mut self.servers[txn.server as usize];
@@ -231,6 +235,9 @@ impl SimCluster {
                     outcome.planned_misses += 1;
                     satisfied.entry(item).or_insert(false);
                     misses.push((item, txn.server));
+                    if placement.distinguished(item) == txn.server {
+                        refused.insert(item);
+                    }
                 }
             }
             for &item in &hitchhikers[ti] {
@@ -243,6 +250,8 @@ impl SimCluster {
                     self.metrics.hitchhiker_hits += 1;
                     returned += 1;
                     satisfied.insert(item, true);
+                } else if placement.distinguished(item) == txn.server {
+                    refused.insert(item);
                 }
             }
             self.metrics
@@ -264,17 +273,29 @@ impl SimCluster {
                     .push(item);
             }
         }
+        // Every unsatisfied item is a planned miss no hitchhiker rescued,
+        // refused ones included.
         outcome.rescued =
             outcome.planned_misses - second_round.values().map(Vec::len).sum::<usize>();
         self.metrics.misses_rescued_by_hitchhikers += outcome.rescued as u64;
-        // Deterministic iteration order for reproducibility.
+        // Deterministic iteration order for reproducibility: servers and
+        // each server's items sorted, so database refills (InLru) land in
+        // the same order on every run.
         let mut second_round: Vec<(ServerId, Vec<ItemId>)> = second_round.into_iter().collect();
         second_round.sort_unstable_by_key(|(s, _)| *s);
+        for (_, items) in &mut second_round {
+            items.sort_unstable();
+        }
         for (server, items) in &second_round {
-            self.server_txns[*server as usize] += 1;
             let srv = &mut self.servers[*server as usize];
+            let mut asked = 0;
             for &item in items {
-                if !srv.access(item) {
+                // A refused item is not asked again: it goes straight to
+                // the database fallback below, at the same point in the
+                // server's item order, so the cache evolves as if asked.
+                let refused = refused.contains(&item);
+                asked += usize::from(!refused);
+                if refused || !srv.access(item) {
                     // Only possible without the distinguished service
                     // class (DistinguishedMode::InLru): the copy was
                     // evicted, so the client falls back to the database
@@ -288,9 +309,12 @@ impl SimCluster {
                     srv.insert_replica(item);
                 }
             }
-            self.metrics.record_txn_size(items.len());
+            if asked > 0 {
+                outcome.round2_txns += 1;
+                self.server_txns[*server as usize] += 1;
+                self.metrics.record_txn_size(asked);
+            }
         }
-        outcome.round2_txns = second_round.len();
 
         // Miss write-back (§III-C2): the paper refills "only … the
         // replica that was the first to be picked by the greedy set cover
@@ -608,6 +632,45 @@ mod tests {
             0,
             "pinning must prevent database fetches"
         );
+    }
+
+    #[test]
+    fn in_lru_distinguished_miss_takes_no_second_round() {
+        // §III-D fetches a missed item in round 2 only "if we did not yet
+        // fetch their distinguished copy". Items lost from every copy and
+        // visited at their distinguished server in round 1 (planned there
+        // or hitchhiking) go straight to the database; only the others
+        // cost a round-2 transaction.
+        let cfg = SimConfig {
+            distinguished: DistinguishedMode::InLru,
+            ..SimConfig::basic(8, 3).with_hitchhiking(true)
+        };
+        let mut c = SimCluster::new(cfg, 1000);
+        let request: Vec<ItemId> = (0..30).map(|i| i * 7).collect();
+        let placement = c.bundler.placement();
+        for &item in &request {
+            for s in placement.replicas(item) {
+                assert!(c.servers[s as usize].remove_replica(item));
+            }
+        }
+        let homes: Vec<ServerId> = request
+            .iter()
+            .map(|&item| placement.distinguished(item))
+            .collect();
+        let plan = c.bundler.plan(&request);
+        let visited: HashSet<ServerId> = plan.transactions.iter().map(|t| t.server).collect();
+        let distinguished: HashSet<ServerId> = homes.iter().copied().collect();
+        let unvisited = distinguished.difference(&visited).count();
+        assert!(unvisited < distinguished.len(), "{visited:?}");
+
+        let out = c.execute(&request);
+        assert_eq!((out.planned_misses, out.rescued), (30, 0));
+        assert_eq!(out.round2_txns, unvisited, "one per unvisited server");
+        assert_eq!(out.items_delivered, 30);
+        assert_eq!(c.metrics().db_fetches, 30, "every item still falls back");
+        for (&item, &home) in request.iter().zip(&homes) {
+            assert!(c.server(home).holds(item));
+        }
     }
 
     #[test]
