@@ -23,7 +23,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rnb_core::{Bundler, PlacementStrategy, PlanScratch, RnbConfig};
+use rnb_core::{Bundler, FetchPlan, PlacementStrategy, PlanScratch, PlanTarget, RnbConfig};
 use rnb_cover::{greedy_cover_reference, CoverInstance, CoverTarget, Planner};
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -76,11 +76,11 @@ fn bench_plan_limit(c: &mut Criterion) {
     let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
     for &limit in &[100usize, 90, 50] {
         group.bench_with_input(BenchmarkId::new("min_items", limit), &limit, |b, &limit| {
-            let mut scratch = PlanScratch::new();
+            let (mut scratch, mut plan) = (PlanScratch::new(), FetchPlan::default());
             let mut i = 0;
             b.iter(|| {
-                let plan =
-                    bundler.plan_limit_with(&mut scratch, black_box(&reqs[i % reqs.len()]), limit);
+                let request = black_box(&reqs[i % reqs.len()]);
+                bundler.plan_into(&mut scratch, request, PlanTarget::AtLeast(limit), &mut plan);
                 i += 1;
                 black_box(plan.tpr())
             })

@@ -12,7 +12,7 @@
 
 use rnb_analysis::montecarlo::{tpr_stats, McConfig};
 use rnb_analysis::urn;
-use rnb_core::{Bundler, RnbConfig};
+use rnb_core::{Bundler, FetchPlan, PlanScratch, PlanTarget, RnbConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -139,15 +139,15 @@ fn cmd_plan(opts: &[(String, String)]) -> Result<String, String> {
     }
     let seed: u64 = get_num(opts, "seed", Some(RnbConfig::new(1, 1).seed))?;
     let bundler = Bundler::from_config(&RnbConfig::new(servers, replicas).with_seed(seed));
-    let plan = if let Some(limit) = get(opts, "limit") {
-        let k: usize = limit.parse().map_err(|_| "--limit: not a number")?;
-        bundler.plan_limit(&items, k)
+    let target = if let Some(limit) = get(opts, "limit") {
+        PlanTarget::AtLeast(limit.parse().map_err(|_| "--limit: not a number")?)
     } else if let Some(budget) = get(opts, "budget") {
-        let t: usize = budget.parse().map_err(|_| "--budget: not a number")?;
-        bundler.plan_budget(&items, t)
+        PlanTarget::MaxTxns(budget.parse().map_err(|_| "--budget: not a number")?)
     } else {
-        bundler.plan(&items)
+        PlanTarget::Full
     };
+    let mut plan = FetchPlan::default();
+    bundler.plan_into(&mut PlanScratch::new(), &items, target, &mut plan);
     let mut out = format!(
         "{} items over {servers} servers (k={replicas}): {} transaction(s), {} item(s) planned\n",
         plan.requested,

@@ -3,8 +3,8 @@
 use crate::keys::{item_key, write_item_key};
 use crate::stats::ClientStats;
 use rnb_core::{
-    Bundler, FetchPlan, PlacementStrategy, PlanScratch, RnbConfig, WriteBatchPlanner, WriteGroup,
-    WritePlanner, WritePolicy,
+    Bundler, PlacementStrategy, PlanTarget, ReadEngine, RnbConfig, Round, Transport,
+    WriteBatchPlanner, WriteGroup, WritePlanner, WritePolicy,
 };
 use rnb_hash::{ItemId, Placement, ServerId};
 use rnb_store::{StorageOp, StoreClient};
@@ -20,7 +20,8 @@ pub struct RnbClientConfig {
     pub rnb: RnbConfig,
     /// Append hitchhikers to planned transactions (§III-C2) — for items
     /// planned on a server that has missed within its last
-    /// [`HITCHHIKE_WINDOW`] round-1 transactions. Off: never.
+    /// [`HITCHHIKE_WINDOW`](rnb_core::HITCHHIKE_WINDOW) round-1
+    /// transactions. Off: never.
     pub hitchhiking: bool,
     /// Write recovered misses back to the planned replica (§III-C2), in
     /// one pipelined burst of `noreply` sets per server that nothing
@@ -128,8 +129,8 @@ impl ServerConn {
 }
 
 /// Borrow-splitting helper: fetch (lazily reconnecting) the connection
-/// for `server` while `stats` counts the reconnect. A free function so
-/// `multi_get` can call it while holding borrows of the planner fields.
+/// for `server` while `stats` counts the reconnect. A free function so a
+/// caller can hold borrows of the request's other buffers meanwhile.
 fn conn_for<'a>(
     conns: &'a mut [ServerConn],
     stats: &mut ClientStats,
@@ -152,8 +153,8 @@ struct Burst {
 /// Execute one write phase, one storage burst per server: every burst
 /// is sent before any reply is read (the read rounds' pipelining on the
 /// write side, so a phase costs one RTT, not the sum of per-server
-/// RTTs); with `pipeline` off, the same loop over batches of one, as in
-/// [`run_round`]. `op(i)` builds op `i` of the phase as it goes out, so
+/// RTTs); with `pipeline` off, the same loop over batches of one, as the
+/// read rounds do. `op(i)` builds op `i` of the phase as it goes out, so
 /// no op list is collected. `count` bumps the phase's transaction
 /// counter once per burst.
 ///
@@ -210,19 +211,16 @@ fn run_write_bursts<'o>(
 
 /// A `from..to` range that is `Copy`, which std's is not.
 #[derive(Clone, Copy, Default)]
-struct Span {
-    from: usize,
-    to: usize,
-}
+struct Span(usize, usize);
 
 impl Span {
     fn range(self) -> Range<usize> {
-        self.from..self.to
+        self.0..self.1
     }
 }
 
-/// Wire keys back to back in one pooled buffer, each addressed by the
-/// position it was pushed at.
+/// Wire keys in one pooled buffer, each addressed by the position it was
+/// pushed at.
 #[derive(Default)]
 struct KeyArena {
     bytes: Vec<u8>,
@@ -238,8 +236,7 @@ impl KeyArena {
     fn push(&mut self, item: ItemId) {
         let from = self.bytes.len();
         write_item_key(item, &mut self.bytes);
-        let to = self.bytes.len();
-        self.spans.push(Span { from, to });
+        self.spans.push(Span(from, self.bytes.len()));
     }
 
     /// The `i`-th key pushed.
@@ -252,217 +249,167 @@ impl KeyArena {
     }
 }
 
-/// One key of a read round.
-struct WireKey {
-    /// Its bytes, as a range of [`Wire::line`].
-    span: Span,
-    /// The planner index ([`PlanScratch::items`]) of its item.
-    index: usize,
-}
-
-/// One transaction of a read round, as laid out in a [`Wire`].
-struct WireTxn {
-    server: ServerId,
-    /// Its request line, as a range of [`Wire::line`].
-    line: Span,
-    /// Its keys, as a range of [`Wire::keys`].
-    keys: Span,
-    /// How many of those keys the planner put there; hitchhikers follow.
-    planned: usize,
-    sent: bool,
-}
-
-/// The transactions of one read round, encoded for the wire into
-/// buffers that outlive the request: every request line back to back in
-/// one byte buffer, every key of every transaction in one table, and
-/// beside it whether the reply answered the key.
+/// The request lines of one read round, encoded for the wire into
+/// buffers that outlive the request: every line back to back in one
+/// byte buffer, which the spans of its keys point into.
 #[derive(Default)]
 struct Wire {
-    line: Vec<u8>,
-    keys: Vec<WireKey>,
-    answered: Vec<bool>,
-    txns: Vec<WireTxn>,
+    keys: KeyArena,
+    lines: Vec<Span>,
 }
 
 impl Wire {
-    fn clear(&mut self) {
-        self.line.clear();
+    /// One `get` line per transaction of `round`, its keys in order.
+    fn encode(&mut self, round: &Round<'_>) {
         self.keys.clear();
-        self.answered.clear();
-        self.txns.clear();
-    }
-
-    /// Open a `get` transaction to `server`; follow with [`Wire::key`]s
-    /// and close with [`Wire::end`].
-    fn begin(&mut self, server: ServerId) {
-        self.txns.push(WireTxn {
-            server,
-            line: Span {
-                from: self.line.len(),
-                to: self.line.len(),
-            },
-            keys: Span {
-                from: self.keys.len(),
-                to: self.keys.len(),
-            },
-            planned: 0,
-            sent: false,
-        });
-        self.line.extend_from_slice(b"get");
-    }
-
-    fn key(&mut self, item: ItemId, index: usize) {
-        self.line.push(b' ');
-        let from = self.line.len();
-        write_item_key(item, &mut self.line);
-        let span = Span {
-            from,
-            to: self.line.len(),
-        };
-        self.keys.push(WireKey { span, index });
-        self.answered.push(false);
-    }
-
-    /// Close the open transaction; its first `planned` keys are the
-    /// planner's.
-    fn end(&mut self, planned: usize) {
-        self.line.extend_from_slice(b"\r\n");
-        if let Some(txn) = self.txns.last_mut() {
-            txn.line.to = self.line.len();
-            txn.keys.to = self.keys.len();
-            txn.planned = planned;
+        self.lines.clear();
+        for txn in round.txns {
+            let from = self.keys.bytes.len();
+            self.keys.bytes.extend_from_slice(b"get");
+            for &index in &round.keys[txn.from..txn.to] {
+                self.keys.bytes.push(b' ');
+                self.keys.push(round.items[index]);
+            }
+            self.keys.bytes.extend_from_slice(b"\r\n");
+            self.lines.push(Span(from, self.keys.bytes.len()));
         }
     }
 }
 
-/// Run the transactions of `wire` as one read round. Pipelined, every
-/// request is sent before any reply is read, so the round costs one RTT
-/// and not the sum of the servers' RTTs; otherwise each reply is read
-/// directly after its request — the same loop over batches of one.
-///
-/// `count` bumps the round's transaction counter, once per transaction.
-/// `hit(index, data)` receives each answered key's planner index and
-/// its value, still in the connection's read buffer. `settle(txn, keys,
-/// answered, ok)` is called once per transaction, with its keys and
-/// which of them were answered, when it failed to send or once its reply
-/// is in.
-///
-/// An I/O error on a transaction (server down) is not fatal to the
-/// request: its items fall through to the later rounds — RnB's
-/// replication doubles as availability (the paper's remark that
-/// memcached-tier "data loss … is usually tolerable" becomes "server
-/// loss is tolerable" once every item has k homes). The failing
-/// connection is marked broken: the stream may be desynced, so later
-/// rounds must not reuse it.
-fn run_round(
-    conns: &mut [ServerConn],
-    stats: &mut ClientStats,
-    wire: &mut Wire,
-    pipeline: bool,
-    count: fn(&mut ClientStats),
-    mut hit: impl FnMut(usize, &[u8]),
-    mut settle: impl FnMut(&WireTxn, &[WireKey], &[bool], bool),
-) {
-    let Wire {
-        line,
-        keys,
-        answered,
-        txns,
-    } = wire;
-    let batch = if pipeline { txns.len().max(1) } else { 1 };
-    for batch in txns.chunks_mut(batch) {
-        for txn in batch.iter_mut() {
-            count(stats);
-            let s = txn.server as usize;
-            match conn_for(conns, stats, s).and_then(|c| c.send_request(&line[txn.line.range()])) {
-                Ok(()) => txn.sent = true,
-                Err(_) => {
-                    conns[s].mark_broken();
-                    stats.failed_txns += 1;
-                    let (keys, answered) = (&keys[txn.keys.range()], &answered[txn.keys.range()]);
-                    settle(txn, keys, answered, false);
+/// The fleet's connections and the buffers that carry requests over
+/// them: the read engine's [`Transport`], which copies each value once,
+/// out of its connection's read buffer into the slot of its planner
+/// index.
+struct Net {
+    conns: Vec<ServerConn>,
+    config: RnbClientConfig,
+    stats: ClientStats,
+    /// The encoded rounds of `multi_get`.
+    wire: Wire,
+    /// The found value of each planner index of the request in flight.
+    slots: Vec<Option<Vec<u8>>>,
+    write: WriteScratch,
+}
+
+impl Transport for Net {
+    /// Pipelined, every request of the round is sent before any reply is
+    /// read, so the round costs one RTT and not the sum of the servers'
+    /// RTTs; otherwise each reply is read directly after its request —
+    /// the same loop over batches of one.
+    ///
+    /// An I/O error on a transaction (server down) is not fatal to the
+    /// request: the engine takes its items to the later rounds — RnB's
+    /// replication doubles as availability (the paper's remark that
+    /// memcached-tier "data loss … is usually tolerable" becomes "server
+    /// loss is tolerable" once every item has k homes). The failing
+    /// connection is marked broken: the stream may be desynced, so later
+    /// rounds must not reuse it.
+    fn run_round(&mut self, round: Round<'_>) {
+        self.wire.encode(&round);
+        let (txns, wire) = (round.txns, &self.wire);
+        let batch = if self.config.pipeline {
+            txns.len().max(1)
+        } else {
+            1
+        };
+        for (first, chunk) in (0..).step_by(batch).zip(txns.chunks(batch)) {
+            for (t, txn) in (first..).zip(chunk) {
+                let s = txn.server as usize;
+                let line = &wire.keys.bytes[wire.lines[t].range()];
+                let sent = conn_for(&mut self.conns, &mut self.stats, s)
+                    .and_then(|c| c.send_request(line));
+                if sent.is_err() {
+                    self.conns[s].mark_broken();
+                    self.stats.failed_txns += 1;
+                    round.failed[t] = true;
+                }
+            }
+            for (t, txn) in (first..).zip(chunk) {
+                if round.failed[t] {
+                    continue;
+                }
+                let keys = &round.keys[txn.from..txn.to];
+                let (answered, slots) = (&mut round.answered[txn.from..txn.to], &mut self.slots);
+                let reply = match self.conns[txn.server as usize].active() {
+                    // Read from the exact connection that sent: a reconnect
+                    // here would wait for a reply that was never requested.
+                    Some(c) => c.recv_values(
+                        keys.len(),
+                        |i| wire.keys.get(txn.from + i),
+                        false,
+                        |i, data, _flags, _cas| {
+                            answered[i] = true;
+                            // The first answer wins: a hitchhiker may find
+                            // an item twice.
+                            slots[keys[i]].get_or_insert_with(|| data.to_vec());
+                        },
+                    ),
+                    // A later send on the same server broke the conn; treat
+                    // this pending reply as lost.
+                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
+                };
+                if reply.is_err() {
+                    self.conns[txn.server as usize].mark_broken();
+                    self.stats.failed_txns += 1;
+                    round.failed[t] = true;
                 }
             }
         }
-        for txn in batch.iter().filter(|txn| txn.sent) {
-            let s = txn.server as usize;
-            let keys = &keys[txn.keys.range()];
-            let answered = &mut answered[txn.keys.range()];
-            let reply = match conns[s].active() {
-                // Read from the exact connection that sent: a reconnect
-                // here would wait for a reply that was never requested.
-                Some(c) => c.recv_values(
-                    keys.len(),
-                    |i| &line[keys[i].span.range()],
-                    false,
-                    |i, data, _flags, _cas| {
-                        answered[i] = true;
-                        hit(keys[i].index, data);
-                    },
-                ),
-                // A later send on the same server broke the conn; treat
-                // this pending reply as lost.
-                None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-            };
-            if reply.is_err() {
-                conns[s].mark_broken();
-                stats.failed_txns += 1;
-            }
-            settle(txn, keys, answered, reply.is_ok());
+    }
+
+    /// One pipelined storage burst per server, each op a quiet `noreply`
+    /// set: a cache fill nobody reads back, so the request returns once
+    /// the bursts are sent, and whatever this client sends that server
+    /// later rides the same connection behind them. Write-back never
+    /// dials: a server whose connection a failed transaction broke in
+    /// this request, and nothing redialed since, is skipped — so a dead
+    /// node costs no connect per item. A failed burst marks its
+    /// connection broken like any other transaction.
+    fn write_back(&mut self, round: Round<'_>) {
+        if !self.config.writeback {
+            return;
         }
+        let WriteScratch {
+            keys, bursts, acks, ..
+        } = &mut self.write;
+        keys.clear();
+        for &index in round.keys {
+            keys.push(round.items[index]);
+        }
+        bursts.clear();
+        for txn in round.txns {
+            if self.conns[txn.server as usize].is_live() {
+                let (server, ops) = (txn.server, Span(txn.from, txn.to));
+                bursts.push(Burst {
+                    server,
+                    ops,
+                    sent: false,
+                });
+            }
+        }
+        let (keys, slots): (&KeyArena, &[Option<Vec<u8>>]) = (keys, &self.slots);
+        // Op `i` writes back the `i`-th key of the round.
+        let (acked, _) = run_write_bursts(
+            &mut self.conns,
+            &mut self.stats,
+            bursts,
+            self.config.pipeline,
+            |stats| stats.writeback_txns += 1,
+            |i| StorageOp::Set {
+                key: keys.get(i),
+                value: round
+                    .keys
+                    .get(i)
+                    .and_then(|&index| slots[index].as_deref())
+                    .unwrap_or_default(),
+                flags: 0,
+                noreply: true,
+            },
+            acks,
+        );
+        self.stats.writebacks += acked;
     }
 }
-
-/// Everything `multi_get` needs between its first line and its return
-/// value, kept across calls so that a steady-state request allocates
-/// only what it returns. Per-item state is indexed by the planner's own
-/// index space ([`PlanScratch::items`]: the request sorted and dedup'd).
-#[derive(Default)]
-struct ReadScratch {
-    plan_scratch: PlanScratch,
-    plan: FetchPlan,
-    /// Planner index of every planned item, in plan order (transactions,
-    /// then their items).
-    planned: Vec<usize>,
-    /// Server → its transaction in `plan`, sized by the fleet.
-    txn_of_server: Vec<Option<usize>>,
-    /// Per transaction of `plan`, the planner indices of its hitchhikers.
-    extras: Vec<Vec<usize>>,
-    wire: Wire,
-    /// The found value of each planner index.
-    slots: Vec<Option<Vec<u8>>>,
-    /// Planned fetches that missed: (planner index, the server asked).
-    missed: Vec<(usize, ServerId)>,
-    /// Round 2's fetches, then the write-backs: (server, arrival order,
-    /// planner index), sorted to group by server.
-    by_server: Vec<(ServerId, usize, usize)>,
-    /// Planner indices left to round 3.
-    third: Vec<usize>,
-    /// Per server, the round-1 transactions left before its planned
-    /// items stop carrying hitchhikers; sized by the fleet.
-    countdown: Vec<u32>,
-    /// Per planner index, a bit per candidate position whose server
-    /// answered this request without the item (bit 0: distinguished).
-    refused: Vec<u32>,
-    /// Per server, whether a transaction to it failed in this request;
-    /// sized by the fleet.
-    failed: Vec<bool>,
-}
-
-/// The bit of candidate position `at` in a [`ReadScratch::refused`] mask.
-fn candidate_bit(at: usize) -> u32 {
-    1u32.checked_shl(at as u32).unwrap_or(0)
-}
-
-/// Clean round-1 transactions in a row after which a server's planned
-/// items stop carrying hitchhikers. A planned miss or a failed
-/// transaction there re-arms the count; a client starts armed.
-/// Hitchhikers insure against misses (§III-C2), so they are paid for
-/// only where misses have been seen: at the per-transaction miss rates
-/// of overbooked or write-heavy fleets (≈ 0.7–0.8) 64 clean
-/// transactions in a row do not happen, and on a resident fleet the
-/// insurance costs each server its first 64 transactions.
-pub const HITCHHIKE_WINDOW: u32 = 64;
 
 /// Pooled buffers of the write bursts: `multi_set`'s phases and
 /// `multi_get`'s write-back.
@@ -499,10 +446,7 @@ impl WriteScratch {
         for group in groups {
             let from = order.len();
             order.extend(group.ops.iter().map(|&(_, entry)| entry));
-            let ops = Span {
-                from,
-                to: order.len(),
-            };
+            let ops = Span(from, order.len());
             bursts.push(Burst {
                 server: group.server,
                 ops,
@@ -528,17 +472,14 @@ impl WriteScratch {
 
 /// A connected RnB deployment client.
 pub struct RnbClient {
-    conns: Vec<ServerConn>,
+    net: Net,
     bundler: Bundler<PlacementStrategy>,
     writer: WritePlanner<PlacementStrategy>,
-    config: RnbClientConfig,
-    stats: ClientStats,
-    /// Pooled state of `multi_get`, planner scratch included.
-    read: ReadScratch,
+    /// The read path, planner scratch included.
+    read: ReadEngine,
     /// Pooled write-batch planner, reused across `multi_set` calls
     /// (same steady-state discipline as `read`, on the write side).
     batcher: WriteBatchPlanner,
-    write: WriteScratch,
 }
 
 impl RnbClient {
@@ -559,24 +500,24 @@ impl RnbClient {
             config.write_policy,
         );
         Ok(RnbClient {
-            conns,
             bundler,
             writer,
-            config,
-            stats: ClientStats::default(),
-            read: ReadScratch {
-                countdown: vec![HITCHHIKE_WINDOW; addrs.len()],
-                failed: vec![false; addrs.len()],
-                ..ReadScratch::default()
-            },
+            read: ReadEngine::new(config.hitchhiking),
             batcher: WriteBatchPlanner::new(),
-            write: WriteScratch::default(),
+            net: Net {
+                conns,
+                config,
+                stats: ClientStats::default(),
+                wire: Wire::default(),
+                slots: Vec::new(),
+                write: WriteScratch::default(),
+            },
         })
     }
 
     /// Number of servers in the deployment.
     pub fn num_servers(&self) -> usize {
-        self.conns.len()
+        self.net.conns.len()
     }
 
     /// Repoint server slot `server` at a new address.
@@ -590,7 +531,7 @@ impl RnbClient {
     /// ignored: membership changes (resizing the fleet) require a new
     /// client because they change the placement itself.
     pub fn set_server_addr(&mut self, server: usize, addr: SocketAddr) {
-        if let Some(slot) = self.conns.get_mut(server) {
+        if let Some(slot) = self.net.conns.get_mut(server) {
             slot.addr = addr;
             slot.mark_broken();
         }
@@ -598,7 +539,7 @@ impl RnbClient {
 
     /// Accumulated counters.
     pub fn stats(&self) -> ClientStats {
-        self.stats
+        self.net.stats
     }
 
     /// The planner (for tests and tooling).
@@ -606,7 +547,8 @@ impl RnbClient {
         &self.bundler
     }
 
-    /// Fetch `items` with full RnB treatment. Returns one entry per input
+    /// Fetch `items` with full RnB treatment: the `rnb-core` read engine
+    /// over this client's connections. Returns one entry per input
     /// position; `None` means the item's distinguished copy does not hold
     /// it (if that server is down: no other replica does either).
     ///
@@ -614,296 +556,34 @@ impl RnbClient {
     /// buffer per found value, nothing else: every value is copied once,
     /// out of its connection's read buffer into the slot of its item.
     pub fn multi_get(&mut self, items: &[ItemId]) -> io::Result<Vec<Option<Vec<u8>>>> {
-        let RnbClient {
-            conns,
-            bundler,
-            config,
-            stats,
-            read,
-            write,
-            ..
-        } = self;
-        let ReadScratch {
-            plan_scratch,
-            plan,
-            planned,
-            txn_of_server,
-            extras,
-            wire,
-            slots,
-            missed,
-            by_server,
-            third,
-            countdown,
-            refused,
-            failed,
-        } = read;
-        bundler.plan_into(plan_scratch, items, plan);
-        let distinct = plan_scratch.items();
-        slots.clear();
-        slots.resize_with(distinct.len(), || None);
-        refused.clear();
-        refused.resize(distinct.len(), 0);
-        failed.fill(false);
-
-        // Every planned item is one of `distinct`; looked up once.
-        planned.clear();
-        planned.extend(
-            plan.assignment()
-                .map(|(item, _)| plan_scratch.index_of(item).unwrap_or_default()),
-        );
-
-        // Hitchhikers (§III-C2): a planned item rides along on every
-        // other transaction of the plan that goes to one of its replica
-        // servers — while its planned server has missed lately (see
-        // `HITCHHIKE_WINDOW`). The replicas are the candidate table the
-        // plan was covered from; an item is planned once, its replicas
-        // are distinct servers and a server has one transaction, so no
-        // item reaches a transaction twice.
-        if extras.len() < plan.transactions.len() {
-            extras.resize_with(plan.transactions.len(), Vec::new);
-        }
-        for extra in &mut extras[..plan.transactions.len()] {
-            extra.clear();
-        }
-        if config.hitchhiking && plan.transactions.len() > 1 {
-            txn_of_server.clear();
-            txn_of_server.resize(conns.len(), None);
-            for (ti, txn) in plan.transactions.iter().enumerate() {
-                if let Some(slot) = txn_of_server.get_mut(txn.server as usize) {
-                    *slot = Some(ti);
-                }
-            }
-            let mut next = planned.iter();
-            for (ti, txn) in plan.transactions.iter().enumerate() {
-                let insured = countdown
-                    .get(txn.server as usize)
-                    .is_some_and(|&left| left > 0);
-                let of_txn = next.by_ref().take(txn.items.len());
-                for &index in of_txn.filter(|_| insured) {
-                    for &server in plan_scratch.candidates(index) {
-                        match txn_of_server.get(server as usize) {
-                            Some(&Some(tj)) if tj != ti => extras[tj].push(index),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-
-        // Round 1: the plan. Planned items first, hitchhikers after, so
-        // `planned` is a prefix length.
-        wire.clear();
-        let mut next = planned.iter();
-        for (txn, extra) in plan.transactions.iter().zip(extras.iter()) {
-            wire.begin(txn.server);
-            for (&item, &index) in txn.items.iter().zip(next.by_ref()) {
-                wire.key(item, index);
-            }
-            for &index in extra {
-                wire.key(distinct[index], index);
-            }
-            wire.end(txn.items.len());
-            stats.hitchhikers += extra.len() as u64;
-        }
-        missed.clear();
-        run_round(
-            conns,
-            stats,
-            wire,
-            config.pipeline,
-            |stats| stats.round1_txns += 1,
-            // The first answer wins: a hitchhiker may find an item twice.
-            |index, data| {
-                slots[index].get_or_insert_with(|| data.to_vec());
-            },
-            // A key answered without, planned or hitchhiker, is refused.
-            |txn, keys, answered, ok| {
-                let mut clean = ok;
-                for (at, (key, &answered)) in keys.iter().zip(answered).enumerate() {
-                    if ok && !answered {
-                        let candidates = plan_scratch.candidates(key.index);
-                        let bit = candidates.iter().position(|&s| s == txn.server);
-                        refused[key.index] |= bit.map_or(0, candidate_bit);
-                    }
-                    if at < txn.planned && !(ok && answered) {
-                        missed.push((key.index, txn.server));
-                        clean = false;
-                    }
-                }
-                failed[txn.server as usize] |= !ok;
-                if let Some(left) = countdown.get_mut(txn.server as usize) {
-                    *left = if clean {
-                        left.saturating_sub(1)
-                    } else {
-                        HITCHHIKE_WINDOW
-                    };
-                }
-            },
-        );
-
-        // Misses not rescued by hitchhikers → bundled distinguished
-        // fallback (§III-D), one transaction per distinguished server in
-        // server order, each server's items in the order they missed, "if
-        // we did not yet fetch their distinguished copy" — else unavailable.
-        stats.planned_misses += missed.len() as u64;
-        by_server.clear();
-        for (order, &(index, _)) in missed.iter().enumerate() {
-            if slots[index].is_some() {
-                stats.rescued_by_hitchhikers += 1;
-            } else if refused[index] & candidate_bit(0) != 0 {
-                stats.unavailable_items += 1;
-            } else {
-                let distinguished = plan_scratch.candidates(index).first();
-                by_server.push((distinguished.copied().unwrap_or_default(), order, index));
-            }
-        }
-        by_server.sort_unstable();
-        wire.clear();
-        for of_server in by_server.chunk_by(|a, b| a.0 == b.0) {
-            wire.begin(of_server[0].0);
-            for &(_, _, index) in of_server {
-                wire.key(distinct[index], index);
-            }
-            wire.end(0);
-        }
-        third.clear();
-        let mut unavailable = 0;
-        run_round(
-            conns,
-            stats,
-            wire,
-            config.pipeline,
-            |stats| stats.round2_txns += 1,
-            |index, data| slots[index] = Some(data.to_vec()),
-            |txn, keys, answered, ok| {
-                if ok {
-                    unavailable += answered.iter().filter(|&&answered| !answered).count() as u64;
-                } else {
-                    // Even the distinguished server is down: survivor
-                    // round over the remaining replicas.
-                    failed[txn.server as usize] = true;
-                    third.extend(keys.iter().map(|key| key.index));
-                }
-            },
-        );
-        stats.unavailable_items += unavailable;
-
-        // Round 3 (failure path only): per-item sweep over surviving
-        // replicas. Lazy reconnection matters here — a restarted server
-        // is dialed fresh instead of erroring forever on a dead stream.
-        // A server that failed in this request, or answered it without
-        // the item, is not asked again.
-        for &index in third.iter() {
-            let line = &mut wire.line;
-            line.clear();
-            line.extend_from_slice(b"get ");
-            write_item_key(distinct[index], line);
-            let key_end = line.len();
-            line.extend_from_slice(b"\r\n");
-            for (at, &server) in plan_scratch.candidates(index).iter().enumerate() {
-                let s = server as usize;
-                if failed[s] || refused[index] & candidate_bit(at) != 0 {
-                    continue;
-                }
-                stats.round3_txns += 1;
-                let slot = &mut slots[index];
-                let reply = conn_for(conns, stats, s).and_then(|c| {
-                    c.send_request(line)?;
-                    c.recv_values(
-                        1,
-                        |_| &line[4..key_end],
-                        false,
-                        |_, data, _, _| *slot = Some(data.to_vec()),
-                    )
-                });
-                match reply {
-                    Ok(()) if slot.is_some() => break,
-                    Ok(()) => {}
-                    Err(_) => {
-                        conns[s].mark_broken();
-                        failed[s] = true;
-                    }
-                }
-            }
-            if slots[index].is_none() {
-                stats.unavailable_items += 1;
-            }
-        }
-
-        // Write-back (§III-C2): each recovered miss goes back to the
-        // server it missed at, in one pipelined storage burst per server,
-        // each server's items in the order they missed. The bursts are
-        // quiet `noreply` sets, a cache fill nobody reads back, so the
-        // request returns once they are sent; whatever this client sends
-        // that server later rides the same connection behind them.
-        // Write-back never dials: a server whose connection a failed
-        // transaction broke in this request, and nothing redialed since,
-        // is skipped — so a dead node costs no connect per item. A failed
-        // burst marks its connection broken like any other transaction.
-        if config.writeback {
-            by_server.clear();
-            for (at, &(index, server)) in missed.iter().enumerate() {
-                let live = conns.get(server as usize).is_some_and(ServerConn::is_live);
-                if live && slots[index].is_some() {
-                    by_server.push((server, at, index));
-                }
-            }
-            by_server.sort_unstable();
-            let WriteScratch {
-                keys, bursts, acks, ..
-            } = write;
-            keys.clear();
-            bursts.clear();
-            for of_server in by_server.chunk_by(|a, b| a.0 == b.0) {
-                let from = keys.spans.len();
-                for &(_, _, index) in of_server {
-                    keys.push(distinct[index]);
-                }
-                let ops = Span {
-                    from,
-                    to: keys.spans.len(),
-                };
-                let server = of_server[0].0;
-                bursts.push(Burst {
-                    server,
-                    ops,
-                    sent: false,
-                });
-            }
-            // Op `i` writes back the `i`-th of `by_server`.
-            let (acked, _) = run_write_bursts(
-                conns,
-                stats,
-                bursts,
-                config.pipeline,
-                |stats| stats.writeback_txns += 1,
-                |i| StorageOp::Set {
-                    key: keys.get(i),
-                    value: by_server
-                        .get(i)
-                        .and_then(|&(_, _, index)| slots[index].as_deref())
-                        .unwrap_or_default(),
-                    flags: 0,
-                    noreply: true,
-                },
-                acks,
-            );
-            stats.writebacks += acked;
-        }
-
+        let net = &mut self.net;
+        // One slot per planner index, and the request has at least as
+        // many items as the planner has indices.
+        net.slots.clear();
+        net.slots.resize_with(items.len(), || None);
+        let c = self.read.fetch(&self.bundler, items, PlanTarget::Full, net);
+        let stats = &mut net.stats;
         stats.requests += 1;
+        stats.round1_txns += c.round1_txns;
+        stats.round2_txns += c.round2_txns;
+        stats.round3_txns += c.round3_txns;
+        stats.planned_misses += c.planned_misses;
+        stats.rescued_by_hitchhikers += c.rescued;
+        stats.hitchhikers += c.hitchhikers;
+        stats.unavailable_items += c.unavailable;
+
         // Each value moves out of its slot to its request position (a
         // request that came sorted and distinct is its own index space);
         // only an item requested more than once has to be copied.
-        let in_order = items == distinct;
-        let duplicates = distinct.len() < items.len();
+        let (scratch, slots) = (self.read.scratch(), &mut net.slots);
+        let in_order = items == scratch.items();
+        let duplicates = scratch.items().len() < items.len();
         let mut values = Vec::with_capacity(items.len());
         values.extend(items.iter().enumerate().map(|(position, &item)| {
             let index = if in_order {
                 position
             } else {
-                plan_scratch.index_of(item)?
+                scratch.index_of(item)?
             };
             if duplicates {
                 slots[index].clone()
@@ -922,9 +602,9 @@ impl RnbClient {
         server: usize,
         op: impl FnOnce(&mut StoreClient) -> io::Result<T>,
     ) -> io::Result<T> {
-        let out = conn_for(&mut self.conns, &mut self.stats, server).and_then(op);
+        let out = conn_for(&mut self.net.conns, &mut self.net.stats, server).and_then(op);
         if out.is_err() {
-            self.conns[server].mark_broken();
+            self.net.conns[server].mark_broken();
         }
         out
     }
@@ -938,13 +618,13 @@ impl RnbClient {
         let key = item_key(item);
         for txn in &plan.invalidations {
             self.with_conn(txn.server as usize, |c| c.delete(&key))?;
-            self.stats.write_txns += 1;
+            self.net.stats.write_txns += 1;
         }
         for txn in &plan.writes {
             self.with_conn(txn.server as usize, |c| c.set(&key, value, 0))?;
-            self.stats.write_txns += 1;
+            self.net.stats.write_txns += 1;
         }
-        self.stats.writes += 1;
+        self.net.stats.writes += 1;
         Ok(())
     }
 
@@ -971,21 +651,20 @@ impl RnbClient {
     /// error is returned after every burst has completed, so a partial
     /// failure never desyncs the surviving connections.
     pub fn multi_set<V: AsRef<[u8]>>(&mut self, entries: &[(ItemId, V)]) -> io::Result<()> {
-        if !self.config.pipeline {
+        if !self.net.config.pipeline {
             for (item, value) in entries {
                 self.set(*item, value.as_ref())?;
             }
             return Ok(());
         }
-        let RnbClient {
+        let Net {
             conns,
-            writer,
             stats,
-            batcher,
             write,
             ..
-        } = self;
-        let plan = batcher.plan_batch(writer, entries.iter().map(|&(item, _)| item));
+        } = &mut self.net;
+        let items = entries.iter().map(|&(item, _)| item);
+        let plan = self.batcher.plan_batch(&self.writer, items);
 
         // Every entry's key, encoded once; the ops of both phases are
         // built from them by batch index as they go out.
@@ -1031,9 +710,9 @@ impl RnbClient {
             // Each replica delete is a write-side transaction, counted
             // exactly like `set`'s invalidations (mixed-workload
             // accounting used to undercount here).
-            self.stats.write_txns += 1;
+            self.net.stats.write_txns += 1;
         }
-        self.stats.writes += 1;
+        self.net.stats.writes += 1;
         Ok(any)
     }
 
@@ -1049,7 +728,7 @@ impl RnbClient {
         let replicas = self.bundler.placement().replicas(item);
         for &server in &replicas[1..] {
             self.with_conn(server as usize, |c| c.delete(&key))?;
-            self.stats.write_txns += 1;
+            self.net.stats.write_txns += 1;
         }
         let d = replicas[0] as usize;
         loop {
@@ -1061,12 +740,12 @@ impl RnbClient {
                 ));
             };
             let next = f(&data);
-            self.stats.write_txns += 1;
+            self.net.stats.write_txns += 1;
             if self.with_conn(d, |c| c.cas(&key, &next, flags, token))? {
-                self.stats.writes += 1;
+                self.net.stats.writes += 1;
                 return Ok(next);
             }
-            self.stats.cas_retries += 1;
+            self.net.stats.cas_retries += 1;
         }
     }
 }

@@ -7,22 +7,14 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //!
 //! [`RnbClient`] connects to a fleet of `rnb-store` servers (or any
-//! memcached-text-protocol servers) and implements the full RnB read and
-//! write paths on top of `rnb-core`'s planner:
-//!
-//! * **Bundled multi-gets** (§III-A): one transaction per server chosen
-//!   by the greedy cover.
-//! * **Hitchhiking** (§III-C2): requested items with a replica on an
-//!   already-planned server are appended to that transaction — for
-//!   items planned on a server that has missed within its last
-//!   [`HITCHHIKE_WINDOW`] round-1 transactions.
-//! * **Miss fallback** (§III-D): items missing from round 1 are fetched
-//!   from their distinguished copies in a bundled second round.
-//! * **Write-back** (§III-C2): recovered round-1 misses are re-installed
-//!   on the planned replica server, one pipelined burst per server.
-//! * **Writes** (§III-G / §IV): update-all-replicas, or the atomic
-//!   invalidate-then-write scheme; [`RnbClient::atomic_update`] runs a
-//!   CAS loop on the distinguished copy.
+//! memcached-text-protocol servers). Its reads are `rnb-core`'s
+//! [`ReadEngine`](rnb_core::ReadEngine) over pipelined TCP: bundled
+//! multi-gets (§III-A), hitchhikers for servers that missed within
+//! their last [`HITCHHIKE_WINDOW`] round-1 transactions (§III-C2), the
+//! distinguished-copy fallback (§III-D) and write-back bursts. Its
+//! writes (§III-G / §IV) update every replica or run the atomic
+//! invalidate-then-write scheme; [`RnbClient::atomic_update`] runs a CAS
+//! loop on the distinguished copy.
 //!
 //! ```no_run
 //! use rnb_client::{RnbClient, RnbClientConfig};
@@ -39,6 +31,7 @@ mod client;
 mod keys;
 mod stats;
 
-pub use client::{RnbClient, RnbClientConfig, HITCHHIKE_WINDOW};
+pub use client::{RnbClient, RnbClientConfig};
 pub use keys::{item_key, parse_item_key};
+pub use rnb_core::HITCHHIKE_WINDOW;
 pub use stats::ClientStats;

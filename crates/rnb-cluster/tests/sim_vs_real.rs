@@ -1,14 +1,13 @@
 //! Differential test: the same (topology, workload, seed) cell run
-//! through `rnb-sim` and through a real process fleet must agree on
-//! transactions-per-request.
+//! through `rnb-sim` and through a real process fleet must cost the same
+//! transactions, round by round.
 //!
-//! Both sides share the planner (`rnb_core::Bundler`) and the placement
-//! config, and both run with ample memory and a fully resident universe,
-//! so neither should see planned misses — TPR reduces to the mean greedy
-//! cover size on an identical request sequence and the two numbers
-//! should match to within rounding. The declared tolerance (2% relative)
-//! leaves room for benign divergence (e.g. a future sim-side policy
-//! default) while still catching real sim/real drift permanently.
+//! Both sides run `rnb_core::ReadEngine` over the same planner and
+//! placement config, with hitchhiking on (the client's default), and
+//! both hold every replica of the universe, so neither misses. Only the
+//! transports differ — simulated servers on one side, TCP on the other —
+//! so any difference in transactions, planned misses or hitchhikers is
+//! drift between the two.
 
 use rnb_client::{RnbClient, RnbClientConfig};
 use rnb_cluster::{Cluster, NodeConfig};
@@ -21,13 +20,11 @@ const UNIVERSE: u64 = 512;
 const REQUEST_SIZE: usize = 8;
 const SEED: u64 = 0xD1FF;
 const REQUESTS: usize = 256;
-/// Declared sim-vs-real TPR tolerance (relative).
-const TOLERANCE: f64 = 0.02;
 
 #[test]
 fn sim_and_real_cluster_agree_on_tpr() {
     // Simulator side.
-    let sim = SimConfig::basic(SERVERS, REPLICATION);
+    let sim = SimConfig::basic(SERVERS, REPLICATION).with_hitchhiking(true);
     let rnb = sim.client_config();
     let mut stream = UniformRequests::new(UNIVERSE, REQUEST_SIZE, SEED);
     let metrics = run_experiment(
@@ -35,7 +32,6 @@ fn sim_and_real_cluster_agree_on_tpr() {
         UNIVERSE as usize,
         &mut stream,
     );
-    let sim_tpr = metrics.tpr();
     assert_eq!(metrics.planned_misses, 0, "unlimited sim memory");
 
     // Real side: same placement config (server count, hash, seed), same
@@ -61,10 +57,15 @@ fn sim_and_real_cluster_agree_on_tpr() {
     assert_eq!(d.requests, REQUESTS as u64);
     assert_eq!(d.unavailable_items, 0, "fully populated fleet");
     assert_eq!(d.failed_txns, 0, "healthy fleet");
-    let real_tpr = d.tpr();
-    assert!(
-        (real_tpr - sim_tpr).abs() <= TOLERANCE * sim_tpr,
-        "sim/real TPR drift: sim {sim_tpr:.4} vs real {real_tpr:.4} \
-         (tolerance {TOLERANCE})"
+    assert_eq!(
+        (d.round1_txns, d.round2_txns, d.round3_txns),
+        (metrics.round1_txns, metrics.round2_txns, 0),
+        "sim/real transactions per round"
     );
+    assert_eq!(d.planned_misses, metrics.planned_misses);
+    // A fresh engine is insured, so both sides sent hitchhikers — the
+    // same ones — until every server's gate closed.
+    assert!(d.hitchhikers > 0);
+    assert_eq!(d.hitchhikers, metrics.hitchhiker_probes);
+    assert_eq!(d.tpr(), metrics.tpr());
 }

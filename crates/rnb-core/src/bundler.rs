@@ -10,11 +10,11 @@ use rnb_hash::{ItemId, Placement, ServerId};
 /// turn a raw request into a [`FetchPlan`] — the dedup'd item list, the
 /// flat candidate table, and the cover [`Planner`]'s pooled scratch.
 ///
-/// Hold one per planning thread (the simulator keeps one per
-/// `SimCluster`, the client one per `RnbClient`) and pass it to the
-/// `*_into`/`*_with` planning entry points; after the first request of a
-/// given shape, planning performs no steady-state allocations (see
-/// `rnb-cover/tests/zero_alloc.rs` and the `planner` bench).
+/// Hold one per planning thread (every read engine keeps one) and pass
+/// it to [`Bundler::plan_into`] or [`Bundler::plan_with`]; after the
+/// first request of a given shape, planning performs no steady-state
+/// allocations (see `rnb-cover/tests/zero_alloc.rs` and the `planner`
+/// bench).
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     /// Sorted, dedup'd request items; cover item index `i` = `items[i]`.
@@ -54,10 +54,10 @@ impl PlanScratch {
     /// per-item state by this index needs no map of its own.
     ///
     /// ```
-    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, RnbConfig};
+    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, PlanTarget, RnbConfig};
     /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
     /// let (mut scratch, mut plan) = (PlanScratch::new(), FetchPlan::default());
-    /// bundler.plan_into(&mut scratch, &[9, 4, 9, 1], &mut plan);
+    /// bundler.plan_into(&mut scratch, &[9, 4, 9, 1], PlanTarget::Full, &mut plan);
     /// assert_eq!(scratch.items(), &[1, 4, 9]);
     /// ```
     pub fn items(&self) -> &[ItemId] {
@@ -67,10 +67,10 @@ impl PlanScratch {
     /// Position of `item` in [`PlanScratch::items`], if it was requested.
     ///
     /// ```
-    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, RnbConfig};
+    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, PlanTarget, RnbConfig};
     /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
     /// let (mut scratch, mut plan) = (PlanScratch::new(), FetchPlan::default());
-    /// bundler.plan_into(&mut scratch, &[9, 4, 1], &mut plan);
+    /// bundler.plan_into(&mut scratch, &[9, 4, 1], PlanTarget::Full, &mut plan);
     /// assert_eq!(scratch.index_of(4), Some(1));
     /// assert_eq!(scratch.index_of(5), None);
     /// ```
@@ -84,12 +84,12 @@ impl PlanScratch {
     /// item a second time. Empty for an index the last plan did not have.
     ///
     /// ```
-    /// use rnb_core::{Bundler, FetchPlan, Placement, PlanScratch, RnbConfig};
+    /// use rnb_core::{Bundler, FetchPlan, Placement, PlanScratch, PlanTarget, RnbConfig};
     /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
     /// let (mut scratch, mut plan) = (PlanScratch::new(), FetchPlan::default());
-    /// bundler.plan_into(&mut scratch, &[7, 3], &mut plan);
+    /// bundler.plan_into(&mut scratch, &[7, 3], PlanTarget::Full, &mut plan);
     /// assert_eq!(scratch.candidates(1), bundler.placement().replicas(7));
-    /// bundler.plan_into(&mut scratch, &[3], &mut plan);
+    /// bundler.plan_into(&mut scratch, &[3], PlanTarget::Full, &mut plan);
     /// assert_eq!(scratch.candidates(0), bundler.placement().replicas(3));
     /// assert!(scratch.candidates(1).is_empty());
     /// ```
@@ -99,6 +99,21 @@ impl PlanScratch {
             _ => &[],
         }
     }
+}
+
+/// How much of a request a plan must fetch: all of it, or one of the
+/// paper's two LIMIT forms (§III-F).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlanTarget {
+    /// Every distinct item.
+    Full,
+    /// At least this many distinct items, clamped to the request: "fetch
+    /// at least X of these items".
+    AtLeast(usize),
+    /// As many items as at most this many transactions carry: "as many
+    /// items as possible within X milliseconds", where per-transaction
+    /// latency dominates, so a deadline is a transaction budget.
+    MaxTxns(usize),
 }
 
 /// Plans multi-get requests over a replica placement.
@@ -180,39 +195,6 @@ impl<P: Placement> Bundler<P> {
         self.plan_with(&mut PlanScratch::new(), request)
     }
 
-    /// Plan a LIMIT fetch: at least `min_items` of `request` (§III-F).
-    /// `min_items` is clamped to the number of distinct requested items.
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 2));
-    /// let request: Vec<u64> = (0..40).collect();
-    /// let plan = bundler.plan_limit(&request, 20);
-    /// assert!(plan.planned_items() >= 20);
-    /// assert!(plan.tpr() <= bundler.plan(&request).tpr());
-    /// ```
-    pub fn plan_limit(&self, request: &[ItemId], min_items: usize) -> FetchPlan {
-        self.plan_limit_with(&mut PlanScratch::new(), request, min_items)
-    }
-
-    /// Plan a deadline fetch: as many of `request`'s items as at most
-    /// `max_transactions` server round-trips can carry — the paper's
-    /// second LIMIT form, "fetch as many items as possible out of the
-    /// following list within X milliseconds" (§III-F): per-transaction
-    /// latency dominates, so a deadline is a transaction budget.
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
-    /// let request: Vec<u64> = (0..60).collect();
-    /// let plan = bundler.plan_budget(&request, 2);
-    /// assert!(plan.tpr() <= 2);            // the cap is honoured…
-    /// assert!(plan.planned_items() > 2);   // …and each round-trip bundles
-    /// ```
-    pub fn plan_budget(&self, request: &[ItemId], max_transactions: usize) -> FetchPlan {
-        self.plan_budget_with(&mut PlanScratch::new(), request, max_transactions)
-    }
-
     /// [`Bundler::plan`] reusing `scratch`'s pooled buffers.
     ///
     /// ```
@@ -225,116 +207,32 @@ impl<P: Placement> Bundler<P> {
     /// ```
     pub fn plan_with(&self, scratch: &mut PlanScratch, request: &[ItemId]) -> FetchPlan {
         let mut out = FetchPlan::default();
-        self.plan_into(scratch, request, &mut out);
+        self.plan_into(scratch, request, PlanTarget::Full, &mut out);
         out
     }
 
-    /// [`Bundler::plan_limit`] reusing `scratch`'s pooled buffers.
+    /// Plan `request` towards `target`, overwriting `out` in place and
+    /// reusing its transaction buffers: with a warmed `scratch` and an
+    /// `out` of stable shape, planning makes zero allocator calls.
     ///
     /// ```
-    /// use rnb_core::{Bundler, PlanScratch, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 2));
-    /// let mut scratch = PlanScratch::new();
-    /// let request: Vec<u64> = (0..30).collect();
-    /// let plan = bundler.plan_limit_with(&mut scratch, &request, 10);
-    /// assert!(plan.planned_items() >= 10);
-    /// ```
-    pub fn plan_limit_with(
-        &self,
-        scratch: &mut PlanScratch,
-        request: &[ItemId],
-        min_items: usize,
-    ) -> FetchPlan {
-        let mut out = FetchPlan::default();
-        self.plan_limit_into(scratch, request, min_items, &mut out);
-        out
-    }
-
-    /// [`Bundler::plan_budget`] reusing `scratch`'s pooled buffers.
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, PlanScratch, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
-    /// let mut scratch = PlanScratch::new();
-    /// let request: Vec<u64> = (0..30).collect();
-    /// let plan = bundler.plan_budget_with(&mut scratch, &request, 3);
-    /// assert!(plan.tpr() <= 3);
-    /// ```
-    pub fn plan_budget_with(
-        &self,
-        scratch: &mut PlanScratch,
-        request: &[ItemId],
-        max_transactions: usize,
-    ) -> FetchPlan {
-        let mut out = FetchPlan::default();
-        self.plan_budget_into(scratch, request, max_transactions, &mut out);
-        out
-    }
-
-    /// Fully pooled [`Bundler::plan`]: overwrites `out` in place, reusing
-    /// its transaction buffers. With a warmed `scratch` and an `out` of
-    /// stable shape, planning makes zero allocator calls.
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
-    /// let mut scratch = PlanScratch::new();
-    /// let mut out = FetchPlan::default();
-    /// for round in 0..3u64 {
-    ///     // Same buffers every round; `out` is overwritten in place.
-    ///     bundler.plan_into(&mut scratch, &[round, round + 1], &mut out);
-    ///     assert_eq!(out.planned_items(), 2);
-    /// }
-    /// ```
-    pub fn plan_into(&self, scratch: &mut PlanScratch, request: &[ItemId], out: &mut FetchPlan) {
-        self.plan_target_into(scratch, request, Target::Full, out);
-    }
-
-    /// Fully pooled [`Bundler::plan_limit`]; see [`Bundler::plan_into`].
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 2));
-    /// let (mut scratch, mut out) = (PlanScratch::new(), FetchPlan::default());
-    /// let request: Vec<u64> = (0..30).collect();
-    /// bundler.plan_limit_into(&mut scratch, &request, 10, &mut out);
-    /// assert!(out.planned_items() >= 10);
-    /// ```
-    pub fn plan_limit_into(
-        &self,
-        scratch: &mut PlanScratch,
-        request: &[ItemId],
-        min_items: usize,
-        out: &mut FetchPlan,
-    ) {
-        self.plan_target_into(scratch, request, Target::AtLeast(min_items), out);
-    }
-
-    /// Fully pooled [`Bundler::plan_budget`]; see [`Bundler::plan_into`].
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, RnbConfig};
+    /// use rnb_core::{Bundler, FetchPlan, PlanScratch, PlanTarget, RnbConfig};
     /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
     /// let (mut scratch, mut out) = (PlanScratch::new(), FetchPlan::default());
-    /// let request: Vec<u64> = (0..30).collect();
-    /// bundler.plan_budget_into(&mut scratch, &request, 3, &mut out);
-    /// assert!(out.tpr() <= 3);
+    /// let request: Vec<u64> = (0..60).collect();
+    /// bundler.plan_into(&mut scratch, &request, PlanTarget::Full, &mut out);
+    /// let full = out.tpr();
+    /// assert_eq!(out.planned_items(), 60);
+    /// bundler.plan_into(&mut scratch, &request, PlanTarget::AtLeast(20), &mut out);
+    /// assert!(out.planned_items() >= 20 && out.tpr() <= full);
+    /// bundler.plan_into(&mut scratch, &request, PlanTarget::MaxTxns(2), &mut out);
+    /// assert!(out.tpr() <= 2 && out.planned_items() > 2); // each round-trip bundles
     /// ```
-    pub fn plan_budget_into(
+    pub fn plan_into(
         &self,
         scratch: &mut PlanScratch,
         request: &[ItemId],
-        max_transactions: usize,
-        out: &mut FetchPlan,
-    ) {
-        self.plan_target_into(scratch, request, Target::MaxTxns(max_transactions), out);
-    }
-
-    fn plan_target_into(
-        &self,
-        scratch: &mut PlanScratch,
-        request: &[ItemId],
-        target: Target,
+        target: PlanTarget,
         out: &mut FetchPlan,
     ) {
         let PlanScratch {
@@ -364,7 +262,7 @@ impl<P: Placement> Bundler<P> {
         // Fast path: one item → its distinguished copy (replica 0 either
         // way), no cover needed.
         if requested == 1 {
-            if matches!(target, Target::AtLeast(0) | Target::MaxTxns(0)) {
+            if matches!(target, PlanTarget::AtLeast(0) | PlanTarget::MaxTxns(0)) {
                 retire_from(&mut out.transactions, 0, spare);
                 return;
             }
@@ -388,9 +286,9 @@ impl<P: Placement> Bundler<P> {
             cand_off.push(cand_flat.len() as u32);
         }
         let cover_target = match target {
-            Target::Full => CoverTarget::Full,
-            Target::AtLeast(k) => CoverTarget::AtLeast(k.min(requested)),
-            Target::MaxTxns(t) => CoverTarget::MaxPicks(t),
+            PlanTarget::Full => CoverTarget::Full,
+            PlanTarget::AtLeast(k) => CoverTarget::AtLeast(k.min(requested)),
+            PlanTarget::MaxTxns(t) => CoverTarget::MaxPicks(t),
         };
         let cover = planner.solve_flat_candidates(cand_off, cand_flat, cover_target);
 
@@ -457,14 +355,6 @@ fn retire_from(transactions: &mut Vec<Transaction>, keep: usize, spare: &mut Vec
     }));
 }
 
-/// Internal planning target (maps onto [`CoverTarget`]).
-#[derive(Clone, Copy, Debug)]
-enum Target {
-    Full,
-    AtLeast(usize),
-    MaxTxns(usize),
-}
-
 /// Merge transactions targeting the same server in place, preserving
 /// first-seen order of servers. Items of a merged-away transaction are
 /// appended (moved, not copied) onto the first transaction for that
@@ -495,6 +385,19 @@ mod tests {
         Bundler::from_config(&RnbConfig::new(servers, replication))
     }
 
+    /// Servers the plan contacts: one transaction each, by construction.
+    fn distinct_servers(plan: &FetchPlan) -> usize {
+        let servers: std::collections::BTreeSet<_> =
+            plan.transactions.iter().map(|t| t.server).collect();
+        servers.len()
+    }
+
+    fn plan_for(b: &Bundler, request: &[ItemId], target: PlanTarget) -> FetchPlan {
+        let mut out = FetchPlan::default();
+        b.plan_into(&mut PlanScratch::new(), request, target, &mut out);
+        out
+    }
+
     #[test]
     fn plan_covers_all_items_once() {
         let b = bundler(16, 4);
@@ -503,7 +406,7 @@ mod tests {
         let mut fetched: Vec<ItemId> = plan.assignment().map(|(i, _)| i).collect();
         fetched.sort_unstable();
         assert_eq!(fetched, request, "every item fetched exactly once");
-        assert_eq!(plan.distinct_servers(), plan.tpr());
+        assert_eq!(distinct_servers(&plan), plan.tpr());
     }
 
     #[test]
@@ -573,7 +476,7 @@ mod tests {
         let b = bundler(16, 1);
         let request: Vec<ItemId> = (0..40).collect();
         let full = b.plan(&request);
-        let limited = b.plan_limit(&request, 20);
+        let limited = plan_for(&b, &request, PlanTarget::AtLeast(20));
         assert!(limited.planned_items() >= 20);
         assert!(limited.tpr() <= full.tpr());
         // With no replication on 16 servers, dropping half the items must
@@ -588,15 +491,15 @@ mod tests {
     fn limit_clamped_to_request_size() {
         let b = bundler(8, 2);
         let request: Vec<ItemId> = (0..10).collect();
-        let plan = b.plan_limit(&request, 1000);
+        let plan = plan_for(&b, &request, PlanTarget::AtLeast(1000));
         assert_eq!(plan.planned_items(), 10);
     }
 
     #[test]
     fn limit_zero_is_empty_plan() {
         let b = bundler(8, 2);
-        assert_eq!(b.plan_limit(&[1, 2, 3], 0).tpr(), 0);
-        assert_eq!(b.plan_limit(&[1], 0).tpr(), 0);
+        assert_eq!(plan_for(&b, &[1, 2, 3], PlanTarget::AtLeast(0)).tpr(), 0);
+        assert_eq!(plan_for(&b, &[1], PlanTarget::AtLeast(0)).tpr(), 0);
     }
 
     #[test]
@@ -605,7 +508,7 @@ mod tests {
         let request: Vec<ItemId> = (0..60).collect();
         let full = b.plan(&request);
         for budget in 0..=full.tpr() + 2 {
-            let plan = b.plan_budget(&request, budget);
+            let plan = plan_for(&b, &request, PlanTarget::MaxTxns(budget));
             assert!(
                 plan.tpr() <= budget,
                 "budget {budget} exceeded: {}",
@@ -620,7 +523,7 @@ mod tests {
             }
         }
         // A budget of 1 still fetches the single best bundle.
-        let one = b.plan_budget(&request, 1);
+        let one = plan_for(&b, &request, PlanTarget::MaxTxns(1));
         assert_eq!(one.tpr(), 1);
         assert!(
             one.planned_items() > 1,
@@ -634,7 +537,7 @@ mod tests {
         let request: Vec<ItemId> = (1000..1050).collect();
         let mut last = 0;
         for budget in 0..10 {
-            let got = b.plan_budget(&request, budget).planned_items();
+            let got = plan_for(&b, &request, PlanTarget::MaxTxns(budget)).planned_items();
             assert!(
                 got >= last,
                 "items fetched should not drop as the budget grows"
@@ -686,15 +589,19 @@ mod tests {
         for request in &requests {
             let full = b.plan_with(&mut scratch, request);
             assert_eq!(full.transactions, b.plan(request).transactions);
-            let lim = b.plan_limit_with(&mut scratch, request, 10);
-            assert_eq!(lim.transactions, b.plan_limit(request, 10).transactions);
-            let bud = b.plan_budget_with(&mut scratch, request, 3);
-            assert_eq!(bud.transactions, b.plan_budget(request, 3).transactions);
+            for target in [PlanTarget::AtLeast(10), PlanTarget::MaxTxns(3)] {
+                let mut pooled = FetchPlan::default();
+                b.plan_into(&mut scratch, request, target, &mut pooled);
+                assert_eq!(
+                    pooled.transactions,
+                    plan_for(&b, request, target).transactions
+                );
+            }
         }
         // plan_into reuses the output plan's transaction buffers too.
         let mut out = FetchPlan::default();
         for request in &requests {
-            b.plan_into(&mut scratch, request, &mut out);
+            b.plan_into(&mut scratch, request, PlanTarget::Full, &mut out);
             let fresh = b.plan(request);
             assert_eq!(out.transactions, fresh.transactions);
             assert_eq!(out.requested, fresh.requested);
@@ -756,7 +663,7 @@ mod tests {
             prop_assert_eq!(plan.requested, distinct.len());
             prop_assert_eq!(plan.planned_items(), distinct.len());
             prop_assert!(plan.tpr() <= distinct.len().min(16));
-            prop_assert_eq!(plan.distinct_servers(), plan.tpr());
+            prop_assert_eq!(distinct_servers(&plan), plan.tpr());
         }
 
         /// LIMIT plans never use more transactions than the full plan and
@@ -769,7 +676,7 @@ mod tests {
         ) {
             let b = bundler(16, replication);
             let full = b.plan(&request);
-            let lim = b.plan_limit(&request, limit);
+            let lim = plan_for(&b, &request, PlanTarget::AtLeast(limit));
             prop_assert!(lim.tpr() <= full.tpr());
             prop_assert!(lim.planned_items() >= limit.min(full.requested));
         }

@@ -31,8 +31,10 @@
 //! * [`config`] — [`RnbConfig`]: cluster size, replication, policies.
 //! * [`placement`] — [`PlacementStrategy`]: RCH (paper §IV), multi-hash
 //!   (paper §III-B), rendezvous, and the no-replication baseline.
-//! * [`bundler`] — the planner (full and LIMIT variants, §III-A/§III-F).
+//! * [`bundler`] — the planner (full and LIMIT targets, §III-A/§III-F).
 //! * [`plan`] — [`FetchPlan`] / [`Transaction`] plus TPR accounting.
+//! * [`read`] — [`ReadEngine`], the one read path (hitchhikers, the
+//!   distinguished-copy fallback, write-back) over any [`Transport`].
 //! * [`baseline`] — full-system replication (§II-C, the industry baseline).
 //! * [`merge`] — cross-request merging (§III-E).
 //! * [`mod@write`] — write-path planning and the §IV atomic-update scheme.
@@ -43,13 +45,15 @@ pub mod config;
 pub mod merge;
 pub mod placement;
 pub mod plan;
+pub mod read;
 pub mod write;
 
 pub use baseline::FullSystemReplication;
-pub use bundler::{Bundler, PlanScratch};
+pub use bundler::{Bundler, PlanScratch, PlanTarget};
 pub use config::{PlacementKind, RnbConfig};
 pub use placement::PlacementStrategy;
 pub use plan::{FetchPlan, Transaction};
+pub use read::{ReadCounts, ReadEngine, Round, Transport, Txn, HITCHHIKE_WINDOW};
 pub use write::{
     BatchWritePlan, WriteBatchPlanner, WriteGroup, WritePlan, WritePlanner, WritePolicy,
 };

@@ -55,52 +55,6 @@ impl FetchPlan {
         self.transactions.iter().map(|t| t.items.len()).sum()
     }
 
-    /// Distinct servers contacted (equals `tpr()` by construction; kept as
-    /// an invariant check for tests).
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
-    /// let plan = bundler.plan(&[7, 8, 9]);
-    /// assert_eq!(plan.distinct_servers(), plan.tpr());
-    /// ```
-    pub fn distinct_servers(&self) -> usize {
-        let mut s: Vec<ServerId> = self.transactions.iter().map(|t| t.server).collect();
-        s.sort_unstable();
-        s.dedup();
-        s.len()
-    }
-
-    /// Histogram of items-per-transaction; index `i` counts transactions
-    /// carrying exactly `i` items. Used by the calibration layer to turn
-    /// plans into throughput estimates (paper Appendix).
-    ///
-    /// ```
-    /// use rnb_core::{FetchPlan, Transaction};
-    /// let plan = FetchPlan {
-    ///     transactions: vec![
-    ///         Transaction { server: 3, items: vec![10, 11, 12] },
-    ///         Transaction { server: 0, items: vec![13] },
-    ///     ],
-    ///     requested: 4,
-    /// };
-    /// // One 1-item transaction, one 3-item transaction.
-    /// assert_eq!(plan.txn_size_histogram(), vec![0, 1, 0, 1]);
-    /// ```
-    pub fn txn_size_histogram(&self) -> Vec<usize> {
-        let max = self
-            .transactions
-            .iter()
-            .map(|t| t.items.len())
-            .max()
-            .unwrap_or(0);
-        let mut hist = vec![0usize; max + 1];
-        for t in &self.transactions {
-            hist[t.items.len()] += 1;
-        }
-        hist
-    }
-
     /// The server each planned item was assigned to.
     ///
     /// ```
@@ -147,8 +101,6 @@ mod tests {
         let p = plan();
         assert_eq!(p.tpr(), 2);
         assert_eq!(p.planned_items(), 4);
-        assert_eq!(p.distinct_servers(), 2);
-        assert_eq!(p.txn_size_histogram(), vec![0, 1, 0, 1]);
     }
 
     #[test]
@@ -163,6 +115,5 @@ mod tests {
         let p = FetchPlan::default();
         assert_eq!(p.tpr(), 0);
         assert_eq!(p.planned_items(), 0);
-        assert_eq!(p.txn_size_histogram(), vec![0]);
     }
 }

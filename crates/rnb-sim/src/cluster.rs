@@ -1,12 +1,11 @@
-//! The simulated cluster: plan execution with misses, hitchhiking and the
-//! second round of distinguished-copy fetches.
+//! The simulated cluster: `rnb-core`'s read engine over simulated
+//! servers, plus the simulator's write path.
 
 use crate::config::{DistinguishedMode, HitchhikerLru, MemoryModel, SimConfig, WritebackPolicy};
 use crate::metrics::Metrics;
 use crate::server::SimServer;
-use rnb_core::{Bundler, FetchPlan, PlacementStrategy, PlanScratch, WritePolicy};
+use rnb_core::{Bundler, PlacementStrategy, PlanTarget, ReadEngine, Round, Transport, WritePolicy};
 use rnb_hash::{ItemId, Placement, ServerId};
-use std::collections::{HashMap, HashSet};
 
 /// Per-request execution summary (the per-request slice of [`Metrics`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -43,13 +42,11 @@ impl RequestOutcome {
 pub struct SimCluster {
     servers: Vec<SimServer>,
     bundler: Bundler<PlacementStrategy>,
-    /// Pooled planner state, reused for every request this cluster
-    /// executes (warm-up and measurement alike): after the first request
-    /// of a given shape, planning is allocation-free.
-    scratch: PlanScratch,
-    /// Pooled plan output paired with `scratch` (taken/restored around
-    /// each request so its transaction buffers are recycled too).
-    plan_buf: FetchPlan,
+    /// The read path, shared with `rnb-client`: pooled, so a warmed
+    /// request allocates nothing.
+    engine: ReadEngine,
+    /// Replica lookup buffer of the `AllReplicas` write-back.
+    replicas: Vec<ServerId>,
     config: SimConfig,
     universe: usize,
     metrics: Metrics,
@@ -101,16 +98,15 @@ impl SimCluster {
             }
         }
 
-        let server_txns = vec![0u64; config.servers];
         SimCluster {
             servers,
             bundler,
-            scratch: PlanScratch::new(),
-            plan_buf: FetchPlan::default(),
+            engine: ReadEngine::new(config.hitchhiking),
+            replicas,
+            server_txns: vec![0u64; config.servers],
             config,
             universe,
             metrics: Metrics::default(),
-            server_txns,
         }
     }
 
@@ -169,183 +165,59 @@ impl SimCluster {
         request: &[ItemId],
         min_items: Option<usize>,
     ) -> RequestOutcome {
-        // Pooled planning: take the recycled plan buffer, fill it through
-        // the cluster's PlanScratch (zero steady-state allocations), and
-        // restore it before returning so the next request reuses it.
-        let mut plan = std::mem::take(&mut self.plan_buf);
-        match min_items {
-            None => self
-                .bundler
-                .plan_into(&mut self.scratch, request, &mut plan),
-            Some(k) => self
-                .bundler
-                .plan_limit_into(&mut self.scratch, request, k, &mut plan),
-        }
-        let placement = self.bundler.placement();
-
-        // Transaction index by server, for hitchhiker routing.
-        let txn_of_server: HashMap<ServerId, usize> = plan
-            .transactions
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.server, i))
-            .collect();
-
-        // Hitchhikers per transaction: planned items of *other*
-        // transactions that also have a replica on this server (§III-C2).
-        let mut hitchhikers: Vec<Vec<ItemId>> = vec![Vec::new(); plan.transactions.len()];
-        if self.config.hitchhiking {
-            let mut reps = Vec::with_capacity(self.config.logical_replication);
-            for (ti, txn) in plan.transactions.iter().enumerate() {
-                for &item in &txn.items {
-                    placement.replicas_into(item, &mut reps);
-                    for &s in &reps {
-                        if let Some(&tj) = txn_of_server.get(&s) {
-                            if tj != ti {
-                                hitchhikers[tj].push(item);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Round 1: execute each planned transaction.
-        let mut outcome = RequestOutcome {
-            round1_txns: plan.tpr(),
-            ..Default::default()
+        let SimCluster {
+            servers,
+            bundler,
+            engine,
+            replicas,
+            config,
+            metrics,
+            server_txns,
+            ..
+        } = self;
+        let mut transport = Servers {
+            servers,
+            server_txns,
+            metrics,
+            config,
+            placement: bundler.placement(),
+            replicas,
         };
-        let mut satisfied: HashMap<ItemId, bool> = HashMap::with_capacity(plan.planned_items());
-        let mut misses: Vec<(ItemId, ServerId)> = Vec::new();
-        // Items whose distinguished server missed them in round 1, planned
-        // there or probed there as a hitchhiker (only possible under
-        // `DistinguishedMode::InLru`).
-        let mut refused: HashSet<ItemId> = HashSet::new();
-        for (ti, txn) in plan.transactions.iter().enumerate() {
-            self.server_txns[txn.server as usize] += 1;
-            let server = &mut self.servers[txn.server as usize];
-            let mut returned = 0usize;
-            for &item in &txn.items {
-                self.metrics.planned_items += 1;
-                if server.access(item) {
-                    returned += 1;
-                    *satisfied.entry(item).or_insert(true) |= true;
-                } else {
-                    self.metrics.planned_misses += 1;
-                    outcome.planned_misses += 1;
-                    satisfied.entry(item).or_insert(false);
-                    misses.push((item, txn.server));
-                    if placement.distinguished(item) == txn.server {
-                        refused.insert(item);
-                    }
-                }
-            }
-            for &item in &hitchhikers[ti] {
-                self.metrics.hitchhiker_probes += 1;
-                let hit = match self.config.hitchhiker_lru {
-                    HitchhikerLru::OnHit => server.probe_hitchhiker(item),
-                    HitchhikerLru::Never => server.peek(item),
-                };
-                if hit {
-                    self.metrics.hitchhiker_hits += 1;
-                    returned += 1;
-                    satisfied.insert(item, true);
-                } else if placement.distinguished(item) == txn.server {
-                    refused.insert(item);
-                }
-            }
-            self.metrics
-                .record_txn_size(txn.items.len() + hitchhikers[ti].len());
-            let _ = returned;
+        let target = min_items.map_or(PlanTarget::Full, PlanTarget::AtLeast);
+        let c = engine.fetch(bundler, request, target, &mut transport);
+        // Cache-aside: an item no server returned lost its distinguished
+        // copy too (only without the distinguished service class). The
+        // client reads it from the database, stores it there, and writes
+        // it back where it missed like any recovered miss.
+        for (item, missed_at) in engine.unavailable() {
+            transport.placement.replicas_into(item, transport.replicas);
+            let distinguished = transport.replicas[0];
+            debug_assert_eq!(
+                config.distinguished,
+                DistinguishedMode::InLru,
+                "pinned distinguished copy of {item} missing on server {distinguished}"
+            );
+            transport.metrics.db_fetches += 1;
+            transport.servers[distinguished as usize].insert_replica(item);
+            transport.write_back_one(item, missed_at);
         }
-
-        // Round 2: unsatisfied items, bundled by distinguished server
-        // (§III-D: "we performed a second round of access to fetch the
-        // items that were not found, if we did not yet fetch their
-        // distinguished copy"; distinguished copies are pinned, so the
-        // second round always succeeds).
-        let mut second_round: HashMap<ServerId, Vec<ItemId>> = HashMap::new();
-        for (&item, &ok) in &satisfied {
-            if !ok {
-                second_round
-                    .entry(placement.distinguished(item))
-                    .or_default()
-                    .push(item);
-            }
+        let metrics = transport.metrics;
+        metrics.requests += 1;
+        metrics.round1_txns += c.round1_txns;
+        metrics.round2_txns += c.round2_txns;
+        metrics.planned_items += c.planned_items;
+        metrics.planned_misses += c.planned_misses;
+        metrics.hitchhiker_probes += c.hitchhikers;
+        metrics.hitchhiker_hits += c.hitchhiker_hits;
+        metrics.misses_rescued_by_hitchhikers += c.rescued;
+        RequestOutcome {
+            round1_txns: c.round1_txns as usize,
+            round2_txns: c.round2_txns as usize,
+            planned_misses: c.planned_misses as usize,
+            rescued: c.rescued as usize,
+            // Round 2 or the database delivered every planned item.
+            items_delivered: c.planned_items as usize,
         }
-        // Every unsatisfied item is a planned miss no hitchhiker rescued,
-        // refused ones included.
-        outcome.rescued =
-            outcome.planned_misses - second_round.values().map(Vec::len).sum::<usize>();
-        self.metrics.misses_rescued_by_hitchhikers += outcome.rescued as u64;
-        // Deterministic iteration order for reproducibility: servers and
-        // each server's items sorted, so database refills (InLru) land in
-        // the same order on every run.
-        let mut second_round: Vec<(ServerId, Vec<ItemId>)> = second_round.into_iter().collect();
-        second_round.sort_unstable_by_key(|(s, _)| *s);
-        for (_, items) in &mut second_round {
-            items.sort_unstable();
-        }
-        for (server, items) in &second_round {
-            let srv = &mut self.servers[*server as usize];
-            let mut asked = 0;
-            for &item in items {
-                // A refused item is not asked again: it goes straight to
-                // the database fallback below, at the same point in the
-                // server's item order, so the cache evolves as if asked.
-                let refused = refused.contains(&item);
-                asked += usize::from(!refused);
-                if refused || !srv.access(item) {
-                    // Only possible without the distinguished service
-                    // class (DistinguishedMode::InLru): the copy was
-                    // evicted, so the client falls back to the database
-                    // and repopulates the server.
-                    debug_assert_eq!(
-                        self.config.distinguished,
-                        DistinguishedMode::InLru,
-                        "pinned distinguished copy of {item} missing on server {server}"
-                    );
-                    self.metrics.db_fetches += 1;
-                    srv.insert_replica(item);
-                }
-            }
-            if asked > 0 {
-                outcome.round2_txns += 1;
-                self.server_txns[*server as usize] += 1;
-                self.metrics.record_txn_size(asked);
-            }
-        }
-
-        // Miss write-back (§III-C2): the paper refills "only … the
-        // replica that was the first to be picked by the greedy set cover
-        // algorithm" — the planned server; the distinguished copy needs no
-        // refill under pinning. Alternative policies for the ablation.
-        match self.config.writeback {
-            WritebackPolicy::None => {}
-            WritebackPolicy::FirstPicked => {
-                for (item, server) in misses {
-                    self.servers[server as usize].insert_replica(item);
-                    self.metrics.writebacks += 1;
-                }
-            }
-            WritebackPolicy::AllReplicas => {
-                let mut reps = Vec::with_capacity(self.config.logical_replication);
-                for (item, _) in misses {
-                    self.bundler.placement().replicas_into(item, &mut reps);
-                    for &s in &reps {
-                        self.servers[s as usize].insert_replica(item);
-                        self.metrics.writebacks += 1;
-                    }
-                }
-            }
-        }
-
-        outcome.items_delivered = satisfied.len(); // round 2 fetched the rest
-        self.metrics.requests += 1;
-        self.metrics.round1_txns += outcome.round1_txns as u64;
-        self.metrics.round2_txns += outcome.round2_txns as u64;
-        self.plan_buf = plan;
-        outcome
     }
 
     /// Execute a write of `item` under `policy` (§III-G / §IV). Returns
@@ -441,10 +313,74 @@ impl SimCluster {
     }
 }
 
+/// [`SimCluster`]'s [`Transport`]: each transaction served at once by
+/// its [`SimServer`], which keeps no values.
+struct Servers<'a> {
+    servers: &'a mut [SimServer],
+    server_txns: &'a mut [u64],
+    metrics: &'a mut Metrics,
+    config: &'a SimConfig,
+    placement: &'a PlacementStrategy,
+    replicas: &'a mut Vec<ServerId>,
+}
+
+impl Transport for Servers<'_> {
+    fn run_round(&mut self, round: Round<'_>) {
+        for txn in round.txns {
+            let server = &mut self.servers[txn.server as usize];
+            self.server_txns[txn.server as usize] += 1;
+            for at in txn.from..txn.to {
+                let item = round.items[round.keys[at]];
+                round.answered[at] = if at - txn.from < txn.planned {
+                    server.access(item)
+                } else {
+                    // §III-C2: a hitchhiker updates the LRU only on a hit.
+                    match self.config.hitchhiker_lru {
+                        HitchhikerLru::OnHit => server.probe_hitchhiker(item),
+                        HitchhikerLru::Never => server.peek(item),
+                    }
+                };
+            }
+            let returned = round.answered[txn.from..txn.to].iter().filter(|&&a| a);
+            self.metrics.record_txn_size(returned.count());
+        }
+    }
+
+    fn write_back(&mut self, round: Round<'_>) {
+        for txn in round.txns {
+            for &index in &round.keys[txn.from..txn.to] {
+                self.write_back_one(round.items[index], txn.server);
+            }
+        }
+    }
+}
+
+impl Servers<'_> {
+    /// Write back `item`, which missed at `server`. The paper refills
+    /// "only … the replica that was the first to be picked by the greedy
+    /// set cover algorithm" (§III-C2); the other policies are the
+    /// ablation's.
+    fn write_back_one(&mut self, item: ItemId, server: ServerId) {
+        let to = match self.config.writeback {
+            WritebackPolicy::None => &[][..],
+            WritebackPolicy::FirstPicked => std::slice::from_ref(&server),
+            WritebackPolicy::AllReplicas => {
+                self.placement.replicas_into(item, self.replicas);
+                &self.replicas[..]
+            }
+        };
+        for &s in to {
+            self.servers[s as usize].insert_replica(item);
+            self.metrics.writebacks += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rnb_core::PlacementKind;
+    use std::collections::HashSet;
 
     fn basic_cluster(servers: usize, replication: usize, universe: usize) -> SimCluster {
         SimCluster::new(SimConfig::basic(servers, replication), universe)
@@ -538,6 +474,24 @@ mod tests {
         assert!(o_on.rescued > 0, "hitchhiking should rescue some misses");
         assert!(o_on.round2_txns <= o_off.round2_txns);
         assert!(on.metrics().hitchhiker_hits > 0);
+    }
+
+    #[test]
+    fn txn_size_histogram_counts_items_returned_not_keys_sent() {
+        // A planned key that missed, or a hitchhiker that found nothing,
+        // cost the server no item. An overbooked cold cell has both.
+        let mut c = SimCluster::new(SimConfig::enhanced(8, 3, 1.5), 400);
+        for start in (0..200).step_by(20) {
+            c.execute(&(start..start + 40).collect::<Vec<_>>());
+        }
+        let m = c.metrics();
+        assert!(m.planned_misses > 0, "{m:?}");
+        assert!(m.hitchhiker_probes > m.hitchhiker_hits, "{m:?}");
+        let returned: u64 = (0..).zip(&m.txn_size_hist).map(|(s, &n)| s * n).sum();
+        // Round 1 returns its planned hits and its hitchhiker hits; round
+        // 2, pinned, every miss no hitchhiker rescued.
+        let rescued = m.misses_rescued_by_hitchhikers;
+        assert_eq!(returned, m.planned_items + m.hitchhiker_hits - rescued);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * per-server LRU replica caches with item-count budgets
 //!   ([`server::SimServer`]) — the substrate of **overbooking** (§III-C1);
 //! * pinned **distinguished copies** that never miss (§III-D);
-//! * plan execution with round-1 misses, **hitchhiking** probes
-//!   (§III-C2), miss write-back, and the **second round** of bundled
-//!   distinguished-copy fetches ([`cluster::SimCluster`]);
+//! * the read path — round-1 misses, **hitchhiking** (§III-C2), the
+//!   **second round** at the distinguished copies and write-back — as
+//!   `rnb-core`'s read engine over those servers ([`cluster::SimCluster`]);
 //! * request **merging** (§III-E) and **LIMIT** requests (§III-F) via the
 //!   runner ([`runner`]);
 //! * TPR / TPRPS / transaction-size-histogram metrics ([`metrics`]).

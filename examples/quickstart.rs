@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use rnb_core::{Bundler, PlacementStrategy, RnbConfig};
+use rnb_core::{Bundler, FetchPlan, PlacementStrategy, PlanScratch, PlanTarget, RnbConfig};
 
 fn main() {
     // A 16-server deployment declaring 4 replicas per item.
@@ -30,7 +30,9 @@ fn main() {
     }
 
     // A LIMIT request: any 30 of the 40 items suffice (§III-F).
-    let limit_plan = rnb.plan_limit(&request, 30);
+    let mut limit_plan = FetchPlan::default();
+    let target = PlanTarget::AtLeast(30);
+    rnb.plan_into(&mut PlanScratch::new(), &request, target, &mut limit_plan);
     println!();
     println!(
         "LIMIT 30/40:         {} transactions for {} items",

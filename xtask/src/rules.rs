@@ -8,9 +8,9 @@
 //! | R4 `invariant-inventory` | whole workspace | every non-test `debug_assert*` carries a message registered in INVARIANTS.md; every `::MAX` sentinel is registered; no stale entries |
 //! | R5 `no-thread-sleep` | whole workspace | no `thread::sleep` in non-test code outside the justified allowlist: sleeping hides latency bugs and stalls serving threads |
 //! | R6 `doc-example-coverage` | `rnb-core` | every non-test `pub fn` in the public-API crate carries a ```-fenced doc example (doctested usage), or an allowlisted reason |
-//! | R7 `serving-path-clone` | call-graph closure of the serving roots | no `.clone()`/`.cloned()`/`.to_vec()`/`.to_owned()` reachable from the store's protocol loop or `RnbClient::multi_get`, outside the justified allowlist |
+//! | R7 `serving-path-clone` | call-graph closure of the serving roots | no `.clone()`/`.cloned()`/`.to_vec()`/`.to_owned()` reachable from the store's protocol loop, `RnbClient::multi_get` or the read engine, outside the justified allowlist |
 //! | R8 `must-use-planner` | `rnb-cover` | every pure planner entry point carries `#[must_use]`: dropping a cover plan silently is always a bug |
-//! | R9 `transitive-panic-freedom` | call-graph closure of the serving roots | no panic-family call or panicking slice helper reachable from `Worker::run`/`serve_conn`/`drain_input`/`get_multi`/`multi_get`, except via registered invariants |
+//! | R9 `transitive-panic-freedom` | call-graph closure of the serving roots | no panic-family call or panicking slice helper reachable from `Worker::run`/`serve_conn`/`drain_input`/`get_multi`/`multi_get`/`ReadEngine::fetch`, except via registered invariants |
 //! | R10 `lock-discipline` | `rnb-store` | no `.lock()` guard's live scope contains another `.lock()` or socket I/O — the machine-checked form of the "one lock per shard" invariant |
 //!
 //! All rules match against [`SourceFile::scrubbed`] text, so comments and
@@ -122,6 +122,11 @@ pub const DOC_EXAMPLE_ALLOWLIST: &[(&str, &str, &str)] = &[
         "crates/rnb-core/src/bundler.rs",
         "placement",
         "trivial accessor returning the owned placement; every planning example goes through it implicitly",
+    ),
+    (
+        "crates/rnb-core/src/read.rs",
+        "scratch",
+        "trivial accessor returning the engine's PlanScratch; ReadEngine::new's and fetch's examples read it",
     ),
     (
         "crates/rnb-core/src/write.rs",
@@ -735,18 +740,22 @@ pub const RULES: &[(&str, &str)] = &[
 /// in its own right;
 /// `get_multi`/`get_multi_with` are the store's batched
 /// read entry points and `set_multi` the batched write entry point;
-/// `multi_get` is the client-side plan→fetch→writeback driver and
-/// `multi_set` its write-side sibling (plan→burst); `run_round` is the
-/// read rounds' send/receive loop and `send_request` / `recv_values` the
-/// connection halves it drives — called through closures the graph does
-/// not trace, so they are roots in their own right.
+/// `multi_get` is the client's read entry and `multi_set` its write-side
+/// sibling (plan→burst); `fetch` is the read engine every read runs
+/// (plan→rounds→write-back, in `rnb-core`), and `run_round` /
+/// `write_back` the client transport it drives, with `send_request` /
+/// `recv_values` the connection halves under those — called through a
+/// trait or closures the graph does not trace, so they are roots in
+/// their own right.
 pub const CLONE_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/server.rs", "run"),
     ("crates/rnb-store/src/server.rs", "serve_conn"),
     ("crates/rnb-store/src/server.rs", "drain_input"),
+    ("crates/rnb-core/src/read.rs", "fetch"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
+    ("crates/rnb-client/src/client.rs", "write_back"),
     ("crates/rnb-client/src/client.rs", "run_write_bursts"),
     ("crates/rnb-store/src/client.rs", "send_request"),
     ("crates/rnb-store/src/client.rs", "recv_values"),
@@ -759,12 +768,20 @@ pub const CLONE_PATTERNS: &[&str] = &[".clone()", ".cloned()", ".to_vec()", ".to
 /// `(file, fn, reason)` triples excused from R7. Same hygiene as the
 /// other allowlists: an entry whose function left the serving closure or
 /// no longer copies is reported stale.
-pub const CLONE_ALLOWLIST: &[(&str, &str, &str)] = &[(
-    "crates/rnb-client/src/client.rs",
-    "multi_get",
-    "the returned values are owned; a duplicated request item needs its \
+pub const CLONE_ALLOWLIST: &[(&str, &str, &str)] = &[
+    (
+        "crates/rnb-client/src/client.rs",
+        "multi_get",
+        "the returned values are owned; a duplicated request item needs its \
          own copy",
-)];
+    ),
+    (
+        "crates/rnb-client/src/client.rs",
+        "run_round",
+        "the returned values are owned: each found value is copied once, out \
+         of the connection's read buffer into its item's slot",
+    ),
+];
 
 /// R9 roots: the serving closure entry points held to transitive
 /// panic-freedom.
@@ -776,9 +793,11 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/store.rs", "get_multi_with"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
     ("crates/rnb-store/src/store.rs", "set_multi_with"),
+    ("crates/rnb-core/src/read.rs", "fetch"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
+    ("crates/rnb-client/src/client.rs", "write_back"),
     ("crates/rnb-client/src/client.rs", "run_write_bursts"),
     ("crates/rnb-store/src/client.rs", "send_request"),
     ("crates/rnb-store/src/client.rs", "recv_values"),
@@ -1813,6 +1832,27 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "R7/serving-path-clone");
         assert!(v[0].message.contains("run_bursts"));
+    }
+
+    #[test]
+    fn r7_reintroduced_clone_in_read_engine_fails() {
+        // The read engine is a root of its own (the client reaches it
+        // through a generic call), so a copy of its per-request state,
+        // the pre-engine idiom, fails one call away from `fetch`.
+        let files = vec![SourceFile::new(
+            "crates/rnb-core/src/read.rs",
+            "impl ReadEngine {\n\
+                 pub fn fetch(&mut self) { self.settle(); }\n\
+                 fn settle(&mut self) { let missed = self.missed.clone(); drop(missed); }\n\
+             }\n",
+        )];
+        let root = ("crates/rnb-core/src/read.rs", "fetch");
+        assert!(CLONE_ROOTS.contains(&root));
+        let graph = CallGraph::build(&files);
+        let v = check_serving_clone_with(&files, &graph, &[root], &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 3);
+        assert!(v[0].message.contains("settle"));
     }
 
     #[test]
