@@ -1,12 +1,14 @@
-//! Store serving-path throughput: the shard-batched multi-get
-//! (`Store::get_multi_into`, one lock per touched shard) against the
-//! retained per-key seed path (`Store::get_multi_reference`, one lock
-//! and one clock read per key) — the store-side analog of the paper's
+//! Store serving-path throughput: the path the server runs for a `get`
+//! — the one-pass read (`Store::get_each`, one lock per run of
+//! same-shard keys, one clock read) writing its reply straight from the
+//! shards — against the retained per-key seed path
+//! (`Store::get_multi_reference`, one lock and one clock read per key)
+//! writing the same reply: the store-side analog of the paper's
 //! per-transaction-overhead argument (§II).
 //!
 //! Beyond the Criterion smoke group, a grid sweep
-//! (M ∈ {10, 100, 400}, shards ∈ {1, 8, 64}, value ∈ {10, 1024} bytes)
-//! writes `BENCH_store.json` at the repo root (schema in
+//! (M ∈ {10, 100, 400}, shards ∈ {1, 8, 16, 64}, value ∈ {10, 1024}
+//! bytes) writes `BENCH_store.json` at the repo root (schema in
 //! EXPERIMENTS.md), plus a **write sweep** (write fraction ∈
 //! {0, 0.1, 0.5, 1.0}, 100-item bursts) pitting the sequential per-txn
 //! [`Store::set`] loop against the shard-batched
@@ -16,8 +18,9 @@
 //! after `--`:
 //!
 //! * `--quick`   — reduced iteration budget (CI smoke).
-//! * `--enforce` — exit non-zero if the checkpoint cell (M=100,
-//!   shards=8, value=10) speeds up by less than 2×, if the write
+//! * `--enforce` — exit non-zero if the checkpoint cell (M=10,
+//!   shards=16, value=10: the production shape) speeds up by less than
+//!   2×, if the write
 //!   checkpoint (the pure-burst write-fraction-1.0 cell) speeds up by
 //!   less than 2×, or if
 //!   the geometric mean *speedup over the reference path* (grid or
@@ -30,7 +33,7 @@
 //! runs; the grid is skipped and the committed JSON is left untouched.
 
 use criterion::{criterion_group, Criterion, Throughput};
-use rnb_store::{Clock, GetScratch, SetEntry, Store, StoreServer};
+use rnb_store::{protocol, Clock, GetScratch, SetEntry, Store, StoreServer};
 use rnb_workload::{Op, ReadWriteMix, UniformRequests};
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -77,30 +80,57 @@ impl CellData {
     }
 }
 
+/// The server's `get`: one pass over `keys`, each hit written into
+/// `reply` from its shard. Returns the reply length.
+fn reply_one_pass<'k>(
+    store: &Store,
+    keys: impl IntoIterator<Item = &'k [u8]>,
+    reply: &mut Vec<u8>,
+) -> usize {
+    reply.clear();
+    store.get_each(keys, |key, hit| {
+        if let Some(v) = hit {
+            let _ = protocol::write_value(reply, key, v.flags, v.data, None);
+        }
+    });
+    let _ = protocol::write_end(reply);
+    reply.len()
+}
+
+/// The same reply built from the per-key seed path.
+fn reply_reference(store: &Store, keys: &[&[u8]], reply: &mut Vec<u8>) -> usize {
+    reply.clear();
+    for (key, value) in keys.iter().zip(store.get_multi_reference(keys)) {
+        if let Some(v) = value {
+            let _ = protocol::write_value(reply, key, v.flags, &v.data, None);
+        }
+    }
+    let _ = protocol::write_end(reply);
+    reply.len()
+}
+
 fn bench_get_multi(c: &mut Criterion) {
     let mut group = c.benchmark_group("store/get_multi");
-    let data = cell_data(100, 8, 10);
+    let data = cell_data(10, 16, 10);
     let requests: Vec<Vec<&[u8]>> = (0..8).map(|i| data.request(i)).collect();
-    group.throughput(Throughput::Elements(100));
-    group.bench_function("reference_m100_s8", |b| {
+    group.throughput(Throughput::Elements(10));
+    group.bench_function("reference_m10_s16", |b| {
+        let mut reply = Vec::new();
         let mut i = 0;
         b.iter(|| {
-            let out = data.store.get_multi_reference(black_box(&requests[i % 8]));
+            let len = reply_reference(&data.store, black_box(&requests[i % 8]), &mut reply);
             i += 1;
-            black_box(out.len())
+            black_box(len)
         })
     });
-    group.bench_function("batched_m100_s8", |b| {
-        let mut scratch = GetScratch::new();
-        let mut out = Vec::new();
+    group.bench_function("one_pass_m10_s16", |b| {
+        let mut reply = Vec::new();
         let mut i = 0;
         b.iter(|| {
             let req = black_box(&requests[i % 8]);
-            let hits = data
-                .store
-                .get_multi_with(&mut scratch, req.len(), |j| req[j], &mut out);
+            let len = reply_one_pass(&data.store, req.iter().copied(), &mut reply);
             i += 1;
-            black_box(hits)
+            black_box(len)
         })
     });
     group.finish();
@@ -109,17 +139,18 @@ fn bench_get_multi(c: &mut Criterion) {
 criterion_group!(benches, bench_get_multi);
 
 // ---------------------------------------------------------------------
-// Grid sweep: reference vs batched multi-get, emitted as BENCH_store.json.
+// Grid sweep: reference vs one-pass get replies, emitted as BENCH_store.json.
 // ---------------------------------------------------------------------
 
 const GRID_M: &[usize] = &[10, 100, 400];
-const GRID_SHARDS: &[usize] = &[1, 8, 64];
+const GRID_SHARDS: &[usize] = &[1, 8, 16, 64];
 const GRID_VLEN: &[usize] = &[10, 1024];
 
-/// The acceptance checkpoint cell: the batched path must beat the
-/// per-key reference by at least this factor at M=100, 8 shards,
-/// 10-byte values (the paper's micro-benchmark value size).
-const CHECKPOINT: (usize, usize, usize) = (100, 8, 10);
+/// The acceptance checkpoint cell: the one-pass read must beat the
+/// per-key reference by at least this factor at M=10, 16 shards, 10-byte
+/// values — the production shape (a few items per transaction on a
+/// default-sharded node) and the paper's micro-benchmark value size.
+const CHECKPOINT: (usize, usize, usize) = (10, 16, 10);
 const MIN_CHECKPOINT_SPEEDUP: f64 = 2.0;
 /// `--enforce`: maximum tolerated geometric-mean speedup regression
 /// against the committed baseline JSON.
@@ -173,19 +204,16 @@ fn run_cell(m: usize, shards: usize, vlen: usize, quick: bool) -> Cell {
         full
     };
     let warmup = (rounds / 10).max(50);
-    // Seed path: one shard-lock acquisition and one clock read per key.
+    // Both arms write the reply the server sends. Seed path: one
+    // shard-lock acquisition and one clock read per key.
+    let mut reply = Vec::new();
     let ref_ns = time_ns_per_call(warmup, rounds, |i| {
-        data.store
-            .get_multi_reference(&requests[i % requests.len()])
-            .len()
+        reply_reference(&data.store, &requests[i % requests.len()], &mut reply)
     });
-    // Batched path: pooled scratch, one lock per touched shard.
-    let mut scratch = GetScratch::new();
-    let mut out = Vec::new();
+    // One pass: one lock per run of same-shard keys, one clock read.
     let batched_ns = time_ns_per_call(warmup, rounds, |i| {
         let req = &requests[i % requests.len()];
-        data.store
-            .get_multi_with(&mut scratch, req.len(), |j| req[j], &mut out)
+        reply_one_pass(&data.store, req.iter().copied(), &mut reply)
     });
     Cell {
         m,
@@ -236,8 +264,8 @@ impl WriteCell {
 /// identically through two arms that differ only in how a write burst
 /// hits the store — a sequential [`Store::set`] loop (one lock + one
 /// clock read per key) vs one [`Store::set_multi_with`] call (one lock +
-/// one clock read per touched shard). Reads use the batched get path in
-/// both arms.
+/// one clock read per touched shard). Reads use the one-pass get in both
+/// arms.
 fn run_write_cell(write_fraction: f64, quick: bool) -> WriteCell {
     const M: usize = 100;
     const VLEN: usize = 10;
@@ -272,16 +300,11 @@ fn run_write_cell(write_fraction: f64, quick: bool) -> WriteCell {
     };
 
     let mut scratch = GetScratch::new();
-    let mut out = Vec::new();
+    let mut reply = Vec::new();
 
     // Sequential arm: every item in a burst is its own transaction.
     let seq_ns = time_ns_per_call(warmup, rounds, |i| match &ops[i % ops.len()] {
-        Op::Read(req) => data.store.get_multi_with(
-            &mut scratch,
-            req.len(),
-            |j| data.keys[req[j] as usize].as_slice(),
-            &mut out,
-        ),
+        Op::Read(req) => reply_one_pass(&data.store, keys_of(&data.keys, req), &mut reply),
         Op::Write(item) => {
             data.store.set(&data.keys[*item as usize], &value, 0, false);
             1
@@ -297,12 +320,7 @@ fn run_write_cell(write_fraction: f64, quick: bool) -> WriteCell {
     // Batched arm: the burst goes through the shard-batched store write.
     let mut outcomes = Vec::new();
     let batched_ns = time_ns_per_call(warmup, rounds, |i| match &ops[i % ops.len()] {
-        Op::Read(req) => data.store.get_multi_with(
-            &mut scratch,
-            req.len(),
-            |j| data.keys[req[j] as usize].as_slice(),
-            &mut out,
-        ),
+        Op::Read(req) => reply_one_pass(&data.store, keys_of(&data.keys, req), &mut reply),
         Op::Write(item) => {
             data.store.set(&data.keys[*item as usize], &value, 0, false);
             1
@@ -329,6 +347,11 @@ fn run_write_cell(write_fraction: f64, quick: bool) -> WriteCell {
         seq_ns,
         batched_ns,
     }
+}
+
+/// The keys of a read op's items.
+fn keys_of<'a>(keys: &'a [Vec<u8>], items: &'a [u64]) -> impl Iterator<Item = &'a [u8]> {
+    items.iter().map(|&item| keys[item as usize].as_slice())
 }
 
 fn run_writes(quick: bool) -> Vec<WriteCell> {
@@ -808,7 +831,7 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
     let baseline = baseline_text.as_deref().map(parse_baseline);
 
     let mut cells = Vec::new();
-    println!("\n[store grid] per-key reference get_multi vs shard-batched path");
+    println!("\n[store grid] per-key reference get reply vs one-pass get reply");
     println!(
         "{:<16} {:>12} {:>12} {:>9}",
         "cell", "ref ns", "batched ns", "speedup"
@@ -876,7 +899,7 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
 
     if let Some(base) = baseline {
         // Geometric-mean ratio of baseline speedup to current speedup
-        // over cells present in both runs: > 1 means the batched path's
+        // over cells present in both runs: > 1 means the one-pass read's
         // edge over the reference shrank. Speedups are same-machine
         // ratios, so this survives hardware differences between the
         // committing machine and CI; the geo-mean is robust to
@@ -896,7 +919,7 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
             );
             if enforce && ratio > MAX_REGRESSION {
                 eprintln!(
-                    "[store grid] FAIL: batched-path speedup regressed {:.1}% vs committed baseline (limit {:.0}%)",
+                    "[store grid] FAIL: one-pass speedup regressed {:.1}% vs committed baseline (limit {:.0}%)",
                     (ratio - 1.0) * 100.0,
                     (MAX_REGRESSION - 1.0) * 100.0
                 );

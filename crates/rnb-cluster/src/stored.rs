@@ -23,8 +23,6 @@ pub struct NodeConfig {
     pub port: u16,
     /// Store memory budget in MB.
     pub mem_mb: usize,
-    /// Shard-count override (`None` = the store's default).
-    pub shards: Option<usize>,
     /// Worker-thread override (`None` = the server's default).
     pub workers: Option<usize>,
 }
@@ -34,7 +32,6 @@ impl Default for NodeConfig {
         NodeConfig {
             port: 0,
             mem_mb: 64,
-            shards: None,
             workers: None,
         }
     }
@@ -129,9 +126,6 @@ impl StoredNode {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
-        if let Some(s) = config.shards {
-            cmd.args(["--shards", &s.to_string()]);
-        }
         if let Some(w) = config.workers {
             cmd.args(["--workers", &w.to_string()]);
         }

@@ -1,5 +1,6 @@
 //! Accept back-off under fd exhaustion, against a real `rnb-stored`
-//! started with a descriptor limit of [`FD_LIMIT`]. More connections
+//! started with [`FD_HEADROOM`] descriptors free above the ones it
+//! inherits. More connections
 //! arrive than the node can hold, so `accept` fails (EMFILE) while the
 //! backlog is non-empty and the listener stays readable. The node must
 //! stop listening instead of spinning on it, keep serving the
@@ -7,37 +8,48 @@
 
 use rnb_cluster::stored_binary;
 use rnb_store::StoreClient;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Lines, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Duration;
 
-/// The node's descriptor limit: room for about 20 connections beside
-/// its stdio, listener, epoll sets and wake descriptors.
-const FD_LIMIT: usize = 32;
+/// Descriptors the node may open beyond those it inherits: room for
+/// about 20 connections beside its listener, epoll sets and wake
+/// descriptors. The limit is set relative to what the child really
+/// inherits, because a test runner may pass down more than stdio.
+const FD_HEADROOM: usize = 29;
 /// Connections opened past the first, more than the limit allows.
 const FLOOD: usize = 48;
 /// Clock ticks per second in `/proc/<pid>/stat` (`USER_HZ`, 100 on
 /// every Linux ABI).
 const TICKS_PER_S: f64 = 100.0;
 
-/// Kills the node however the test ends.
-struct Node(Child);
+/// Kills the node however the test ends. Keeps reading the node's
+/// stdout open too: the node prints more after its `READY` line, and a
+/// write to a closed pipe would kill it mid-test.
+struct Node {
+    child: Child,
+    _stdout: Lines<BufReader<ChildStdout>>,
+}
 
 impl Drop for Node {
     fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
-/// Start `rnb-stored` under `ulimit -n FD_LIMIT` (`exec` keeps the pid)
-/// and read its address from the `READY` line.
+/// Start `rnb-stored` with its descriptor limit [`FD_HEADROOM`] above
+/// the descriptors the shell holds, which `exec` (keeping the pid)
+/// hands down, and read its address from the `READY` line. The count
+/// comes from `ls /proc/self/fd`, which sees the shell's descriptors
+/// plus the one it reads the directory through.
 fn spawn_limited_node() -> (Node, SocketAddr) {
     let mut child = Command::new("sh")
         .arg("-c")
         .arg(format!(
-            "ulimit -n {FD_LIMIT}; exec \"$0\" --control --port 0 --workers 2"
+            "ulimit -n $(( $(ls /proc/self/fd | wc -l) + {FD_HEADROOM} )); \
+             exec \"$0\" --control --port 0 --workers 2"
         ))
         .arg(stored_binary().expect("rnb-stored binary"))
         .stdin(Stdio::piped())
@@ -46,11 +58,14 @@ fn spawn_limited_node() -> (Node, SocketAddr) {
         .spawn()
         .expect("spawn rnb-stored");
     let stdout = child.stdout.take().expect("piped stdout");
-    let node = Node(child);
     let mut lines = BufReader::new(stdout).lines();
     let addr = lines
         .find_map(|line| line.ok()?.strip_prefix("READY ")?.parse().ok())
         .expect("READY line");
+    let node = Node {
+        child,
+        _stdout: lines,
+    };
     (node, addr)
 }
 
@@ -93,7 +108,7 @@ fn round_trip(stream: &mut TcpStream) {
 #[test]
 fn fd_exhaustion_parks_the_listener_instead_of_spinning() {
     let (node, addr) = spawn_limited_node();
-    let pid = node.0.id();
+    let pid = node.child.id();
     let mut first = StoreClient::connect(addr).expect("first connection");
     first.set(b"k", b"v", 0).expect("served before the flood");
 

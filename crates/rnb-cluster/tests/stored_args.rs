@@ -23,17 +23,6 @@ fn run_stored(args: &[&str]) -> (Option<i32>, String) {
 }
 
 #[test]
-fn shards_not_a_power_of_two_is_a_usage_error() {
-    let (code, stderr) = run_stored(&["--shards", "3"]);
-    assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("--shards needs a power of two"),
-        "stderr: {stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-}
-
-#[test]
 fn mem_too_large_for_bytes_is_a_usage_error() {
     // 2^44 MB is 2^64 bytes, one more than a 64-bit usize can count.
     let (code, stderr) = run_stored(&["--mem", &(1u64 << 44).to_string()]);

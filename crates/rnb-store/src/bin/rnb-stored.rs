@@ -17,7 +17,6 @@
 //! signals are involved, so harnesses synchronize on pipes alone,
 //! without sleeps or SIGTERM races.
 
-use rnb_store::store::DEFAULT_SHARDS;
 use rnb_store::{ServerConfig, Store, StoreServer};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -30,7 +29,6 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 fn main() {
     let mut port: u16 = 11311;
     let mut mem_mb: usize = 64;
-    let mut shards: Option<usize> = None;
     let mut workers: Option<usize> = None;
     let mut control = false;
     let mut args = std::env::args().skip(1);
@@ -48,14 +46,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--mem needs a number (MB)"));
             }
-            "--shards" => {
-                shards = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|s: &usize| s.is_power_of_two())
-                        .unwrap_or_else(|| die("--shards needs a power of two")),
-                );
-            }
             "--workers" => {
                 workers = Some(
                     args.next()
@@ -66,12 +56,8 @@ fn main() {
             }
             "--control" => control = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: rnb-stored [--port P] [--mem MB] [--shards N] \
-                     [--workers N] [--control]"
-                );
+                println!("usage: rnb-stored [--port P] [--mem MB] [--workers N] [--control]");
                 println!("  --port 0     bind an OS-chosen port (printed on stdout)");
-                println!("  --shards N   store shards, a power of two (default: {DEFAULT_SHARDS})");
                 println!(
                     "  --workers N  serving threads, each with its own epoll set and \
                      connections (default: one per available core)"
@@ -86,10 +72,7 @@ fn main() {
     let mem = mem_mb
         .checked_mul(1 << 20)
         .unwrap_or_else(|| die("--mem is too large to count in bytes"));
-    let store = match shards {
-        Some(s) => Arc::new(Store::with_shards(mem, s)),
-        None => Arc::new(Store::new(mem)),
-    };
+    let store = Arc::new(Store::new(mem));
     let mut config = ServerConfig::default();
     if let Some(w) = workers {
         config.workers = w;

@@ -35,6 +35,40 @@ use std::time::{Duration, Instant};
 /// and replayed without any hidden clock access.
 pub type Tick = u64;
 
+/// One transaction's tick, read from its clock the first time it is
+/// needed. Only an entry with a deadline needs the time to be judged
+/// alive, so a read over TTL-free entries reads no clock at all, and
+/// every expiry decision of one transaction sees the same tick.
+#[derive(Debug)]
+pub(crate) struct LazyTick<'c> {
+    /// The clock still to read; `None` once `tick` holds the reading.
+    clock: Option<&'c Clock>,
+    tick: Tick,
+}
+
+impl<'c> LazyTick<'c> {
+    /// A tick `clock` will supply when first asked.
+    pub(crate) fn new(clock: &'c Clock) -> Self {
+        LazyTick {
+            clock: Some(clock),
+            tick: 0,
+        }
+    }
+
+    /// A tick already read.
+    pub(crate) fn at(tick: Tick) -> Self {
+        LazyTick { clock: None, tick }
+    }
+
+    /// The transaction's tick, reading the clock on the first call.
+    pub(crate) fn get(&mut self) -> Tick {
+        if let Some(clock) = self.clock.take() {
+            self.tick = clock.now();
+        }
+        self.tick
+    }
+}
+
 /// `Duration` → ticks, saturating at the end of the timeline (a `u64` of
 /// nanoseconds spans ~584 years, far past any real deadline).
 pub fn duration_to_ticks(d: Duration) -> Tick {
@@ -183,6 +217,18 @@ mod tests {
         let t1 = clock.now();
         let t2 = clock.now();
         assert!(t2 >= t1);
+    }
+
+    #[test]
+    fn lazy_tick_reads_its_clock_once_and_only_when_asked() {
+        let clock = TestClock::new();
+        let wrapped = Clock::from(clock.clone());
+        let mut tick = LazyTick::new(&wrapped);
+        clock.advance(Duration::from_nanos(5));
+        assert_eq!(tick.get(), 5, "read on first use, not on creation");
+        clock.advance(Duration::from_nanos(5));
+        assert_eq!(tick.get(), 5, "one reading per transaction");
+        assert_eq!(LazyTick::at(7).get(), 7);
     }
 
     #[test]

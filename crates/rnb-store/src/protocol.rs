@@ -9,7 +9,7 @@
 //! Parsing is zero-copy: [`parse_command`] returns a [`Command`] that
 //! *borrows* the request line — keys are `&[u8]` slices into it, and a
 //! `get`'s key list is a [`GetKeys`] cursor rather than a
-//! `Vec<Vec<u8>>`. Paired with [`next_request`] cutting requests out of
+//! `Vec<Vec<u8>>`, counted and validated in one byte scan. Paired with [`next_request`] cutting requests out of
 //! a connection's pooled input buffer, the serving loop runs
 //! allocation-free at steady state (proven by the `zero_alloc_serve`
 //! integration test). [`read_line`] is a blocking, allocating line
@@ -38,19 +38,12 @@ pub enum StoreVerb {
 }
 
 /// The key list of a `get`/`gets`, borrowed from the request line.
-///
-/// Iterating yields each key as a `&[u8]` slice into the line;
-/// [`GetKeys::ranges`] yields the same tokens as `(start, end)` byte
-/// offsets into the line [`parse_command`] was given, so a serving loop
-/// can stash positions in a pooled `Vec<(usize, usize)>` and re-slice
-/// its own line buffer without copying any key bytes.
+/// Iterating yields each key as a `&[u8]` slice into the line.
 #[derive(Debug, Clone, Copy)]
 pub struct GetKeys<'a> {
-    /// Line text after the verb (possibly whitespace-led).
-    tail: &'a str,
-    /// Byte offset of `tail` within the original line.
-    base: usize,
-    /// Number of keys (precomputed during parse).
+    /// Line bytes after the verb (possibly whitespace-led).
+    tail: &'a [u8],
+    /// Number of keys (counted during parse).
     count: usize,
 }
 
@@ -68,31 +61,9 @@ impl<'a> GetKeys<'a> {
 
     /// The keys, as slices borrowed from the request line.
     pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
-        self.tail.split_ascii_whitespace().map(str::as_bytes)
-    }
-
-    /// `(start, end)` byte offsets of each key within the line passed
-    /// to [`parse_command`].
-    pub fn ranges(&self) -> impl Iterator<Item = (usize, usize)> + 'a {
-        let base = self.base;
-        let mut rest = self.tail;
-        let mut consumed = 0usize;
-        std::iter::from_fn(move || {
-            let trimmed = rest.trim_ascii_start();
-            consumed += rest.len() - trimmed.len();
-            rest = trimmed;
-            if rest.is_empty() {
-                return None;
-            }
-            let end = rest
-                .bytes()
-                .position(|b| b.is_ascii_whitespace())
-                .unwrap_or(rest.len());
-            let start = consumed;
-            consumed += end;
-            rest = &rest[end..];
-            Some((base + start, base + consumed))
-        })
+        self.tail
+            .split(u8::is_ascii_whitespace)
+            .filter(|key| !key.is_empty())
     }
 }
 
@@ -189,17 +160,13 @@ pub fn parse_command(line: &[u8]) -> Result<Command<'_>, String> {
             // The verb is the first token, so `find` locates it exactly;
             // everything after it is the key list.
             let base = text.find(verb).unwrap_or(0) + verb.len();
-            let tail = &text[base..];
-            let mut count = 0usize;
-            for key in tail.split_ascii_whitespace() {
-                validate_key(key.as_bytes())?;
-                count += 1;
-            }
+            let tail = &line[base..];
+            let count = count_keys(tail)?;
             if count == 0 {
                 return Err("get requires at least one key".into());
             }
             Ok(Command::Get {
-                keys: GetKeys { tail, base, count },
+                keys: GetKeys { tail, count },
                 with_cas: verb == "gets",
             })
         }
@@ -313,13 +280,48 @@ fn validate_key(key: &[u8]) -> Result<(), String> {
     if key.is_empty() {
         return Err("empty key".into());
     }
-    if key.len() > MAX_KEY_LEN {
+    check_key(key.len(), key.iter().any(|&b| is_bad_key_byte(b)))
+}
+
+/// A byte no key may hold: a control character, a space or DEL.
+fn is_bad_key_byte(b: u8) -> bool {
+    b <= b' ' || b == 0x7f
+}
+
+/// [`validate_key`]'s verdict on a non-empty key of `len` bytes, `bad`
+/// if any of them [`is_bad_key_byte`]: the length is judged first.
+fn check_key(len: usize, bad: bool) -> Result<(), String> {
+    if len > MAX_KEY_LEN {
         return Err(format!("key longer than {MAX_KEY_LEN}"));
     }
-    if key.iter().any(|&b| b <= b' ' || b == 0x7f) {
+    if bad {
         return Err("key contains control or space characters".into());
     }
     Ok(())
+}
+
+/// Count the keys of a `get` line's `tail`, validating each, in one byte
+/// scan: keys are the runs between ASCII whitespace, and the first
+/// invalid key's error is the one [`validate_key`] gives it.
+fn count_keys(tail: &[u8]) -> Result<usize, String> {
+    let (mut count, mut len, mut bad) = (0usize, 0usize, false);
+    for &b in tail {
+        if b.is_ascii_whitespace() {
+            if len > 0 {
+                check_key(len, bad)?;
+                count += 1;
+                len = 0;
+            }
+        } else {
+            len += 1;
+            bad |= is_bad_key_byte(b);
+        }
+    }
+    if len > 0 {
+        check_key(len, bad)?;
+        count += 1;
+    }
+    Ok(count)
 }
 
 /// Read one CRLF (or bare-LF) terminated line, terminator stripped.
@@ -350,7 +352,7 @@ pub enum NextRequest<'a> {
     /// and try again. Nothing was consumed.
     Incomplete,
     /// A complete request. `line` is the exact slice [`parse_command`]
-    /// saw (so [`GetKeys::ranges`] offsets index into it), `data` is the
+    /// saw (every key of `cmd` borrows from it), `data` is the
     /// `set`/`cas` payload without its CRLF (empty otherwise), and
     /// `consumed` is the total bytes to drain — terminators and any
     /// skipped blank lines included.
@@ -595,21 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn get_keys_ranges_index_the_original_line() {
-        let line = b"get a bb  ccc";
-        let Command::Get { keys, .. } = parse_command(line).unwrap() else {
-            panic!("not a get");
-        };
-        assert_eq!(keys.len(), 3);
-        assert!(!keys.is_empty());
-        let ranges: Vec<(usize, usize)> = keys.ranges().collect();
-        assert_eq!(ranges, vec![(4, 5), (6, 8), (10, 13)]);
-        for ((s, e), key) in ranges.iter().zip(keys.iter()) {
-            assert_eq!(&line[*s..*e], key, "range and iter must agree");
-        }
-    }
-
-    #[test]
     fn parse_set_with_and_without_noreply() {
         let cmd = parse_command(b"set mykey 7 0 10").unwrap();
         assert_eq!(
@@ -787,18 +774,17 @@ mod tests {
                 prop_assert!(incr_ok);
             }
 
-            /// Get key lists of any shape: ranges() re-slices the line to
-            /// exactly the keys iter() yields, in order.
+            /// Get key lists of any shape: iter() yields exactly the
+            /// generated keys, in order, however they are spaced.
             #[test]
-            fn get_ranges_agree_with_iter(
+            fn get_keys_iter_yields_the_keys(
                 keys in proptest::collection::vec("[a-zA-Z0-9_.-]{1,20}", 1..12),
                 pad in proptest::collection::vec(0usize..3, 1..13),
             ) {
                 let mut line = String::from("get");
                 for (i, k) in keys.iter().enumerate() {
-                    let spaces = 1 + pad.get(i).copied().unwrap_or(0);
-                    for _ in 0..spaces {
-                        line.push(' ');
+                    for _ in 0..1 + pad.get(i).copied().unwrap_or(0) {
+                        line.push(if i % 2 == 0 { ' ' } else { '\t' });
                     }
                     line.push_str(k);
                 }
@@ -808,12 +794,28 @@ mod tests {
                 };
                 prop_assert_eq!(got.len(), keys.len());
                 let by_iter: Vec<&[u8]> = got.iter().collect();
-                let by_range: Vec<&[u8]> =
-                    got.ranges().map(|(s, e)| &line.as_bytes()[s..e]).collect();
-                prop_assert_eq!(&by_iter, &by_range);
-                for (want, have) in keys.iter().zip(by_iter) {
-                    prop_assert_eq!(want.as_bytes(), have);
-                }
+                let want: Vec<&[u8]> = keys.iter().map(String::as_bytes).collect();
+                prop_assert_eq!(by_iter, want);
+            }
+
+            /// The one-scan key count answers every `get` line exactly
+            /// as splitting on ASCII whitespace and validating each key
+            /// does: the same count, or the same first error.
+            #[test]
+            fn get_key_scan_matches_split_and_validate(
+                tail in proptest::collection::vec(
+                    prop_oneof![
+                        Just(b' '), Just(b'\t'), Just(b'\r'), Just(0x0b_u8), Just(0x0c_u8),
+                        Just(0x01_u8), Just(0x7f_u8), Just(b'k'), Just(b'~'), Just(0xc3_u8),
+                    ],
+                    0..600,
+                ),
+            ) {
+                let by_split = tail
+                    .split(u8::is_ascii_whitespace)
+                    .filter(|key| !key.is_empty())
+                    .try_fold(0usize, |n, key| validate_key(key).map(|()| n + 1));
+                prop_assert_eq!(count_keys(&tail), by_split);
             }
 
             /// Binary values of any content survive a write_value/read
@@ -885,8 +887,19 @@ mod tests {
         };
         let got: Vec<&[u8]> = keys.iter().collect();
         assert_eq!(got, ["a\u{2003}b".as_bytes(), b"c"]);
-        let ranged: Vec<&[u8]> = keys.ranges().map(|(s, e)| &line[s..e]).collect();
-        assert_eq!(got, ranged);
+    }
+
+    #[test]
+    fn get_key_errors_keep_their_text() {
+        let err = |line: &[u8]| parse_command(line).unwrap_err();
+        let long = [&b"get ok "[..], &[b'k'; 251][..], b" "].concat();
+        assert_eq!(err(&long), "key longer than 250");
+        assert_eq!(
+            err(b"get ok key toolong"),
+            "key contains control or space characters"
+        );
+        assert_eq!(err(b"get  \t "), "get requires at least one key");
+        assert_eq!(err(b"get a \xff"), "non-utf8 command line");
     }
 
     #[test]
@@ -940,14 +953,15 @@ mod tests {
     }
 
     #[test]
-    fn next_request_get_ranges_index_returned_line() {
+    fn next_request_get_keys_borrow_the_returned_line() {
         match next_request(b"get aa b\r\n") {
             NextRequest::Request {
                 line,
                 cmd: Command::Get { keys, .. },
                 ..
             } => {
-                let got: Vec<&[u8]> = keys.ranges().map(|(s, e)| &line[s..e]).collect();
+                assert_eq!(line, b"get aa b");
+                let got: Vec<&[u8]> = keys.iter().collect();
                 assert_eq!(got, vec![&b"aa"[..], &b"b"[..]]);
             }
             other => panic!("expected get, got {other:?}"),

@@ -15,12 +15,15 @@
 //! parsing via [`protocol::next_request`]) and one write of the batch's
 //! replies. What the socket cannot take waits in the connection's
 //! output, and the connection is read again only once that is flushed.
-//! Each worker owns one [`ConnScratch`], so the command loop is
-//! allocation-free at steady state (proven by the `zero_alloc_serve`
-//! integration test, which drives [`drain_input`] over in-memory bytes).
+//! A `get` is one pass over its keys ([`Store::get_each`]): each hit is
+//! written into the reply from its shard, under the shard's guard, so no
+//! value is cloned. Each worker owns one [`ConnScratch`], so the command
+//! loop is allocation-free at steady state (proven by the
+//! `zero_alloc_serve` integration test, which drives [`drain_input`] over
+//! in-memory bytes).
 
 use crate::protocol::{self, reply, Command, NextRequest, StoreVerb};
-use crate::shard::{ArithOutcome, CasOutcome, SetOutcome, Value};
+use crate::shard::{ArithOutcome, CasOutcome, SetOutcome};
 use crate::stats::StoreStats;
 use crate::store::{GetScratch, SetEntry, Store};
 use epoll::{Epoll, Event, Interest};
@@ -436,28 +439,6 @@ fn ttl_of(exptime: i64) -> Option<Duration> {
     }
 }
 
-/// Scratch for the multi-get execution path, grouped so
-/// [`execute_command`] can borrow it alongside the response buffer.
-#[derive(Debug, Default)]
-struct GetPathScratch {
-    /// `(start, end)` offsets of each get key within the request line.
-    key_ranges: Vec<(usize, usize)>,
-    /// Shard-batching scratch for the multi-get.
-    get: GetScratch,
-    /// Multi-get results, in request key order.
-    values: Vec<Option<Value>>,
-}
-
-impl GetPathScratch {
-    const fn new() -> Self {
-        GetPathScratch {
-            key_ranges: Vec::new(),
-            get: GetScratch::new(),
-            values: Vec::new(),
-        }
-    }
-}
-
 /// A plain `set` waiting in the current storage run, held as offset
 /// ranges into the connection input buffer (no key/value copies).
 #[derive(Debug, Clone, Copy)]
@@ -515,8 +496,6 @@ impl WriteBatchScratch {
 /// the loop performs no allocation once warm.
 #[derive(Debug, Default)]
 pub struct ConnScratch {
-    /// Multi-get execution scratch.
-    gets: GetPathScratch,
     /// Storage-run batching scratch.
     writes: WriteBatchScratch,
     /// Replies of the last [`drain_input`]; one write per batch.
@@ -529,7 +508,6 @@ impl ConnScratch {
     /// Fresh scratch; buffers size themselves on first use.
     pub const fn new() -> Self {
         ConnScratch {
-            gets: GetPathScratch::new(),
             writes: WriteBatchScratch::new(),
             response: Vec::new(),
             net: Vec::new(),
@@ -552,15 +530,11 @@ enum Reply {
 }
 
 /// Execute one parsed command against the store, appending any reply to
-/// `response`. `line` must be the exact slice [`protocol::parse_command`]
-/// saw (get-key ranges index into it) and `data` the `set`/`cas`
-/// payload.
+/// `response`. `data` is the `set`/`cas` payload.
 fn execute_command(
     store: &Store,
-    line: &[u8],
     cmd: &Command<'_>,
     data: &[u8],
-    gets: &mut GetPathScratch,
     response: &mut Vec<u8>,
 ) -> io::Result<Reply> {
     let quiet = matches!(
@@ -573,32 +547,17 @@ fn execute_command(
     let replied_before = response.len();
     match cmd {
         Command::Get { keys, with_cas } => {
-            let GetPathScratch {
-                key_ranges,
-                get,
-                values,
-            } = gets;
-            key_ranges.clear();
-            key_ranges.extend(keys.ranges());
-            store.get_multi_with(
-                get,
-                key_ranges.len(),
-                |i| {
-                    let (s, e) = key_ranges[i];
-                    &line[s..e]
-                },
-                values,
-            );
-            for (&(s, e), value) in key_ranges.iter().zip(values.iter()) {
-                if let Some(v) = value {
+            // Each hit is copied into the reply while its shard's guard
+            // is held: bounded memory work, no clone and no socket call.
+            let mut written = Ok(());
+            store.get_each(keys.iter(), |key, hit| {
+                if let (Some(v), Ok(())) = (hit, &written) {
                     let cas = with_cas.then_some(v.cas);
-                    protocol::write_value(response, &line[s..e], v.flags, &v.data, cas)?;
+                    written = protocol::write_value(response, key, v.flags, v.data, cas);
                 }
-            }
+            });
+            written?;
             protocol::write_end(response)?;
-            // Drop the value Arcs now: a later same-length `set` can
-            // then overwrite in place instead of reallocating.
-            values.clear();
         }
         Command::Set {
             verb,
@@ -796,7 +755,6 @@ pub fn drain_input(
     scratch: &mut ConnScratch,
 ) -> io::Result<(usize, bool)> {
     let ConnScratch {
-        gets,
         writes,
         response,
         net: _,
@@ -821,10 +779,10 @@ pub fn drain_input(
                 consumed_total += consumed;
             }
             NextRequest::Request {
-                line,
                 cmd,
                 data,
                 consumed,
+                ..
             } => {
                 match &cmd {
                     Command::Set {
@@ -861,7 +819,7 @@ pub fn drain_input(
                     }
                 }
                 consumed_total += consumed;
-                if execute_command(store, line, &cmd, data, gets, response)? == Reply::Quit {
+                if execute_command(store, &cmd, data, response)? == Reply::Quit {
                     close = true;
                     break;
                 }
@@ -1513,6 +1471,82 @@ mod tests {
         server.shutdown();
         assert!(TcpStream::connect(server.addr()).is_err(), "listener open");
         assert_eq!(server.live_connections(), 0);
+    }
+
+    /// What the seed per-key path answers a `get` (or `gets`) of `keys`:
+    /// one `get_multi_reference` transaction, formatted key by key.
+    fn reference_reply(store: &Store, keys: &[&[u8]], with_cas: bool) -> Vec<u8> {
+        let mut reply = Vec::new();
+        for (key, value) in keys.iter().zip(store.get_multi_reference(keys)) {
+            if let Some(v) = value {
+                let cas = with_cas.then_some(v.cas);
+                protocol::write_value(&mut reply, key, v.flags, &v.data, cas).unwrap();
+            }
+        }
+        protocol::write_end(&mut reply).unwrap();
+        reply
+    }
+
+    proptest::proptest! {
+        /// The one-pass `get`/`gets` of `drain_input` answers byte for
+        /// byte what the per-key reference answers, for hits, misses,
+        /// duplicates and TTL-expired keys on 1, 2 and 16 shards; the
+        /// stats end equal, and so does the LRU order: under the same
+        /// eviction pressure the same entries survive.
+        #[test]
+        fn one_pass_get_matches_the_per_key_reference(
+            stored in proptest::collection::vec((0u32..24, 0usize..40, 0u8..3), 0..32),
+            lines in proptest::collection::vec(
+                (proptest::collection::vec(0u32..32, 1..12), proptest::prelude::any::<bool>()),
+                1..8,
+            ),
+            shards_pick in 0usize..3,
+        ) {
+            let shards = [1, 2, 16][shards_pick];
+            let clock = TestClock::new();
+            let served = Store::with_clock(8 << 10, shards, clock.clone().into());
+            let reference = Store::with_clock(8 << 10, shards, clock.clone().into());
+            for store in [&served, &reference] {
+                for &(n, vlen, ttl) in &stored {
+                    // 0: no expiry, 1: expired below, 2: still alive.
+                    let ttl = [None, Some(1), Some(100)][usize::from(ttl)].map(Duration::from_secs);
+                    store.set_with_ttl(format!("k{n}").as_bytes(), &vec![b'v'; vlen], n, false, ttl);
+                }
+            }
+            clock.advance(Duration::from_secs(2));
+            let mut scratch = ConnScratch::new();
+            for (numbers, with_cas) in &lines {
+                let keys: Vec<Vec<u8>> =
+                    numbers.iter().map(|n| format!("k{n}").into_bytes()).collect();
+                let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+                let mut line = if *with_cas { b"gets".to_vec() } else { b"get".to_vec() };
+                for key in &refs {
+                    line.push(b' ');
+                    line.extend_from_slice(key);
+                }
+                line.extend_from_slice(b"\r\n");
+                proptest::prop_assert_eq!(
+                    drain_input(&served, &line, &mut scratch).unwrap(),
+                    (line.len(), false)
+                );
+                let want = reference_reply(&reference, &refs, *with_cas);
+                proptest::prop_assert_eq!(scratch.response(), &want[..]);
+            }
+            proptest::prop_assert_eq!(served.stats(), reference.stats());
+
+            for store in [&served, &reference] {
+                for i in 0..48 {
+                    store.set(format!("pressure-{i}").as_bytes(), &[b'p'; 20], 0, false);
+                }
+            }
+            let all: Vec<Vec<u8>> = (0..32).map(|n| format!("k{n}").into_bytes()).collect();
+            let all: Vec<&[u8]> = all.iter().map(Vec::as_slice).collect();
+            proptest::prop_assert_eq!(
+                served.get_multi_reference(&all),
+                reference.get_multi_reference(&all)
+            );
+            proptest::prop_assert_eq!(served.stats(), reference.stats());
+        }
     }
 
     #[test]

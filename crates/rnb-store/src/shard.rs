@@ -11,10 +11,11 @@
 //! Lookups go through `KeyIndex`, an open-addressed slot index keyed by
 //! a precomputed xxh64 of the key. The same hash the parent
 //! [`Store`](crate::Store) computes to route a key to a shard is reused
-//! for the in-shard probe, so the batched read path
-//! (`Shard::get_many`) hashes every key exactly once end to end.
+//! for the in-shard probe, so the one-pass read
+//! ([`Store::get_each`](crate::Store::get_each)) hashes every key
+//! exactly once end to end.
 
-use crate::clock::{duration_to_ticks, Clock, Tick};
+use crate::clock::{duration_to_ticks, Clock, LazyTick, Tick};
 use rnb_hash::xxhash::xxh64;
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,6 +87,30 @@ pub struct Value {
     pub cas: u64,
 }
 
+/// A hit lent out of its shard while the shard's guard is held (see
+/// [`Store::get_each`](crate::Store::get_each)): the same fields as a
+/// [`Value`], borrowed, so reading a hit clones nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueRef<'a> {
+    /// The stored bytes (derefs to `[u8]`).
+    pub data: &'a Arc<[u8]>,
+    /// Opaque flags stored with the value.
+    pub flags: u32,
+    /// Compare-and-swap token.
+    pub cas: u64,
+}
+
+impl ValueRef<'_> {
+    /// An owned [`Value`] sharing the bytes (one refcount increment).
+    pub fn to_value(self) -> Value {
+        Value {
+            data: Arc::clone(self.data),
+            flags: self.flags,
+            cas: self.cas,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Node {
     key: Box<[u8]>,
@@ -126,8 +151,7 @@ fn probe_start(hash: u64, mask: usize) -> usize {
 /// Open-addressed (linear-probe, tombstone) index from key hash to node
 /// slot: the map half of the classic "hash table + intrusive LRU list"
 /// pair. The hash is computed by the caller exactly once and stored in
-/// the node, which is what lets [`Shard::get_many`] skip per-key
-/// rehashing entirely.
+/// the node, which is what lets a read skip per-key rehashing entirely.
 #[derive(Debug, Default)]
 struct KeyIndex {
     /// `EMPTY`, `TOMB`, or `slot + 2`. Length is a power of two (or zero
@@ -326,12 +350,19 @@ impl Shard {
         self.mem_limit
     }
 
-    /// Single-key lookup step shared by [`get`](Shard::get) and
-    /// [`get_many`](Shard::get_many): resolve, lazily expire, promote
-    /// unpinned hits, clone the value out.
-    fn get_at(&mut self, hash: u64, key: &[u8], now: Tick) -> Option<Value> {
+    /// The lookup step every read takes: resolve, lazily expire, promote
+    /// unpinned hits, lend the value. `hash` must be [`key_hash`] of
+    /// `key` (the store computed it to pick this shard) and `now` the
+    /// tick the caller's whole transaction reads at, which only an entry
+    /// with a deadline makes it read.
+    pub(crate) fn lookup(
+        &mut self,
+        hash: u64,
+        key: &[u8],
+        now: &mut LazyTick<'_>,
+    ) -> Option<ValueRef<'_>> {
         let idx = self.index.find(hash, key, &self.nodes)?;
-        if self.nodes[idx].expired(now) {
+        if self.nodes[idx].expires_at.is_some_and(|t| t <= now.get()) {
             self.remove_slot(idx);
             return None;
         }
@@ -339,10 +370,11 @@ impl Shard {
             self.unlink(idx);
             self.push_front(idx);
         }
-        Some(Value {
-            data: Arc::clone(&self.nodes[idx].value),
-            flags: self.nodes[idx].flags,
-            cas: self.nodes[idx].cas,
+        let node = &self.nodes[idx];
+        Some(ValueRef {
+            data: &node.value,
+            flags: node.flags,
+            cas: node.cas,
         })
     }
 
@@ -350,29 +382,8 @@ impl Shard {
     /// Expired entries are removed lazily and report as misses.
     pub fn get(&mut self, key: &[u8]) -> Option<Value> {
         let now = self.clock.now();
-        self.get_at(key_hash(key), key, now)
-    }
-
-    /// Batched lookup: one clock read and one pass for the whole batch,
-    /// writing each result to `out[pos]` for its `(hash, key, pos)`
-    /// triple. `hash` must be [`key_hash`] of `key` — the store passes
-    /// the value it already computed for shard routing, so the batch
-    /// path hashes each key once in total. Positions outside `out` are
-    /// ignored. Returns the number of hits.
-    pub(crate) fn get_many<'k, I>(&mut self, batch: I, out: &mut [Option<Value>]) -> usize
-    where
-        I: IntoIterator<Item = (u64, &'k [u8], usize)>,
-    {
-        let now = self.clock.now();
-        let mut hits = 0;
-        for (hash, key, pos) in batch {
-            let value = self.get_at(hash, key, now);
-            hits += usize::from(value.is_some());
-            if let Some(out_slot) = out.get_mut(pos) {
-                *out_slot = value;
-            }
-        }
-        hits
+        self.lookup(key_hash(key), key, &mut LazyTick::at(now))
+            .map(ValueRef::to_value)
     }
 
     /// Presence probe without LRU promotion (expired entries report
@@ -432,9 +443,8 @@ impl Shard {
 
     /// [`set_full_at`](Shard::set_full_at) with the key's hash supplied
     /// by the caller. The batched write path hashes every key once while
-    /// grouping it by shard (mirroring [`get_many`](Shard::get_many)'s
-    /// `(hash, key, pos)` contract), so re-hashing here would double the
-    /// per-key hashing cost of a burst.
+    /// grouping it by shard, so re-hashing here would double the per-key
+    /// hashing cost of a burst.
     #[allow(clippy::too_many_arguments)] // set_full_at's surface plus the precomputed hash
     pub(crate) fn set_full_hashed(
         &mut self,
@@ -614,7 +624,10 @@ impl Shard {
     /// and the rewrite all read one `now`.
     pub fn arith(&mut self, key: &[u8], delta: u64, negative: bool) -> ArithOutcome {
         let now = self.clock.now();
-        let Some(current) = self.get_at(key_hash(key), key, now) else {
+        let Some(current) = self
+            .lookup(key_hash(key), key, &mut LazyTick::at(now))
+            .map(ValueRef::to_value)
+        else {
             return ArithOutcome::NotFound;
         };
         let Ok(text) = std::str::from_utf8(&current.data) else {
@@ -849,58 +862,6 @@ mod tests {
         let got = s.get(b"k").unwrap();
         assert_eq!(&got.data[..], b"cccc");
         assert_eq!(got.flags, 7);
-    }
-
-    #[test]
-    fn get_many_matches_get_and_fills_positions() {
-        let mut s = Shard::new(10_000);
-        for i in 0..8 {
-            let (k, v) = kv(i);
-            s.set(&k, &v, i, false);
-        }
-        // Out-of-order positions, one miss, one duplicate key.
-        let keys: Vec<Vec<u8>> = vec![
-            b"key3".to_vec(),
-            b"missing".to_vec(),
-            b"key0".to_vec(),
-            b"key3".to_vec(),
-        ];
-        let batch: Vec<(u64, &[u8], usize)> = keys
-            .iter()
-            .enumerate()
-            .map(|(pos, k)| (key_hash(k), k.as_slice(), pos))
-            .collect();
-        let mut out = vec![None, None, None, None];
-        let hits = s.get_many(batch, &mut out);
-        assert_eq!(hits, 3);
-        assert_eq!(&out[0].as_ref().unwrap().data[..], b"value3");
-        assert!(out[1].is_none());
-        assert_eq!(&out[2].as_ref().unwrap().data[..], b"value0");
-        assert_eq!(&out[3].as_ref().unwrap().data[..], b"value3");
-        // Results agree with the single-key path.
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(s.get(k), out[i].clone());
-        }
-    }
-
-    #[test]
-    fn get_many_expires_lazily_like_get() {
-        let (mut s, clock) = shard_with_clock(10_000);
-        s.set_full(b"t", b"v", 0, false, Some(Duration::from_secs(1)));
-        s.set(b"p", b"w", 0, false);
-        clock.advance(Duration::from_secs(2));
-        let mut out = vec![None, None];
-        let hits = s.get_many(
-            vec![
-                (key_hash(b"t"), &b"t"[..], 0),
-                (key_hash(b"p"), &b"p"[..], 1),
-            ],
-            &mut out,
-        );
-        assert_eq!(hits, 1);
-        assert!(out[0].is_none());
-        assert!(out[1].is_some());
-        assert_eq!(s.len(), 1, "expired entry reclaimed by the batch path");
     }
 
     #[test]

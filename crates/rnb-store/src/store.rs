@@ -2,19 +2,20 @@
 //! `Mutex<Shard>`, each shard one byte-budgeted LRU that every read and
 //! write refreshes.
 //!
-//! The read path is batch-first: [`Store::get_multi`] groups keys by
-//! shard in a pooled [`GetScratch`], locks each touched shard exactly
-//! once, and hands the whole per-shard batch to
-//! [`Shard`]'s `get_many` — one lock round-trip and one clock
-//! read per shard instead of one per key. The seed per-key loop survives
-//! as [`Store::get_multi_reference`], the oracle the proptests and the
+//! The read path is one pass: [`Store::get_each`] walks a transaction's
+//! keys in request order, hashes each once, locks a shard only when a
+//! key's shard differs from the previous key's, reads the clock at most
+//! once, and lends each hit to a visitor while the guard is held — the
+//! server writes the reply straight from the shard, and
+//! [`Store::get_multi`] collects owned values. The seed per-key loop
+//! survives as
+//! [`Store::get_multi_reference`], the oracle the proptests and the
 //! `BENCH_store.json` benchmark compare against.
 
-use crate::clock::Clock;
-use crate::shard::{self, ArithOutcome, CasOutcome, SetOutcome, Shard, Value};
+use crate::clock::{Clock, LazyTick};
+use crate::shard::{self, ArithOutcome, CasOutcome, SetOutcome, Shard, Value, ValueRef};
 use crate::stats::{StatsSnapshot, StoreStats};
 use parking_lot::Mutex;
-use std::cell::RefCell;
 #[cfg(test)]
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
@@ -24,10 +25,11 @@ use std::time::Duration;
 /// at the connection counts the micro-benchmarks use).
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Pooled scratch for [`Store::get_multi_with`]: per-shard batch lists
-/// reset by epoch stamping (the same O(1)-reset idiom as `rnb-cover`'s
-/// label interner), so a serving loop reuses one allocation set across
-/// requests of any shape.
+/// Pooled scratch for the batched writes ([`Store::set_multi`],
+/// [`Store::delete_multi`]): per-shard batch lists reset by epoch
+/// stamping (the same O(1)-reset idiom as `rnb-cover`'s label interner),
+/// so a serving loop reuses one allocation set across bursts of any
+/// shape. Reads need none.
 #[derive(Debug, Default)]
 pub struct GetScratch {
     /// Current request number; buckets with an older stamp are logically
@@ -110,9 +112,12 @@ pub struct SetEntry<'a> {
 pub struct Store {
     shards: Vec<Mutex<Shard>>,
     mask: u64,
+    /// The timeline every shard reads; a read transaction takes its one
+    /// tick here, when an entry with a deadline first needs it.
+    clock: Clock,
     stats: StoreStats,
-    /// Shard-mutex acquisitions made by the batched get, set and delete
-    /// paths; the regression tests assert one per shard touched.
+    /// Shard-mutex acquisitions made by the multi-key get, set and
+    /// delete paths; the regression tests pin how many each takes.
     #[cfg(test)]
     multi_lock_acquisitions: AtomicU64,
 }
@@ -145,6 +150,7 @@ impl Store {
                 .map(|_| Mutex::new(Shard::with_clock(per_shard, clock.clone())))
                 .collect(),
             mask: (shards - 1) as u64,
+            clock,
             stats: StoreStats::default(),
             #[cfg(test)]
             multi_lock_acquisitions: AtomicU64::new(0),
@@ -189,104 +195,97 @@ impl Store {
         }
     }
 
-    /// Fetch many keys in one transaction (one `get_transactions` tick,
-    /// one lookup per key), batching shard work: each touched shard is
-    /// locked exactly once. Results land in the caller's key order.
-    ///
-    /// This convenience form allocates the result vector and borrows a
-    /// thread-local [`GetScratch`]; serving loops should hold their own
-    /// scratch and output buffer and call [`Store::get_multi_into`].
+    /// Fetch many keys in one transaction: [`Store::get_each`]
+    /// collecting an owned [`Value`] per key (one refcount increment per
+    /// hit), in key order. Serving loops that only copy the hits out
+    /// should call [`Store::get_each`] and clone nothing.
     pub fn get_multi(&self, keys: &[&[u8]]) -> Vec<Option<Value>> {
-        thread_local! {
-            static SCRATCH: RefCell<GetScratch> = const { RefCell::new(GetScratch::new()) };
-        }
-        let mut out = Vec::new();
-        SCRATCH.with(|scratch| {
-            self.get_multi_with(&mut scratch.borrow_mut(), keys.len(), |i| keys[i], &mut out);
-        });
+        let mut out = Vec::with_capacity(keys.len());
+        self.get_multi_into(&mut GetScratch::new(), keys, &mut out);
         out
     }
 
-    /// [`Store::get_multi`] writing into caller-owned buffers: `out` is
-    /// cleared and refilled in key order. Reusing `scratch` and `out`
-    /// across calls makes the steady-state read path allocation-free.
+    /// [`Store::get_multi`] into a caller-owned vector: `out` is cleared
+    /// and refilled in key order, so reusing it makes the call
+    /// allocation-free once warm. `_scratch` is not read: a read walks
+    /// its keys in one pass and needs no scratch. The parameter stays for
+    /// callers that hold one [`GetScratch`] for their writes too.
     pub fn get_multi_into(
         &self,
-        scratch: &mut GetScratch,
+        _scratch: &mut GetScratch,
         keys: &[&[u8]],
         out: &mut Vec<Option<Value>>,
     ) {
-        self.get_multi_with(scratch, keys.len(), |i| keys[i], out);
+        out.clear();
+        self.get_each(keys.iter().copied(), |_, hit| {
+            out.push(hit.map(ValueRef::to_value));
+        });
     }
 
-    /// The core batched multi-get: keys are supplied by position through
-    /// `key_at` (called O(1) times per key), so callers can hand out
-    /// sub-slices of a network buffer without materialising a `&[&[u8]]`.
-    /// Fills `out[i]` with the result for `key_at(i)`, `0 <= i < count`,
-    /// locking each touched shard exactly once. Returns the hit count.
-    pub fn get_multi_with<'k, F>(
-        &self,
-        scratch: &mut GetScratch,
-        count: usize,
-        key_at: F,
-        out: &mut Vec<Option<Value>>,
-    ) -> usize
+    /// The read primitive: one get transaction over `keys`, walked in
+    /// request order. Each key is hashed once. A shard's mutex is taken
+    /// only when a key's shard differs from the previous key's, so one
+    /// guard is held at a time and a run of same-shard keys shares one
+    /// acquisition. The clock is read at most once for the whole
+    /// transaction: the first time an entry with a TTL is judged.
+    /// While the guard is held, `visit` gets each key with its hit lent
+    /// out of the shard (`None` for a miss or an expired entry). Returns
+    /// the hit count; stats count exactly what
+    /// [`Store::get_multi_reference`] counts.
+    ///
+    /// `visit` runs under a shard mutex: it must be bounded memory work,
+    /// such as copying the hit into a reply buffer — never a lock or a
+    /// socket call (lint R10 checks every call site's closure).
+    pub fn get_each<'k, I, F>(&self, keys: I, mut visit: F) -> usize
     where
-        F: Fn(usize) -> &'k [u8],
+        I: IntoIterator<Item = &'k [u8]>,
+        F: FnMut(&'k [u8], Option<ValueRef<'_>>),
     {
-        self.stats.get_txns.fetch_add(1, Ordering::Relaxed);
-        self.stats.gets.fetch_add(count as u64, Ordering::Relaxed);
-        self.stats.count_get_batch(count);
-        out.clear();
-        out.resize(count, None);
-        scratch.begin(self.shards.len());
-        for i in 0..count {
-            let h = shard::key_hash(key_at(i));
-            scratch.push((h & self.mask) as usize, i, h);
-        }
-        let mut hits = 0usize;
-        for &sh in &scratch.touched {
-            let entries = scratch.buckets[sh]
-                .entries
-                .iter()
-                .map(|&(pos, h)| (h, key_at(pos), pos));
+        let mut now = LazyTick::new(&self.clock);
+        let mask = self.mask;
+        let mut keys = keys
+            .into_iter()
+            .map(|key| (key, shard::key_hash(key)))
+            .peekable();
+        let (mut count, mut hits) = (0usize, 0usize);
+        while let Some(&(_, first)) = keys.peek() {
+            let sh = first & mask;
             #[cfg(test)]
             self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-            hits += self.shards[sh].lock().get_many(entries, out);
+            let mut shard = self.shards[sh as usize].lock();
+            while let Some((key, h)) = keys.next_if(|&(_, h)| h & mask == sh) {
+                let hit = shard.lookup(h, key, &mut now);
+                count += 1;
+                hits += usize::from(hit.is_some());
+                visit(key, hit);
+            }
         }
-        self.stats.hits.fetch_add(hits as u64, Ordering::Relaxed);
-        self.stats
-            .misses
-            .fetch_add((count - hits) as u64, Ordering::Relaxed);
+        self.count_get_txn(count, hits);
         hits
     }
 
-    /// The seed per-key multi-get: one shard-lock acquisition (and one
-    /// clock read) **per key**. Kept verbatim as the correctness oracle
-    /// for the batched path and as the baseline the store benchmark's
-    /// speedup ratios are measured against. Stats accounting matches
-    /// [`Store::get_multi`] exactly.
-    pub fn get_multi_reference(&self, keys: &[&[u8]]) -> Vec<Option<Value>> {
+    /// Stats of one get transaction of `keys` keys, `hits` of them found.
+    fn count_get_txn(&self, keys: usize, hits: usize) {
         self.stats.get_txns.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .gets
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        self.stats.count_get_batch(keys.len());
-        let mut hits = 0u64;
-        let out: Vec<Option<Value>> = keys
-            .iter()
-            .map(|key| {
-                let v = self.shard_of(key).lock().get(key);
-                if v.is_some() {
-                    hits += 1;
-                }
-                v
-            })
-            .collect();
-        self.stats.hits.fetch_add(hits, Ordering::Relaxed);
+        self.stats.gets.fetch_add(keys as u64, Ordering::Relaxed);
+        self.stats.count_get_batch(keys);
+        self.stats.hits.fetch_add(hits as u64, Ordering::Relaxed);
         self.stats
             .misses
-            .fetch_add(keys.len() as u64 - hits, Ordering::Relaxed);
+            .fetch_add((keys - hits) as u64, Ordering::Relaxed);
+    }
+
+    /// The seed per-key multi-get: one shard-lock acquisition (and one
+    /// clock read) **per key**. Kept as the correctness oracle for the
+    /// one-pass read and as the baseline the store benchmark's speedup
+    /// ratios are measured against. Stats accounting matches
+    /// [`Store::get_each`] exactly.
+    pub fn get_multi_reference(&self, keys: &[&[u8]]) -> Vec<Option<Value>> {
+        let out: Vec<Option<Value>> = keys
+            .iter()
+            .map(|key| self.shard_of(key).lock().get(key))
+            .collect();
+        self.count_get_txn(keys.len(), out.iter().flatten().count());
         out
     }
 
@@ -328,12 +327,11 @@ impl Store {
 
     /// Store a whole batch, locking each touched shard at most once.
     ///
-    /// The write-side analogue of [`Store::get_multi_with`]: keys are
-    /// grouped by shard through the pooled `scratch`, then each touched
-    /// shard's sub-batch is applied under a single lock acquisition and
-    /// a single clock read. `outcomes` is cleared and refilled in entry
-    /// order. Entries are applied in batch order within each
-    /// shard, so duplicate keys resolve exactly as a sequential
+    /// Keys are grouped by shard through the pooled `scratch`, then each
+    /// touched shard's sub-batch is applied under a single lock
+    /// acquisition and a single clock read. `outcomes` is cleared and
+    /// refilled in entry order. Entries are applied in batch order within
+    /// each shard, so duplicate keys resolve exactly as a sequential
     /// [`Store::set_with_ttl`] loop would (later entry wins); stats
     /// accounting matches the sequential loop per op.
     pub fn set_multi(
@@ -608,27 +606,43 @@ mod tests {
         assert_eq!(a.get_batch_hist, b.get_batch_hist);
     }
 
+    /// Lock acquisitions one `get_multi` of `keys` takes.
+    fn locks_of_get(store: &Store, keys: &[&[u8]]) -> usize {
+        store.multi_lock_acquisitions.store(0, Ordering::Relaxed);
+        let out = store.get_multi(keys);
+        assert!(out.iter().all(Option::is_some));
+        store.multi_lock_acquisitions.load(Ordering::Relaxed) as usize
+    }
+
     #[test]
-    fn get_multi_locks_at_most_shards_touched() {
-        // The tentpole invariant: lock acquisitions <= min(M, shards
-        // touched), never one per key.
-        let store = Store::with_shards(1 << 20, 8);
+    fn get_multi_locks_once_per_run_of_same_shard_keys() {
+        // The one-pass invariant: a read locks a shard each time a key's
+        // shard differs from the previous key's, so its acquisitions
+        // equal the runs of consecutive same-shard keys.
         let keys: Vec<Vec<u8>> = (0..100u32).map(|i| format!("k{i}").into_bytes()).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let store = Store::with_shards(1 << 20, 8);
         for k in &keys {
             store.set(k, b"v", 0, false);
         }
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let distinct: std::collections::HashSet<usize> =
-            refs.iter().map(|k| store.shard_index_of(k)).collect();
-        assert!(distinct.len() > 1, "keys should span several shards");
+        let shard_seq: Vec<usize> = refs.iter().map(|k| store.shard_index_of(k)).collect();
+        let runs = 1 + shard_seq.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(runs > 8, "keys should alternate between shards");
+        assert_eq!(locks_of_get(&store, &refs), runs);
 
-        store.multi_lock_acquisitions.store(0, Ordering::Relaxed);
-        let out = store.get_multi(&refs);
-        let locks = store.multi_lock_acquisitions.load(Ordering::Relaxed);
-        assert!(out.iter().all(Option::is_some));
-        assert_eq!(locks as usize, distinct.len(), "one lock per touched shard");
-        assert!(locks as usize <= 8);
-        assert!(locks as usize <= refs.len());
+        // The same keys sorted by shard form one run per touched shard.
+        let mut grouped = refs.clone();
+        grouped.sort_by_key(|k| store.shard_index_of(k));
+        let touched: std::collections::HashSet<usize> = shard_seq.into_iter().collect();
+        assert_eq!(locks_of_get(&store, &grouped), touched.len());
+
+        // A one-shard store takes exactly one lock per transaction.
+        let single = Store::with_shards(1 << 20, 1);
+        for k in &keys {
+            single.set(k, b"v", 0, false);
+        }
+        assert_eq!(locks_of_get(&single, &refs), 1);
+        assert_eq!(locks_of_get(&single, &refs[..1]), 1);
     }
 
     #[test]
@@ -823,7 +837,7 @@ mod tests {
     }
 
     proptest! {
-        /// The batched multi-get is result-identical to the retained
+        /// The one-pass multi-get is result-identical to the retained
         /// per-key reference path, for any key mix (hits, misses,
         /// duplicates) on any shard count.
         #[test]

@@ -2,10 +2,12 @@
 //!
 //! A counting global allocator (vendored `alloc-counter` stand-in) wraps
 //! the system allocator with thread-local counters. The first pass over
-//! a get/set traffic script warms one [`rnb_store::ConnScratch`] — key
-//! ranges, multi-get and storage-run scratch, response buffer —
-//! and the shard-side value storage (same-length `set` overwrites reuse
-//! the existing allocation via `Arc::get_mut`). Every later pass of
+//! a get/gets/set traffic script warms one [`rnb_store::ConnScratch`] —
+//! storage-run scratch and response buffer; a `get` needs none, because
+//! it writes each hit into the reply straight from its shard — and the
+//! shard-side value storage (same-length `set` overwrites reuse the
+//! existing allocation via `Arc::get_mut`, which a get never blocks:
+//! it clones no value). Every later pass of
 //! [`rnb_store::drain_input`] — the command loop the server's workers
 //! run on each connection's buffered bytes — must perform **zero**
 //! allocator calls, as long as values fit the pooled buffers.
@@ -21,6 +23,9 @@ static ALLOC: AllocCounterSystem = AllocCounterSystem;
 
 const VALUE_LEN: usize = 16;
 
+/// A stored key the script reads but never writes.
+const STABLE: &str = "stable";
+
 /// A pipelined traffic script: multi-gets of several shapes interleaved
 /// with same-length `set` overwrites of existing keys — the steady-state
 /// workload of the paper's load generator.
@@ -33,9 +38,12 @@ fn traffic_script(keys: &[String]) -> Vec<u8> {
         script.extend_from_slice(k.as_bytes());
     }
     script.extend_from_slice(b"\r\n");
-    // Small gets (hit + miss mixed), then overwriting sets.
+    // Small gets and gets (hit + miss mixed), then overwriting sets.
     for (i, k) in keys.iter().enumerate() {
         script.extend_from_slice(format!("get {k} missing-{i}\r\n").as_bytes());
+        // `gets` of a key the script never writes, so its CAS token and
+        // the reply stay the same from pass to pass.
+        script.extend_from_slice(format!("gets missing-{i} {STABLE} {STABLE}\r\n").as_bytes());
         script.extend_from_slice(format!("set {k} 0 0 {VALUE_LEN}\r\n").as_bytes());
         script.extend_from_slice(&[b'v'; VALUE_LEN]);
         script.extend_from_slice(b"\r\n");
@@ -49,7 +57,7 @@ fn traffic_script(keys: &[String]) -> Vec<u8> {
 #[test]
 fn steady_state_serving_does_not_allocate() {
     assert_steady_state_allocation_free(8, 2);
-    // One pass is 100 store accesses, so 700 passes put more than 2^16
+    // One pass is 160 store accesses, so 700 passes put more than 2^16
     // on the single shard before anything is counted.
     assert_steady_state_allocation_free(1, 700);
 }
@@ -60,7 +68,7 @@ fn steady_state_serving_does_not_allocate() {
 fn assert_steady_state_allocation_free(shards: usize, warm_passes: usize) {
     let store = Store::with_shards(1 << 22, shards);
     let keys: Vec<String> = (0..20).map(|i| format!("key-{i}")).collect();
-    for k in &keys {
+    for k in keys.iter().map(String::as_str).chain([STABLE]) {
         store.set(k.as_bytes(), &[b'0'; VALUE_LEN], 0, false);
     }
     let script = traffic_script(&keys);
@@ -98,5 +106,5 @@ fn assert_steady_state_allocation_free(shards: usize, warm_passes: usize) {
     let s = store.stats();
     assert!(s.get_txns > warm_stats.get_txns);
     assert!(s.sets > warm_stats.sets);
-    assert_eq!(s.curr_items, 20);
+    assert_eq!(s.curr_items, 21);
 }

@@ -738,8 +738,8 @@ pub const RULES: &[(&str, &str)] = &[
 /// one ready connection (read → `drain_input` → write), and
 /// `drain_input` the protocol loop every request flows through, public
 /// in its own right;
-/// `get_multi`/`get_multi_with` are the store's batched
-/// read entry points and `set_multi` the batched write entry point;
+/// `get_multi`/`get_each` are the store's multi-key read entry points
+/// and `set_multi` the batched write entry point;
 /// `multi_get` is the client's read entry and `multi_set` its write-side
 /// sibling (plan→burst); `fetch` is the read engine every read runs
 /// (plan→rounds→write-back, in `rnb-core`), and `run_round` /
@@ -790,7 +790,7 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/server.rs", "serve_conn"),
     ("crates/rnb-store/src/server.rs", "drain_input"),
     ("crates/rnb-store/src/store.rs", "get_multi"),
-    ("crates/rnb-store/src/store.rs", "get_multi_with"),
+    ("crates/rnb-store/src/store.rs", "get_each"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
     ("crates/rnb-store/src/store.rs", "set_multi_with"),
     ("crates/rnb-core/src/read.rs", "fetch"),
@@ -898,6 +898,12 @@ pub const SOCKET_IO_PATTERNS: &[&str] = &[
     "recv_from(",
     "send_to(",
 ];
+
+/// Store methods that run their closure argument under a shard guard
+/// (the one-pass read lends each hit to a visitor while the shard is
+/// locked). R10 treats that closure, at every call site, as guarded
+/// scope, from its first `|` to the call's closing parenthesis.
+pub const GUARDED_VISITOR_CALLS: &[&str] = &[".get_each("];
 
 /// `(file, fn, reason)` triples excused from R10, with staleness
 /// checking. Empty today: the store has no justified nested-lock or
@@ -1217,9 +1223,30 @@ fn guard_scope(file: &SourceFile, lock_off: usize) -> (usize, usize) {
     }
 }
 
+/// The closure argument of the call whose `(` sits at `open`: from the
+/// first `|` at the call's own nesting depth to its closing `)`. `None`
+/// when no closure is passed.
+fn closure_argument(file: &SourceFile, open: usize) -> Option<(usize, usize)> {
+    let s = file.scrubbed.as_bytes();
+    let mut depth = 0i32;
+    let mut start = None;
+    for (k, &b) in s.iter().enumerate().skip(open + 1) {
+        match b {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' if depth == 0 => return start.map(|st| (st, k)),
+            b')' | b']' | b'}' => depth -= 1,
+            b'|' if depth == 0 && start.is_none() => start = Some(k),
+            _ => {}
+        }
+    }
+    None
+}
+
 /// R10: in `rnb-store`, no lock guard's live scope may contain another
 /// `.lock()` (nested acquisition → ordering hazard) or socket I/O
-/// (network time under a shard mutex → tail-latency amplifier).
+/// (network time under a shard mutex → tail-latency amplifier). A
+/// closure passed to a [`GUARDED_VISITOR_CALLS`] method runs under a
+/// shard guard, so it is held to the same rule.
 pub fn check_lock_discipline(files: &[SourceFile], graph: &CallGraph) -> Vec<Violation> {
     check_lock_discipline_with(files, graph, LOCK_ALLOWLIST)
 }
@@ -1236,10 +1263,23 @@ pub fn check_lock_discipline_with(
         if !file.rel_path.starts_with(LOCK_DISCIPLINE_PATH) {
             continue;
         }
-        for lock_off in
-            occurrences_between(file, LOCK_PATTERN, 0, file.scrubbed.len()).collect::<Vec<_>>()
-        {
-            let (start, end) = guard_scope(file, lock_off);
+        // Every guarded scope of the file: `(where the guard is taken,
+        // scope start, scope end, what holds it)`.
+        let mut scopes: Vec<(usize, usize, usize, &str)> =
+            occurrences_between(file, LOCK_PATTERN, 0, file.scrubbed.len())
+                .map(|lock_off| {
+                    let (start, end) = guard_scope(file, lock_off);
+                    (lock_off, start, end, "the lock guard taken")
+                })
+                .collect();
+        for call in GUARDED_VISITOR_CALLS {
+            for call_off in occurrences_between(file, call, 0, file.scrubbed.len()) {
+                if let Some((start, end)) = closure_argument(file, call_off + call.len() - 1) {
+                    scopes.push((call_off, start, end, "the visitor closure of the call"));
+                }
+            }
+        }
+        for (site, start, end, guard) in scopes {
             let mut offenders: Vec<(usize, &str)> = Vec::new();
             for inner in occurrences_between(file, ".lock(", start, end) {
                 offenders.push((inner, "another `.lock()`"));
@@ -1253,7 +1293,7 @@ pub fn check_lock_discipline_with(
                 continue;
             }
             let holder = graph
-                .enclosing_fn(&file.rel_path, lock_off)
+                .enclosing_fn(&file.rel_path, site)
                 .map(|f| f.name.as_str())
                 .unwrap_or("?");
             if let Some((f, n, _)) = allowlist
@@ -1269,11 +1309,10 @@ pub fn check_lock_discipline_with(
                     file: file.rel_path.clone(),
                     line: file.line_of(inner),
                     message: format!(
-                        "{what} inside the scope of the lock guard taken at \
-                         line {} (in `{holder}`); release the guard first — \
-                         no lock is held across another lock or the network \
-                         (`{}`)",
-                        file.line_of(lock_off),
+                        "{what} inside the scope of {guard} at line {} (in \
+                         `{holder}`); release the guard first — no lock is \
+                         held across another lock or the network (`{}`)",
+                        file.line_of(site),
                         file.excerpt(inner)
                     ),
                 });
@@ -2077,6 +2116,49 @@ mod tests {
         let v = check_lock_discipline_with(&files, &graph, &[]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 3);
+    }
+
+    #[test]
+    fn r10_socket_io_in_a_guarded_visitor_fails() {
+        // The closure handed to `get_each` runs under a shard guard: a
+        // socket write in it holds the shard across the network.
+        let files = vec![store_file(
+            "fn reply(store: &Store, keys: Keys, w: &mut W) {\n\
+                 store.get_each(keys.iter(), |key, hit| {\n\
+                     if let Some(v) = hit { w.write_all(v.data); }\n\
+                 });\n\
+                 w.write_all(b\"END\");\n\
+             }\n",
+        )];
+        let graph = CallGraph::build(&files);
+        let v = check_lock_discipline_with(&files, &graph, &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 3);
+        assert!(v[0].message.contains("socket I/O"));
+        assert!(v[0].message.contains("visitor closure"));
+        // Copying into a buffer, a lock-free write, is what it is for.
+        let clean = vec![store_file(
+            "fn reply(store: &Store, keys: Keys, out: &mut Vec<u8>) {\n\
+                 store.get_each(keys.iter().map(|k| k), |key, hit| {\n\
+                     if let Some(v) = hit { out.extend_from_slice(v.data); }\n\
+                 });\n\
+             }\n",
+        )];
+        let graph = CallGraph::build(&clean);
+        assert_eq!(check_lock_discipline_with(&clean, &graph, &[]), Vec::new());
+    }
+
+    #[test]
+    fn r10_lock_in_a_guarded_visitor_fails() {
+        let files = vec![store_file(
+            "fn count(store: &Store, keys: Keys) {\n\
+                 store.get_each(keys, |_, _| { self.stats.lock().bump(); });\n\
+             }\n",
+        )];
+        let graph = CallGraph::build(&files);
+        let v = check_lock_discipline_with(&files, &graph, &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("another `.lock()`"));
     }
 
     #[test]
