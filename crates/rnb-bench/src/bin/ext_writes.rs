@@ -87,7 +87,7 @@ fn step(cluster: &mut SimCluster, op: Op, policy: WritePolicy) {
             cluster.execute(&request);
         }
         Op::Write(item) => {
-            cluster.execute_write(item, policy);
+            cluster.execute_write_batch(&[item], policy);
         }
         Op::WriteBurst(items) => {
             cluster.execute_write_batch(&items, policy);

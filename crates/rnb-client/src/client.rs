@@ -3,8 +3,8 @@
 use crate::keys::{item_key, write_item_key};
 use crate::stats::ClientStats;
 use rnb_core::{
-    Bundler, PlacementStrategy, PlanTarget, ReadEngine, RnbConfig, Round, Transport,
-    WriteBatchPlanner, WriteGroup, WritePlanner, WritePolicy,
+    Bundler, PlacementStrategy, PlanTarget, ReadEngine, RnbConfig, Round, Transport, WriteEngine,
+    WritePlanner, WritePolicy, WriteStep,
 };
 use rnb_hash::{ItemId, Placement, ServerId};
 use rnb_store::{StorageOp, StoreClient};
@@ -143,26 +143,28 @@ fn conn_for<'a>(
     Ok(conn)
 }
 
-/// One server's storage burst in a write phase: ops `ops` of the phase.
+/// One server's storage burst in a write round: ops `ops` of the round.
 struct Burst {
     server: ServerId,
     ops: Span,
-    sent: bool,
+    /// Set once the burst went out; cleared if its replies did not all
+    /// come back.
+    ok: bool,
 }
 
-/// Execute one write phase, one storage burst per server: every burst
+/// Execute one write round, one storage burst per server: every burst
 /// is sent before any reply is read (the read rounds' pipelining on the
-/// write side, so a phase costs one RTT, not the sum of per-server
+/// write side, so a round costs one RTT, not the sum of per-server
 /// RTTs); with `pipeline` off, the same loop over batches of one, as the
-/// read rounds do. `op(i)` builds op `i` of the phase as it goes out, so
-/// no op list is collected. `count` bumps the phase's transaction
+/// read rounds do. `op(i)` builds op `i` of the round as it goes out, so
+/// no op list is collected. `count` bumps the round's transaction
 /// counter once per burst.
 ///
-/// A failed send or receive marks that connection broken and counts a
-/// failed transaction; surviving bursts still complete — desync on one
-/// server must not corrupt the others. Returns the acknowledged ops
-/// (a quiet op counts once sent, and its receive waits for nothing) and
-/// the first error.
+/// A failed send or receive marks that connection broken, counts a
+/// failed transaction and clears its burst's `ok`; surviving bursts
+/// still complete — desync on one server must not corrupt the others.
+/// Returns the acknowledged ops (a quiet op counts once sent, and its
+/// receive waits for nothing) and the first error.
 fn run_write_bursts<'o>(
     conns: &mut [ServerConn],
     stats: &mut ClientStats,
@@ -181,14 +183,14 @@ fn run_write_bursts<'o>(
             let s = burst.server as usize;
             let ops = burst.ops.range().map(&op);
             let outcome = conn_for(conns, stats, s).and_then(|c| c.send_storage_batch(ops));
-            burst.sent = outcome.is_ok();
+            burst.ok = outcome.is_ok();
             if let Err(e) = outcome {
                 conns[s].mark_broken();
                 stats.failed_txns += 1;
                 first_err.get_or_insert(e);
             }
         }
-        for burst in batch.iter().filter(|burst| burst.sent) {
+        for burst in batch.iter_mut().filter(|burst| burst.ok) {
             let s = burst.server as usize;
             let outcome = match conns[s].active() {
                 Some(c) => c.recv_storage_batch(burst.ops.range().map(&op), acks),
@@ -199,6 +201,7 @@ fn run_write_bursts<'o>(
             match outcome {
                 Ok(()) => acked += acks.iter().filter(|&&ack| ack).count() as u64,
                 Err(e) => {
+                    burst.ok = false;
                     conns[s].mark_broken();
                     stats.failed_txns += 1;
                     first_err.get_or_insert(e);
@@ -383,7 +386,7 @@ impl Transport for Net {
                 bursts.push(Burst {
                     server,
                     ops,
-                    sent: false,
+                    ok: false,
                 });
             }
         }
@@ -411,62 +414,81 @@ impl Transport for Net {
     }
 }
 
-/// Pooled buffers of the write bursts: `multi_set`'s phases and
+/// Pooled buffers of the write bursts: `multi_set`'s rounds and
 /// `multi_get`'s write-back.
 #[derive(Default)]
 struct WriteScratch {
     /// Wire keys: one per entry of a `multi_set` batch, one per op of a
     /// write-back.
     keys: KeyArena,
-    /// A `multi_set` phase's ops, burst after burst, as batch entries.
-    order: Vec<usize>,
     bursts: Vec<Burst>,
     acks: Vec<bool>,
 }
 
-impl WriteScratch {
-    /// Run one `multi_set` phase: `groups`, one burst per server, each
-    /// op built by `op(key, entry)` from its batch entry and the key
-    /// [`RnbClient::multi_set`] encoded for it.
-    fn run_phase<'s>(
-        &'s mut self,
-        conns: &mut [ServerConn],
-        stats: &mut ClientStats,
-        groups: &[WriteGroup],
-        op: impl Fn(&'s [u8], usize) -> StorageOp<'s>,
-    ) -> Option<io::Error> {
-        let WriteScratch {
-            keys,
-            order,
-            bursts,
-            acks,
-        } = self;
-        order.clear();
+/// One `multi_set` batch on its way out: the write engine's
+/// [`Transport`], over the fleet's connections, with the batch's values.
+struct Batch<'a, V> {
+    net: &'a mut Net,
+    entries: &'a [(ItemId, V)],
+    /// The batch's first error.
+    err: Option<io::Error>,
+}
+
+impl<V: AsRef<[u8]>> Transport for Batch<'_, V> {
+    fn run_round(&mut self, round: Round<'_>) {
+        self.net.run_round(round);
+    }
+
+    /// One storage burst per transaction of `round`, its op `i` built
+    /// from the entry of the round's `i`-th key as it goes out. A burst
+    /// whose replies all came back acknowledges each of its ops: a
+    /// `delete` that found nothing leaves no copy either.
+    fn store(&mut self, round: Round<'_>, step: WriteStep) {
+        let Net {
+            conns,
+            config,
+            stats,
+            write,
+            ..
+        } = &mut *self.net;
+        let WriteScratch { keys, bursts, acks } = write;
         bursts.clear();
-        for group in groups {
-            let from = order.len();
-            order.extend(group.ops.iter().map(|&(_, entry)| entry));
-            let ops = Span(from, order.len());
-            bursts.push(Burst {
-                server: group.server,
-                ops,
-                sent: false,
-            });
-        }
-        let keys: &'s KeyArena = keys;
+        bursts.extend(round.txns.iter().map(|txn| Burst {
+            server: txn.server,
+            ops: Span(txn.from, txn.to),
+            ok: false,
+        }));
+        let (keys, entries, batch): (&KeyArena, _, _) = (keys, self.entries, round.keys);
         let (_, err) = run_write_bursts(
             conns,
             stats,
             bursts,
-            true,
+            config.pipeline,
             |stats| stats.write_txns += 1,
             |i| {
-                let entry = order.get(i).copied().unwrap_or_default();
-                op(keys.get(entry), entry)
+                let entry = batch.get(i).copied().unwrap_or_default();
+                let key = keys.get(entry);
+                match step {
+                    WriteStep::Invalidate => StorageOp::Delete { key },
+                    WriteStep::Write => StorageOp::Set {
+                        key,
+                        value: entries.get(entry).map_or(&[][..], |(_, v)| v.as_ref()),
+                        flags: 0,
+                        noreply: false,
+                    },
+                }
             },
             acks,
         );
-        err
+        for ((burst, failed), txn) in bursts.iter().zip(round.failed.iter_mut()).zip(round.txns) {
+            *failed = !burst.ok;
+            if let Some(answered) = round.answered.get_mut(txn.from..txn.to) {
+                answered.fill(burst.ok);
+            }
+        }
+        if let Some(e) = err {
+            self.err.get_or_insert(e);
+        }
     }
 }
 
@@ -477,9 +499,8 @@ pub struct RnbClient {
     writer: WritePlanner<PlacementStrategy>,
     /// The read path, planner scratch included.
     read: ReadEngine,
-    /// Pooled write-batch planner, reused across `multi_set` calls
-    /// (same steady-state discipline as `read`, on the write side).
-    batcher: WriteBatchPlanner,
+    /// The write path, shared with `rnb-sim` like `read`.
+    write: WriteEngine,
 }
 
 impl RnbClient {
@@ -503,7 +524,7 @@ impl RnbClient {
             bundler,
             writer,
             read: ReadEngine::new(config.hitchhiking),
-            batcher: WriteBatchPlanner::new(),
+            write: WriteEngine::new(),
             net: Net {
                 conns,
                 config,
@@ -609,96 +630,50 @@ impl RnbClient {
         out
     }
 
-    /// Store `item` on all of its replica servers per the write policy:
-    /// the policy's invalidations first, one `delete` each, then one plain
-    /// `set` per written copy. rnb-store pins via its in-process API only,
-    /// so over the wire the distinguished copy is an ordinary entry.
+    /// Store `item` on its replica servers per the write policy: a
+    /// one-entry [`RnbClient::multi_set`]. rnb-store pins via its
+    /// in-process API only, so over the wire the distinguished copy is an
+    /// ordinary entry.
     pub fn set(&mut self, item: ItemId, value: &[u8]) -> io::Result<()> {
-        let plan = self.writer.plan_write(item);
-        let key = item_key(item);
-        for txn in &plan.invalidations {
-            self.with_conn(txn.server as usize, |c| c.delete(&key))?;
-            self.net.stats.write_txns += 1;
-        }
-        for txn in &plan.writes {
-            self.with_conn(txn.server as usize, |c| c.set(&key, value, 0))?;
-            self.net.stats.write_txns += 1;
-        }
-        self.net.stats.writes += 1;
-        Ok(())
+        self.multi_set(&[(item, value)])
     }
 
-    /// Store a whole batch of `(item, value)` pairs with bundled,
-    /// pipelined write transactions.
+    /// Store a whole batch of `(item, value)` pairs: the `rnb-core` write
+    /// engine over this client's connections.
     ///
-    /// The pooled [`WriteBatchPlanner`] groups every per-replica
-    /// transaction of the batch by server, then each touched server
-    /// receives its whole op list as ONE pipelined burst
-    /// ([`StoreClient::send_storage_batch`] /
-    /// [`StoreClient::recv_storage_batch`]): per batch, a server costs
-    /// one round-trip per phase instead of one per item-replica. Under
+    /// Each touched server receives its ops of a round as ONE storage
+    /// burst ([`StoreClient::send_storage_batch`] /
+    /// [`StoreClient::recv_storage_batch`]): per batch, a server costs one
+    /// round-trip per round instead of one per item-replica. Under
     /// [`WritePolicy::InvalidateThenWrite`] the invalidation bursts are
-    /// fully received before any write burst is sent, so the §IV
-    /// ordering invariant holds batch-wide: no stale replica outlives
-    /// its item's distinguished write.
+    /// fully received before any write burst is sent, and an entry whose
+    /// invalidation failed is not written, so no replica outlives its
+    /// item's distinguished write (§IV).
     ///
-    /// Duplicate items keep batch order (later value wins), and with
-    /// pipelining disabled this degrades to the sequential
-    /// [`RnbClient::set`] loop — the differential oracle for the TCP
-    /// equivalence proptest. I/O errors follow `multi_get`'s failure
-    /// semantics (broken connections are marked and redialed lazily,
-    /// failed bursts counted in [`ClientStats::failed_txns`]); the first
-    /// error is returned after every burst has completed, so a partial
-    /// failure never desyncs the surviving connections.
+    /// Duplicate items keep batch order (the later value wins). With
+    /// pipelining off, the same rounds run in batches of one. I/O errors
+    /// follow `multi_get`'s failure semantics (broken connections are
+    /// marked and redialed lazily, failed bursts counted in
+    /// [`ClientStats::failed_txns`]); the first error is returned after
+    /// every burst has completed, so a partial failure never desyncs the
+    /// surviving connections.
     pub fn multi_set<V: AsRef<[u8]>>(&mut self, entries: &[(ItemId, V)]) -> io::Result<()> {
-        if !self.net.config.pipeline {
-            for (item, value) in entries {
-                self.set(*item, value.as_ref())?;
-            }
-            return Ok(());
-        }
-        let Net {
-            conns,
-            stats,
-            write,
-            ..
-        } = &mut self.net;
-        let items = entries.iter().map(|&(item, _)| item);
-        let plan = self.batcher.plan_batch(&self.writer, items);
-
-        // Every entry's key, encoded once; the ops of both phases are
-        // built from them by batch index as they go out.
-        write.keys.clear();
+        // Every entry's key, encoded once; both rounds build their ops
+        // from them by batch index as they go out.
+        let keys = &mut self.net.write.keys;
+        keys.clear();
         for &(item, _) in entries {
-            write.keys.push(item);
+            keys.push(item);
         }
-
-        // Phase 1: invalidation bursts (InvalidateThenWrite only; empty
-        // under WriteAll). Fully flushed — sent AND acknowledged —
-        // before phase 2 starts.
-        let invalidation_err = write.run_phase(conns, stats, plan.invalidations, |key, _| {
-            StorageOp::Delete { key }
-        });
-
-        // Phase 2: the distinguished writes (every replica's write under
-        // WriteAll), one burst per touched server.
-        let write_err = write.run_phase(conns, stats, plan.writes, |key, entry| {
-            let value = entries
-                .get(entry)
-                .map_or(&[][..], |(_, value)| value.as_ref());
-            StorageOp::Set {
-                key,
-                value,
-                flags: 0,
-                noreply: false,
-            }
-        });
-
-        stats.writes += entries.len() as u64;
-        match invalidation_err.or(write_err) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let mut batch = Batch {
+            net: &mut self.net,
+            entries,
+            err: None,
+        };
+        let items = entries.iter().map(|&(item, _)| item);
+        self.write.store(&self.writer, items, &mut batch);
+        batch.net.stats.writes += entries.len() as u64;
+        batch.err.map_or(Ok(()), Err)
     }
 
     /// Delete `item` everywhere (all logical replicas).

@@ -1000,40 +1000,133 @@ fn multi_set_invalidate_then_write_over_tcp() {
     assert_eq!(values[0].as_deref(), Some(&b"second"[..]));
 }
 
+#[test]
+fn a_failed_invalidation_keeps_its_item_unwritten() {
+    // §IV over TCP with a node down: an item is written only once every
+    // copy it has elsewhere is gone, so a delete that cannot reach its
+    // server leaves the item at its old value rather than let the dead
+    // node's replica outlive a newer distinguished copy.
+    let mut fleet = Fleet::start(4, 1 << 22);
+    let config = RnbClientConfig::new(2).with_write_policy(WritePolicy::InvalidateThenWrite);
+    let mut client = RnbClient::connect(&fleet.addrs(), config).unwrap();
+    let items: Vec<u64> = (0..120).collect();
+    let batch = |tag: &str| -> Vec<(u64, Vec<u8>)> {
+        let value = |item| format!("{tag}-{item}").into_bytes();
+        items.iter().map(|&item| (item, value(item))).collect()
+    };
+    client.multi_set(&batch("v1")).unwrap();
+    let dead = 1;
+    fleet.servers[dead].shutdown();
+    assert!(client.multi_set(&batch("v2")).is_err());
+
+    let placement = client.bundler().placement();
+    let held = |server: u32, item: u64| {
+        let value = fleet.store(server as usize).get(&item_key(item));
+        value.map(|v| v.data.to_vec())
+    };
+    let (mut replica_dead, mut home_dead, mut alive) = (0, 0, Vec::new());
+    for &item in &items {
+        let replicas = placement.replicas(item);
+        let (v1, v2) = (format!("v1-{item}"), format!("v2-{item}"));
+        if replicas[1] as usize == dead {
+            // Its invalidation failed: the distinguished copy keeps v1.
+            assert_eq!(
+                held(replicas[0], item),
+                Some(v1.into_bytes()),
+                "item {item}"
+            );
+            replica_dead += 1;
+        } else if replicas[0] as usize == dead {
+            // Its replica is gone and its home unreachable: no copy has v2.
+            for &server in &replicas {
+                assert_ne!(
+                    held(server, item),
+                    Some(v2.clone().into_bytes()),
+                    "item {item}"
+                );
+            }
+            home_dead += 1;
+        } else {
+            assert_eq!(
+                held(replicas[0], item),
+                Some(v2.into_bytes()),
+                "item {item}"
+            );
+            alive.push(item);
+        }
+    }
+    assert!(replica_dead > 0 && home_dead > 0 && !alive.is_empty());
+    let values = client.multi_get(&alive).unwrap();
+    for (item, value) in alive.iter().zip(&values) {
+        assert_eq!(value.as_deref(), Some(format!("v2-{item}").as_bytes()));
+    }
+}
+
 mod bundled_write_equivalence {
     use super::*;
     use proptest::prelude::*;
+    use rnb_store::StoreClient;
     use std::sync::{Mutex, OnceLock};
 
+    /// One policy's three same-shaped fleets (placement depends only on
+    /// fleet size and config, so item→server maps are identical): the
+    /// pipelined `multi_set` writes the first, a pipeline-off client's
+    /// per-entry `set` loop the second, and the oracle the third — plain
+    /// store connections applying the policy by hand, entry by entry, so
+    /// it shares no code with the write engine.
     struct Env {
-        fleet_piped: Fleet,
-        fleet_seq: Fleet,
+        policy: WritePolicy,
+        fleets: [Fleet; 3],
         pipelined: RnbClient,
         sequential: RnbClient,
+        oracle: Vec<StoreClient>,
     }
 
-    // Two same-shaped fleets (placement depends only on fleet size and
-    // config, so item→server maps are identical): the pipelined client
-    // writes one, the sequential oracle the other, and the fleets must
-    // stay byte-identical server by server.
-    fn env() -> &'static Mutex<Env> {
-        static ENV: OnceLock<Mutex<Env>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            let fleet_piped = Fleet::start(6, 1 << 22);
-            let fleet_seq = Fleet::start(6, 1 << 22);
-            let pipelined =
-                RnbClient::connect(&fleet_piped.addrs(), RnbClientConfig::new(3)).unwrap();
-            let sequential = RnbClient::connect(
-                &fleet_seq.addrs(),
-                RnbClientConfig::new(3).with_pipeline(false),
-            )
-            .unwrap();
-            Mutex::new(Env {
-                fleet_piped,
-                fleet_seq,
+    impl Env {
+        fn new(policy: WritePolicy) -> Env {
+            let fleets = [(); 3].map(|_| Fleet::start(6, 1 << 22));
+            // No write-back: a refill landing after a case's counters
+            // were read would show as an extra `set`.
+            let config = RnbClientConfig::new(3)
+                .with_write_policy(policy)
+                .with_writeback(false);
+            let connect = |fleet: &Fleet, config| RnbClient::connect(&fleet.addrs(), config);
+            let pipelined = connect(&fleets[0], config.clone()).unwrap();
+            let sequential = connect(&fleets[1], config.with_pipeline(false)).unwrap();
+            let oracle = fleets[2].addrs().into_iter().map(StoreClient::connect);
+            Env {
+                policy,
+                oracle: oracle.collect::<std::io::Result<_>>().unwrap(),
+                fleets,
                 pipelined,
                 sequential,
-            })
+            }
+        }
+
+        /// The oracle's write: per entry, the deletes, then the sets.
+        fn oracle_set(&mut self, item: u64, value: &[u8]) {
+            let replicas = self.pipelined.bundler().placement().replicas(item);
+            let key = item_key(item);
+            let written = match self.policy {
+                WritePolicy::WriteAll => &replicas[..],
+                WritePolicy::InvalidateThenWrite => {
+                    for &server in &replicas[1..] {
+                        self.oracle[server as usize].delete(&key).unwrap();
+                    }
+                    &replicas[..1]
+                }
+            };
+            for &server in written {
+                self.oracle[server as usize].set(&key, value, 0).unwrap();
+            }
+        }
+    }
+
+    fn envs() -> &'static Mutex<[Env; 2]> {
+        static ENVS: OnceLock<Mutex<[Env; 2]>> = OnceLock::new();
+        ENVS.get_or_init(|| {
+            let policies = [WritePolicy::WriteAll, WritePolicy::InvalidateThenWrite];
+            Mutex::new(policies.map(Env::new))
         })
     }
 
@@ -1041,64 +1134,72 @@ mod bundled_write_equivalence {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// The bundled write path is a transaction-count optimization,
         /// not a semantic change: for any batch (dupes included, small
-        /// item range to force them) the pipelined `multi_set` leaves
-        /// every server's store byte-identical to a sequential `set`
-        /// loop, each server receives exactly the same number of `set`
-        /// commands, and a `multi_get` round-trips the last value
-        /// written per item.
+        /// item range to force them) and either policy, the pipelined
+        /// `multi_set` and a pipeline-off per-entry `set` loop each leave
+        /// every server's store byte-identical to the oracle's, each
+        /// server receives exactly the same number of `set` commands, and
+        /// a `multi_get` round-trips the last value written per item.
         #[test]
         fn pipelined_multi_set_equals_sequential_loop(
             batch in proptest::collection::vec((0u64..60, 0u32..1000), 1..50),
         ) {
-            let mut guard = env().lock().unwrap();
-            let env = &mut *guard;
-            let entries: Vec<(u64, Vec<u8>)> = batch
-                .iter()
-                .map(|&(item, tok)| (item, format!("w{item}-{tok}").into_bytes()))
-                .collect();
-            let sets_before: Vec<u64> =
-                (0..6).map(|s| env.fleet_piped.store(s).stats().sets).collect();
-            let seq_before: Vec<u64> =
-                (0..6).map(|s| env.fleet_seq.store(s).stats().sets).collect();
+            let mut guard = envs().lock().unwrap();
+            for env in guard.iter_mut() {
+                let policy = env.policy;
+                let entries: Vec<(u64, Vec<u8>)> = batch
+                    .iter()
+                    .map(|&(item, tok)| (item, format!("w{item}-{tok}").into_bytes()))
+                    .collect();
+                let sets = |env: &Env| -> Vec<Vec<u64>> {
+                    let fleet_sets = |f: &Fleet| (0..6).map(|s| f.store(s).stats().sets).collect();
+                    env.fleets.iter().map(fleet_sets).collect()
+                };
+                let before = sets(env);
 
-            env.pipelined.multi_set(&entries).unwrap();
-            env.sequential.multi_set(&entries).unwrap(); // degrades to the set loop
-
-            // Per-server op counts match: bundling regroups the same
-            // per-replica writes, it never adds or drops one.
-            for s in 0..6 {
-                let piped = env.fleet_piped.store(s).stats().sets - sets_before[s];
-                let seq = env.fleet_seq.store(s).stats().sets - seq_before[s];
-                prop_assert_eq!(piped, seq, "server {} set-count diverged", s);
-            }
-            // Final state matches server by server, and the last write
-            // per item wins on both paths.
-            let mut last: std::collections::HashMap<u64, &[u8]> = std::collections::HashMap::new();
-            for (item, value) in &entries {
-                last.insert(*item, value);
-            }
-            for (&item, &value) in &last {
-                let key = item_key(item);
-                for &server in &env.pipelined.bundler().placement().replicas(item) {
-                    let piped = env.fleet_piped.store(server as usize).get(&key);
-                    let seq = env.fleet_seq.store(server as usize).get(&key);
-                    prop_assert_eq!(
-                        piped.as_ref().map(|v| &v.data[..]),
-                        seq.as_ref().map(|v| &v.data[..]),
-                        "server {} state diverged for item {}", server, item
-                    );
-                    prop_assert_eq!(
-                        piped.as_ref().map(|v| &v.data[..]),
-                        Some(value),
-                        "item {} did not hold the last value", item
-                    );
+                env.pipelined.multi_set(&entries).unwrap();
+                for (item, value) in &entries {
+                    env.sequential.set(*item, value).unwrap();
+                    env.oracle_set(*item, value);
                 }
-            }
-            // And the client's own read path sees the batch.
-            let items: Vec<u64> = last.keys().copied().collect();
-            let values = env.pipelined.multi_get(&items).unwrap();
-            for (item, got) in items.iter().zip(&values) {
-                prop_assert_eq!(got.as_deref(), Some(last[item]), "round-trip of item {}", item);
+
+                // Per-server op counts match: bundling regroups the same
+                // per-replica writes, it never adds or drops one.
+                let after = sets(env);
+                for s in 0..6 {
+                    let n: Vec<u64> = (0..3).map(|f| after[f][s] - before[f][s]).collect();
+                    prop_assert_eq!(n[0], n[2], "{:?}: server {} pipelined set-count", policy, s);
+                    prop_assert_eq!(n[1], n[2], "{:?}: server {} sequential set-count", policy, s);
+                }
+                // Final state matches server by server, and the last write
+                // per item wins: at every replica under WriteAll, at the
+                // distinguished copy alone under InvalidateThenWrite.
+                let mut last: std::collections::HashMap<u64, &[u8]> =
+                    std::collections::HashMap::new();
+                for (item, value) in &entries {
+                    last.insert(*item, value);
+                }
+                for (&item, &value) in &last {
+                    let key = item_key(item);
+                    let replicas = env.pipelined.bundler().placement().replicas(item);
+                    for (at, &server) in replicas.iter().enumerate() {
+                        let held: Vec<Option<Vec<u8>>> = env
+                            .fleets
+                            .iter()
+                            .map(|f| f.store(server as usize).get(&key).map(|v| v.data.to_vec()))
+                            .collect();
+                        prop_assert_eq!(&held[0], &held[2], "{:?}: server {} item {}", policy, server, item);
+                        prop_assert_eq!(&held[1], &held[2], "{:?}: server {} item {}", policy, server, item);
+                        let holds_last = at == 0 || policy == WritePolicy::WriteAll;
+                        let want = holds_last.then(|| value.to_vec());
+                        prop_assert_eq!(&held[2], &want, "{:?}: item {} on server {}", policy, item, server);
+                    }
+                }
+                // And the client's own read path sees the batch.
+                let items: Vec<u64> = last.keys().copied().collect();
+                let values = env.pipelined.multi_get(&items).unwrap();
+                for (item, got) in items.iter().zip(&values) {
+                    prop_assert_eq!(got.as_deref(), Some(last[item]), "round-trip of item {}", item);
+                }
             }
         }
     }

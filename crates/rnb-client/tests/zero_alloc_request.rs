@@ -1,7 +1,8 @@
 //! What a steady-state client request allocates, counted: `multi_get`
 //! the vector it returns plus one buffer per value found — whether it
 //! reads resident items or misses, falls back and writes back — and
-//! `multi_set` nothing, however many entries the batch has. Everything
+//! `multi_set` and `set` nothing, however many entries the batch has.
+//! Everything
 //! between the caller and the sockets — plan, hitchhikers, request
 //! lines, reply parsing, per-item slots, storage bursts — lives in
 //! buffers the client keeps.
@@ -44,6 +45,11 @@ fn steady_state_requests_allocate_only_what_they_return() {
                 batch.len()
             );
         }
+        // set: a one-entry multi_set, so no key or plan of its own.
+        client.set(3, &value).unwrap();
+        let ((allocs, reallocs, _), outcome) = count_alloc(|| client.set(4, &value));
+        outcome.unwrap();
+        assert_eq!((allocs, reallocs), (0, 0), "{policy:?}: a set allocated");
 
         // multi_get of resident items: n values and the vector of them.
         // Under InvalidateThenWrite only the distinguished copies exist,

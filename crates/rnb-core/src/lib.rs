@@ -37,7 +37,8 @@
 //!   distinguished-copy fallback, write-back) over any [`Transport`].
 //! * [`baseline`] — full-system replication (§II-C, the industry baseline).
 //! * [`merge`] — cross-request merging (§III-E).
-//! * [`mod@write`] — write-path planning and the §IV atomic-update scheme.
+//! * [`mod@write`] — [`WriteEngine`], the one write path (the §IV
+//!   invalidate-then-write rounds) over the same [`Transport`].
 
 pub mod baseline;
 pub mod bundler;
@@ -53,9 +54,9 @@ pub use bundler::{Bundler, PlanScratch, PlanTarget};
 pub use config::{PlacementKind, RnbConfig};
 pub use placement::PlacementStrategy;
 pub use plan::{FetchPlan, Transaction};
-pub use read::{ReadCounts, ReadEngine, Round, Transport, Txn, HITCHHIKE_WINDOW};
+pub use read::{ReadCounts, ReadEngine, Round, Transport, Txn, WriteStep, HITCHHIKE_WINDOW};
 pub use write::{
-    BatchWritePlan, WriteBatchPlanner, WriteGroup, WritePlan, WritePlanner, WritePolicy,
+    BatchWritePlan, WriteBatchPlanner, WriteCounts, WriteEngine, WritePlanner, WritePolicy,
 };
 
 pub use rnb_hash::{ItemId, Placement, ServerId};

@@ -1,6 +1,7 @@
 //! The RnB read path, written once: plan → hitchhikers → round 1 →
 //! round 2 at the distinguished copies → round-3 survivor sweep →
-//! write-back, over any [`Transport`].
+//! write-back, over any [`Transport`]. Its write-side sibling is
+//! [`crate::WriteEngine`], over the same rounds and transports.
 //!
 //! `rnb-client` runs it over TCP and `rnb-sim` over simulated servers,
 //! so the two cannot disagree on policy. The engine keeps all request
@@ -22,7 +23,7 @@ use rnb_hash::{ItemId, Placement, ServerId};
 pub const HITCHHIKE_WINDOW: u32 = 64;
 
 /// One transaction of a [`Round`]: a `get` of `keys[from..to]` at
-/// `server`.
+/// `server`, or in a write round one storage burst of them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Txn {
     /// The server asked.
@@ -45,15 +46,26 @@ pub struct Round<'a> {
     pub txns: &'a [Txn],
     /// The planner index of every key of every transaction.
     pub keys: &'a [usize],
-    /// Per key: set by the transport when the server returned it.
+    /// Per key: set by the transport when the server returned it, or in
+    /// a write round when the server replied to its op at all.
     pub answered: &'a mut [bool],
     /// Per transaction: set by the transport when it failed to go out or
     /// to come back whole.
     pub failed: &'a mut [bool],
 }
 
-/// What carries a [`ReadEngine`]'s transactions: connections in
-/// `rnb-client`, simulated servers in `rnb-sim`.
+/// Which round of a write batch a [`Transport::store`] call carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WriteStep {
+    /// Delete each key at its server.
+    Invalidate,
+    /// Store each key's value at its server.
+    Write,
+}
+
+/// What carries a [`ReadEngine`]'s and a [`crate::WriteEngine`]'s
+/// transactions: connections in `rnb-client`, simulated servers in
+/// `rnb-sim`.
 pub trait Transport {
     /// Run every transaction of `round`, marking each key its server
     /// returned and each transaction that failed.
@@ -63,6 +75,13 @@ pub trait Transport {
     /// items this request found, written back where they missed. Nothing
     /// is read back. The default drops them.
     fn write_back(&mut self, _round: Round<'_>) {}
+
+    /// Run every transaction of a write round: `step` each key of it at
+    /// its server, the keys being indices into the caller's batch. Mark
+    /// each key whose server replied — a `delete` that found nothing
+    /// replied too — and each transaction that failed. The default
+    /// stores nothing and so acknowledges nothing.
+    fn store(&mut self, _round: Round<'_>, _step: WriteStep) {}
 }
 
 /// What one request cost and found.
@@ -339,12 +358,12 @@ fn candidate_bit(at: usize) -> u32 {
     1u32.checked_shl(at as u32).unwrap_or(0)
 }
 
-/// The pooled buffers behind every [`Round`].
+/// The pooled buffers behind every [`Round`], read or write.
 #[derive(Debug, Default)]
-struct RoundBuf {
-    txns: Vec<Txn>,
-    keys: Vec<usize>,
-    answered: Vec<bool>,
+pub(crate) struct RoundBuf {
+    pub(crate) txns: Vec<Txn>,
+    pub(crate) keys: Vec<usize>,
+    pub(crate) answered: Vec<bool>,
     failed: Vec<bool>,
 }
 
@@ -376,7 +395,7 @@ impl RoundBuf {
 
     /// Replace the round by one transaction per server of `by_server`,
     /// in (server, planner index) order.
-    fn group(&mut self, by_server: &mut [(ServerId, usize)]) {
+    pub(crate) fn group(&mut self, by_server: &mut [(ServerId, usize)]) {
         by_server.sort_unstable();
         self.clear();
         for group in by_server.chunk_by(|a, b| a.0 == b.0) {
@@ -391,7 +410,7 @@ impl RoundBuf {
         }
     }
 
-    fn view<'a>(&'a mut self, items: &'a [ItemId]) -> Round<'a> {
+    pub(crate) fn view<'a>(&'a mut self, items: &'a [ItemId]) -> Round<'a> {
         self.answered.clear();
         self.answered.resize(self.keys.len(), false);
         self.failed.clear();

@@ -1,5 +1,5 @@
-//! Write-path planning: replica updates, invalidation, and the paper's
-//! atomic-operation scheme (§IV).
+//! The RnB write path, written once: every write batch runs one
+//! invalidation round, then one write round, over any [`Transport`].
 //!
 //! Reads are RnB's fast path; writes must deal with the replicas:
 //!
@@ -10,8 +10,12 @@
 //!   memcached system. For example, remove all but the distinguished
 //!   copies of an item before modifying it, then let RnB-memcached create
 //!   the new copies on demand, after the atomic operation completes."
+//!
+//! `rnb-client`'s `set`/`multi_set` and `rnb-sim`'s writes all run
+//! [`WriteEngine::store`], so the §IV ordering rule lives here and
+//! nowhere else (INVARIANTS.md "Invalidate before write").
 
-use crate::plan::Transaction;
+use crate::read::{RoundBuf, Transport, Txn, WriteStep};
 use rnb_hash::{ItemId, Placement, ServerId};
 
 /// How a write propagates to an item's replicas.
@@ -28,50 +32,20 @@ pub enum WritePolicy {
     InvalidateThenWrite,
 }
 
-/// The server operations one write expands to, in issue order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WritePlan {
-    /// The written item.
-    pub item: ItemId,
-    /// `delete` transactions to issue first (empty for
-    /// [`WritePolicy::WriteAll`]).
-    pub invalidations: Vec<Transaction>,
-    /// `set` transactions to issue after the invalidations complete.
-    pub writes: Vec<Transaction>,
-}
-
-impl WritePlan {
-    /// Total server transactions this write costs.
-    ///
-    /// ```
-    /// use rnb_core::{PlacementStrategy, RnbConfig, WritePlanner, WritePolicy};
-    /// let planner = WritePlanner::new(
-    ///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
-    ///     WritePolicy::WriteAll,
-    /// );
-    /// // Four replicas → four `set` transactions, no invalidations.
-    /// assert_eq!(planner.plan_write(7).total_txns(), 4);
-    /// ```
-    pub fn total_txns(&self) -> usize {
-        self.invalidations.len() + self.writes.len()
-    }
-}
-
-/// Plans writes over a placement. Stateless, like the read-side
-/// [`crate::Bundler`].
+/// A placement and the policy writes follow over it; stateless, like the
+/// read-side [`crate::Bundler`].
 ///
 /// ```
-/// use rnb_core::{PlacementStrategy, RnbConfig, WritePlanner, WritePolicy};
-/// let config = RnbConfig::new(16, 4);
-/// let planner = WritePlanner::new(
-///     PlacementStrategy::from_config(&config),
+/// use rnb_core::{PlacementStrategy, RnbConfig, WriteEngine, WritePlanner, WritePolicy};
+/// let writer = WritePlanner::new(
+///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
 ///     WritePolicy::InvalidateThenWrite,
 /// );
-/// let plan = planner.plan_write(7);
+/// let mut engine = WriteEngine::new();
+/// let plan = engine.plan_batch(&writer, [7]);
 /// // The §IV atomic scheme: delete the 3 extra replicas, then write the
 /// // distinguished copy.
-/// assert_eq!(plan.invalidations.len(), 3);
-/// assert_eq!(plan.writes.len(), 1);
+/// assert_eq!((plan.invalidations.len(), plan.writes.len()), (3, 1));
 /// ```
 pub struct WritePlanner<P: Placement> {
     placement: P,
@@ -102,288 +76,104 @@ impl<P: Placement> WritePlanner<P> {
     pub fn placement(&self) -> &P {
         &self.placement
     }
-
-    /// Plan one item write.
-    ///
-    /// ```
-    /// use rnb_core::{PlacementStrategy, RnbConfig, WritePlanner, WritePolicy};
-    /// let planner = WritePlanner::new(
-    ///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
-    ///     WritePolicy::InvalidateThenWrite,
-    /// );
-    /// // §IV atomic scheme: delete the 3 extra replicas, then write the
-    /// // distinguished copy.
-    /// let plan = planner.plan_write(7);
-    /// assert_eq!(plan.invalidations.len(), 3);
-    /// assert_eq!(plan.writes.len(), 1);
-    /// ```
-    pub fn plan_write(&self, item: ItemId) -> WritePlan {
-        let replicas = self.placement.replicas(item);
-        match self.policy {
-            WritePolicy::WriteAll => WritePlan {
-                item,
-                invalidations: Vec::new(),
-                writes: replicas
-                    .into_iter()
-                    .map(|server| Transaction {
-                        server,
-                        items: vec![item],
-                    })
-                    .collect(),
-            },
-            WritePolicy::InvalidateThenWrite => WritePlan {
-                item,
-                invalidations: replicas[1..]
-                    .iter()
-                    .map(|&server| Transaction {
-                        server,
-                        items: vec![item],
-                    })
-                    .collect(),
-                writes: vec![Transaction {
-                    server: replicas[0],
-                    items: vec![item],
-                }],
-            },
-        }
-    }
-
-    /// Plan a batch of writes, bundling same-server operations of the
-    /// same kind into one transaction each (memcached pipelining; the
-    /// delete→write ordering barrier is preserved per batch).
-    ///
-    /// ```
-    /// use rnb_core::{PlacementStrategy, RnbConfig, WritePlanner, WritePolicy};
-    /// let planner = WritePlanner::new(
-    ///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
-    ///     WritePolicy::WriteAll,
-    /// );
-    /// let items: Vec<u64> = (0..50).collect();
-    /// let batch = planner.plan_write_batch(&items);
-    /// // Bundled: at most one write transaction per server, far fewer
-    /// // than the 200 unbatched per-replica sets.
-    /// assert!(batch.writes.len() <= 16);
-    /// ```
-    pub fn plan_write_batch(&self, items: &[ItemId]) -> WritePlan {
-        let mut distinct: Vec<ItemId> = items.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut invalidations: Vec<Transaction> = Vec::new();
-        let mut writes: Vec<Transaction> = Vec::new();
-        let push = |list: &mut Vec<Transaction>, server: ServerId, item: ItemId| match list
-            .iter_mut()
-            .find(|t| t.server == server)
-        {
-            Some(t) => t.items.push(item),
-            None => list.push(Transaction {
-                server,
-                items: vec![item],
-            }),
-        };
-        for &item in &distinct {
-            let single = self.plan_write(item);
-            for t in single.invalidations {
-                push(&mut invalidations, t.server, item);
-            }
-            for t in single.writes {
-                push(&mut writes, t.server, item);
-            }
-        }
-        WritePlan {
-            item: *distinct.first().unwrap_or(&0),
-            invalidations,
-            writes,
-        }
-    }
 }
 
-/// One server's bundled operations within a [`BatchWritePlan`].
+/// The two rounds of a write batch as [`WriteEngine::plan_batch`] laid
+/// them out: one transaction per server and round, its keys indices into
+/// the batch, in (server, batch index) order.
 ///
-/// `ops` holds `(item, batch index)` pairs in batch order; the batch
-/// index points back into the caller's `(item, value)` slice so a client
-/// can recover each op's payload without the planner ever touching
-/// values. Duplicate items keep one op per occurrence, still in batch
-/// order, so executing a group front to back matches a per-item write
-/// loop exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteGroup {
-    /// The server every op in this group targets.
-    pub server: ServerId,
-    /// `(item, index into the planned batch)` pairs in issue order.
-    pub ops: Vec<(ItemId, usize)>,
-}
-
-/// A borrowed view of one planned write batch, grouped by server — the
-/// pooled counterpart of [`WritePlan`], produced by
-/// [`WriteBatchPlanner::plan_batch`].
-///
-/// Ordering invariant (§IV): a client executing this plan must flush
-/// every `invalidations` group — send *and* confirm — before issuing any
-/// `writes` group. Replicas are gone before any distinguished copy
-/// changes, so no reader can observe a stale replica mid-batch.
+/// Ordering invariant (§IV): every `invalidations` transaction is sent
+/// *and* acknowledged before any `writes` transaction goes out, so no
+/// replica outlives its item's distinguished write.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchWritePlan<'a> {
     /// `delete` bursts to flush first (empty under
     /// [`WritePolicy::WriteAll`]).
-    pub invalidations: &'a [WriteGroup],
-    /// `set` bursts to issue after every invalidation group completes.
-    pub writes: &'a [WriteGroup],
+    pub invalidations: &'a [Txn],
+    /// `set` bursts to issue after every invalidation is acknowledged.
+    pub writes: &'a [Txn],
 }
 
 impl BatchWritePlan<'_> {
     /// Total server transactions the batch costs: one pipelined burst
-    /// per group.
+    /// per server and round.
     ///
     /// ```
-    /// use rnb_core::{PlacementStrategy, RnbConfig, WriteBatchPlanner, WritePlanner, WritePolicy};
+    /// use rnb_core::{PlacementStrategy, RnbConfig, WriteEngine, WritePlanner, WritePolicy};
     /// let writer = WritePlanner::new(
     ///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
     ///     WritePolicy::WriteAll,
     /// );
-    /// let mut batcher = WriteBatchPlanner::new();
-    /// let plan = batcher.plan_batch(&writer, 0..50);
+    /// let mut engine = WriteEngine::new();
     /// // Bundled: at most one burst per server, never one per replica op.
-    /// assert!(plan.total_txns() <= 16);
-    /// assert_eq!(plan.total_ops(), 50 * 4);
+    /// assert!(engine.plan_batch(&writer, 0..50).total_txns() <= 16);
     /// ```
     pub fn total_txns(&self) -> usize {
         self.invalidations.len() + self.writes.len()
     }
+}
 
-    /// Total per-item server operations across all groups (what an
-    /// unbundled client would pay one transaction each for).
+/// What one write batch cost.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WriteCounts {
+    /// Invalidation-round transactions.
+    pub invalidation_txns: u64,
+    /// Write-round transactions.
+    pub write_txns: u64,
+}
+
+/// The RnB write state machine with its pooled buffers: lays a batch out
+/// with the read engine's rounds, runs the invalidation round to
+/// completion, then the write round of every entry whose invalidations
+/// were all acknowledged. After the first batch of a given shape it
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct WriteEngine {
+    /// The batch in flight: the index space of every round's keys.
+    items: Vec<ItemId>,
+    replicas: Vec<ServerId>,
+    /// (server, batch index) of every `delete`, then of every `set`.
+    deletes: Vec<(ServerId, usize)>,
+    sets: Vec<(ServerId, usize)>,
+    invalidations: RoundBuf,
+    writes: RoundBuf,
+    /// Per batch index: an invalidation of it went unacknowledged.
+    blocked: Vec<bool>,
+}
+
+/// The engine's name where it only lays batches out.
+pub type WriteBatchPlanner = WriteEngine;
+
+impl WriteEngine {
+    /// An empty engine; pools grow on first use and are reused for every
+    /// later batch.
     ///
     /// ```
-    /// use rnb_core::{PlacementStrategy, RnbConfig, WriteBatchPlanner, WritePlanner, WritePolicy};
-    /// let writer = WritePlanner::new(
-    ///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
-    ///     WritePolicy::InvalidateThenWrite,
-    /// );
-    /// let mut batcher = WriteBatchPlanner::new();
-    /// // 3 invalidations + 1 distinguished write per item.
-    /// assert_eq!(batcher.plan_batch(&writer, 0..10).total_ops(), 40);
-    /// ```
-    pub fn total_ops(&self) -> usize {
-        let ops = |gs: &[WriteGroup]| gs.iter().map(|g| g.ops.len()).sum::<usize>();
-        ops(self.invalidations) + ops(self.writes)
-    }
-}
-
-/// Epoch-stamped per-server group accumulator — the `LabelInterner`
-/// discipline from `rnb-cover` applied to server ids. `begin` is an O(1)
-/// logical reset; groups and their op vectors keep their capacity across
-/// batches, so steady-state planning never allocates.
-#[derive(Debug, Default)]
-struct GroupSet {
-    epoch: u32,
-    /// `stamp[server] == epoch` ⇔ the server has a group this batch.
-    stamp: Vec<u32>,
-    /// Valid when stamped: index into `groups` for the server.
-    slot: Vec<u32>,
-    groups: Vec<WriteGroup>,
-    /// Groups live this batch: `groups[..used]`.
-    used: usize,
-}
-
-impl GroupSet {
-    fn begin(&mut self, epoch: u32, wrapped: bool) {
-        if wrapped {
-            self.stamp.fill(0);
-        }
-        self.epoch = epoch;
-        self.used = 0;
-    }
-
-    fn push(&mut self, server: ServerId, item: ItemId, index: usize) {
-        let s = server as usize;
-        if s >= self.stamp.len() {
-            self.stamp.resize(s + 1, 0);
-            self.slot.resize(s + 1, 0);
-        }
-        let g = if self.stamp[s] == self.epoch {
-            self.slot[s] as usize
-        } else {
-            self.stamp[s] = self.epoch;
-            self.slot[s] = self.used as u32;
-            if self.used == self.groups.len() {
-                self.groups.push(WriteGroup {
-                    server,
-                    ops: Vec::new(),
-                });
-            } else {
-                self.groups[self.used].server = server;
-                self.groups[self.used].ops.clear();
-            }
-            self.used += 1;
-            self.used - 1
-        };
-        self.groups[g].ops.push((item, index));
-    }
-}
-
-/// Pooled batch write planner: expands each item of a batch through a
-/// [`WritePlanner`] and groups the resulting operations by server, so a
-/// client can execute the whole batch as one pipelined burst per touched
-/// server instead of one blocking round-trip per replica op.
-///
-/// All scratch (per-server stamps, group lists, the replica buffer) is
-/// owned and reused; after the first batch of a given shape, planning is
-/// allocation-free at steady state — the write-side analogue of
-/// `rnb-cover`'s pooled read planner.
-///
-/// ```
-/// use rnb_core::{PlacementStrategy, RnbConfig, WriteBatchPlanner, WritePlanner, WritePolicy};
-/// let writer = WritePlanner::new(
-///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
-///     WritePolicy::WriteAll,
-/// );
-/// let mut batcher = WriteBatchPlanner::new();
-/// let plan = batcher.plan_batch(&writer, 0..50u64);
-/// assert!(plan.invalidations.is_empty());
-/// // Every (item, replica) pair appears exactly once, bundled by server.
-/// assert_eq!(plan.total_ops(), 200);
-/// assert!(plan.writes.len() <= 16);
-/// ```
-#[derive(Debug, Default)]
-pub struct WriteBatchPlanner {
-    epoch: u32,
-    invalidations: GroupSet,
-    writes: GroupSet,
-    replica_buf: Vec<ServerId>,
-}
-
-impl WriteBatchPlanner {
-    /// An empty planner; pools grow on first use and are reused for
-    /// every later batch.
-    ///
-    /// ```
-    /// use rnb_core::WriteBatchPlanner;
-    /// let mut batcher = WriteBatchPlanner::new();
-    /// # let _ = &mut batcher;
+    /// let engine = rnb_core::WriteEngine::new();
+    /// # let _ = engine;
     /// ```
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Plan one batch: item `i` of the iterator is batch index `i`
-    /// (pointing back into the caller's value slice). Items are *not*
-    /// deduplicated — each occurrence becomes one op, in batch order, so
-    /// a batch with repeated items leaves exactly the state a sequential
-    /// per-item write loop would.
+    /// Lay out one batch without running it: item `i` of the iterator is
+    /// batch index `i`. Items are *not* deduplicated — each occurrence is
+    /// one op, and a server's ops keep batch order, so a batch with
+    /// repeated items leaves exactly the state a per-item loop would.
     ///
     /// ```
-    /// use rnb_core::{Placement, PlacementStrategy, RnbConfig, WriteBatchPlanner,
-    ///                WritePlanner, WritePolicy};
+    /// use rnb_core::{Placement, PlacementStrategy, RnbConfig, WriteEngine, WritePlanner,
+    ///                WritePolicy};
     /// let writer = WritePlanner::new(
     ///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
     ///     WritePolicy::InvalidateThenWrite,
     /// );
-    /// let mut batcher = WriteBatchPlanner::new();
-    /// let plan = batcher.plan_batch(&writer, [7u64, 9]);
+    /// let mut engine = WriteEngine::new();
+    /// let plan = engine.plan_batch(&writer, [7u64, 9]);
     /// // Per item: 3 replica invalidations, then 1 distinguished write.
-    /// let inval_ops: usize = plan.invalidations.iter().map(|g| g.ops.len()).sum();
-    /// assert_eq!(inval_ops, 6);
-    /// let write_servers: Vec<_> = plan.writes.iter().map(|g| g.server).collect();
+    /// let ops: usize = plan.invalidations.iter().map(|t| t.to - t.from).sum();
+    /// assert_eq!(ops, 6);
+    /// let write_servers: Vec<_> = plan.writes.iter().map(|t| t.server).collect();
     /// assert!(write_servers.contains(&writer.placement().replicas(7)[0]));
     /// ```
     pub fn plan_batch<P: Placement>(
@@ -391,41 +181,107 @@ impl WriteBatchPlanner {
         writer: &WritePlanner<P>,
         items: impl IntoIterator<Item = ItemId>,
     ) -> BatchWritePlan<'_> {
-        self.epoch = self.epoch.wrapping_add(1);
-        let wrapped = self.epoch == 0;
-        if wrapped {
-            self.epoch = 1;
-        }
-        self.invalidations.begin(self.epoch, wrapped);
-        self.writes.begin(self.epoch, wrapped);
-        for (index, item) in items.into_iter().enumerate() {
-            writer
-                .placement()
-                .replicas_into(item, &mut self.replica_buf);
-            match writer.policy() {
-                WritePolicy::WriteAll => {
-                    for &server in &self.replica_buf {
-                        self.writes.push(server, item, index);
-                    }
-                }
-                WritePolicy::InvalidateThenWrite => {
-                    for &server in &self.replica_buf[1..] {
-                        self.invalidations.push(server, item, index);
-                    }
-                    self.writes.push(self.replica_buf[0], item, index);
-                }
+        let WriteEngine {
+            items: batch,
+            replicas,
+            deletes,
+            sets,
+            invalidations,
+            writes,
+            ..
+        } = self;
+        batch.clear();
+        batch.extend(items);
+        deletes.clear();
+        sets.clear();
+        let write_all = writer.policy() == WritePolicy::WriteAll;
+        for (index, &item) in batch.iter().enumerate() {
+            writer.placement().replicas_into(item, replicas);
+            for (at, &server) in replicas.iter().enumerate() {
+                let ops = if at == 0 || write_all {
+                    &mut *sets
+                } else {
+                    &mut *deletes
+                };
+                ops.push((server, index));
             }
         }
+        invalidations.group(deletes);
+        writes.group(sets);
         BatchWritePlan {
-            invalidations: &self.invalidations.groups[..self.invalidations.used],
-            writes: &self.writes.groups[..self.writes.used],
+            invalidations: &invalidations.txns,
+            writes: &writes.txns,
         }
+    }
+
+    /// Write `items` through `transport` under `writer`'s policy: the
+    /// invalidation round (§IV: every copy but the distinguished one is
+    /// deleted), run to completion, then the write round. An entry is
+    /// written only if every invalidation of it was acknowledged, so a
+    /// failed delete never leaves a replica older than its distinguished
+    /// copy (INVARIANTS.md "Invalidate before write").
+    ///
+    /// ```
+    /// use rnb_core::{PlacementStrategy, RnbConfig, Round, Transport, WriteEngine,
+    ///                WritePlanner, WritePolicy, WriteStep};
+    /// struct Acks;
+    /// impl Transport for Acks {
+    ///     fn run_round(&mut self, _: Round<'_>) {}
+    ///     fn store(&mut self, r: Round<'_>, _: WriteStep) { r.answered.fill(true); }
+    /// }
+    /// let writer = WritePlanner::new(
+    ///     PlacementStrategy::from_config(&RnbConfig::new(8, 2)),
+    ///     WritePolicy::InvalidateThenWrite,
+    /// );
+    /// let c = WriteEngine::new().store(&writer, [5, 6], &mut Acks);
+    /// assert!(c.invalidation_txns >= 1 && c.write_txns >= 1);
+    /// ```
+    pub fn store<P: Placement>(
+        &mut self,
+        writer: &WritePlanner<P>,
+        items: impl IntoIterator<Item = ItemId>,
+        transport: &mut impl Transport,
+    ) -> WriteCounts {
+        self.plan_batch(writer, items);
+        let WriteEngine {
+            items,
+            sets,
+            invalidations,
+            writes,
+            blocked,
+            ..
+        } = self;
+        blocked.clear();
+        blocked.resize(items.len(), false);
+        let mut c = WriteCounts {
+            invalidation_txns: invalidations.txns.len() as u64,
+            ..WriteCounts::default()
+        };
+
+        // Round 1: every invalidation, to completion.
+        if !invalidations.txns.is_empty() {
+            transport.store(invalidations.view(items), WriteStep::Invalidate);
+            for (&index, &acked) in invalidations.keys.iter().zip(&invalidations.answered) {
+                blocked[index] |= !acked;
+            }
+        }
+        // Round 2: the writes of every entry no failed delete blocked.
+        if blocked.contains(&true) {
+            sets.retain(|&(_, index)| !blocked[index]);
+            writes.group(sets);
+        }
+        c.write_txns = writes.txns.len() as u64;
+        if !writes.txns.is_empty() {
+            transport.store(writes.view(items), WriteStep::Write);
+        }
+        c
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read::Round;
     use crate::{PlacementStrategy, RnbConfig};
 
     fn planner(policy: WritePolicy) -> WritePlanner<PlacementStrategy> {
@@ -433,32 +289,59 @@ mod tests {
         WritePlanner::new(PlacementStrategy::from_config(&config), policy)
     }
 
-    #[test]
-    fn write_all_touches_every_replica() {
-        let p = planner(WritePolicy::WriteAll);
-        for item in 0..200u64 {
-            let plan = p.plan_write(item);
-            assert!(plan.invalidations.is_empty());
-            assert_eq!(plan.writes.len(), 4);
-            assert_eq!(plan.total_txns(), 4);
-            let servers: Vec<_> = plan.writes.iter().map(|t| t.server).collect();
-            assert_eq!(servers, p.placement().replicas(item));
+    /// (server, item) of every op of `txns`, in issue order.
+    fn ops(txns: &[Txn], keys: &[ItemId]) -> Vec<(ServerId, ItemId)> {
+        let mut out = Vec::new();
+        for t in txns {
+            out.extend((t.from..t.to).map(|at| (t.server, keys[at])));
+        }
+        out
+    }
+
+    /// A transport that logs every op and fails every transaction to
+    /// `dead`.
+    #[derive(Default)]
+    struct Log {
+        dead: Option<ServerId>,
+        ops: Vec<(WriteStep, ServerId, ItemId)>,
+    }
+
+    impl Transport for Log {
+        fn run_round(&mut self, _: Round<'_>) {}
+
+        fn store(&mut self, round: Round<'_>, step: WriteStep) {
+            for (t, txn) in round.txns.iter().enumerate() {
+                let ok = Some(txn.server) != self.dead;
+                round.failed[t] = !ok;
+                for at in txn.from..txn.to {
+                    round.answered[at] = ok;
+                    let item = round.items[round.keys[at]];
+                    self.ops.push((step, txn.server, item));
+                }
+            }
         }
     }
 
     #[test]
-    fn invalidate_then_write_preserves_distinguished_copy() {
-        let p = planner(WritePolicy::InvalidateThenWrite);
-        for item in 0..200u64 {
-            let plan = p.plan_write(item);
-            let replicas = p.placement().replicas(item);
-            // Deletes target exactly the non-distinguished replicas…
-            let del: Vec<_> = plan.invalidations.iter().map(|t| t.server).collect();
-            assert_eq!(del, replicas[1..].to_vec());
-            // …and the single write goes to the distinguished copy.
-            assert_eq!(plan.writes.len(), 1);
-            assert_eq!(plan.writes[0].server, replicas[0]);
-            assert_eq!(plan.total_txns(), 4);
+    fn one_item_touches_its_replicas_per_policy() {
+        for policy in [WritePolicy::WriteAll, WritePolicy::InvalidateThenWrite] {
+            let p = planner(policy);
+            let mut engine = WriteEngine::new();
+            for item in 0..200u64 {
+                let mut replicas = p.placement().replicas(item);
+                let plan = engine.plan_batch(&p, [item]);
+                assert_eq!(plan.total_txns(), 4, "{policy:?}");
+                let sets: Vec<_> = plan.writes.iter().map(|t| t.server).collect();
+                let dels: Vec<_> = plan.invalidations.iter().map(|t| t.server).collect();
+                if policy == WritePolicy::WriteAll {
+                    replicas.sort_unstable();
+                    assert_eq!((sets, dels), (replicas, vec![]));
+                } else {
+                    let mut rest = replicas[1..].to_vec();
+                    rest.sort_unstable();
+                    assert_eq!((sets, dels), (vec![replicas[0]], rest));
+                }
+            }
         }
     }
 
@@ -467,130 +350,149 @@ mod tests {
         for policy in [WritePolicy::WriteAll, WritePolicy::InvalidateThenWrite] {
             let config = RnbConfig::new(16, 1);
             let p = WritePlanner::new(PlacementStrategy::from_config(&config), policy);
-            let plan = p.plan_write(42);
-            assert_eq!(plan.total_txns(), 1, "{policy:?}");
-            assert!(plan.invalidations.is_empty());
+            let plan = WriteEngine::new().plan_batch(&p, [42]).total_txns();
+            assert_eq!(plan, 1, "{policy:?}");
         }
     }
 
+    /// The batch expands to exactly the per-item ops, one transaction
+    /// per server and round, for both policies.
     #[test]
     fn batch_bundles_same_server_ops() {
-        let p = planner(WritePolicy::WriteAll);
-        let items: Vec<u64> = (0..50).collect();
-        let batch = p.plan_write_batch(&items);
-        // Bundled: at most one write transaction per server.
-        assert!(batch.writes.len() <= 16);
-        // Every (item, replica) pair appears exactly once.
-        let mut pairs = 0;
-        for t in &batch.writes {
-            for &item in &t.items {
-                assert!(p.placement().replicas(item).contains(&t.server));
-                pairs += 1;
-            }
-        }
-        assert_eq!(pairs, 50 * 4);
-        // Far fewer transactions than unbatched 50 × 4.
-        assert!(batch.total_txns() < 200 / 4);
-    }
-
-    #[test]
-    fn batch_dedupes_items() {
-        let p = planner(WritePolicy::InvalidateThenWrite);
-        let batch = p.plan_write_batch(&[7, 7, 7]);
-        let write_items: usize = batch.writes.iter().map(|t| t.items.len()).sum();
-        assert_eq!(write_items, 1);
-        let inval_items: usize = batch.invalidations.iter().map(|t| t.items.len()).sum();
-        assert_eq!(inval_items, 3);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let p = planner(WritePolicy::WriteAll);
-        let batch = p.plan_write_batch(&[]);
-        assert_eq!(batch.total_txns(), 0);
-    }
-
-    /// The pooled batch planner expands to exactly the per-item
-    /// `plan_write` ops, grouped by server, for both policies.
-    #[test]
-    fn pooled_batch_matches_per_item_plans() {
         for policy in [WritePolicy::WriteAll, WritePolicy::InvalidateThenWrite] {
             let p = planner(policy);
-            let mut batcher = WriteBatchPlanner::new();
             let items: Vec<u64> = (0..60).map(|i| i * 13 % 47).collect();
-            let plan = batcher.plan_batch(&p, items.iter().copied());
-
-            // Collect (server, item) pairs from the pooled plan.
-            let pairs = |groups: &[WriteGroup]| {
-                let mut v: Vec<(u32, u64)> = groups
-                    .iter()
-                    .flat_map(|g| g.ops.iter().map(move |&(item, _)| (g.server, item)))
-                    .collect();
-                v.sort_unstable();
-                v
+            let mut engine = WriteEngine::new();
+            engine.plan_batch(&p, items.iter().copied());
+            let (dels, sets) = (&engine.invalidations, &engine.writes);
+            let item_of = |round: &RoundBuf| -> Vec<ItemId> {
+                round.keys.iter().map(|&i| items[i]).collect()
             };
-            let (mut want_inval, mut want_writes) = (Vec::new(), Vec::new());
+            let mut got_sets = ops(&sets.txns, &item_of(sets));
+            let mut got_dels = ops(&dels.txns, &item_of(dels));
+            let (mut want_sets, mut want_dels) = (Vec::new(), Vec::new());
             for &item in &items {
-                let single = p.plan_write(item);
-                for t in &single.invalidations {
-                    want_inval.push((t.server, item));
-                }
-                for t in &single.writes {
-                    want_writes.push((t.server, item));
+                let replicas = p.placement().replicas(item);
+                for (at, &server) in replicas.iter().enumerate() {
+                    if at == 0 || policy == WritePolicy::WriteAll {
+                        want_sets.push((server, item));
+                    } else {
+                        want_dels.push((server, item));
+                    }
                 }
             }
-            want_inval.sort_unstable();
-            want_writes.sort_unstable();
-            assert_eq!(pairs(plan.invalidations), want_inval, "{policy:?}");
-            assert_eq!(pairs(plan.writes), want_writes, "{policy:?}");
-            // Each server appears at most once per group list.
-            for groups in [plan.invalidations, plan.writes] {
-                let mut servers: Vec<u32> = groups.iter().map(|g| g.server).collect();
-                servers.sort_unstable();
+            for v in [&mut got_sets, &mut got_dels, &mut want_sets, &mut want_dels] {
+                v.sort_unstable();
+            }
+            assert_eq!((got_sets, got_dels), (want_sets, want_dels), "{policy:?}");
+            for txns in [&dels.txns, &sets.txns] {
+                let mut servers: Vec<_> = txns.iter().map(|t| t.server).collect();
                 servers.dedup();
-                assert_eq!(servers.len(), groups.len(), "{policy:?}: duplicate group");
+                assert_eq!(servers.len(), txns.len(), "{policy:?}: a server twice");
             }
         }
     }
 
-    /// Batch indices point back at the caller's slice, and duplicate
-    /// items keep one op per occurrence in batch order (sequential-loop
-    /// semantics — the *later* value must win).
+    /// Duplicate items keep one op per occurrence, in batch order, so the
+    /// later value wins.
     #[test]
-    fn pooled_batch_keeps_duplicate_occurrences_in_order() {
+    fn duplicate_occurrences_keep_batch_order() {
         let p = planner(WritePolicy::WriteAll);
-        let mut batcher = WriteBatchPlanner::new();
-        let plan = batcher.plan_batch(&p, [7u64, 9, 7]);
-        assert_eq!(plan.total_ops(), 3 * 4);
-        let mut groups_with_dup = 0;
-        for g in plan.writes {
-            let dup_indices: Vec<usize> = g
-                .ops
-                .iter()
-                .filter(|&&(item, _)| item == 7)
-                .map(|&(_, idx)| idx)
-                .collect();
-            if !dup_indices.is_empty() {
-                groups_with_dup += 1;
-                assert_eq!(dup_indices, vec![0, 2], "occurrences must stay ordered");
-            }
-        }
-        assert_eq!(groups_with_dup, 4, "item 7 lives on 4 replica servers");
+        let mut engine = WriteEngine::new();
+        let plan = engine.plan_batch(&p, [7u64, 9, 7]);
+        assert_eq!(plan.writes.iter().map(|t| t.to - t.from).sum::<usize>(), 12);
+        let (txns, keys) = (&engine.writes.txns, &engine.writes.keys);
+        let with_seven: Vec<Vec<usize>> = txns
+            .iter()
+            .map(|t| {
+                keys[t.from..t.to]
+                    .iter()
+                    .copied()
+                    .filter(|&i| i != 1)
+                    .collect()
+            })
+            .filter(|indices: &Vec<usize>| !indices.is_empty())
+            .collect();
+        assert_eq!(with_seven, vec![vec![0, 2]; 4], "item 7 lives on 4 servers");
     }
 
-    /// The pooled planner is reusable across batches of different shapes
-    /// (epoch reset, no stale groups), including empty ones.
+    /// The engine is reusable across batches of different shapes,
+    /// including empty ones.
     #[test]
-    fn pooled_batch_reuse_across_shapes() {
+    fn reuse_across_shapes() {
         let p = planner(WritePolicy::InvalidateThenWrite);
-        let mut batcher = WriteBatchPlanner::new();
-        let first = batcher.plan_batch(&p, 0..40u64).total_ops();
-        assert_eq!(first, 40 * 4);
-        assert_eq!(batcher.plan_batch(&p, std::iter::empty()).total_txns(), 0);
-        let small = batcher.plan_batch(&p, [3u64]);
-        assert_eq!(small.total_ops(), 4);
-        assert_eq!(small.writes.len(), 1);
-        let big = batcher.plan_batch(&p, 0..40u64);
-        assert_eq!(big.total_ops(), first);
+        let mut engine = WriteEngine::new();
+        let first = engine.plan_batch(&p, 0..40u64).total_txns();
+        assert_eq!(engine.plan_batch(&p, std::iter::empty()).total_txns(), 0);
+        assert_eq!(engine.plan_batch(&p, [3u64]).total_txns(), 4);
+        assert_eq!(engine.plan_batch(&p, 0..40u64).total_txns(), first);
+    }
+
+    /// `store` sends the rounds `plan_batch` lays out, every delete
+    /// before any set, and counts what it sent.
+    #[test]
+    fn store_runs_the_planned_rounds_in_order() {
+        for policy in [WritePolicy::WriteAll, WritePolicy::InvalidateThenWrite] {
+            let p = planner(policy);
+            let items: Vec<u64> = (0..50).map(|i| i * 7 % 31).collect();
+            let mut engine = WriteEngine::new();
+            let plan = engine.plan_batch(&p, items.iter().copied());
+            let (dels, sets) = (plan.invalidations.len(), plan.writes.len());
+            let mut log = Log::default();
+            let c = engine.store(&p, items.iter().copied(), &mut log);
+            assert_eq!(
+                (c.invalidation_txns, c.write_txns),
+                (dels as u64, sets as u64),
+                "{policy:?}"
+            );
+            let first_set = log.ops.iter().position(|op| op.0 == WriteStep::Write);
+            let last_delete = log.ops.iter().rposition(|op| op.0 == WriteStep::Invalidate);
+            assert!(last_delete < first_set, "{policy:?}: a set before a delete");
+            assert_eq!(log.ops.len(), items.len() * 4);
+        }
+    }
+
+    /// An entry with an unacknowledged invalidation is not written; the
+    /// others are.
+    #[test]
+    fn a_failed_invalidation_blocks_only_its_entries() {
+        let p = planner(WritePolicy::InvalidateThenWrite);
+        let dead = 3;
+        let items: Vec<u64> = (0..80).collect();
+        let mut log = Log {
+            dead: Some(dead),
+            ..Log::default()
+        };
+        WriteEngine::new().store(&p, items.iter().copied(), &mut log);
+        let written: Vec<ItemId> = log
+            .ops
+            .iter()
+            .filter(|op| op.0 == WriteStep::Write)
+            .map(|op| op.2)
+            .collect();
+        let blocked = |item: ItemId| p.placement().replicas(item)[1..].contains(&dead);
+        let want: Vec<ItemId> = items.iter().copied().filter(|&i| !blocked(i)).collect();
+        let mut got = written.clone();
+        got.sort_unstable();
+        assert!(
+            want.len() < items.len(),
+            "some item keeps a replica on {dead}"
+        );
+        assert_eq!(got, want);
+    }
+
+    /// Under WriteAll there is nothing to invalidate, so a dead server
+    /// blocks nothing: its sets simply fail.
+    #[test]
+    fn write_all_has_no_invalidation_round() {
+        let p = planner(WritePolicy::WriteAll);
+        let mut log = Log {
+            dead: Some(0),
+            ..Log::default()
+        };
+        let c = WriteEngine::new().store(&p, 0..40u64, &mut log);
+        assert_eq!(c.invalidation_txns, 0);
+        assert!(log.ops.iter().all(|op| op.0 == WriteStep::Write));
+        assert_eq!(log.ops.len(), 40 * 4);
     }
 }

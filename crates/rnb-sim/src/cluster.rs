@@ -1,10 +1,13 @@
-//! The simulated cluster: `rnb-core`'s read engine over simulated
-//! servers, plus the simulator's write path.
+//! The simulated cluster: `rnb-core`'s read and write engines over
+//! simulated servers.
 
 use crate::config::{DistinguishedMode, HitchhikerLru, MemoryModel, SimConfig, WritebackPolicy};
 use crate::metrics::Metrics;
 use crate::server::SimServer;
-use rnb_core::{Bundler, PlacementStrategy, PlanTarget, ReadEngine, Round, Transport, WritePolicy};
+use rnb_core::{
+    Bundler, PlacementStrategy, PlanTarget, ReadEngine, Round, Transport, WriteEngine,
+    WritePlanner, WritePolicy, WriteStep,
+};
 use rnb_hash::{ItemId, Placement, ServerId};
 
 /// Per-request execution summary (the per-request slice of [`Metrics`]).
@@ -45,6 +48,8 @@ pub struct SimCluster {
     /// The read path, shared with `rnb-client`: pooled, so a warmed
     /// request allocates nothing.
     engine: ReadEngine,
+    /// The write path, shared with `rnb-client` like `engine`.
+    write: WriteEngine,
     /// Replica lookup buffer of the `AllReplicas` write-back.
     replicas: Vec<ServerId>,
     config: SimConfig,
@@ -102,6 +107,7 @@ impl SimCluster {
             servers,
             bundler,
             engine: ReadEngine::new(config.hitchhiking),
+            write: WriteEngine::new(),
             replicas,
             server_txns: vec![0u64; config.servers],
             config,
@@ -220,96 +226,55 @@ impl SimCluster {
         }
     }
 
-    /// Execute a write of `item` under `policy` (§III-G / §IV). Returns
-    /// the number of server transactions it cost.
+    /// Execute a bundled write of `items` under `policy` (§III-G / §IV)
+    /// through the write engine `rnb-client`'s `multi_set` runs: every
+    /// touched server costs ONE transaction per round (one pipelined
+    /// burst) instead of one per item-replica. A one-item batch costs the
+    /// item's `k` transactions. Returns the number of server transactions
+    /// the batch cost.
     ///
-    /// * [`WritePolicy::WriteAll`] refreshes every logical replica: the
-    ///   pinned distinguished copy is updated in place; the others are
-    ///   (re)inserted into the replica caches, possibly evicting colder
-    ///   items.
+    /// * [`WritePolicy::WriteAll`] stores every logical replica, (re)
+    ///   inserting it into its server's cache and possibly evicting
+    ///   colder items.
     /// * [`WritePolicy::InvalidateThenWrite`] deletes the
-    ///   non-distinguished replicas and updates only the distinguished
+    ///   non-distinguished replicas and stores only the distinguished
     ///   copy — the atomic scheme; subsequent reads recreate replicas on
     ///   demand through the miss/write-back path.
-    pub fn execute_write(&mut self, item: ItemId, policy: WritePolicy) -> usize {
-        assert!(
-            (item as usize) < self.universe,
-            "write of unknown item {item}"
-        );
-        let replicas = self.bundler.placement().replicas(item);
-        let txns = match policy {
-            WritePolicy::WriteAll => {
-                for &server in &replicas[1..] {
-                    self.servers[server as usize].insert_replica(item);
-                }
-                // Distinguished copy updated in place (pinned; no cache
-                // state change to model for unit-size items).
-                replicas.len()
-            }
-            WritePolicy::InvalidateThenWrite => {
-                for &server in &replicas[1..] {
-                    // A delete of an absent replica still costs the
-                    // round-trip, so it counts either way.
-                    self.servers[server as usize].remove_replica(item);
-                    self.metrics.invalidations += 1;
-                }
-                replicas.len()
-            }
-        };
-        self.metrics.writes += 1;
-        self.metrics.write_txns += txns as u64;
-        txns
-    }
-
-    /// Execute a bundled write of `items` under `policy`, mirroring the
-    /// client's `multi_set`: per-replica stores/invalidations are grouped
-    /// by server, and every touched server costs ONE transaction per
-    /// phase (one pipelined burst) instead of one per item-replica.
-    /// Returns the number of server transactions the batch cost.
     ///
-    /// Cache-state effects and the per-item metrics (`writes`,
-    /// `invalidations`) are identical to calling
-    /// [`execute_write`](Self::execute_write) once per item; only the
-    /// transaction accounting changes. Comparing `write_txns` between the
-    /// two paths is what makes the fixed-`k` write amplification — and
-    /// the bundling relief the write planner buys — visible in the sim
-    /// grid.
+    /// A stored distinguished copy is resident afterwards: pinned, it
+    /// always was; in the LRU ([`DistinguishedMode::InLru`]), it is
+    /// inserted like any replica, as a `set` over TCP does.
     pub fn execute_write_batch(&mut self, items: &[ItemId], policy: WritePolicy) -> usize {
-        if items.is_empty() {
-            return 0;
-        }
-        let mut write_touched = vec![false; self.servers.len()];
-        let mut inval_touched = vec![false; self.servers.len()];
-        let mut replicas = Vec::with_capacity(self.config.logical_replication);
         for &item in items {
             assert!(
                 (item as usize) < self.universe,
                 "write of unknown item {item}"
             );
-            self.bundler.placement().replicas_into(item, &mut replicas);
-            match policy {
-                WritePolicy::WriteAll => {
-                    for &server in &replicas[1..] {
-                        self.servers[server as usize].insert_replica(item);
-                        write_touched[server as usize] = true;
-                    }
-                    write_touched[replicas[0] as usize] = true;
-                }
-                WritePolicy::InvalidateThenWrite => {
-                    for &server in &replicas[1..] {
-                        self.servers[server as usize].remove_replica(item);
-                        self.metrics.invalidations += 1;
-                        inval_touched[server as usize] = true;
-                    }
-                    write_touched[replicas[0] as usize] = true;
-                }
-            }
         }
-        let txns = write_touched.iter().filter(|&&t| t).count()
-            + inval_touched.iter().filter(|&&t| t).count();
-        self.metrics.writes += items.len() as u64;
-        self.metrics.write_txns += txns as u64;
-        txns
+        let SimCluster {
+            servers,
+            bundler,
+            write,
+            replicas,
+            config,
+            metrics,
+            server_txns,
+            ..
+        } = self;
+        let writer = WritePlanner::new(bundler.placement(), policy);
+        let mut transport = Servers {
+            servers,
+            server_txns,
+            metrics,
+            config,
+            placement: bundler.placement(),
+            replicas,
+        };
+        let c = write.store(&writer, items.iter().copied(), &mut transport);
+        let txns = c.invalidation_txns + c.write_txns;
+        metrics.writes += items.len() as u64;
+        metrics.write_txns += txns;
+        txns as usize
     }
 }
 
@@ -352,6 +317,27 @@ impl Transport for Servers<'_> {
                 self.write_back_one(round.items[index], txn.server);
             }
         }
+    }
+
+    /// A delete of an absent replica still costs the round-trip, so it
+    /// counts as an invalidation either way; every op is acknowledged.
+    fn store(&mut self, round: Round<'_>, step: WriteStep) {
+        for txn in round.txns {
+            let server = &mut self.servers[txn.server as usize];
+            for &index in &round.keys[txn.from..txn.to] {
+                let item = round.items[index];
+                match step {
+                    WriteStep::Invalidate => {
+                        server.remove_replica(item);
+                        self.metrics.invalidations += 1;
+                    }
+                    WriteStep::Write => {
+                        server.insert_replica(item);
+                    }
+                }
+            }
+        }
+        round.answered.fill(true);
     }
 }
 
@@ -700,7 +686,7 @@ mod tests {
     #[test]
     fn write_all_refreshes_replicas() {
         let mut c = SimCluster::new(SimConfig::enhanced(8, 3, 3.0).with_hitchhiking(false), 200);
-        let txns = c.execute_write(5, WritePolicy::WriteAll);
+        let txns = c.execute_write_batch(&[5], WritePolicy::WriteAll);
         assert_eq!(txns, 3);
         assert_eq!(c.metrics().writes, 1);
         assert_eq!(c.metrics().write_txns, 3);
@@ -715,12 +701,12 @@ mod tests {
     fn invalidate_then_write_clears_replicas() {
         let mut c = SimCluster::new(SimConfig::enhanced(8, 3, 3.0).with_hitchhiking(false), 200);
         // Warm all replicas of item 5 via WriteAll, then invalidate.
-        c.execute_write(5, WritePolicy::WriteAll);
+        c.execute_write_batch(&[5], WritePolicy::WriteAll);
         let reps = c.bundler.placement().replicas(5);
         for &s in &reps[1..] {
             assert!(c.server(s).holds(5));
         }
-        let txns = c.execute_write(5, WritePolicy::InvalidateThenWrite);
+        let txns = c.execute_write_batch(&[5], WritePolicy::InvalidateThenWrite);
         assert_eq!(txns, 3);
         assert_eq!(c.metrics().invalidations, 2);
         for &s in &reps[1..] {
@@ -743,7 +729,7 @@ mod tests {
     fn write_metrics_flow_into_txns_per_op() {
         let mut c = basic_cluster(8, 2, 100);
         c.execute(&(0..10).collect::<Vec<_>>());
-        c.execute_write(3, WritePolicy::WriteAll);
+        c.execute_write_batch(&[3], WritePolicy::WriteAll);
         let m = c.metrics();
         assert_eq!(m.requests, 1);
         assert_eq!(m.writes, 1);
@@ -755,7 +741,7 @@ mod tests {
     #[should_panic(expected = "unknown item")]
     fn write_of_out_of_universe_item_rejected() {
         let mut c = basic_cluster(4, 2, 10);
-        c.execute_write(99, WritePolicy::WriteAll);
+        c.execute_write_batch(&[99], WritePolicy::WriteAll);
     }
 
     #[test]
@@ -768,7 +754,7 @@ mod tests {
         let batch_txns = batched.execute_write_batch(&items, WritePolicy::WriteAll);
         let mut seq_txns = 0;
         for &item in &items {
-            seq_txns += sequential.execute_write(item, WritePolicy::WriteAll);
+            seq_txns += sequential.execute_write_batch(&[item], WritePolicy::WriteAll);
         }
 
         // The bundled burst touches each server at most once, so it can
@@ -811,6 +797,27 @@ mod tests {
             for &s in &reps[1..] {
                 assert!(!c.server(s).holds(item));
             }
+        }
+    }
+
+    #[test]
+    fn a_written_distinguished_copy_is_resident_again() {
+        // Without the distinguished service class a distinguished copy can
+        // be evicted; writing the item stores it there again, as a `set`
+        // over TCP does, so the next read needs no database fetch.
+        let cfg = SimConfig {
+            distinguished: DistinguishedMode::InLru,
+            ..SimConfig::basic(8, 3).with_hitchhiking(false)
+        };
+        for policy in [WritePolicy::WriteAll, WritePolicy::InvalidateThenWrite] {
+            let mut c = SimCluster::new(cfg.clone(), 200);
+            let home = c.bundler.placement().distinguished(5);
+            assert!(c.servers[home as usize].remove_replica(5));
+            c.execute_write_batch(&[5], policy);
+            assert!(c.server(home).holds(5), "{policy:?}");
+            let out = c.execute(&[5]);
+            assert_eq!(out.items_delivered, 1);
+            assert_eq!(c.metrics().db_fetches, 0, "{policy:?}");
         }
     }
 

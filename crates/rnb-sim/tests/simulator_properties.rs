@@ -106,7 +106,7 @@ proptest! {
             } else {
                 WritePolicy::InvalidateThenWrite
             };
-            let txns = cluster.execute_write(item, policy);
+            let txns = cluster.execute_write_batch(&[item], policy);
             prop_assert!(txns >= 1);
             let out = cluster.execute(&[item, (item + 1) % 100]);
             prop_assert_eq!(out.items_delivered, 2);

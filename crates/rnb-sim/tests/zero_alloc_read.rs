@@ -1,13 +1,13 @@
-//! Proof that a steady-state simulated read allocates nothing: the plan,
-//! the hitchhikers, both rounds, the write-back and the metrics all live
-//! in buffers the cluster keeps (`rnb-core`'s read engine and the
-//! simulated servers). The write-side analogue is
-//! `rnb-core/tests/zero_alloc_write.rs`.
+//! Proof that a steady-state simulated read or write allocates nothing:
+//! the plan, the hitchhikers, every round, the write-back and the metrics
+//! all live in buffers the cluster keeps (`rnb-core`'s read and write
+//! engines and the simulated servers).
 //!
 //! Kept to a single `#[test]` so no sibling test thread muddies the
 //! warm-up ordering.
 
 use alloc_counter::{count_alloc, AllocCounterSystem};
+use rnb_core::WritePolicy;
 use rnb_sim::{MemoryModel, SimCluster, SimConfig};
 
 #[global_allocator]
@@ -38,5 +38,19 @@ fn steady_state_reads_do_not_allocate() {
         let m = cluster.metrics();
         let repaired = m.round2_txns > before.round2_txns && m.writebacks > before.writebacks;
         assert_eq!(repaired, overbooked, "{m:?}");
+
+        // Write bursts, warmed like the reads, under both policies.
+        for policy in [WritePolicy::WriteAll, WritePolicy::InvalidateThenWrite] {
+            let write = |cluster: &mut SimCluster| {
+                for request in &requests {
+                    cluster.execute_write_batch(request, policy);
+                }
+            };
+            (0..3).for_each(|_| write(&mut cluster));
+            let before = cluster.metrics().write_txns;
+            let (counts, ()) = count_alloc(|| write(&mut cluster));
+            assert_eq!(counts, (0, 0, 0), "{policy:?}, overbooked: {overbooked}");
+            assert!(cluster.metrics().write_txns > before);
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! — implemented over the real store substrate with CAS, and hammered
 //! concurrently.
 
-use rnb_core::{Bundler, Placement, RnbConfig, WritePlanner, WritePolicy};
+use rnb_core::{Bundler, Placement, RnbConfig};
 use rnb_store::shard::CasOutcome;
 use rnb_store::Store;
 use std::sync::Arc;
@@ -17,7 +17,6 @@ fn key_of(item: u64) -> Vec<u8> {
 struct AtomicRnb {
     stores: Vec<Arc<Store>>,
     bundler: Bundler,
-    writer: WritePlanner<rnb_core::PlacementStrategy>,
 }
 
 impl AtomicRnb {
@@ -28,10 +27,6 @@ impl AtomicRnb {
                 .map(|_| Arc::new(Store::new(1 << 20)))
                 .collect(),
             bundler: Bundler::from_config(&config),
-            writer: WritePlanner::new(
-                rnb_core::PlacementStrategy::from_config(&config),
-                WritePolicy::InvalidateThenWrite,
-            ),
         }
     }
 
@@ -50,16 +45,14 @@ impl AtomicRnb {
     /// §IV atomic read-modify-write: invalidate replicas, then CAS-loop
     /// on the distinguished copy.
     fn atomic_update(&self, item: u64, f: impl Fn(&[u8]) -> Vec<u8>) {
-        let plan = self.writer.plan_write(item);
+        let replicas = self.bundler.placement().replicas(item);
+        let key = key_of(item);
         // Step 1: remove all but the distinguished copy.
-        for txn in &plan.invalidations {
-            for &i in &txn.items {
-                self.stores[txn.server as usize].delete(&key_of(i));
-            }
+        for &server in &replicas[1..] {
+            self.stores[server as usize].delete(&key);
         }
         // Step 2: CAS on the distinguished copy until it sticks.
-        let d = plan.writes[0].server as usize;
-        let key = key_of(item);
+        let d = replicas[0] as usize;
         loop {
             let Some(current) = self.stores[d].get(&key) else {
                 panic!("distinguished copy of {item} lost (it is pinned)");

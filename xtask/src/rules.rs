@@ -8,9 +8,9 @@
 //! | R4 `invariant-inventory` | whole workspace | every non-test `debug_assert*` carries a message registered in INVARIANTS.md; every `::MAX` sentinel is registered; no stale entries |
 //! | R5 `no-thread-sleep` | whole workspace | no `thread::sleep` in non-test code outside the justified allowlist: sleeping hides latency bugs and stalls serving threads |
 //! | R6 `doc-example-coverage` | `rnb-core` | every non-test `pub fn` in the public-API crate carries a ```-fenced doc example (doctested usage), or an allowlisted reason |
-//! | R7 `serving-path-clone` | call-graph closure of the serving roots | no `.clone()`/`.cloned()`/`.to_vec()`/`.to_owned()` reachable from the store's protocol loop, `RnbClient::multi_get` or the read engine, outside the justified allowlist |
+//! | R7 `serving-path-clone` | call-graph closure of the serving roots | no `.clone()`/`.cloned()`/`.to_vec()`/`.to_owned()` reachable from the store's protocol loop, `RnbClient::multi_get`/`multi_set` or the read and write engines, outside the justified allowlist |
 //! | R8 `must-use-planner` | `rnb-cover` | every pure planner entry point carries `#[must_use]`: dropping a cover plan silently is always a bug |
-//! | R9 `transitive-panic-freedom` | call-graph closure of the serving roots | no panic-family call or panicking slice helper reachable from `Worker::run`/`serve_conn`/`drain_input`/`get_multi`/`multi_get`/`ReadEngine::fetch`, except via registered invariants |
+//! | R9 `transitive-panic-freedom` | call-graph closure of the serving roots | no panic-family call or panicking slice helper reachable from `Worker::run`/`serve_conn`/`drain_input`/`get_multi`/`multi_get`/`ReadEngine::fetch`/`WriteEngine::store`, except via registered invariants |
 //! | R10 `lock-discipline` | `rnb-store` | no `.lock()` guard's live scope contains another `.lock()` or socket I/O — the machine-checked form of the "one lock per shard" invariant |
 //!
 //! All rules match against [`SourceFile::scrubbed`] text, so comments and
@@ -741,21 +741,24 @@ pub const RULES: &[(&str, &str)] = &[
 /// `get_multi`/`get_each` are the store's multi-key read entry points
 /// and `set_multi` the batched write entry point;
 /// `multi_get` is the client's read entry and `multi_set` its write-side
-/// sibling (plan→burst); `fetch` is the read engine every read runs
-/// (plan→rounds→write-back, in `rnb-core`), and `run_round` /
-/// `write_back` the client transport it drives, with `send_request` /
-/// `recv_values` the connection halves under those — called through a
-/// trait or closures the graph does not trace, so they are roots in
-/// their own right.
+/// sibling; `fetch` is the read engine every read runs
+/// (plan→rounds→write-back, in `rnb-core`) and `store` its write-side
+/// sibling (invalidation round→write round), and `run_round` /
+/// `write_back` / `store` the client transport they drive, with
+/// `send_request` / `recv_values` the connection halves under those —
+/// called through a trait or closures the graph does not trace, so they
+/// are roots in their own right.
 pub const CLONE_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/server.rs", "run"),
     ("crates/rnb-store/src/server.rs", "serve_conn"),
     ("crates/rnb-store/src/server.rs", "drain_input"),
     ("crates/rnb-core/src/read.rs", "fetch"),
+    ("crates/rnb-core/src/write.rs", "store"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
     ("crates/rnb-client/src/client.rs", "write_back"),
+    ("crates/rnb-client/src/client.rs", "store"),
     ("crates/rnb-client/src/client.rs", "run_write_bursts"),
     ("crates/rnb-store/src/client.rs", "send_request"),
     ("crates/rnb-store/src/client.rs", "recv_values"),
@@ -794,10 +797,12 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/store.rs", "set_multi"),
     ("crates/rnb-store/src/store.rs", "set_multi_with"),
     ("crates/rnb-core/src/read.rs", "fetch"),
+    ("crates/rnb-core/src/write.rs", "store"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
     ("crates/rnb-client/src/client.rs", "write_back"),
+    ("crates/rnb-client/src/client.rs", "store"),
     ("crates/rnb-client/src/client.rs", "run_write_bursts"),
     ("crates/rnb-store/src/client.rs", "send_request"),
     ("crates/rnb-store/src/client.rs", "recv_values"),
@@ -1892,6 +1897,27 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 3);
         assert!(v[0].message.contains("settle"));
+    }
+
+    #[test]
+    fn r7_reintroduced_clone_in_write_engine_fails() {
+        // The write engine is a root of its own (the client and the
+        // simulator reach it through a generic call), so a copy of the
+        // batch it lays out fails one call away from `store`.
+        let files = vec![SourceFile::new(
+            "crates/rnb-core/src/write.rs",
+            "impl WriteEngine {\n\
+                 pub fn store(&mut self) { self.plan_batch(); }\n\
+                 pub fn plan_batch(&mut self) { let sets = self.sets.to_vec(); drop(sets); }\n\
+             }\n",
+        )];
+        let root = ("crates/rnb-core/src/write.rs", "store");
+        assert!(CLONE_ROOTS.contains(&root) && PANIC_ROOTS.contains(&root));
+        let graph = CallGraph::build(&files);
+        let v = check_serving_clone_with(&files, &graph, &[root], &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 3);
+        assert!(v[0].message.contains("plan_batch"));
     }
 
     #[test]
