@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rnb_core::{PlacementKind, PlacementStrategy};
-use rnb_hash::{HashKind, Placement};
+use rnb_hash::Placement;
 use std::hint::black_box;
 
 fn bench_replica_lookup(c: &mut Criterion) {
@@ -18,7 +18,7 @@ fn bench_replica_lookup(c: &mut Criterion) {
             PlacementKind::Rendezvous,
             PlacementKind::Jump,
         ] {
-            let p = PlacementStrategy::build(kind, servers, 4, HashKind::XxHash64, 7);
+            let p = PlacementStrategy::build(kind, servers, 4, 7);
             group.throughput(Throughput::Elements(1));
             group.bench_with_input(BenchmarkId::new(p.name(), servers), &p, |b, p| {
                 let mut out = Vec::with_capacity(4);
@@ -34,18 +34,5 @@ fn bench_replica_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_hash_functions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("placement/hash");
-    let key = 0xdead_beef_cafe_u64.to_le_bytes();
-    for kind in HashKind::ALL {
-        let h = kind.build(1);
-        group.throughput(Throughput::Bytes(key.len() as u64));
-        group.bench_function(format!("{kind:?}"), |b| {
-            b.iter(|| black_box(h.hash_bytes(black_box(&key))))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_replica_lookup, bench_hash_functions);
+criterion_group!(benches, bench_replica_lookup);
 criterion_main!(benches);

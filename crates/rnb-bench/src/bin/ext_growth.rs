@@ -17,7 +17,7 @@ use rnb_analysis::{urn, Table};
 use rnb_bench::{emit, scaled, FIG_SEED};
 use rnb_core::Bundler;
 use rnb_hash::rch::RangedConsistentHash;
-use rnb_hash::{HashKind, Placement};
+use rnb_hash::Placement;
 
 fn main() {
     let items: u64 = 20_000;
@@ -25,7 +25,7 @@ fn main() {
     let trials = scaled(300, 60);
     let replication = 3usize;
 
-    let mut rch = RangedConsistentHash::new(16, replication, HashKind::XxHash64, FIG_SEED);
+    let mut rch = RangedConsistentHash::new(16, replication, FIG_SEED);
     let mut prev: Vec<Vec<u32>> = (0..items).map(|i| rch.replicas(i)).collect();
 
     // Throughput unit: the plain (no-replication) 16-server system = 1.0.

@@ -16,7 +16,7 @@
 
 use crate::plan::{FetchPlan, Transaction};
 use rnb_hash::rch::RangedConsistentHash;
-use rnb_hash::{HashKind, ItemId, Placement, ServerId};
+use rnb_hash::{ItemId, Placement, ServerId};
 
 /// Full-system replication planner over `copies` complete copies of the
 /// data set.
@@ -45,13 +45,10 @@ impl FullSystemReplication {
             "full-system replication needs servers ({servers}) divisible by copies ({copies})"
         );
         let group_size = servers / copies;
+        // Every group hashes identically (same seed): a group is a
+        // byte-for-byte copy of the original system.
         let groups = (0..copies)
-            .map(|g| {
-                // Every group hashes identically (same seed): a group is a
-                // byte-for-byte copy of the original system.
-                let _ = g;
-                RangedConsistentHash::new(group_size, 1, HashKind::XxHash64, seed)
-            })
+            .map(|_| RangedConsistentHash::new(group_size, 1, seed))
             .collect();
         FullSystemReplication { groups, group_size }
     }

@@ -1,7 +1,5 @@
 //! RnB deployment configuration.
 
-use rnb_hash::HashKind;
-
 /// Which replica-placement scheme the deployment uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementKind {
@@ -34,10 +32,9 @@ pub struct RnbConfig {
     pub replication: usize,
     /// Placement scheme.
     pub placement: PlacementKind,
-    /// Hash family used by the placement scheme.
-    pub hash: HashKind,
-    /// Seed for all hashing; every client must share it (it is the entire
-    /// "configuration information" RnB needs beyond memcached's).
+    /// Seed of the placement's xxHash64 hashing; every client must share
+    /// it (it is the entire "configuration information" RnB needs beyond
+    /// memcached's).
     pub seed: u64,
     /// Route single-item transactions to the item's distinguished copy
     /// ("whenever an item is not bundled, we access its distinguished copy
@@ -46,8 +43,9 @@ pub struct RnbConfig {
 }
 
 impl RnbConfig {
-    /// A default-policy config: RCH placement, xxHash64, seed 0x52_6e_42
-    /// ("RnB"), distinguished-copy routing on.
+    /// A default-policy config: RCH placement, seed 0x52_6e_42 ("RnB"),
+    /// distinguished-copy routing on. Every placement hashes with
+    /// xxHash64; the seed is the only hashing parameter.
     ///
     /// ```
     /// use rnb_core::{PlacementKind, RnbConfig};
@@ -63,7 +61,6 @@ impl RnbConfig {
             servers,
             replication,
             placement: PlacementKind::Rch,
-            hash: HashKind::XxHash64,
             seed: 0x52_6e_42,
             single_item_to_distinguished: true,
         }
@@ -78,19 +75,6 @@ impl RnbConfig {
     /// ```
     pub fn with_placement(mut self, kind: PlacementKind) -> Self {
         self.placement = kind;
-        self
-    }
-
-    /// Builder-style: set the hash family.
-    ///
-    /// ```
-    /// use rnb_core::RnbConfig;
-    /// use rnb_hash::HashKind;
-    /// let config = RnbConfig::new(8, 3).with_hash(HashKind::Murmur3);
-    /// assert_eq!(config.hash, HashKind::Murmur3);
-    /// ```
-    pub fn with_hash(mut self, hash: HashKind) -> Self {
-        self.hash = hash;
         self
     }
 
@@ -128,13 +112,11 @@ mod tests {
     fn builder_chain() {
         let c = RnbConfig::new(8, 3)
             .with_placement(PlacementKind::MultiHash)
-            .with_hash(HashKind::Murmur3)
             .with_seed(99)
             .with_single_item_to_distinguished(false);
         assert_eq!(c.servers, 8);
         assert_eq!(c.replication, 3);
         assert_eq!(c.placement, PlacementKind::MultiHash);
-        assert_eq!(c.hash, HashKind::Murmur3);
         assert_eq!(c.seed, 99);
         assert!(!c.single_item_to_distinguished);
     }

@@ -3,8 +3,9 @@
 //! This crate provides everything the paper's placement layer needs,
 //! implemented from scratch:
 //!
-//! * Seedable 64-bit hash functions ([`fnv`], [`xxhash`], [`siphash`],
-//!   [`murmur`]) behind the common [`Hasher64`] trait.
+//! * One seeded 64-bit hash function, xxHash64 ([`xxhash`]). Every
+//!   placement hashes with it; a placement's seed (and, for multi-hash,
+//!   its per-replica sub-seeds) is all that varies between hash functions.
 //! * A classic consistent-hashing ring with virtual nodes ([`ring`]).
 //! * **Ranged Consistent Hashing** ([`rch`]) — the paper's §IV extension
 //!   that walks the continuum gathering *distinct* servers for an item's
@@ -19,15 +20,12 @@
 //! item id to an ordered list of distinct servers. Replica index 0 is the
 //! *distinguished copy* in RnB terms.
 
-pub mod fnv;
 pub mod jump;
 pub mod mix;
 pub mod multihash;
-pub mod murmur;
 pub mod rch;
 pub mod rendezvous;
 pub mod ring;
-pub mod siphash;
 pub mod xxhash;
 
 /// Identifier of a storage server within a cluster. Dense, `0..num_servers`.
@@ -36,60 +34,6 @@ pub type ServerId = u32;
 /// Identifier of a stored item (a graph node / user "status" in the paper's
 /// workloads).
 pub type ItemId = u64;
-
-/// A seeded 64-bit hash function over byte strings.
-///
-/// Implementations must be deterministic for a given seed and must give
-/// independent-looking streams for different seeds (the RnB placement layer
-/// derives its `k` replica hash functions from `k` different seeds).
-pub trait Hasher64: Send + Sync {
-    /// Hash `key` to a 64-bit value.
-    fn hash_bytes(&self, key: &[u8]) -> u64;
-
-    /// Hash a 64-bit item id (convenience over [`Hasher64::hash_bytes`] on
-    /// the id's little-endian bytes).
-    fn hash_u64(&self, key: u64) -> u64 {
-        self.hash_bytes(&key.to_le_bytes())
-    }
-}
-
-/// The hash function families available to placement schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashKind {
-    /// FNV-1a, 64-bit, seed-xored basis. Fastest; weakest mixing.
-    Fnv1a,
-    /// xxHash64. Fast with good avalanche; the default.
-    #[default]
-    XxHash64,
-    /// SipHash-1-3 keyed hash (the Rust standard library's default family).
-    SipHash13,
-    /// SipHash-2-4 keyed hash (the original, more conservative parameters).
-    SipHash24,
-    /// MurmurHash3 x64 variant, low 64 bits of the 128-bit digest.
-    Murmur3,
-}
-
-impl HashKind {
-    /// Construct a boxed hasher of this kind with the given seed.
-    pub fn build(self, seed: u64) -> Box<dyn Hasher64> {
-        match self {
-            HashKind::Fnv1a => Box::new(fnv::Fnv1a::new(seed)),
-            HashKind::XxHash64 => Box::new(xxhash::XxHash64::new(seed)),
-            HashKind::SipHash13 => Box::new(siphash::SipHasher::sip13(seed)),
-            HashKind::SipHash24 => Box::new(siphash::SipHasher::sip24(seed)),
-            HashKind::Murmur3 => Box::new(murmur::Murmur3::new(seed)),
-        }
-    }
-
-    /// All kinds, for exhaustive tests and benches.
-    pub const ALL: [HashKind; 5] = [
-        HashKind::Fnv1a,
-        HashKind::XxHash64,
-        HashKind::SipHash13,
-        HashKind::SipHash24,
-        HashKind::Murmur3,
-    ];
-}
 
 /// Maps an item to an ordered list of **distinct** servers holding its
 /// replicas.
@@ -136,18 +80,6 @@ impl<P: Placement + ?Sized> Placement for &P {
     }
 }
 
-impl<P: Placement + ?Sized> Placement for Box<P> {
-    fn num_servers(&self) -> usize {
-        (**self).num_servers()
-    }
-    fn replication(&self) -> usize {
-        (**self).replication()
-    }
-    fn replicas_into(&self, item: ItemId, out: &mut Vec<ServerId>) {
-        (**self).replicas_into(item, out)
-    }
-}
-
 /// Measures how evenly `counts` (items per server) are spread.
 ///
 /// Returns `(min, max, max/mean)` — the last value is the *imbalance
@@ -167,50 +99,6 @@ pub fn balance_stats(counts: &[usize]) -> (usize, usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hash_kinds_are_deterministic_and_seed_sensitive() {
-        for kind in HashKind::ALL {
-            let a = kind.build(1);
-            let b = kind.build(1);
-            let c = kind.build(2);
-            for key in [0u64, 1, 42, u64::MAX] {
-                assert_eq!(
-                    a.hash_u64(key),
-                    b.hash_u64(key),
-                    "{kind:?} not deterministic"
-                );
-                assert_ne!(
-                    a.hash_u64(key),
-                    c.hash_u64(key),
-                    "{kind:?} ignores seed for key {key}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hash_u64_matches_bytes() {
-        for kind in HashKind::ALL {
-            let h = kind.build(7);
-            assert_eq!(
-                h.hash_u64(0xdead_beef),
-                h.hash_bytes(&0xdead_beefu64.to_le_bytes())
-            );
-        }
-    }
-
-    #[test]
-    fn hash_kinds_differ_from_each_other() {
-        let key = 123456789u64;
-        let mut seen = std::collections::HashSet::new();
-        for kind in HashKind::ALL {
-            assert!(
-                seen.insert(kind.build(0).hash_u64(key)),
-                "{kind:?} collides with another family"
-            );
-        }
-    }
 
     #[test]
     fn balance_stats_basics() {

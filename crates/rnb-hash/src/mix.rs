@@ -17,15 +17,6 @@ pub fn sub_seed(seed: u64, i: u64) -> u64 {
     splitmix64(&mut s)
 }
 
-/// Murmur3/xxHash-style 64-bit avalanche finalizer.
-pub fn avalanche64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^ (x >> 33)
-}
-
 /// Read a little-endian `u64` from `bytes[offset..offset + 8]`.
 #[inline]
 pub fn read_u64_le(bytes: &[u8], offset: usize) -> u64 {
@@ -67,21 +58,6 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for i in 0..1000 {
             assert!(seen.insert(sub_seed(99, i)), "duplicate sub-seed at {i}");
-        }
-    }
-
-    #[test]
-    fn avalanche_changes_all_byte_positions() {
-        // Flipping any single input bit should flip roughly half of the
-        // output bits; sanity-check a weak version of that.
-        for bit in 0..64 {
-            let a = avalanche64(0);
-            let b = avalanche64(1u64 << bit);
-            let flipped = (a ^ b).count_ones();
-            assert!(
-                flipped >= 16,
-                "bit {bit} only flipped {flipped} output bits"
-            );
         }
     }
 

@@ -2,41 +2,31 @@
 //! "replicating the data items using multiple hash functions".
 //!
 //! Replica `i` of an item is `H_i(item) mod N` where `H_0..H_{k-1}` are
-//! independently seeded hash functions. Collisions (two hash functions
+//! xxHash64 under `k` sub-seeds of one seed. Collisions (two hash functions
 //! picking the same server) are resolved by rehashing with a probe
 //! counter, so the produced servers are always distinct. `H_0` defines the
 //! distinguished copy.
 
 use crate::mix::sub_seed;
-use crate::{HashKind, Hasher64, ItemId, Placement, ServerId};
+use crate::xxhash::xxh64;
+use crate::{ItemId, Placement, ServerId};
 
 /// Placement by `k` independent hash functions with open-address collision
 /// probing.
 pub struct MultiHashPlacement {
-    hashers: Vec<Box<dyn Hasher64>>,
+    /// Seed of each replica's hash function `H_i`.
+    seeds: Vec<u64>,
     num_servers: usize,
-    kind: HashKind,
 }
 
 impl MultiHashPlacement {
     /// Build a placement of `replication` hash functions over
     /// `num_servers` servers, all derived from `seed`.
-    pub fn new(num_servers: usize, replication: usize, kind: HashKind, seed: u64) -> Self {
+    pub fn new(num_servers: usize, replication: usize, seed: u64) -> Self {
         assert!(num_servers > 0, "placement needs at least one server");
         assert!(replication >= 1, "replication must be at least 1");
-        let hashers = (0..replication as u64)
-            .map(|i| kind.build(sub_seed(seed, i)))
-            .collect();
-        MultiHashPlacement {
-            hashers,
-            num_servers,
-            kind,
-        }
-    }
-
-    /// Hash kind used for every replica function.
-    pub fn hash_kind(&self) -> HashKind {
-        self.kind
+        let seeds = (0..replication as u64).map(|i| sub_seed(seed, i)).collect();
+        MultiHashPlacement { seeds, num_servers }
     }
 }
 
@@ -46,15 +36,15 @@ impl Placement for MultiHashPlacement {
     }
 
     fn replication(&self) -> usize {
-        self.hashers.len()
+        self.seeds.len()
     }
 
     fn replicas_into(&self, item: ItemId, out: &mut Vec<ServerId>) {
         out.clear();
         let n = self.num_servers as u64;
-        let want = self.hashers.len().min(self.num_servers);
-        for hasher in &self.hashers {
-            let mut h = hasher.hash_u64(item);
+        let want = self.seeds.len().min(self.num_servers);
+        for &seed in &self.seeds {
+            let mut h = xxh64(&item.to_le_bytes(), seed);
             let mut server = (h % n) as ServerId;
             // Probe past servers already chosen by earlier hash functions.
             // Each probe re-mixes the hash, so the fallback server remains
@@ -62,7 +52,9 @@ impl Placement for MultiHashPlacement {
             let mut probe: u64 = 0;
             while out.contains(&server) {
                 probe += 1;
-                h = hasher.hash_bytes(&[item.to_le_bytes(), probe.to_le_bytes()].concat());
+                // The item's 8 bytes, then the probe's, little-endian.
+                let key = ((u128::from(probe) << 64) | u128::from(item)).to_le_bytes();
+                h = xxh64(&key, seed);
                 server = (h % n) as ServerId;
             }
             out.push(server);
@@ -79,7 +71,7 @@ mod tests {
     use crate::balance_stats;
 
     fn mh(n: usize, k: usize) -> MultiHashPlacement {
-        MultiHashPlacement::new(n, k, HashKind::XxHash64, 7)
+        MultiHashPlacement::new(n, k, 7)
     }
 
     #[test]

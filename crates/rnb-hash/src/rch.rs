@@ -12,7 +12,7 @@
 //! byte-for-byte a memcached deployment.
 
 use crate::ring::ConsistentHashRing;
-use crate::{HashKind, ItemId, Placement, ServerId};
+use crate::{ItemId, Placement, ServerId};
 
 /// Ranged Consistent Hashing placement: `k` distinct replica servers
 /// gathered by walking the continuum clockwise from the item's point.
@@ -24,23 +24,12 @@ pub struct RangedConsistentHash {
 impl RangedConsistentHash {
     /// Build an RCH placement over `num_servers` servers with `replication`
     /// logical replicas per item.
-    pub fn new(num_servers: usize, replication: usize, kind: HashKind, seed: u64) -> Self {
+    pub fn new(num_servers: usize, replication: usize, seed: u64) -> Self {
         assert!(replication >= 1, "replication must be at least 1");
         RangedConsistentHash {
-            ring: ConsistentHashRing::new(num_servers, kind, seed),
+            ring: ConsistentHashRing::new(num_servers, seed),
             replication,
         }
-    }
-
-    /// Build over an existing ring (e.g. to share vnode configuration).
-    pub fn from_ring(ring: ConsistentHashRing, replication: usize) -> Self {
-        assert!(replication >= 1, "replication must be at least 1");
-        RangedConsistentHash { ring, replication }
-    }
-
-    /// Access the underlying ring.
-    pub fn ring(&self) -> &ConsistentHashRing {
-        &self.ring
     }
 
     /// Add a server to the underlying ring; replica sets of only the keys
@@ -83,7 +72,7 @@ mod tests {
     use crate::balance_stats;
 
     fn rch(n: usize, k: usize) -> RangedConsistentHash {
-        RangedConsistentHash::new(n, k, HashKind::XxHash64, 42)
+        RangedConsistentHash::new(n, k, 42)
     }
 
     #[test]
@@ -107,7 +96,7 @@ mod tests {
     fn first_replica_matches_plain_consistent_hashing() {
         let p = rch(16, 4);
         for item in 0..5000 {
-            assert_eq!(p.distinguished(item), p.ring().server_for(item));
+            assert_eq!(p.distinguished(item), p.ring.server_for(item));
         }
     }
 

@@ -5,23 +5,24 @@
 //! at O(N) lookup cost per item versus RCH's O(log N + k). The ablation
 //! bench (`placement` in `rnb-bench`) quantifies that trade-off.
 
-use crate::{HashKind, Hasher64, ItemId, Placement, ServerId};
+use crate::xxhash::xxh64;
+use crate::{ItemId, Placement, ServerId};
 
 /// Highest-random-weight placement: replicas are the `k` servers with the
 /// highest `hash(item, server)` scores.
 pub struct RendezvousPlacement {
-    hasher: Box<dyn Hasher64>,
+    seed: u64,
     num_servers: usize,
     replication: usize,
 }
 
 impl RendezvousPlacement {
     /// Build an HRW placement.
-    pub fn new(num_servers: usize, replication: usize, kind: HashKind, seed: u64) -> Self {
+    pub fn new(num_servers: usize, replication: usize, seed: u64) -> Self {
         assert!(num_servers > 0, "placement needs at least one server");
         assert!(replication >= 1, "replication must be at least 1");
         RendezvousPlacement {
-            hasher: kind.build(seed),
+            seed,
             num_servers,
             replication,
         }
@@ -31,7 +32,7 @@ impl RendezvousPlacement {
         let mut key = [0u8; 12];
         key[..8].copy_from_slice(&item.to_le_bytes());
         key[8..].copy_from_slice(&server.to_le_bytes());
-        self.hasher.hash_bytes(&key)
+        xxh64(&key, self.seed)
     }
 }
 
@@ -64,7 +65,7 @@ mod tests {
 
     #[test]
     fn distinct_replicas_by_construction() {
-        let p = RendezvousPlacement::new(16, 4, HashKind::XxHash64, 11);
+        let p = RendezvousPlacement::new(16, 4, 11);
         for item in 0..2000 {
             let reps = p.replicas(item);
             let mut s = reps.clone();
@@ -76,8 +77,8 @@ mod tests {
 
     #[test]
     fn prefix_stability_across_replication_levels() {
-        let p2 = RendezvousPlacement::new(16, 2, HashKind::XxHash64, 11);
-        let p5 = RendezvousPlacement::new(16, 5, HashKind::XxHash64, 11);
+        let p2 = RendezvousPlacement::new(16, 2, 11);
+        let p5 = RendezvousPlacement::new(16, 5, 11);
         for item in 0..1000 {
             assert_eq!(&p5.replicas(item)[..2], &p2.replicas(item)[..]);
         }
@@ -85,7 +86,7 @@ mod tests {
 
     #[test]
     fn near_perfect_balance() {
-        let p = RendezvousPlacement::new(16, 3, HashKind::XxHash64, 12);
+        let p = RendezvousPlacement::new(16, 3, 12);
         let mut counts = vec![0usize; 16];
         for item in 0..30_000 {
             for s in p.replicas(item) {
@@ -100,8 +101,8 @@ mod tests {
     fn adding_server_only_steals_keys() {
         // Growing the cluster by one server must never move a replica
         // between two pre-existing servers (minimal-disruption property).
-        let p16 = RendezvousPlacement::new(16, 3, HashKind::XxHash64, 13);
-        let p17 = RendezvousPlacement::new(17, 3, HashKind::XxHash64, 13);
+        let p16 = RendezvousPlacement::new(16, 3, 13);
+        let p17 = RendezvousPlacement::new(17, 3, 13);
         for item in 0..5000 {
             let old = p16.replicas(item);
             let new = p17.replicas(item);

@@ -2,7 +2,8 @@
 //! the placement scheme memcached clients use and the baseline the paper
 //! starts from.
 
-use crate::{HashKind, Hasher64, ItemId, Placement, ServerId};
+use crate::xxhash::xxh64;
+use crate::{ItemId, Placement, ServerId};
 
 /// Default number of virtual nodes per server. 128 keeps the imbalance
 /// factor under ~1.15 for the cluster sizes studied in the paper (≤ 4096).
@@ -18,34 +19,29 @@ pub struct ConsistentHashRing {
     points: Vec<(u64, ServerId)>,
     num_servers: usize,
     vnodes: usize,
-    hasher: Box<dyn Hasher64>,
-    kind: HashKind,
     seed: u64,
 }
 
 impl ConsistentHashRing {
     /// Build a ring of `num_servers` servers with [`DEFAULT_VNODES`]
-    /// virtual nodes each, hashing with `kind` seeded by `seed`.
-    pub fn new(num_servers: usize, kind: HashKind, seed: u64) -> Self {
-        Self::with_vnodes(num_servers, DEFAULT_VNODES, kind, seed)
+    /// virtual nodes each, hashing with xxHash64 seeded by `seed`.
+    pub fn new(num_servers: usize, seed: u64) -> Self {
+        Self::with_vnodes(num_servers, DEFAULT_VNODES, seed)
     }
 
     /// Build a ring with an explicit virtual-node count.
-    pub fn with_vnodes(num_servers: usize, vnodes: usize, kind: HashKind, seed: u64) -> Self {
+    pub fn with_vnodes(num_servers: usize, vnodes: usize, seed: u64) -> Self {
         assert!(num_servers > 0, "ring needs at least one server");
         assert!(vnodes > 0, "ring needs at least one vnode per server");
-        let hasher = kind.build(seed);
         let mut points = Vec::with_capacity(num_servers * vnodes);
         for server in 0..num_servers as ServerId {
-            push_server_points(&mut points, &*hasher, server, vnodes);
+            push_server_points(&mut points, seed, server, vnodes);
         }
         points.sort_unstable();
         let mut ring = ConsistentHashRing {
             points,
             num_servers,
             vnodes,
-            hasher,
-            kind,
             seed,
         };
         ring.dedup_points();
@@ -63,14 +59,9 @@ impl ConsistentHashRing {
         self.num_servers
     }
 
-    /// Virtual nodes per server.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
     /// Hash of an item on the continuum.
     pub fn point_of(&self, item: ItemId) -> u64 {
-        self.hasher.hash_u64(item)
+        xxh64(&item.to_le_bytes(), self.seed)
     }
 
     /// Index into `points` of the first point at or clockwise of `point`.
@@ -111,27 +102,17 @@ impl ConsistentHashRing {
     /// on.
     pub fn add_server(&mut self) -> ServerId {
         let server = self.num_servers as ServerId;
-        push_server_points(&mut self.points, &*self.hasher, server, self.vnodes);
+        push_server_points(&mut self.points, self.seed, server, self.vnodes);
         self.points.sort_unstable();
         self.dedup_points();
         self.num_servers += 1;
         server
     }
-
-    /// Hash kind used by this ring.
-    pub fn hash_kind(&self) -> HashKind {
-        self.kind
-    }
-
-    /// Seed used by this ring.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
 }
 
 fn push_server_points(
     points: &mut Vec<(u64, ServerId)>,
-    hasher: &dyn Hasher64,
+    seed: u64,
     server: ServerId,
     vnodes: usize,
 ) {
@@ -139,7 +120,7 @@ fn push_server_points(
     key[..4].copy_from_slice(&server.to_le_bytes());
     for vnode in 0..vnodes as u64 {
         key[4..].copy_from_slice(&vnode.to_le_bytes()[..8]);
-        points.push((hasher.hash_bytes(&key), server));
+        points.push((xxh64(&key, seed), server));
     }
 }
 
@@ -186,8 +167,8 @@ mod tests {
 
     #[test]
     fn deterministic_lookup() {
-        let a = ConsistentHashRing::new(16, HashKind::XxHash64, 1);
-        let b = ConsistentHashRing::new(16, HashKind::XxHash64, 1);
+        let a = ConsistentHashRing::new(16, 1);
+        let b = ConsistentHashRing::new(16, 1);
         for item in 0..1000 {
             assert_eq!(a.server_for(item), b.server_for(item));
         }
@@ -195,7 +176,7 @@ mod tests {
 
     #[test]
     fn covers_all_servers() {
-        let ring = ConsistentHashRing::new(16, HashKind::XxHash64, 2);
+        let ring = ConsistentHashRing::new(16, 2);
         let mut seen = std::collections::HashSet::new();
         for item in 0..10_000 {
             seen.insert(ring.server_for(item));
@@ -205,7 +186,7 @@ mod tests {
 
     #[test]
     fn reasonable_balance() {
-        let ring = ConsistentHashRing::new(16, HashKind::XxHash64, 3);
+        let ring = ConsistentHashRing::new(16, 3);
         let mut counts = vec![0usize; 16];
         for item in 0..100_000 {
             counts[ring.server_for(item) as usize] += 1;
@@ -219,7 +200,7 @@ mod tests {
 
     #[test]
     fn add_server_moves_few_keys() {
-        let mut ring = ConsistentHashRing::new(16, HashKind::XxHash64, 4);
+        let mut ring = ConsistentHashRing::new(16, 4);
         let before: HashMap<u64, ServerId> = (0..50_000).map(|i| (i, ring.server_for(i))).collect();
         let new_id = ring.add_server();
         assert_eq!(new_id, 16);
@@ -241,14 +222,14 @@ mod tests {
 
     #[test]
     fn walk_visits_every_point_once() {
-        let ring = ConsistentHashRing::with_vnodes(4, 8, HashKind::XxHash64, 5);
+        let ring = ConsistentHashRing::with_vnodes(4, 8, 5);
         let visited: Vec<ServerId> = ring.walk_from(42).collect();
         assert_eq!(visited.len(), ring.points.len());
     }
 
     #[test]
     fn single_server_owns_everything() {
-        let ring = ConsistentHashRing::new(1, HashKind::Fnv1a, 6);
+        let ring = ConsistentHashRing::new(1, 6);
         for item in 0..100 {
             assert_eq!(ring.server_for(item), 0);
         }
@@ -256,7 +237,7 @@ mod tests {
 
     #[test]
     fn placement_trait_single_replica() {
-        let ring = ConsistentHashRing::new(8, HashKind::XxHash64, 7);
+        let ring = ConsistentHashRing::new(8, 7);
         let reps = ring.replicas(99);
         assert_eq!(reps.len(), 1);
         assert_eq!(reps[0], ring.server_for(99));

@@ -1,27 +1,12 @@
 //! xxHash64, implemented from the reference specification.
 
 use crate::mix::{read_u32_le, read_u64_le};
-use crate::Hasher64;
 
 const PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
 const PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
 const PRIME64_3: u64 = 0x1656_67b1_9e37_79f9;
 const PRIME64_4: u64 = 0x85eb_ca77_c2b2_ae63;
 const PRIME64_5: u64 = 0x27d4_eb2f_1656_67c5;
-
-/// Seeded xxHash64 hasher. Matches the reference implementation's output
-/// for any (seed, input) pair.
-#[derive(Debug, Clone, Copy)]
-pub struct XxHash64 {
-    seed: u64,
-}
-
-impl XxHash64 {
-    /// Create an xxHash64 hasher with the given seed.
-    pub fn new(seed: u64) -> Self {
-        XxHash64 { seed }
-    }
-}
 
 #[inline]
 fn round(acc: u64, input: u64) -> u64 {
@@ -102,12 +87,6 @@ pub fn xxh64(input: &[u8], seed: u64) -> u64 {
     }
 
     avalanche(h)
-}
-
-impl Hasher64 for XxHash64 {
-    fn hash_bytes(&self, key: &[u8]) -> u64 {
-        xxh64(key, self.seed)
-    }
 }
 
 #[cfg(test)]

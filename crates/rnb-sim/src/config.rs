@@ -1,7 +1,6 @@
 //! Simulation configuration.
 
 use rnb_core::{PlacementKind, RnbConfig};
-use rnb_hash::HashKind;
 
 /// How much physical memory the cluster has for replicas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,8 +103,6 @@ pub struct SimConfig {
     pub logical_replication: usize,
     /// Replica placement scheme.
     pub placement: PlacementKind,
-    /// Hash family.
-    pub hash: HashKind,
     /// Placement seed (shared by all simulated clients).
     pub seed: u64,
     /// Physical memory model.
@@ -128,7 +125,6 @@ impl SimConfig {
             servers,
             logical_replication: replication,
             placement: PlacementKind::Rch,
-            hash: HashKind::XxHash64,
             seed: 0x52_6e_42,
             memory: MemoryModel::Unlimited,
             hitchhiking: false,
@@ -170,7 +166,6 @@ impl SimConfig {
     pub fn client_config(&self) -> RnbConfig {
         RnbConfig::new(self.servers, self.logical_replication)
             .with_placement(self.placement)
-            .with_hash(self.hash)
             .with_seed(self.seed)
     }
 }

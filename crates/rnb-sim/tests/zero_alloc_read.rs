@@ -7,7 +7,7 @@
 //! warm-up ordering.
 
 use alloc_counter::{count_alloc, AllocCounterSystem};
-use rnb_core::WritePolicy;
+use rnb_core::{PlacementKind, WritePolicy};
 use rnb_sim::{MemoryModel, SimCluster, SimConfig};
 
 #[global_allocator]
@@ -20,7 +20,9 @@ fn steady_state_reads_do_not_allocate() {
         .map(|r| (0..r % 23 + 1).map(|i| (r * 37 + i * 11) % 2_000).collect())
         .collect();
     let resident = SimConfig::basic(16, 3).with_hitchhiking(true);
-    for config in [resident, SimConfig::enhanced(16, 3, 1.1)] {
+    // Multi-hash placement probes past colliding replica servers.
+    let multihash = resident.clone().with_placement(PlacementKind::MultiHash);
+    for config in [resident, multihash, SimConfig::enhanced(16, 3, 1.1)] {
         let overbooked = config.memory != MemoryModel::Unlimited;
         let mut cluster = SimCluster::new(config, 2_000);
         // Warm-up: every pool grows to its largest shape and the replica

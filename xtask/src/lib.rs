@@ -10,6 +10,9 @@
 //! * `tests/lint_clean.rs` — tier-1 (`cargo test -q`) runs it forever,
 //! * `.github/workflows/ci.yml` — CI runs the binary form.
 //!
+//! `loc` ([`loc`]) prints lines of Rust per crate, with and without
+//! tests, the size figure simplification changes report.
+//!
 //! `e2e-pairs` ([`pairs`]) measures the working tree against a parent
 //! revision through `BENCHMARK.json`'s command, in alternating pairs over
 //! unseen seeds, and appends the record to `BENCH_e2e.json`.
@@ -22,6 +25,7 @@ pub mod inventory;
 pub mod items;
 pub mod json;
 pub mod lexer;
+pub mod loc;
 pub mod pairs;
 pub mod rules;
 pub mod scrub;
@@ -47,7 +51,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "vendor"];
 /// Collect every workspace `.rs` file under `root`, sorted by path.
 pub fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
-    walk(root, root, &mut paths)?;
+    walk(root, root, SKIP_DIRS, &mut paths)?;
     paths.sort();
     paths
         .into_iter()
@@ -55,17 +59,24 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
         .collect()
 }
 
-fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result<()> {
+/// Collect `(workspace-relative path, absolute path)` of every `.rs` file
+/// under `dir`, skipping hidden directories and those named in `skip`.
+pub(crate) fn walk(
+    root: &Path,
+    dir: &Path,
+    skip: &[&str],
+    out: &mut Vec<(String, PathBuf)>,
+) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if skip.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            walk(root, &path, out)?;
+            walk(root, &path, skip, out)?;
         } else if name.ends_with(".rs") {
             let rel = path
                 .strip_prefix(root)

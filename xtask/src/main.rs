@@ -6,6 +6,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(args.iter().any(|a| a == "--json")),
+        Some("loc") => run_loc(),
         Some("e2e-pairs") => run_pairs(args.into_iter().skip(1)),
         Some(other) => {
             eprintln!("unknown task {other:?}");
@@ -25,10 +26,25 @@ fn print_usage() {
     eprintln!("tasks:");
     eprintln!("  lint [--json]    run the repo-specific static-analysis rules (R1-R10);");
     eprintln!("                   --json prints machine-readable diagnostics on stdout");
+    eprintln!("  loc              print lines of Rust per crate: every .rs line, and the");
+    eprintln!("                   src/ lines before each file's first #[cfg(test)]");
     eprintln!("  e2e-pairs --parent <rev> --pairs <n> [--workload <name>]...");
     eprintln!("                   run BENCHMARK.json's command on <rev> and on the working");
     eprintln!("                   tree in alternating pairs over unseen seeds, and append");
     eprintln!("                   the medians, quartiles and pairs won to BENCH_e2e.json");
+}
+
+fn run_loc() -> ExitCode {
+    match xtask::loc::count_workspace(&xtask::workspace_root()) {
+        Ok(per_crate) => {
+            print!("{}", xtask::loc::report(&per_crate));
+            ExitCode::SUCCESS
+        }
+        Err(err) => {
+            eprintln!("loc: failed to read workspace: {err}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn run_pairs(argv: impl Iterator<Item = String>) -> ExitCode {

@@ -854,8 +854,9 @@ pub const PANIC_INVARIANT_REGISTRY: &[(&str, &str, &str, &str)] = &[
         "crates/rnb-hash/src/rendezvous.rs",
         "score",
         ".copy_from_slice(",
-        "both copies fill fixed halves of a `[u8; 16]` with 8-byte \
-         `to_le_bytes` arrays; the lengths match by construction",
+        "the copies fill `key[..8]` of a `[u8; 12]` with the item's 8-byte \
+         `to_le_bytes` array and `key[8..]` with the server's 4-byte one; \
+         the lengths match by construction",
     ),
     (
         "crates/rnb-store/src/shard.rs",
