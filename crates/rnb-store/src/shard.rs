@@ -241,11 +241,6 @@ impl KeyIndex {
         }
     }
 
-    /// Iterate the node slots of every live entry (arbitrary order).
-    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.buckets.iter().filter_map(|&v| v.checked_sub(2))
-    }
-
     /// Grow/rehash so at least one bucket stays `EMPTY` and probe chains
     /// stay short: rebuild once occupancy (live + tombstones) reaches
     /// 7/8, sizing so live load lands at ≤ 3/4.
@@ -298,6 +293,17 @@ pub struct Shard {
     cas_counter: u64,
     /// Injected time source; every expiry decision reads this.
     clock: Clock,
+    /// Live entries that carry a deadline.
+    deadlines: usize,
+    /// A lower bound on the earliest deadline of those entries
+    /// (meaningless while `deadlines` is 0): until `now` reaches it, no
+    /// entry can have expired and the expired-entry sweep returns at
+    /// once.
+    earliest_deadline: Tick,
+    /// Node slots the expired-entry sweep inspected; the regression
+    /// tests pin that an evicting set without deadlines walks none.
+    #[cfg(test)]
+    sweep_visits: usize,
 }
 
 fn entry_cost(key: &[u8], value: &[u8]) -> usize {
@@ -325,6 +331,10 @@ impl Shard {
             mem_limit,
             cas_counter: 0,
             clock,
+            deadlines: 0,
+            earliest_deadline: Tick::MAX,
+            #[cfg(test)]
+            sweep_visits: 0,
         }
     }
 
@@ -500,7 +510,9 @@ impl Shard {
             node.flags = flags;
             node.pinned = pinned;
             node.cas = self.cas_counter;
-            node.expires_at = expires_at;
+            let old_deadline = std::mem::replace(&mut node.expires_at, expires_at);
+            self.untrack_deadline(old_deadline);
+            self.track_deadline(expires_at);
             if !pinned {
                 self.unpinned_bytes += new_cost;
                 self.push_front(idx);
@@ -531,6 +543,7 @@ impl Shard {
             next: NIL,
         });
         self.index.insert(hash, idx, &self.nodes);
+        self.track_deadline(expires_at);
         self.mem_used += new_cost;
         if !pinned {
             self.unpinned_bytes += new_cost;
@@ -695,7 +708,31 @@ impl Shard {
             self.unpinned_bytes -= cost;
             self.unlink(idx);
         }
+        self.untrack_deadline(self.nodes[idx].expires_at);
         self.release(idx);
+    }
+
+    /// Count a newly written deadline and lower the earliest-deadline
+    /// bound to it.
+    fn track_deadline(&mut self, deadline: Option<Tick>) {
+        if let Some(t) = deadline {
+            self.earliest_deadline = if self.deadlines == 0 {
+                t
+            } else {
+                self.earliest_deadline.min(t)
+            };
+            self.deadlines += 1;
+        }
+    }
+
+    /// Uncount the deadline of an entry being removed or overwritten.
+    /// Every live deadline was counted by
+    /// [`track_deadline`](Shard::track_deadline) and a freed slot carries
+    /// none, so the count cannot underflow. The bound stays a lower bound.
+    fn untrack_deadline(&mut self, deadline: Option<Tick>) {
+        if deadline.is_some() {
+            self.deadlines -= 1;
+        }
     }
 
     /// Eagerly reclaim every expired entry — pinned ones included, which
@@ -711,16 +748,34 @@ impl Shard {
     /// (`NIL` protects nothing): the entry a `set` just wrote may itself
     /// carry a zero TTL, and eviction must never drop the entry being
     /// stored.
+    ///
+    /// Costs nothing unless some deadline may have passed: with no live
+    /// deadline, or before the earliest-deadline bound, no entry can be
+    /// expired. Otherwise one walk over the node slots reclaims every
+    /// expired entry and raises the bound to the earliest survivor's.
     fn sweep_expired_except(&mut self, now: Tick, protect: usize) -> usize {
-        let expired: Vec<usize> = self
-            .index
-            .slots()
-            .filter(|&idx| idx != protect && self.nodes[idx].expired(now))
-            .collect();
-        for &idx in &expired {
-            self.remove_slot(idx);
+        if self.deadlines == 0 || now < self.earliest_deadline {
+            return 0;
         }
-        expired.len()
+        let mut reclaimed = 0;
+        let mut earliest = Tick::MAX;
+        for idx in 0..self.nodes.len() {
+            #[cfg(test)]
+            {
+                self.sweep_visits += 1;
+            }
+            // A freed slot carries no deadline, so only live entries match.
+            match self.nodes[idx].expires_at {
+                Some(t) if t <= now && idx != protect => {
+                    self.remove_slot(idx);
+                    reclaimed += 1;
+                }
+                Some(t) => earliest = earliest.min(t),
+                None => {}
+            }
+        }
+        self.earliest_deadline = earliest;
+        reclaimed
     }
 
     fn alloc(&mut self, node: Node) -> usize {
@@ -736,16 +791,20 @@ impl Shard {
         }
     }
 
+    /// Free slot `idx`: drop its bytes (the empty key and value allocate
+    /// nothing) and clear its deadline, so the sweep's slot walk skips it.
     fn release(&mut self, idx: usize) {
-        self.nodes[idx].key = Box::from(&b""[..]);
-        self.nodes[idx].value = Arc::from(&b""[..]);
+        let node = &mut self.nodes[idx];
+        node.key = Box::default();
+        node.value = Arc::default();
+        node.expires_at = None;
         self.free.push(idx);
     }
 
     /// Evict entries (never `protect`) until within budget: expired
     /// entries anywhere in the shard are reclaimed first, then live LRU
     /// entries from the tail. Returns how many **live** entries were
-    /// evicted.
+    /// evicted. Without a passed deadline the cost is O(evicted).
     fn evict_to_fit(&mut self, protect: usize, now: Tick) -> usize {
         if self.mem_used <= self.mem_limit {
             return 0;
@@ -1154,6 +1213,40 @@ mod tests {
     }
 
     #[test]
+    fn an_evicting_set_visits_nothing_without_deadlines() {
+        // Keys key100.. all cost the same, so each new one evicts exactly
+        // one entry from a full shard.
+        const N: u32 = 64;
+        let cost = entry_cost(b"key100", b"value100");
+        let (mut s, clock) = shard_with_clock(N as usize * cost);
+        for i in 100..100 + N {
+            let (k, v) = kv(i);
+            assert_eq!(s.set(&k, &v, 0, false), SetOutcome::Stored { evicted: 0 });
+        }
+        for i in 100 + N..100 + N + 16 {
+            let (k, v) = kv(i);
+            assert_eq!(s.set(&k, &v, 0, false), SetOutcome::Stored { evicted: 1 });
+        }
+        assert_eq!(s.sweep_visits, 0, "no deadline, yet the sweep walked");
+
+        // A deadline that has not passed still costs no walk.
+        let (k, v) = kv(900);
+        s.set_full(&k, &v, 0, false, Some(Duration::from_secs(1)));
+        assert_eq!(s.sweep_visits, 0, "no deadline has passed");
+
+        // Once it has, the next evicting set reclaims it, not the live tail.
+        clock.advance(Duration::from_secs(2));
+        let tail = kv(100 + 17).0;
+        assert!(s.contains(&tail));
+        let (k, v) = kv(901);
+        assert_eq!(s.set(&k, &v, 0, false), SetOutcome::Stored { evicted: 0 });
+        assert!(!s.contains(&kv(900).0), "the expired entry survived");
+        assert!(s.contains(&tail), "a live entry went first");
+        assert_eq!(s.sweep_visits, s.nodes.len(), "one walk over the slots");
+        assert_eq!(s.len(), N as usize);
+    }
+
+    #[test]
     fn expired_pinned_entry_cannot_force_oom() {
         // A pinned entry is never on the LRU list, so before the sweep an
         // expired pinned entry held its budget forever and forced OOM.
@@ -1267,6 +1360,124 @@ mod tests {
                 let expect_used: usize = reference.values().map(|(c, _)| *c).sum();
                 prop_assert_eq!(s.mem_used(), expect_used);
                 prop_assert_eq!(s.len(), reference.len());
+            }
+        }
+    }
+
+    /// `(key, value length, deadline)`.
+    type ModelEntry = (Vec<u8>, usize, Option<Tick>);
+
+    /// The eviction oracle: an LRU list, most recently used first. A
+    /// write that overflows the budget reclaims every expired entry
+    /// except the one just written, then drops live entries from the
+    /// tail. Every entry is unpinned and fits the budget alone, so no
+    /// write is refused.
+    struct LruModel {
+        entries: Vec<ModelEntry>,
+        limit: usize,
+    }
+
+    impl LruModel {
+        fn pos(&self, key: &[u8]) -> Option<usize> {
+            self.entries.iter().position(|(k, _, _)| k == key)
+        }
+
+        fn cost(entry: &ModelEntry) -> usize {
+            entry.0.len() + entry.1 + ENTRY_OVERHEAD
+        }
+
+        fn mem_used(&self) -> usize {
+            self.entries.iter().map(Self::cost).sum()
+        }
+
+        fn expired(entry: &ModelEntry, now: Tick) -> bool {
+            entry.2.is_some_and(|t| t <= now)
+        }
+
+        fn contains(&self, key: &[u8], now: Tick) -> bool {
+            self.pos(key)
+                .is_some_and(|i| !Self::expired(&self.entries[i], now))
+        }
+
+        fn set(
+            &mut self,
+            key: &[u8],
+            vlen: usize,
+            deadline: Option<Tick>,
+            now: Tick,
+        ) -> SetOutcome {
+            if let Some(i) = self.pos(key) {
+                self.entries.remove(i);
+            }
+            self.entries.insert(0, (key.to_vec(), vlen, deadline));
+            if self.mem_used() <= self.limit {
+                return SetOutcome::Stored { evicted: 0 };
+            }
+            let written = self.entries.remove(0);
+            self.entries.retain(|e| !Self::expired(e, now));
+            self.entries.insert(0, written);
+            let mut evicted = 0;
+            while self.mem_used() > self.limit && self.entries.len() > 1 {
+                self.entries.pop();
+                evicted += 1;
+            }
+            SetOutcome::Stored { evicted }
+        }
+
+        fn get(&mut self, key: &[u8], now: Tick) -> Option<usize> {
+            let i = self.pos(key)?;
+            let entry = self.entries.remove(i);
+            if Self::expired(&entry, now) {
+                return None;
+            }
+            let vlen = entry.1;
+            self.entries.insert(0, entry);
+            Some(vlen)
+        }
+
+        fn delete(&mut self, key: &[u8]) -> bool {
+            self.pos(key).map(|i| self.entries.remove(i)).is_some()
+        }
+    }
+
+    // Eviction under TTLs, pinned to the model above: sets with and
+    // without a deadline, gets, deletes and clock advances on a shard
+    // small enough to evict, compared after every op.
+    proptest! {
+        #[test]
+        fn eviction_matches_an_lru_model_with_deadlines(
+            ops in proptest::collection::vec(
+                (0u8..5, 0u32..10, 0usize..40, 0u64..40), 1..150),
+            limit in 200usize..600,
+        ) {
+            let (mut s, clock) = shard_with_clock(limit);
+            let mut model = LruModel { entries: Vec::new(), limit };
+            let mut now: Tick = 0;
+            for (op, keyn, vlen, t) in ops {
+                let key = format!("k{keyn}").into_bytes();
+                match op {
+                    0 | 1 => {
+                        let ttl = (op == 1).then(|| Duration::from_nanos(t));
+                        let deadline = ttl.map(|_| now + t);
+                        let got = s.set_full(&key, &vec![b'v'; vlen], 0, false, ttl);
+                        prop_assert_eq!(got, model.set(&key, vlen, deadline, now));
+                    }
+                    2 => {
+                        let got = s.get(&key).map(|v| v.data.len());
+                        prop_assert_eq!(got, model.get(&key, now));
+                    }
+                    3 => prop_assert_eq!(s.delete(&key), model.delete(&key)),
+                    _ => {
+                        clock.advance(Duration::from_nanos(t));
+                        now += t;
+                    }
+                }
+                prop_assert_eq!(s.len(), model.entries.len());
+                prop_assert_eq!(s.mem_used(), model.mem_used());
+                for n in 0..10u32 {
+                    let k = format!("k{n}").into_bytes();
+                    prop_assert_eq!(s.contains(&k), model.contains(&k, now), "key {:?}", k);
+                }
             }
         }
     }

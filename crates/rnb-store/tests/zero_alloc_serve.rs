@@ -60,6 +60,50 @@ fn steady_state_serving_does_not_allocate() {
     // One pass is 160 store accesses, so 700 passes put more than 2^16
     // on the single shard before anything is counted.
     assert_steady_state_allocation_free(1, 700);
+    assert_deletes_allocation_free();
+}
+
+/// A pipelined run of `delete`s of `keys`.
+fn delete_script(keys: &[String]) -> Vec<u8> {
+    keys.iter()
+        .flat_map(|k| format!("delete {k}\r\n").into_bytes())
+        .collect()
+}
+
+/// Removing an entry frees its key and value and allocates nothing: after
+/// one warm pass of deletes, a pass deleting other present keys makes no
+/// allocation and no reallocation. One shard, so the warm pass grows the
+/// shard's free-slot list and the batch scratch exactly as far as the
+/// counted pass needs.
+fn assert_deletes_allocation_free() {
+    const KEYS: usize = 32;
+    let store = Store::with_shards(1 << 22, 1);
+    let warm: Vec<String> = (0..KEYS).map(|i| format!("warm-{i}")).collect();
+    let counted: Vec<String> = (0..KEYS).map(|i| format!("counted-{i}")).collect();
+    for k in warm.iter().chain(&counted) {
+        store.set(k.as_bytes(), &[b'0'; VALUE_LEN], 0, false);
+    }
+    let mut scratch = ConnScratch::new();
+    let script = delete_script(&warm);
+    drain_input(&store, &script, &mut scratch).expect("in-memory replies");
+    assert_eq!(scratch.response(), b"DELETED\r\n".repeat(KEYS));
+    // Refill the warm keys so the counted pass reuses the freed slots'
+    // capacity instead of growing the free list.
+    for k in &warm {
+        store.set(k.as_bytes(), &[b'0'; VALUE_LEN], 0, false);
+    }
+
+    let script = delete_script(&counted);
+    let ((allocs, reallocs, deallocs), result) =
+        count_alloc(|| drain_input(&store, &script, &mut scratch));
+    result.expect("in-memory replies");
+    assert_eq!(scratch.response(), b"DELETED\r\n".repeat(KEYS));
+    assert_eq!(
+        (allocs, reallocs),
+        (0, 0),
+        "a pass of {KEYS} deletes touched the allocator ({deallocs} frees)"
+    );
+    assert_eq!(store.stats().curr_items, KEYS as u64);
 }
 
 /// Serve the traffic script `warm_passes` times against a fresh
