@@ -6,7 +6,7 @@ use rnb_core::{
     Bundler, PlacementStrategy, PlanTarget, ReadEngine, RnbConfig, Round, Transport, WriteEngine,
     WritePlanner, WritePolicy, WriteStep,
 };
-use rnb_hash::{ItemId, Placement, ServerId};
+use rnb_hash::{ItemId, Placement};
 use rnb_store::{StorageOp, StoreClient};
 use std::io;
 use std::net::SocketAddr;
@@ -98,16 +98,11 @@ impl ServerConn {
     /// reconnect happened (for [`ClientStats::reconnects`]).
     fn ready(&mut self) -> io::Result<(&mut StoreClient, bool)> {
         let reconnected = self.conn.is_none();
-        if self.conn.is_none() {
-            self.conn = Some(StoreClient::connect(self.addr)?);
-        }
-        match self.conn.as_mut() {
-            Some(conn) => Ok((conn, reconnected)),
-            None => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "connection unavailable",
-            )),
-        }
+        let conn = match &mut self.conn {
+            Some(conn) => conn,
+            slot @ None => slot.insert(StoreClient::connect(self.addr)?),
+        };
+        Ok((conn, reconnected))
     }
 
     /// The live connection, if any — used by pipelined receive phases,
@@ -141,75 +136,6 @@ fn conn_for<'a>(
         stats.reconnects += 1;
     }
     Ok(conn)
-}
-
-/// One server's storage burst in a write round: ops `ops` of the round.
-struct Burst {
-    server: ServerId,
-    ops: Span,
-    /// Set once the burst went out; cleared if its replies did not all
-    /// come back.
-    ok: bool,
-}
-
-/// Execute one write round, one storage burst per server: every burst
-/// is sent before any reply is read (the read rounds' pipelining on the
-/// write side, so a round costs one RTT, not the sum of per-server
-/// RTTs); with `pipeline` off, the same loop over batches of one, as the
-/// read rounds do. `op(i)` builds op `i` of the round as it goes out, so
-/// no op list is collected. `count` bumps the round's transaction
-/// counter once per burst.
-///
-/// A failed send or receive marks that connection broken, counts a
-/// failed transaction and clears its burst's `ok`; surviving bursts
-/// still complete — desync on one server must not corrupt the others.
-/// Returns the acknowledged ops (a quiet op counts once sent, and its
-/// receive waits for nothing) and the first error.
-fn run_write_bursts<'o>(
-    conns: &mut [ServerConn],
-    stats: &mut ClientStats,
-    bursts: &mut [Burst],
-    pipeline: bool,
-    count: fn(&mut ClientStats),
-    op: impl Fn(usize) -> StorageOp<'o>,
-    acks: &mut Vec<bool>,
-) -> (u64, Option<io::Error>) {
-    let mut acked = 0;
-    let mut first_err = None;
-    let batch = if pipeline { bursts.len().max(1) } else { 1 };
-    for batch in bursts.chunks_mut(batch) {
-        for burst in batch.iter_mut() {
-            count(stats);
-            let s = burst.server as usize;
-            let ops = burst.ops.range().map(&op);
-            let outcome = conn_for(conns, stats, s).and_then(|c| c.send_storage_batch(ops));
-            burst.ok = outcome.is_ok();
-            if let Err(e) = outcome {
-                conns[s].mark_broken();
-                stats.failed_txns += 1;
-                first_err.get_or_insert(e);
-            }
-        }
-        for burst in batch.iter_mut().filter(|burst| burst.ok) {
-            let s = burst.server as usize;
-            let outcome = match conns[s].active() {
-                Some(c) => c.recv_storage_batch(burst.ops.range().map(&op), acks),
-                // A later send on the same server broke the conn; the
-                // pending replies are lost.
-                None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-            };
-            match outcome {
-                Ok(()) => acked += acks.iter().filter(|&&ack| ack).count() as u64,
-                Err(e) => {
-                    burst.ok = false;
-                    conns[s].mark_broken();
-                    stats.failed_txns += 1;
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-    }
-    (acked, first_err)
 }
 
 /// A `from..to` range that is `Copy`, which std's is not.
@@ -282,7 +208,7 @@ impl Wire {
 /// The fleet's connections and the buffers that carry requests over
 /// them: the read engine's [`Transport`], which copies each value once,
 /// out of its connection's read buffer into the slot of its planner
-/// index.
+/// index, and the write engine's where a round stores no value.
 struct Net {
     conns: Vec<ServerConn>,
     config: RnbClientConfig,
@@ -360,69 +286,159 @@ impl Transport for Net {
         }
     }
 
-    /// One pipelined storage burst per server, each op a quiet `noreply`
-    /// set: a cache fill nobody reads back, so the request returns once
-    /// the bursts are sent, and whatever this client sends that server
-    /// later rides the same connection behind them. Write-back never
-    /// dials: a server whose connection a failed transaction broke in
-    /// this request, and nothing redialed since, is skipped — so a dead
-    /// node costs no connect per item. A failed burst marks its
-    /// connection broken like any other transaction.
-    fn write_back(&mut self, round: Round<'_>) {
-        if !self.config.writeback {
+    /// The values a write-back stores are the ones this request found;
+    /// see [`WriteScratch::store`].
+    fn store(&mut self, round: Round<'_>, step: WriteStep) {
+        let Net {
+            conns,
+            config,
+            stats,
+            slots,
+            write,
+            ..
+        } = self;
+        write.store(conns, stats, config, round, step, |index| {
+            slots[index].as_deref()
+        });
+    }
+}
+
+/// Pooled buffers and outcome of the storage rounds: `multi_set`'s,
+/// `delete`'s and `atomic_update`'s, and `multi_get`'s write-back.
+#[derive(Default)]
+struct WriteScratch {
+    /// The wire key of each op of the round in flight.
+    keys: KeyArena,
+    acks: Vec<bool>,
+    /// The first error of an acknowledged round since it was taken.
+    err: Option<io::Error>,
+    /// `delete`s that found a copy, since it was last zeroed.
+    deleted: u64,
+}
+
+impl WriteScratch {
+    /// Run one store round, one storage burst per transaction, op `i`
+    /// being `step` of the round's `i`-th key with value `value(planner
+    /// index)`. Every burst is sent before any reply is read (the read
+    /// rounds' pipelining on the write side, so a round costs one RTT,
+    /// not the sum of per-server RTTs); with pipelining off, the same
+    /// loop over batches of one. Ops are built as they go out, so no op
+    /// list is collected.
+    ///
+    /// A failed send or receive marks that connection broken, counts a
+    /// failed transaction and marks the transaction failed; surviving
+    /// bursts still complete — desync on one server must not corrupt the
+    /// others. A burst whose replies all came back acknowledges each of
+    /// its ops: a `delete` that found nothing leaves no copy either.
+    ///
+    /// A write-back is a quiet `noreply` set per op: a cache fill nobody
+    /// reads back, so the request returns once the bursts are sent, and
+    /// whatever this client sends that server later rides the same
+    /// connection behind them. It sends nothing with `config.writeback`
+    /// off, and it never dials: a server whose connection a failed
+    /// transaction broke in this request, and nothing redialed since, is
+    /// skipped — so a dead node costs no connect per item. Its errors
+    /// are not kept; the other steps keep their first.
+    fn store<'v>(
+        &mut self,
+        conns: &mut [ServerConn],
+        stats: &mut ClientStats,
+        config: &RnbClientConfig,
+        round: Round<'_>,
+        step: WriteStep,
+        value: impl Fn(usize) -> Option<&'v [u8]>,
+    ) {
+        let quiet = step == WriteStep::WriteBack;
+        if quiet && !config.writeback {
             return;
         }
         let WriteScratch {
-            keys, bursts, acks, ..
-        } = &mut self.write;
+            keys,
+            acks,
+            err,
+            deleted,
+        } = self;
         keys.clear();
         for &index in round.keys {
             keys.push(round.items[index]);
         }
-        bursts.clear();
-        for txn in round.txns {
-            if self.conns[txn.server as usize].is_live() {
-                let (server, ops) = (txn.server, Span(txn.from, txn.to));
-                bursts.push(Burst {
-                    server,
-                    ops,
-                    ok: false,
-                });
+        let keys: &KeyArena = keys;
+        let op = |i: usize| {
+            let key = keys.get(i);
+            let index = round.keys.get(i).copied().unwrap_or_default();
+            match step {
+                WriteStep::Invalidate => StorageOp::Delete { key },
+                WriteStep::Write | WriteStep::WriteBack => StorageOp::Set {
+                    key,
+                    value: value(index).unwrap_or_default(),
+                    flags: 0,
+                    noreply: quiet,
+                },
+            }
+        };
+        let (txns, failed, answered) = (round.txns, round.failed, round.answered);
+        let mut first_err = None;
+        let mut acked = 0;
+        let batch = if config.pipeline {
+            txns.len().max(1)
+        } else {
+            1
+        };
+        for (first, chunk) in (0..).step_by(batch).zip(txns.chunks(batch)) {
+            for (t, txn) in (first..).zip(chunk) {
+                let s = txn.server as usize;
+                if quiet && !conns[s].is_live() {
+                    failed[t] = true;
+                    continue;
+                }
+                if quiet {
+                    stats.writeback_txns += 1;
+                } else {
+                    stats.write_txns += 1;
+                }
+                let ops = (txn.from..txn.to).map(op);
+                let sent = conn_for(conns, stats, s).and_then(|c| c.send_storage_batch(ops));
+                if let Err(e) = sent {
+                    conns[s].mark_broken();
+                    stats.failed_txns += 1;
+                    failed[t] = true;
+                    first_err.get_or_insert(e);
+                }
+            }
+            for (t, txn) in (first..).zip(chunk) {
+                if failed[t] {
+                    continue;
+                }
+                let s = txn.server as usize;
+                let reply = match conns[s].active() {
+                    Some(c) => c.recv_storage_batch((txn.from..txn.to).map(op), acks),
+                    // A later send on the same server broke the conn; the
+                    // pending replies are lost.
+                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
+                };
+                match reply {
+                    Ok(()) => {
+                        acked += acks.iter().filter(|&&ack| ack).count() as u64;
+                        answered[txn.from..txn.to].fill(true);
+                    }
+                    Err(e) => {
+                        conns[s].mark_broken();
+                        stats.failed_txns += 1;
+                        failed[t] = true;
+                        first_err.get_or_insert(e);
+                    }
+                }
             }
         }
-        let (keys, slots): (&KeyArena, &[Option<Vec<u8>>]) = (keys, &self.slots);
-        // Op `i` writes back the `i`-th key of the round.
-        let (acked, _) = run_write_bursts(
-            &mut self.conns,
-            &mut self.stats,
-            bursts,
-            self.config.pipeline,
-            |stats| stats.writeback_txns += 1,
-            |i| StorageOp::Set {
-                key: keys.get(i),
-                value: round
-                    .keys
-                    .get(i)
-                    .and_then(|&index| slots[index].as_deref())
-                    .unwrap_or_default(),
-                flags: 0,
-                noreply: true,
-            },
-            acks,
-        );
-        self.stats.writebacks += acked;
+        match step {
+            WriteStep::Invalidate => *deleted += acked,
+            WriteStep::Write => {}
+            WriteStep::WriteBack => stats.writebacks += acked,
+        }
+        if let (false, Some(e)) = (quiet, first_err) {
+            err.get_or_insert(e);
+        }
     }
-}
-
-/// Pooled buffers of the write bursts: `multi_set`'s rounds and
-/// `multi_get`'s write-back.
-#[derive(Default)]
-struct WriteScratch {
-    /// Wire keys: one per entry of a `multi_set` batch, one per op of a
-    /// write-back.
-    keys: KeyArena,
-    bursts: Vec<Burst>,
-    acks: Vec<bool>,
 }
 
 /// One `multi_set` batch on its way out: the write engine's
@@ -430,8 +446,6 @@ struct WriteScratch {
 struct Batch<'a, V> {
     net: &'a mut Net,
     entries: &'a [(ItemId, V)],
-    /// The batch's first error.
-    err: Option<io::Error>,
 }
 
 impl<V: AsRef<[u8]>> Transport for Batch<'_, V> {
@@ -439,10 +453,7 @@ impl<V: AsRef<[u8]>> Transport for Batch<'_, V> {
         self.net.run_round(round);
     }
 
-    /// One storage burst per transaction of `round`, its op `i` built
-    /// from the entry of the round's `i`-th key as it goes out. A burst
-    /// whose replies all came back acknowledges each of its ops: a
-    /// `delete` that found nothing leaves no copy either.
+    /// Each op's value is its entry's.
     fn store(&mut self, round: Round<'_>, step: WriteStep) {
         let Net {
             conns,
@@ -451,44 +462,10 @@ impl<V: AsRef<[u8]>> Transport for Batch<'_, V> {
             write,
             ..
         } = &mut *self.net;
-        let WriteScratch { keys, bursts, acks } = write;
-        bursts.clear();
-        bursts.extend(round.txns.iter().map(|txn| Burst {
-            server: txn.server,
-            ops: Span(txn.from, txn.to),
-            ok: false,
-        }));
-        let (keys, entries, batch): (&KeyArena, _, _) = (keys, self.entries, round.keys);
-        let (_, err) = run_write_bursts(
-            conns,
-            stats,
-            bursts,
-            config.pipeline,
-            |stats| stats.write_txns += 1,
-            |i| {
-                let entry = batch.get(i).copied().unwrap_or_default();
-                let key = keys.get(entry);
-                match step {
-                    WriteStep::Invalidate => StorageOp::Delete { key },
-                    WriteStep::Write => StorageOp::Set {
-                        key,
-                        value: entries.get(entry).map_or(&[][..], |(_, v)| v.as_ref()),
-                        flags: 0,
-                        noreply: false,
-                    },
-                }
-            },
-            acks,
-        );
-        for ((burst, failed), txn) in bursts.iter().zip(round.failed.iter_mut()).zip(round.txns) {
-            *failed = !burst.ok;
-            if let Some(answered) = round.answered.get_mut(txn.from..txn.to) {
-                answered.fill(burst.ok);
-            }
-        }
-        if let Some(e) = err {
-            self.err.get_or_insert(e);
-        }
+        let entries = self.entries;
+        write.store(conns, stats, config, round, step, |index| {
+            entries.get(index).map(|(_, v)| v.as_ref())
+        });
     }
 }
 
@@ -658,54 +635,50 @@ impl RnbClient {
     /// every burst has completed, so a partial failure never desyncs the
     /// surviving connections.
     pub fn multi_set<V: AsRef<[u8]>>(&mut self, entries: &[(ItemId, V)]) -> io::Result<()> {
-        // Every entry's key, encoded once; both rounds build their ops
-        // from them by batch index as they go out.
-        let keys = &mut self.net.write.keys;
-        keys.clear();
-        for &(item, _) in entries {
-            keys.push(item);
-        }
         let mut batch = Batch {
             net: &mut self.net,
             entries,
-            err: None,
         };
         let items = entries.iter().map(|&(item, _)| item);
         self.write.store(&self.writer, items, &mut batch);
-        batch.net.stats.writes += entries.len() as u64;
-        batch.err.map_or(Ok(()), Err)
+        self.net.stats.writes += entries.len() as u64;
+        self.net.write.err.take().map_or(Ok(()), Err)
     }
 
-    /// Delete `item` everywhere (all logical replicas).
+    /// Delete `item` everywhere: one pipelined invalidation round over
+    /// all its logical replicas, one transaction per replica server.
+    /// Returns whether some copy existed. Every burst completes before
+    /// the first error is returned, so a dead replica stops no other
+    /// copy's delete.
     pub fn delete(&mut self, item: ItemId) -> io::Result<bool> {
-        let key = item_key(item);
-        let mut any = false;
-        for server in self.bundler.placement().replicas(item) {
-            any |= self.with_conn(server as usize, |c| c.delete(&key))?;
-            // Each replica delete is a write-side transaction, counted
-            // exactly like `set`'s invalidations (mixed-workload
-            // accounting used to undercount here).
-            self.net.stats.write_txns += 1;
-        }
+        self.net.write.deleted = 0;
+        let placement = self.writer.placement();
+        self.write
+            .invalidate(placement, [item], true, &mut self.net);
         self.net.stats.writes += 1;
-        Ok(any)
+        let deleted = self.net.write.deleted > 0;
+        self.net.write.err.take().map_or(Ok(deleted), Err)
     }
 
     /// §IV atomic read-modify-write: invalidate the non-distinguished
-    /// replicas, then CAS-loop `f` on the distinguished copy. Returns the
-    /// final stored value; errors if the item does not exist.
+    /// replicas (the write engine's invalidation round, as
+    /// [`RnbClient::delete`] runs it), then CAS-loop `f` on the
+    /// distinguished copy. Returns the final stored value; errors if the
+    /// item does not exist, or — before the CAS loop runs — if an
+    /// invalidation failed, so no replica outlives the update.
     pub fn atomic_update(
         &mut self,
         item: ItemId,
         f: impl Fn(&[u8]) -> Vec<u8>,
     ) -> io::Result<Vec<u8>> {
-        let key = item_key(item);
-        let replicas = self.bundler.placement().replicas(item);
-        for &server in &replicas[1..] {
-            self.with_conn(server as usize, |c| c.delete(&key))?;
-            self.net.stats.write_txns += 1;
+        let placement = self.writer.placement();
+        self.write
+            .invalidate(placement, [item], false, &mut self.net);
+        if let Some(e) = self.net.write.err.take() {
+            return Err(e);
         }
-        let d = replicas[0] as usize;
+        let key = item_key(item);
+        let d = placement.replicas(item)[0] as usize;
         loop {
             let got = self.with_conn(d, |c| c.gets_multi(&[&key]))?;
             let Some((data, flags, token)) = got.into_iter().next().flatten() else {

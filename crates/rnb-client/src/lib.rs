@@ -12,9 +12,13 @@
 //! multi-gets (§III-A), hitchhikers for servers that missed within
 //! their last [`HITCHHIKE_WINDOW`] round-1 transactions (§III-C2), the
 //! distinguished-copy fallback (§III-D) and write-back bursts. Its
-//! writes (§III-G / §IV) update every replica or run the atomic
-//! invalidate-then-write scheme; [`RnbClient::atomic_update`] runs a CAS
-//! loop on the distinguished copy.
+//! writes are rounds of `rnb-core`'s [`WriteEngine`](rnb_core::WriteEngine):
+//! `set`/`multi_set` (§III-G / §IV) update every replica or run the
+//! atomic invalidate-then-write scheme, [`RnbClient::delete`] is one
+//! invalidation round over every copy, and [`RnbClient::atomic_update`]
+//! is one over every copy but the distinguished one, then a CAS loop
+//! there. Every store round, write-back included, goes out as one
+//! pipelined storage burst per server.
 //!
 //! ```no_run
 //! use rnb_client::{RnbClient, RnbClientConfig};

@@ -917,6 +917,73 @@ fn delete_counts_write_transactions() {
     assert_eq!(end.writes - after.writes, 1);
 }
 
+/// A 6-node, 3-way fleet holding every copy of items `0..120`, with
+/// node `dead` shut down, and the items with `dead` among their first
+/// two replicas, each with its replica list: a per-replica loop stopping
+/// at `dead` would leave the copies after it.
+fn fleet_with_a_dead_replica(dead: u32) -> (Fleet, RnbClient, Vec<(u64, Vec<u32>)>) {
+    let mut fleet = Fleet::start(6, 1 << 22);
+    let mut client = RnbClient::connect(&fleet.addrs(), RnbClientConfig::new(3)).unwrap();
+    for item in 0..120u64 {
+        client.set(item, format!("v{item}").as_bytes()).unwrap();
+    }
+    fleet.servers[dead as usize].shutdown();
+    let placement = client.bundler().placement();
+    let items = (0..120).map(|item| (item, placement.replicas(item)));
+    let items = items.filter(|(_, replicas)| replicas[..2].contains(&dead));
+    let items = items.collect();
+    (fleet, client, items)
+}
+
+#[test]
+fn delete_with_a_dead_replica_clears_every_live_copy() {
+    let dead = 2;
+    let (fleet, mut client, items) = fleet_with_a_dead_replica(dead);
+    let first = items
+        .iter()
+        .filter(|(_, replicas)| replicas[0] == dead)
+        .count();
+    assert!(
+        first > 0 && first < items.len(),
+        "dead both first and second"
+    );
+    for (item, replicas) in items {
+        assert!(
+            client.delete(item).is_err(),
+            "item {item}: a copy is out of reach"
+        );
+        for server in replicas.into_iter().filter(|&server| server != dead) {
+            let copy = fleet.store(server as usize).get(&item_key(item));
+            assert!(
+                copy.is_none(),
+                "item {item} survives on live server {server}"
+            );
+        }
+    }
+}
+
+#[test]
+fn atomic_update_with_a_dead_replica_invalidates_every_live_copy() {
+    // The distinguished copy is live and only a replica is dead: the
+    // invalidation round reaches every live replica, fails, and the CAS
+    // loop never runs, so the distinguished value stays as it was.
+    let dead = 2;
+    let (fleet, mut client, items) = fleet_with_a_dead_replica(dead);
+    let items: Vec<_> = items.into_iter().filter(|(_, r)| r[1] == dead).collect();
+    assert!(!items.is_empty());
+    for (item, replicas) in items {
+        let outcome = client.atomic_update(item, |_| b"updated".to_vec());
+        assert!(outcome.is_err(), "item {item}: an invalidation failed");
+        let held = |server: u32| fleet.store(server as usize).get(&item_key(item));
+        let value = held(replicas[0]).map(|v| v.data.to_vec());
+        assert_eq!(value, Some(format!("v{item}").into_bytes()), "item {item}");
+        assert!(
+            held(replicas[2]).is_none(),
+            "item {item}: live replica kept"
+        );
+    }
+}
+
 #[test]
 fn multi_set_bursts_once_per_touched_server() {
     // The acceptance pin: a 200-item batch under 3-way WriteAll costs
@@ -1070,10 +1137,10 @@ mod bundled_write_equivalence {
 
     /// One policy's three same-shaped fleets (placement depends only on
     /// fleet size and config, so item→server maps are identical): the
-    /// pipelined `multi_set` writes the first, a pipeline-off client's
-    /// per-entry `set` loop the second, and the oracle the third — plain
-    /// store connections applying the policy by hand, entry by entry, so
-    /// it shares no code with the write engine.
+    /// pipelined `multi_set` and `delete` write the first, a pipeline-off
+    /// client's per-entry `set` loop and its `delete` the second, and the
+    /// oracle the third — plain store connections applying the policy by
+    /// hand, entry by entry, so it shares no code with the write engine.
     struct Env {
         policy: WritePolicy,
         fleets: [Fleet; 3],
@@ -1120,6 +1187,15 @@ mod bundled_write_equivalence {
                 self.oracle[server as usize].set(&key, value, 0).unwrap();
             }
         }
+
+        /// The oracle's delete: every replica, one by one.
+        fn oracle_delete(&mut self, item: u64) {
+            for server in self.pipelined.bundler().placement().replicas(item) {
+                self.oracle[server as usize]
+                    .delete(&item_key(item))
+                    .unwrap();
+            }
+        }
     }
 
     fn envs() -> &'static Mutex<[Env; 2]> {
@@ -1138,21 +1214,37 @@ mod bundled_write_equivalence {
         /// `multi_set` and a pipeline-off per-entry `set` loop each leave
         /// every server's store byte-identical to the oracle's, each
         /// server receives exactly the same number of `set` commands, and
-        /// a `multi_get` round-trips the last value written per item.
+        /// a `multi_get` round-trips the last value written per item. Then
+        /// `delete` of a chosen subset of the batch's items (one
+        /// invalidation round over every copy) on both clients leaves the
+        /// fleets identical again, server by server, each server having
+        /// removed as many copies as the oracle's per-replica deletes.
         #[test]
         fn pipelined_multi_set_equals_sequential_loop(
-            batch in proptest::collection::vec((0u64..60, 0u32..1000), 1..50),
+            batch in proptest::collection::vec((0u64..60, 0u32..1000, any::<bool>()), 1..50),
         ) {
             let mut guard = envs().lock().unwrap();
             for env in guard.iter_mut() {
                 let policy = env.policy;
                 let entries: Vec<(u64, Vec<u8>)> = batch
                     .iter()
-                    .map(|&(item, tok)| (item, format!("w{item}-{tok}").into_bytes()))
+                    .map(|&(item, tok, _)| (item, format!("w{item}-{tok}").into_bytes()))
                     .collect();
                 let sets = |env: &Env| -> Vec<Vec<u64>> {
                     let fleet_sets = |f: &Fleet| (0..6).map(|s| f.store(s).stats().sets).collect();
                     env.fleets.iter().map(fleet_sets).collect()
+                };
+                let deletes = |env: &Env| -> Vec<Vec<u64>> {
+                    let fleet_dels = |f: &Fleet| (0..6).map(|s| f.store(s).stats().deletes).collect();
+                    env.fleets.iter().map(fleet_dels).collect()
+                };
+                // Every server's copy of every item of the range, per fleet.
+                let held = |env: &Env| -> Vec<Vec<Vec<Option<Vec<u8>>>>> {
+                    let copies = |f: &Fleet, s: usize| -> Vec<Option<Vec<u8>>> {
+                        let get = |item| f.store(s).get(&item_key(item)).map(|v| v.data.to_vec());
+                        (0..60).map(get).collect()
+                    };
+                    env.fleets.iter().map(|f| (0..6).map(|s| copies(f, s)).collect()).collect()
                 };
                 let before = sets(env);
 
@@ -1199,6 +1291,30 @@ mod bundled_write_equivalence {
                 let values = env.pipelined.multi_get(&items).unwrap();
                 for (item, got) in items.iter().zip(&values) {
                     prop_assert_eq!(got.as_deref(), Some(last[item]), "round-trip of item {}", item);
+                }
+
+                // Delete the chosen items: both clients' deletes leave the
+                // fleets byte-identical to the oracle's per-replica ones.
+                let doomed: Vec<u64> = batch.iter().filter(|d| d.2).map(|d| d.0).collect();
+                let before = deletes(env);
+                for &item in &doomed {
+                    let existed = env.pipelined.delete(item).unwrap();
+                    prop_assert_eq!(env.sequential.delete(item).unwrap(), existed, "item {}", item);
+                    env.oracle_delete(item);
+                }
+                let after = deletes(env);
+                for s in 0..6 {
+                    let n: Vec<u64> = (0..3).map(|f| after[f][s] - before[f][s]).collect();
+                    prop_assert_eq!(n[0], n[2], "{:?}: server {} pipelined deletes", policy, s);
+                    prop_assert_eq!(n[1], n[2], "{:?}: server {} sequential deletes", policy, s);
+                }
+                let fleets = held(env);
+                prop_assert!(fleets[0] == fleets[2], "{:?}: pipelined fleet differs", policy);
+                prop_assert!(fleets[1] == fleets[2], "{:?}: sequential fleet differs", policy);
+                for &item in &doomed {
+                    for (s, copies) in fleets[2].iter().enumerate() {
+                        prop_assert_eq!(&copies[item as usize], &None, "item {} on {}", item, s);
+                    }
                 }
             }
         }

@@ -1,7 +1,8 @@
 //! What a steady-state client request allocates, counted: `multi_get`
 //! the vector it returns plus one buffer per value found — whether it
 //! reads resident items or misses, falls back and writes back — and
-//! `multi_set` and `set` nothing, however many entries the batch has.
+//! `multi_set`, `set` and `delete` nothing, however many entries the
+//! batch has.
 //! Everything
 //! between the caller and the sockets — plan, hitchhikers, request
 //! lines, reply parsing, per-item slots, storage bursts — lives in
@@ -50,6 +51,16 @@ fn steady_state_requests_allocate_only_what_they_return() {
         let ((allocs, reallocs, _), outcome) = count_alloc(|| client.set(4, &value));
         outcome.unwrap();
         assert_eq!((allocs, reallocs), (0, 0), "{policy:?}: a set allocated");
+
+        // delete: one invalidation round over every copy, its keys and
+        // layout in the same pools as the write rounds'.
+        client
+            .multi_set(&[(300, &value[..]), (301, &value[..])])
+            .unwrap();
+        client.delete(300).unwrap();
+        let ((allocs, reallocs, _), outcome) = count_alloc(|| client.delete(301));
+        assert!(outcome.unwrap(), "{policy:?}: item 301 had a copy");
+        assert_eq!((allocs, reallocs), (0, 0), "{policy:?}: a delete allocated");
 
         // multi_get of resident items: n values and the vector of them.
         // Under InvalidateThenWrite only the distinguished copies exist,

@@ -38,7 +38,8 @@
 //! * [`baseline`] — full-system replication (§II-C, the industry baseline).
 //! * [`merge`] — cross-request merging (§III-E).
 //! * [`mod@write`] — [`WriteEngine`], the one write path (the §IV
-//!   invalidate-then-write rounds) over the same [`Transport`].
+//!   invalidate-then-write rounds, and the invalidation round of a
+//!   delete) over the same [`Transport`].
 
 pub mod baseline;
 pub mod bundler;

@@ -54,13 +54,18 @@ pub struct Round<'a> {
     pub failed: &'a mut [bool],
 }
 
-/// Which round of a write batch a [`Transport::store`] call carries.
+/// What a [`Transport::store`] round does with its keys: the two rounds
+/// of a [`crate::WriteEngine`] batch, and the read path's write-back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteStep {
-    /// Delete each key at its server.
+    /// Delete each key at its server: an invalidation round.
     Invalidate,
-    /// Store each key's value at its server.
+    /// Store each key's value at its server, each op acknowledged.
     Write,
+    /// Store each key's value at its server as a quiet `noreply` set:
+    /// the read path's write-back of the items this request found,
+    /// written where they missed (§III-C2). Nothing waits for it.
+    WriteBack,
 }
 
 /// What carries a [`ReadEngine`]'s and a [`crate::WriteEngine`]'s
@@ -71,16 +76,10 @@ pub trait Transport {
     /// returned and each transaction that failed.
     fn run_round(&mut self, round: Round<'_>);
 
-    /// Store each key of each transaction of `round` at its server:
-    /// items this request found, written back where they missed. Nothing
-    /// is read back. The default drops them.
-    fn write_back(&mut self, _round: Round<'_>) {}
-
-    /// Run every transaction of a write round: `step` each key of it at
-    /// its server, the keys being indices into the caller's batch. Mark
-    /// each key whose server replied — a `delete` that found nothing
-    /// replied too — and each transaction that failed. The default
-    /// stores nothing and so acknowledges nothing.
+    /// Run every transaction of a store round: `step` each key of it at
+    /// its server. Mark each key whose server replied — a `delete` that
+    /// found nothing replied too — and each transaction that failed. The
+    /// default stores nothing and so acknowledges nothing.
     fn store(&mut self, _round: Round<'_>, _step: WriteStep) {}
 }
 
@@ -347,7 +346,7 @@ impl ReadEngine {
         by_server.extend(recovered.map(|&(index, server)| (server, index)));
         round.group(by_server);
         if !round.txns.is_empty() {
-            transport.write_back(round.view(items));
+            transport.store(round.view(items), WriteStep::WriteBack);
         }
         c
     }

@@ -11,9 +11,13 @@
 //!   copies of an item before modifying it, then let RnB-memcached create
 //!   the new copies on demand, after the atomic operation completes."
 //!
-//! `rnb-client`'s `set`/`multi_set` and `rnb-sim`'s writes all run
-//! [`WriteEngine::store`], so the §IV ordering rule lives here and
-//! nowhere else (INVARIANTS.md "Invalidate before write").
+//! Every write is a round of this engine, so the §IV ordering rule lives
+//! here and nowhere else (INVARIANTS.md "Invalidate before write"):
+//! `rnb-client`'s `set`/`multi_set` and `rnb-sim`'s writes run
+//! [`WriteEngine::store`], and `rnb-client`'s `delete` and
+//! `atomic_update` run its first round, [`WriteEngine::invalidate`].
+//! [`crate::ReadEngine::fetch`] sends its write-back as one more
+//! [`WriteStep`] through the same [`Transport::store`].
 
 use crate::read::{RoundBuf, Transport, Txn, WriteStep};
 use rnb_hash::{ItemId, Placement, ServerId};
@@ -123,18 +127,16 @@ pub struct WriteCounts {
 }
 
 /// The RnB write state machine with its pooled buffers: lays a batch out
-/// with the read engine's rounds, runs the invalidation round to
-/// completion, then the write round of every entry whose invalidations
-/// were all acknowledged. After the first batch of a given shape it
-/// allocates nothing.
+/// with the read engine's rounds, runs the invalidation round (all of a
+/// delete) to completion, then the write round of every entry whose
+/// invalidations were all acknowledged. Warmed, it allocates nothing.
 #[derive(Debug, Default)]
 pub struct WriteEngine {
     /// The batch in flight: the index space of every round's keys.
     items: Vec<ItemId>,
     replicas: Vec<ServerId>,
-    /// (server, batch index) of every `delete`, then of every `set`.
-    deletes: Vec<(ServerId, usize)>,
-    sets: Vec<(ServerId, usize)>,
+    /// (server, batch index) of every op of the round being laid out.
+    ops: Vec<(ServerId, usize)>,
     invalidations: RoundBuf,
     writes: RoundBuf,
     /// Per batch index: an invalidation of it went unacknowledged.
@@ -154,6 +156,27 @@ impl WriteEngine {
     /// ```
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Make `items` the batch in flight, none of it blocked.
+    fn load(&mut self, items: impl IntoIterator<Item = ItemId>) {
+        self.items.clear();
+        self.items.extend(items);
+        self.blocked.clear();
+        self.blocked.resize(self.items.len(), false);
+    }
+
+    /// Set `ops` to the copies whose replica position (0: distinguished)
+    /// `copy` accepts, of every entry no failed invalidation blocked.
+    fn select(&mut self, placement: &impl Placement, copy: impl Fn(usize) -> bool) {
+        self.ops.clear();
+        for (index, &item) in self.items.iter().enumerate() {
+            if !self.blocked[index] {
+                placement.replicas_into(item, &mut self.replicas);
+                let copies = self.replicas.iter().enumerate().filter(|&(at, _)| copy(at));
+                self.ops.extend(copies.map(|(_, &server)| (server, index)));
+            }
+        }
     }
 
     /// Lay out one batch without running it: item `i` of the iterator is
@@ -181,37 +204,52 @@ impl WriteEngine {
         writer: &WritePlanner<P>,
         items: impl IntoIterator<Item = ItemId>,
     ) -> BatchWritePlan<'_> {
-        let WriteEngine {
-            items: batch,
-            replicas,
-            deletes,
-            sets,
-            invalidations,
-            writes,
-            ..
-        } = self;
-        batch.clear();
-        batch.extend(items);
-        deletes.clear();
-        sets.clear();
-        let write_all = writer.policy() == WritePolicy::WriteAll;
-        for (index, &item) in batch.iter().enumerate() {
-            writer.placement().replicas_into(item, replicas);
-            for (at, &server) in replicas.iter().enumerate() {
-                let ops = if at == 0 || write_all {
-                    &mut *sets
-                } else {
-                    &mut *deletes
-                };
-                ops.push((server, index));
+        let all = writer.policy() == WritePolicy::WriteAll;
+        self.load(items);
+        self.select(writer.placement(), |at| at > 0 && !all);
+        self.invalidations.group(&mut self.ops);
+        self.select(writer.placement(), |at| at == 0 || all);
+        self.writes.group(&mut self.ops);
+        BatchWritePlan {
+            invalidations: &self.invalidations.txns,
+            writes: &self.writes.txns,
+        }
+    }
+
+    /// The invalidation round of `items`, run through `transport` to
+    /// completion, one transaction per server (returns how many): every
+    /// copy but the distinguished one is deleted, and that one too if
+    /// `distinguished_too`. Every write's invalidations run here, so §IV's
+    /// "remove all but the distinguished copies" is written once.
+    ///
+    /// ```
+    /// use rnb_core::{PlacementStrategy, RnbConfig, Round, Transport, WriteEngine};
+    /// struct Wire;
+    /// impl Transport for Wire { fn run_round(&mut self, _: Round<'_>) {} }
+    /// let placement = PlacementStrategy::from_config(&RnbConfig::new(8, 3));
+    /// let mut engine = WriteEngine::new();
+    /// // A delete reaches all 3 copies; an atomic update's first round 2.
+    /// assert_eq!(engine.invalidate(&placement, [5], true, &mut Wire), 3);
+    /// assert_eq!(engine.invalidate(&placement, [5], false, &mut Wire), 2);
+    /// ```
+    pub fn invalidate(
+        &mut self,
+        placement: &impl Placement,
+        items: impl IntoIterator<Item = ItemId>,
+        distinguished_too: bool,
+        transport: &mut impl Transport,
+    ) -> u64 {
+        self.load(items);
+        self.select(placement, |at| distinguished_too || at > 0);
+        let round = &mut self.invalidations;
+        round.group(&mut self.ops);
+        if !round.txns.is_empty() {
+            transport.store(round.view(&self.items), WriteStep::Invalidate);
+            for (&index, &acked) in round.keys.iter().zip(&round.answered) {
+                self.blocked[index] |= !acked;
             }
         }
-        invalidations.group(deletes);
-        writes.group(sets);
-        BatchWritePlan {
-            invalidations: &invalidations.txns,
-            writes: &writes.txns,
-        }
+        round.txns.len() as u64
     }
 
     /// Write `items` through `transport` under `writer`'s policy: the
@@ -242,39 +280,25 @@ impl WriteEngine {
         items: impl IntoIterator<Item = ItemId>,
         transport: &mut impl Transport,
     ) -> WriteCounts {
-        self.plan_batch(writer, items);
-        let WriteEngine {
-            items,
-            sets,
-            invalidations,
-            writes,
-            blocked,
-            ..
-        } = self;
-        blocked.clear();
-        blocked.resize(items.len(), false);
-        let mut c = WriteCounts {
-            invalidation_txns: invalidations.txns.len() as u64,
-            ..WriteCounts::default()
-        };
-
+        let all = writer.policy() == WritePolicy::WriteAll;
         // Round 1: every invalidation, to completion.
-        if !invalidations.txns.is_empty() {
-            transport.store(invalidations.view(items), WriteStep::Invalidate);
-            for (&index, &acked) in invalidations.keys.iter().zip(&invalidations.answered) {
-                blocked[index] |= !acked;
-            }
-        }
+        let invalidation_txns = if all {
+            self.load(items);
+            0
+        } else {
+            self.invalidate(writer.placement(), items, false, transport)
+        };
         // Round 2: the writes of every entry no failed delete blocked.
-        if blocked.contains(&true) {
-            sets.retain(|&(_, index)| !blocked[index]);
-            writes.group(sets);
+        self.select(writer.placement(), |at| at == 0 || all);
+        let round = &mut self.writes;
+        round.group(&mut self.ops);
+        if !round.txns.is_empty() {
+            transport.store(round.view(&self.items), WriteStep::Write);
         }
-        c.write_txns = writes.txns.len() as u64;
-        if !writes.txns.is_empty() {
-            transport.store(writes.view(items), WriteStep::Write);
+        WriteCounts {
+            invalidation_txns,
+            write_txns: round.txns.len() as u64,
         }
-        c
     }
 }
 
@@ -479,6 +503,42 @@ mod tests {
             "some item keeps a replica on {dead}"
         );
         assert_eq!(got, want);
+    }
+
+    /// `invalidate` deletes every copy of each item, or every copy but
+    /// the distinguished one, one transaction per server.
+    #[test]
+    fn invalidate_deletes_the_copies_asked_for() {
+        let p = planner(WritePolicy::WriteAll);
+        let items: Vec<u64> = (0..30).map(|i| i * 11 % 23).collect();
+        for distinguished_too in [true, false] {
+            let mut log = Log::default();
+            let mut engine = WriteEngine::new();
+            let txns = engine.invalidate(
+                p.placement(),
+                items.iter().copied(),
+                distinguished_too,
+                &mut log,
+            );
+            let mut got: Vec<_> = log
+                .ops
+                .iter()
+                .map(|&(_, server, item)| (server, item))
+                .collect();
+            let mut want = Vec::new();
+            for &item in &items {
+                let replicas = p.placement().replicas(item);
+                let from = usize::from(!distinguished_too);
+                want.extend(replicas[from..].iter().map(|&server| (server, item)));
+            }
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "distinguished too: {distinguished_too}");
+            assert!(log.ops.iter().all(|op| op.0 == WriteStep::Invalidate));
+            let mut servers: Vec<_> = want.iter().map(|&(server, _)| server).collect();
+            servers.dedup();
+            assert_eq!(txns, servers.len() as u64);
+        }
     }
 
     /// Under WriteAll there is nothing to invalidate, so a dead server

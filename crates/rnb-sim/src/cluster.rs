@@ -311,29 +311,23 @@ impl Transport for Servers<'_> {
         }
     }
 
-    fn write_back(&mut self, round: Round<'_>) {
-        for txn in round.txns {
-            for &index in &round.keys[txn.from..txn.to] {
-                self.write_back_one(round.items[index], txn.server);
-            }
-        }
-    }
-
     /// A delete of an absent replica still costs the round-trip, so it
     /// counts as an invalidation either way; every op is acknowledged.
+    /// A write-back follows the configured [`WritebackPolicy`].
     fn store(&mut self, round: Round<'_>, step: WriteStep) {
         for txn in round.txns {
-            let server = &mut self.servers[txn.server as usize];
+            let s = txn.server as usize;
             for &index in &round.keys[txn.from..txn.to] {
                 let item = round.items[index];
                 match step {
                     WriteStep::Invalidate => {
-                        server.remove_replica(item);
+                        self.servers[s].remove_replica(item);
                         self.metrics.invalidations += 1;
                     }
                     WriteStep::Write => {
-                        server.insert_replica(item);
+                        self.servers[s].insert_replica(item);
                     }
+                    WriteStep::WriteBack => self.write_back_one(item, txn.server),
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! The full §IV proof-of-concept as a runnable demo: a fleet of real
 //! store servers on loopback TCP, driven by the deployable RnB client —
-//! replicated writes, bundled multi-gets, an atomic counter, and the
-//! transaction savings printed at the end.
+//! replicated writes, bundled multi-gets, an atomic counter, a delete,
+//! and the transaction savings printed along the way.
 //!
 //! ```text
 //! cargo run --release --example deployed_cluster
@@ -60,6 +60,12 @@ fn main() -> std::io::Result<()> {
         "atomic counter after 10 updates: {}",
         String::from_utf8_lossy(&counter)
     );
+    assert_eq!(counter, b"10");
+
+    // 6. Delete: one pipelined invalidation round over all 4 copies.
+    assert!(rnb.delete(9999)?, "the counter had copies to delete");
+    assert_eq!(rnb.multi_get(&[9999])?[0], None);
+    println!("deleted the counter: every copy is gone");
 
     Ok(())
 }

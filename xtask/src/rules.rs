@@ -743,9 +743,10 @@ pub const RULES: &[(&str, &str)] = &[
 /// `multi_get` is the client's read entry and `multi_set` its write-side
 /// sibling; `fetch` is the read engine every read runs
 /// (plan→rounds→write-back, in `rnb-core`) and `store` its write-side
-/// sibling (invalidation round→write round), and `run_round` /
-/// `write_back` / `store` the client transport they drive, with
-/// `send_request` / `recv_values` the connection halves under those —
+/// sibling (invalidation round→write round), and `run_round` / `store`
+/// the client transport they drive (`store` carries every storage round,
+/// write-back included), with `send_request` / `recv_values` the
+/// connection halves under those —
 /// called through a trait or closures the graph does not trace, so they
 /// are roots in their own right.
 pub const CLONE_ROOTS: &[(&str, &str)] = &[
@@ -757,9 +758,7 @@ pub const CLONE_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
-    ("crates/rnb-client/src/client.rs", "write_back"),
     ("crates/rnb-client/src/client.rs", "store"),
-    ("crates/rnb-client/src/client.rs", "run_write_bursts"),
     ("crates/rnb-store/src/client.rs", "send_request"),
     ("crates/rnb-store/src/client.rs", "recv_values"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
@@ -801,9 +800,7 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-client/src/client.rs", "multi_get"),
     ("crates/rnb-client/src/client.rs", "multi_set"),
     ("crates/rnb-client/src/client.rs", "run_round"),
-    ("crates/rnb-client/src/client.rs", "write_back"),
     ("crates/rnb-client/src/client.rs", "store"),
-    ("crates/rnb-client/src/client.rs", "run_write_bursts"),
     ("crates/rnb-store/src/client.rs", "send_request"),
     ("crates/rnb-store/src/client.rs", "recv_values"),
 ];
