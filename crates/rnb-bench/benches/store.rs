@@ -9,32 +9,23 @@
 //! Beyond the Criterion smoke group, a grid sweep
 //! (M ∈ {10, 100, 400}, shards ∈ {1, 8, 16, 64}, value ∈ {10, 1024}
 //! bytes) writes `BENCH_store.json` at the repo root (schema in
-//! EXPERIMENTS.md), plus a **write sweep** (write fraction ∈
-//! {0, 0.1, 0.5, 1.0}, 100-item bursts) pitting the sequential per-txn
-//! [`Store::set`] loop against the shard-batched
-//! [`Store::set_multi_with`], plus a pipelined loopback-TCP throughput
-//! figure (gated only when the committed `"cores"` matches this
-//! machine), plus the same probe with idle connections parked. Flags
-//! after `--`:
+//! EXPERIMENTS.md), plus a pipelined loopback-TCP throughput figure
+//! (gated only when the committed `"cores"` matches this machine), plus
+//! the same probe with idle connections parked. Flags after `--`:
 //!
 //! * `--quick`   — reduced iteration budget (CI smoke).
 //! * `--enforce` — exit non-zero if the checkpoint cell (M=10,
 //!   shards=16, value=10: the production shape) speeds up by less than
-//!   2×, if the write
-//!   checkpoint (the pure-burst write-fraction-1.0 cell) speeds up by
-//!   less than 2×, or if
-//!   the geometric mean *speedup over the reference path* (grid or
-//!   write cells) regresses more than 10% against the committed
-//!   `BENCH_store.json`. Speedup is a same-machine, same-budget ratio,
-//!   so the gate is portable across CI hardware where absolute
-//!   ns/request are not.
+//!   2×, or if the geometric mean *speedup over the reference path*
+//!   regresses more than 10% against the committed `BENCH_store.json`.
+//!   Speedup is a same-machine, same-budget ratio, so the gate is
+//!   portable across CI hardware where absolute ns/request are not.
 //!
 //! Under `cargo test` (`--test` in argv) only the Criterion smoke pass
 //! runs; the grid is skipped and the committed JSON is left untouched.
 
 use criterion::{criterion_group, Criterion, Throughput};
-use rnb_store::{protocol, Clock, GetScratch, SetEntry, Store, StoreServer};
-use rnb_workload::{Op, ReadWriteMix, UniformRequests};
+use rnb_store::{protocol, Clock, Store, StoreServer};
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -224,157 +215,6 @@ fn run_cell(m: usize, shards: usize, vlen: usize, quick: bool) -> Cell {
     }
 }
 
-// ---------------------------------------------------------------------
-// Write sweep: sequential per-txn sets vs shard-batched set_multi.
-// ---------------------------------------------------------------------
-
-/// Swept write fractions (per-op probability of a write burst). The
-/// 1.0 row is the pure-burst cell: every op is a write burst, so it
-/// isolates the write path (no read dilution) — that row is the gated
-/// write checkpoint. Mixed rows are reported (and regression-gated
-/// against the committed baseline) to show how much of the op-level win
-/// survives read dilution.
-const WRITE_FRACTIONS: &[f64] = &[0.0, 0.1, 0.5, 1.0];
-/// Items per write burst — the shape `RnbClient::multi_set` hands the
-/// store, matching the grid's checkpoint request size.
-const WRITE_BURST: usize = 100;
-/// The gated cell: on pure write bursts the batched write path must
-/// beat the sequential per-txn set loop by this factor.
-const WRITE_CHECKPOINT_FRACTION: f64 = 1.0;
-const MIN_WRITE_CHECKPOINT_SPEEDUP: f64 = 2.0;
-
-struct WriteCell {
-    write_fraction: f64,
-    seq_ns: f64,
-    batched_ns: f64,
-}
-
-impl WriteCell {
-    fn key(&self) -> String {
-        format!("wf{:02}", (self.write_fraction * 100.0).round() as usize)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.seq_ns / self.batched_ns
-    }
-}
-
-/// One write-sweep cell: a mixed read/write op stream over the
-/// checkpoint keyspace (M=100, 8 shards, 10-byte values), replayed
-/// identically through two arms that differ only in how a write burst
-/// hits the store — a sequential [`Store::set`] loop (one lock + one
-/// clock read per key) vs one [`Store::set_multi_with`] call (one lock +
-/// one clock read per touched shard). Reads use the one-pass get in both
-/// arms.
-fn run_write_cell(write_fraction: f64, quick: bool) -> WriteCell {
-    const M: usize = 100;
-    const VLEN: usize = 10;
-    let data = cell_data(M, 8, VLEN);
-    let nkeys = data.keys.len();
-    let value = vec![b'y'; VLEN];
-
-    let full = 10_000usize;
-    let gated = write_fraction == WRITE_CHECKPOINT_FRACTION;
-    let rounds = if quick && !gated {
-        (full / 8).max(100)
-    } else {
-        full
-    };
-    let warmup = (rounds / 10).max(50);
-
-    // Pre-generate one op sequence and replay it through both arms, so
-    // the arms time identical work. `ReadWriteMix` rejects a fraction of
-    // 1.0 (it would starve the read stream), so the pure-burst
-    // checkpoint row cycles the cell's request windows as bursts
-    // directly — same keys and burst size as the grid checkpoint.
-    let ops: Vec<Op> = if write_fraction >= 1.0 {
-        data.windows
-            .iter()
-            .map(|w| Op::WriteBurst(w.iter().map(|&idx| idx as u64).collect()))
-            .collect()
-    } else {
-        let reads = UniformRequests::new(nkeys as u64, M, 11);
-        ReadWriteMix::new(reads, nkeys as u64, write_fraction, 13)
-            .with_write_burst(WRITE_BURST)
-            .take_ops(warmup + rounds)
-    };
-
-    let mut scratch = GetScratch::new();
-    let mut reply = Vec::new();
-
-    // Sequential arm: every item in a burst is its own transaction.
-    let seq_ns = time_ns_per_call(warmup, rounds, |i| match &ops[i % ops.len()] {
-        Op::Read(req) => reply_one_pass(&data.store, keys_of(&data.keys, req), &mut reply),
-        Op::Write(item) => {
-            data.store.set(&data.keys[*item as usize], &value, 0, false);
-            1
-        }
-        Op::WriteBurst(items) => {
-            for &item in items {
-                data.store.set(&data.keys[item as usize], &value, 0, false);
-            }
-            items.len()
-        }
-    });
-
-    // Batched arm: the burst goes through the shard-batched store write.
-    let mut outcomes = Vec::new();
-    let batched_ns = time_ns_per_call(warmup, rounds, |i| match &ops[i % ops.len()] {
-        Op::Read(req) => reply_one_pass(&data.store, keys_of(&data.keys, req), &mut reply),
-        Op::Write(item) => {
-            data.store.set(&data.keys[*item as usize], &value, 0, false);
-            1
-        }
-        Op::WriteBurst(items) => {
-            data.store.set_multi_with(
-                &mut scratch,
-                items.len(),
-                |j| SetEntry {
-                    key: &data.keys[items[j] as usize],
-                    value: &value,
-                    flags: 0,
-                    pinned: false,
-                    ttl: None,
-                },
-                &mut outcomes,
-            );
-            items.len()
-        }
-    });
-
-    WriteCell {
-        write_fraction,
-        seq_ns,
-        batched_ns,
-    }
-}
-
-/// The keys of a read op's items.
-fn keys_of<'a>(keys: &'a [Vec<u8>], items: &'a [u64]) -> impl Iterator<Item = &'a [u8]> {
-    items.iter().map(|&item| keys[item as usize].as_slice())
-}
-
-fn run_writes(quick: bool) -> Vec<WriteCell> {
-    let mut cells = Vec::new();
-    println!("\n[store writes] sequential per-txn sets vs shard-batched set_multi (ns/op, mixed)");
-    println!(
-        "{:<8} {:>12} {:>12} {:>9}",
-        "cell", "seq ns", "batched ns", "speedup"
-    );
-    for &frac in WRITE_FRACTIONS {
-        let cell = run_write_cell(frac, quick);
-        println!(
-            "{:<8} {:>12.1} {:>12.1} {:>8.2}x",
-            cell.key(),
-            cell.seq_ns,
-            cell.batched_ns,
-            cell.speedup()
-        );
-        cells.push(cell);
-    }
-    cells
-}
-
 /// Keys-per-get and pipeline depth of the loopback-TCP probe.
 const TCP_M: usize = 100;
 const TCP_DEPTH: usize = 32;
@@ -410,7 +250,7 @@ fn tcp_probe(addr: SocketAddr) -> std::io::Result<f64> {
     // gate, and a 20-round trim measures ~40% slower than the committed
     // full-budget figure (startup and first-burst effects dominate a
     // ~20ms window), tripping the gate spuriously. Same rule as the
-    // gated grid/write checkpoint cells; the probe costs < 1s.
+    // gated grid checkpoint cell; the probe costs < 1s.
     let rounds = 200;
     let mut buf = vec![0u8; 256 * 1024];
     let mut run_batch = || -> std::io::Result<()> {
@@ -665,7 +505,6 @@ fn cores() -> usize {
 
 fn render_json(
     cells: &[Cell],
-    writes: &[WriteCell],
     connections: &[ConnectionsCell],
     tcp: Option<(usize, f64)>,
 ) -> String {
@@ -681,16 +520,6 @@ fn render_json(
         cp.key(),
         cp.speedup()
     ));
-    if let Some(wcp) = writes
-        .iter()
-        .find(|c| c.write_fraction == WRITE_CHECKPOINT_FRACTION)
-    {
-        out.push_str(&format!(
-            "  \"write_checkpoint\": {{ \"cell\": \"{}\", \"speedup\": {:.2} }},\n",
-            wcp.key(),
-            wcp.speedup()
-        ));
-    }
     if let Some((m, items_per_sec)) = tcp {
         out.push_str(&format!(
             "  \"tcp_pipelined\": {{ \"m\": {m}, \"depth\": 32, \"items_per_sec\": {:.0} }},\n",
@@ -708,19 +537,6 @@ fn render_json(
             c.shards,
             c.vlen,
             c.ref_ns,
-            c.batched_ns,
-            c.speedup()
-        ));
-    }
-    out.push_str("  ],\n  \"writes\": [\n");
-    for (i, c) in writes.iter().enumerate() {
-        let sep = if i + 1 == writes.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{ \"cell\": \"{}\", \"write_fraction\": {}, \"burst\": {WRITE_BURST}, \
-             \"seq_ns\": {:.1}, \"batched_ns\": {:.1}, \"speedup\": {:.2} }}{sep}\n",
-            c.key(),
-            c.write_fraction,
-            c.seq_ns,
             c.batched_ns,
             c.speedup()
         ));
@@ -760,35 +576,6 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
         };
         let cell = rest[..cell_end].to_string();
         if !line.contains("\"ref_ns\": ") {
-            continue;
-        }
-        let Some(at) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let num = &line[at + 11..];
-        let end = num.find([',', ' ', '}']).unwrap_or(num.len());
-        if let Ok(speedup) = num[..end].parse::<f64>() {
-            out.push((cell, speedup));
-        }
-    }
-    out
-}
-
-/// Pull the write-sweep `speedup` per cell out of a previously emitted
-/// JSON file (same line-oriented contract as [`parse_baseline`]; write
-/// lines carry `seq_ns` instead of `ref_ns`).
-fn parse_write_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(cell_at) = line.find("\"cell\": \"") else {
-            continue;
-        };
-        let rest = &line[cell_at + 9..];
-        let Some(cell_end) = rest.find('"') else {
-            continue;
-        };
-        let cell = rest[..cell_end].to_string();
-        if !line.contains("\"seq_ns\": ") {
             continue;
         }
         let Some(at) = line.find("\"speedup\": ") else {
@@ -852,8 +639,6 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
         }
     }
 
-    let writes = run_writes(quick);
-
     let tcp = match run_tcp() {
         Ok((m, items_per_sec)) => {
             println!("[store grid] tcp pipelined m={m} depth=32: {items_per_sec:.0} items/s");
@@ -873,7 +658,7 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
         }
     };
 
-    let json = render_json(&cells, &writes, &connections, tcp);
+    let json = render_json(&cells, &connections, tcp);
     match std::fs::write(JSON_PATH, &json) {
         Ok(()) => println!("[store grid] wrote {JSON_PATH}"),
         Err(e) => eprintln!("[store grid] could not write {JSON_PATH}: {e}"),
@@ -928,60 +713,6 @@ fn run_grid(quick: bool, enforce: bool) -> bool {
         }
     } else {
         println!("[store grid] no committed baseline at {JSON_PATH}; skipping regression gate");
-    }
-
-    // Write-sweep gates: the checkpoint floor is a same-run, same-machine
-    // speedup ratio (portable across CI hardware, like the grid gate),
-    // and the geo-mean regression check compares against the committed
-    // baseline's write cells.
-    if let Some(wcp) = writes
-        .iter()
-        .find(|c| c.write_fraction == WRITE_CHECKPOINT_FRACTION)
-    {
-        println!(
-            "[store writes] checkpoint {}: {:.2}x (floor {MIN_WRITE_CHECKPOINT_SPEEDUP}x)",
-            wcp.key(),
-            wcp.speedup()
-        );
-        if enforce && wcp.speedup() < MIN_WRITE_CHECKPOINT_SPEEDUP {
-            eprintln!(
-                "[store writes] FAIL: write checkpoint speedup {:.2}x below the \
-                 {MIN_WRITE_CHECKPOINT_SPEEDUP}x floor",
-                wcp.speedup()
-            );
-            failed = true;
-        }
-    }
-    if let Some(text) = baseline_text.as_deref() {
-        let base = parse_write_baseline(text);
-        let mut log_sum = 0.0f64;
-        let mut count = 0usize;
-        for cell in &writes {
-            // The all-reads row (wf00) runs identical code in both arms;
-            // its speedup is ~1.0 plus noise, so it is excluded from the
-            // regression geo-mean.
-            if cell.write_fraction == 0.0 {
-                continue;
-            }
-            if let Some((_, base_speedup)) = base.iter().find(|(key, _)| *key == cell.key()) {
-                log_sum += (base_speedup / cell.speedup()).ln();
-                count += 1;
-            }
-        }
-        if count > 0 {
-            let ratio = (log_sum / count as f64).exp();
-            println!(
-                "[store writes] baseline/current speedup (geo-mean over {count} cells): {ratio:.3}x"
-            );
-            if enforce && ratio > MAX_REGRESSION {
-                eprintln!(
-                    "[store writes] FAIL: batched-write speedup regressed {:.1}% vs committed baseline (limit {:.0}%)",
-                    (ratio - 1.0) * 100.0,
-                    (MAX_REGRESSION - 1.0) * 100.0
-                );
-                failed = true;
-            }
-        }
     }
 
     // Connections gates. The idle-ratio floor is a same-run ratio

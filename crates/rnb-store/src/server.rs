@@ -25,7 +25,7 @@
 use crate::protocol::{self, reply, Command, NextRequest, StoreVerb};
 use crate::shard::{ArithOutcome, CasOutcome, SetOutcome};
 use crate::stats::StoreStats;
-use crate::store::{GetScratch, SetEntry, Store};
+use crate::store::Store;
 use epoll::{Epoll, Event, Interest};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -439,65 +439,11 @@ fn ttl_of(exptime: i64) -> Option<Duration> {
     }
 }
 
-/// A plain `set` waiting in the current storage run, held as offset
-/// ranges into the connection input buffer (no key/value copies).
-#[derive(Debug, Clone, Copy)]
-struct PendingSet {
-    /// `(start, end)` of the key within the input buffer.
-    key: (usize, usize),
-    /// `(start, end)` of the data block within the input buffer.
-    data: (usize, usize),
-    flags: u32,
-    exptime: i64,
-    noreply: bool,
-}
-
-/// A `delete` waiting in the current storage run.
-#[derive(Debug, Clone, Copy)]
-struct PendingDelete {
-    /// `(start, end)` of the key within the input buffer.
-    key: (usize, usize),
-    noreply: bool,
-}
-
-/// Scratch for the burst drain's storage batching: consecutive plain
-/// `set` (or `delete`) requests of a pipelined burst are collected here
-/// and applied through [`Store::set_multi_with`] /
-/// [`Store::delete_multi_with`] as one shard-batched run — one lock and
-/// one clock read per touched shard instead of one per command.
-#[derive(Debug, Default)]
-struct WriteBatchScratch {
-    /// Pending plain-`set` run (empty whenever `deletes` is non-empty).
-    sets: Vec<PendingSet>,
-    /// Pending `delete` run (empty whenever `sets` is non-empty).
-    deletes: Vec<PendingDelete>,
-    /// Shard-batching scratch for the run.
-    batch: GetScratch,
-    /// Per-entry outcomes of a flushed set run.
-    outcomes: Vec<SetOutcome>,
-    /// Per-key outcomes of a flushed delete run.
-    deleted: Vec<bool>,
-}
-
-impl WriteBatchScratch {
-    const fn new() -> Self {
-        WriteBatchScratch {
-            sets: Vec::new(),
-            deletes: Vec::new(),
-            batch: GetScratch::new(),
-            outcomes: Vec::new(),
-            deleted: Vec::new(),
-        }
-    }
-}
-
 /// Per-worker (connection-reused) buffers for the command loop.
 /// Everything grows to steady-state sizes and is then reused verbatim —
 /// the loop performs no allocation once warm.
 #[derive(Debug, Default)]
 pub struct ConnScratch {
-    /// Storage-run batching scratch.
-    writes: WriteBatchScratch,
     /// Replies of the last [`drain_input`]; one write per batch.
     response: Vec<u8>,
     /// Socket read staging.
@@ -508,7 +454,6 @@ impl ConnScratch {
     /// Fresh scratch; buffers size themselves on first use.
     pub const fn new() -> Self {
         ConnScratch {
-            writes: WriteBatchScratch::new(),
             response: Vec::new(),
             net: Vec::new(),
         }
@@ -520,23 +465,15 @@ impl ConnScratch {
     }
 }
 
-/// What [`execute_command`] tells the command loop to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Reply {
-    /// Keep serving the connection.
-    Continue,
-    /// `quit`: close after flushing the response so far.
-    Quit,
-}
-
 /// Execute one parsed command against the store, appending any reply to
-/// `response`. `data` is the `set`/`cas` payload.
+/// `response`. `data` is the `set`/`cas` payload. `quit` is the command
+/// loop's to act on: here it does nothing.
 fn execute_command(
     store: &Store,
     cmd: &Command<'_>,
     data: &[u8],
     response: &mut Vec<u8>,
-) -> io::Result<Reply> {
+) -> io::Result<()> {
     let quiet = matches!(
         cmd,
         Command::Set { noreply: true, .. }
@@ -631,107 +568,13 @@ fn execute_command(
             protocol::write_end(response)?;
         }
         Command::Version => response.extend_from_slice(reply::VERSION),
-        Command::Quit => return Ok(Reply::Quit),
+        Command::Quit => {}
     }
     debug_assert!(
         !quiet || response.len() == replied_before,
         "the server writes nothing for a noreply command it parsed, whatever the outcome"
     );
-    Ok(Reply::Continue)
-}
-
-/// Absolute `(start, end)` of `part` within the connection input
-/// buffer, given that `part` is a subslice of the parser's view, which
-/// itself starts at offset `base` of the input buffer. Plain address
-/// arithmetic — no bytes are copied or re-scanned.
-fn abs_range(view: &[u8], part: &[u8], base: usize) -> (usize, usize) {
-    let start = part.as_ptr() as usize - view.as_ptr() as usize + base;
-    debug_assert!(
-        start + part.len() <= base + view.len(),
-        "request part escapes the parsed view"
-    );
-    (start, start + part.len())
-}
-
-/// Apply the pending plain-`set` run as one shard-batched store call and
-/// append the replies in request order. No-op on an empty run.
-fn flush_pending_sets(
-    store: &Store,
-    writes: &mut WriteBatchScratch,
-    input: &[u8],
-    response: &mut Vec<u8>,
-) {
-    if writes.sets.is_empty() {
-        return;
-    }
-    let WriteBatchScratch {
-        sets,
-        batch,
-        outcomes,
-        ..
-    } = writes;
-    store.set_multi_with(
-        batch,
-        sets.len(),
-        |i| {
-            let p = sets[i];
-            SetEntry {
-                key: &input[p.key.0..p.key.1],
-                value: &input[p.data.0..p.data.1],
-                flags: p.flags,
-                pinned: false,
-                ttl: ttl_of(p.exptime),
-            }
-        },
-        outcomes,
-    );
-    for (p, outcome) in sets.iter().zip(outcomes.iter()) {
-        if !p.noreply {
-            response.extend_from_slice(match outcome {
-                SetOutcome::Stored { .. } => reply::STORED,
-                SetOutcome::OutOfMemory => reply::OOM,
-            });
-        }
-    }
-    sets.clear();
-}
-
-/// Apply the pending `delete` run as one shard-batched store call and
-/// append the replies in request order. No-op on an empty run.
-fn flush_pending_deletes(
-    store: &Store,
-    writes: &mut WriteBatchScratch,
-    input: &[u8],
-    response: &mut Vec<u8>,
-) {
-    if writes.deletes.is_empty() {
-        return;
-    }
-    let WriteBatchScratch {
-        deletes,
-        batch,
-        deleted,
-        ..
-    } = writes;
-    store.delete_multi_with(
-        batch,
-        deletes.len(),
-        |i| {
-            let p = deletes[i];
-            &input[p.key.0..p.key.1]
-        },
-        deleted,
-    );
-    for (p, was_there) in deletes.iter().zip(deleted.iter()) {
-        if !p.noreply {
-            response.extend_from_slice(if *was_there {
-                reply::DELETED
-            } else {
-                reply::NOT_FOUND
-            });
-        }
-    }
-    deletes.clear();
+    Ok(())
 }
 
 /// Execute every complete request at the front of `input` — the one
@@ -741,40 +584,21 @@ fn flush_pending_deletes(
 /// `input` were used up and whether to close the connection afterwards
 /// (`quit` or a framing desync).
 ///
-/// Runs of consecutive plain `set` (or `delete`) requests — the shape a
-/// pipelined [`crate::StoreClient::send_storage_batch`] burst produces —
-/// are not executed one by one: they are collected as offset ranges and
-/// applied through [`Store::set_multi_with`] / [`Store::delete_multi_with`]
-/// when the run ends, so a storage burst costs one lock (and one clock
-/// read) per touched shard instead of one per command. Replies stay in
-/// request order because a run is always flushed before any other
-/// command (or error report) appends its reply.
+/// Every request, each `set` and `delete` of a storage burst included,
+/// runs through `execute_command`, in arrival order.
 pub fn drain_input(
     store: &Store,
     input: &[u8],
     scratch: &mut ConnScratch,
 ) -> io::Result<(usize, bool)> {
-    let ConnScratch {
-        writes,
-        response,
-        net: _,
-    } = scratch;
+    let response = &mut scratch.response;
     let mut consumed_total = 0usize;
-    let mut close = false;
     response.clear();
-    writes.sets.clear();
-    writes.deletes.clear();
     loop {
-        let view = &input[consumed_total..];
-        match protocol::next_request(view) {
+        match protocol::next_request(&input[consumed_total..]) {
             NextRequest::Incomplete => break,
-            NextRequest::Desync => {
-                close = true;
-                break;
-            }
+            NextRequest::Desync => return Ok((consumed_total, true)),
             NextRequest::Error { msg, consumed } => {
-                flush_pending_sets(store, writes, input, response);
-                flush_pending_deletes(store, writes, input, response);
                 write!(response, "CLIENT_ERROR {msg}\r\n")?;
                 consumed_total += consumed;
             }
@@ -784,51 +608,15 @@ pub fn drain_input(
                 consumed,
                 ..
             } => {
-                match &cmd {
-                    Command::Set {
-                        verb: StoreVerb::Set,
-                        key,
-                        flags,
-                        exptime,
-                        noreply,
-                        ..
-                    } => {
-                        flush_pending_deletes(store, writes, input, response);
-                        writes.sets.push(PendingSet {
-                            key: abs_range(view, key, consumed_total),
-                            data: abs_range(view, data, consumed_total),
-                            flags: *flags,
-                            exptime: *exptime,
-                            noreply: *noreply,
-                        });
-                        consumed_total += consumed;
-                        continue;
-                    }
-                    Command::Delete { key, noreply } => {
-                        flush_pending_sets(store, writes, input, response);
-                        writes.deletes.push(PendingDelete {
-                            key: abs_range(view, key, consumed_total),
-                            noreply: *noreply,
-                        });
-                        consumed_total += consumed;
-                        continue;
-                    }
-                    _ => {
-                        flush_pending_sets(store, writes, input, response);
-                        flush_pending_deletes(store, writes, input, response);
-                    }
-                }
                 consumed_total += consumed;
-                if execute_command(store, &cmd, data, response)? == Reply::Quit {
-                    close = true;
-                    break;
+                if matches!(cmd, Command::Quit) {
+                    return Ok((consumed_total, true));
                 }
+                execute_command(store, &cmd, data, response)?;
             }
         }
     }
-    flush_pending_sets(store, writes, input, response);
-    flush_pending_deletes(store, writes, input, response);
-    Ok((consumed_total, close))
+    Ok((consumed_total, false))
 }
 
 /// Answer one readiness event on `conn`: flush its pending output if it
@@ -955,8 +743,7 @@ mod tests {
             assert_eq!(data, &vals[i]);
             assert_eq!(*flags, 5);
         }
-        // The server counted one cmd_set per batched op, exactly like
-        // the sequential path would.
+        // The server counted one cmd_set per op of the burst.
         let stats = client.stats().unwrap();
         assert_eq!(stats.get("cmd_set").map(String::as_str), Some("40"));
 
@@ -971,10 +758,9 @@ mod tests {
 
     #[test]
     fn batched_storage_runs_keep_reply_order() {
-        // One pipelined burst mixing set/get/delete/garbage: the drain
-        // batches the storage runs but every reply must still arrive in
-        // request order, and a get between two sets of the same key must
-        // observe the first one (runs flush before any other command).
+        // One pipelined burst mixing set/get/delete/garbage: every reply
+        // must arrive in request order, and a get between two sets of
+        // the same key must observe the first one.
         let (server, _client) = start();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
@@ -1004,8 +790,8 @@ mod tests {
     fn batched_noreply_sets_stay_silent() {
         // Clients send `noreply` and read nothing back for it, so one
         // stray line would desync their next reply: a quiet command is
-        // answered by nothing, stored or refused, alone or in a batched
-        // run. A store of 16 shards of 256 KiB refuses a 300 KiB value.
+        // answered by nothing, stored or refused, alone or inside a
+        // burst. A store of 16 shards of 256 KiB refuses a 300 KiB value.
         let (server, _client) = start();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let big = |verb: &str| {
@@ -1015,8 +801,7 @@ mod tests {
         };
         let script: Vec<u8> = [
             &b"set quiet 0 0 1 noreply\r\nq\r\nset loud 0 0 1\r\nl\r\nget quiet\r\n"[..],
-            // Refused alone, then inside a run of sets, then on the
-            // unbatched path.
+            // Refused alone, then between two sets, then as an `add`.
             &big("set")[..],
             &b"get big\r\nset a 0 0 1\r\na\r\n"[..],
             &big("set")[..],
@@ -1546,6 +1331,84 @@ mod tests {
                 reference.get_multi_reference(&all)
             );
             proptest::prop_assert_eq!(served.stats(), reference.stats());
+        }
+    }
+
+    /// One request of a random script over six keys. `op` picks the
+    /// command (mostly `set`, so storage runs form), `size` the value
+    /// length (the last is larger than any store below holds), `exptime`
+    /// none, already expired or far off, and `noreply` whether a storage
+    /// command asks for silence. `n` varies the stored bytes.
+    fn script_request(
+        n: usize,
+        (op, key, size, exptime, noreply): (u8, u8, u8, u8, bool),
+    ) -> Vec<u8> {
+        let quiet = if noreply { " noreply" } else { "" };
+        let exptime = [0, -1, 100][usize::from(exptime)];
+        let storage = |verb: &str| {
+            let len = [1, 7, 60, 200, 900, 20 << 10][usize::from(size)];
+            let mut request = format!("{verb} k{key} {n} {exptime} {len}{quiet}\r\n").into_bytes();
+            request.resize(request.len() + len, b'a' + (n % 26) as u8);
+            request.extend_from_slice(b"\r\n");
+            request
+        };
+        match op {
+            0..=3 => storage("set"),
+            4 => storage("add"),
+            5 | 6 => format!("delete k{key}{quiet}\r\n").into_bytes(),
+            7 => format!("get k{key} k{}\r\n", (key + 1) % 6).into_bytes(),
+            8 => format!("gets k{key}\r\n").into_bytes(),
+            _ => [&b"frobnicate\r\n"[..], b"delete\r\n", b"set k0 0 0\r\n"][usize::from(key % 3)]
+                .to_vec(),
+        }
+    }
+
+    proptest::proptest! {
+        /// A pipelined burst is answered, counted and stored exactly as
+        /// the same requests sent one per `drain_input` call: replies
+        /// byte for byte (quiet commands silent, refused values, garbage
+        /// lines and repeated keys included), `stats()`, and what every
+        /// key holds afterwards, on 1 and 16 shards.
+        #[test]
+        fn burst_drain_matches_one_command_at_a_time(
+            script in proptest::collection::vec(
+                (0u8..10, 0u8..6, 0u8..6, 0u8..3, proptest::prelude::any::<bool>()),
+                1..40,
+            ),
+        ) {
+            let requests: Vec<Vec<u8>> =
+                script.iter().enumerate().map(|(n, &r)| script_request(n, r)).collect();
+            let burst = requests.concat();
+            for shards in [1, 16] {
+                let clock = TestClock::new();
+                let bursted = Store::with_clock(16 << 10, shards, clock.clone().into());
+                let stepped = Store::with_clock(16 << 10, shards, clock.clone().into());
+                let mut scratch = ConnScratch::new();
+                proptest::prop_assert_eq!(
+                    drain_input(&bursted, &burst, &mut scratch).unwrap(),
+                    (burst.len(), false)
+                );
+                let burst_replies = scratch.response().to_vec();
+                let mut step_replies = Vec::new();
+                for request in &requests {
+                    proptest::prop_assert_eq!(
+                        drain_input(&stepped, request, &mut scratch).unwrap(),
+                        (request.len(), false)
+                    );
+                    step_replies.extend_from_slice(scratch.response());
+                }
+                proptest::prop_assert_eq!(
+                    String::from_utf8_lossy(&burst_replies),
+                    String::from_utf8_lossy(&step_replies)
+                );
+                proptest::prop_assert_eq!(bursted.stats(), stepped.stats());
+                let keys: Vec<Vec<u8>> = (0..6).map(|k| format!("k{k}").into_bytes()).collect();
+                let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+                proptest::prop_assert_eq!(
+                    bursted.get_multi_reference(&keys),
+                    stepped.get_multi_reference(&keys)
+                );
+            }
         }
     }
 

@@ -410,13 +410,6 @@ impl Shard {
             .is_some_and(|idx| !self.nodes[idx].expired(now))
     }
 
-    /// The current tick of the injected clock: the batched write path
-    /// reads it once per touched shard (every entry of the sub-batch
-    /// shares the tick).
-    pub(crate) fn now(&self) -> Tick {
-        self.clock.now()
-    }
-
     /// Store `key` → `value`, evicting LRU entries as needed.
     pub fn set(&mut self, key: &[u8], value: &[u8], flags: u32, pinned: bool) -> SetOutcome {
         self.set_full(key, value, flags, pinned, None)
@@ -448,25 +441,7 @@ impl Shard {
         ttl: Option<Duration>,
         now: Tick,
     ) -> SetOutcome {
-        self.set_full_hashed(key_hash(key), key, value, flags, pinned, ttl, now)
-    }
-
-    /// [`set_full_at`](Shard::set_full_at) with the key's hash supplied
-    /// by the caller. The batched write path hashes every key once while
-    /// grouping it by shard, so re-hashing here would double the per-key
-    /// hashing cost of a burst.
-    #[allow(clippy::too_many_arguments)] // set_full_at's surface plus the precomputed hash
-    pub(crate) fn set_full_hashed(
-        &mut self,
-        hash: u64,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        pinned: bool,
-        ttl: Option<Duration>,
-        now: Tick,
-    ) -> SetOutcome {
-        debug_assert_eq!(hash, key_hash(key), "caller-supplied hash mismatch");
+        let hash = key_hash(key);
         let new_cost = entry_cost(key, value);
         let expires_at = ttl.map(|d| now.saturating_add(duration_to_ticks(d)));
 
@@ -681,15 +656,7 @@ impl Shard {
 
     /// Delete `key`; true if it was present.
     pub fn delete(&mut self, key: &[u8]) -> bool {
-        self.delete_hashed(key_hash(key), key)
-    }
-
-    /// [`delete`](Shard::delete) with the key's hash supplied by the
-    /// caller (the batched delete path hashes each key once while
-    /// grouping by shard).
-    pub(crate) fn delete_hashed(&mut self, hash: u64, key: &[u8]) -> bool {
-        debug_assert_eq!(hash, key_hash(key), "caller-supplied hash mismatch");
-        match self.index.find(hash, key, &self.nodes) {
+        match self.index.find(key_hash(key), key, &self.nodes) {
             Some(idx) => {
                 self.remove_slot(idx);
                 true

@@ -25,64 +25,22 @@ use std::time::Duration;
 /// at the connection counts the micro-benchmarks use).
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Pooled scratch for the batched writes ([`Store::set_multi`],
-/// [`Store::delete_multi`]): per-shard batch lists reset by epoch
-/// stamping (the same O(1)-reset idiom as `rnb-cover`'s label interner),
-/// so a serving loop reuses one allocation set across bursts of any
-/// shape. Reads need none.
+/// The scratch parameter of [`Store::set_multi`] and
+/// [`Store::get_multi_into`]. Neither reads it: a read is one pass over
+/// its keys, and a batch write is a loop of single sets.
 #[derive(Debug, Default)]
-pub struct GetScratch {
-    /// Current request number; buckets with an older stamp are logically
-    /// empty.
-    epoch: u64,
-    /// Shard indices touched by the current request, in first-touch
-    /// order.
-    touched: Vec<usize>,
-    /// One bucket per shard: `(caller position, key hash)` pairs.
-    buckets: Vec<ShardBucket>,
-}
-
-#[derive(Debug, Default)]
-struct ShardBucket {
-    epoch: u64,
-    entries: Vec<(usize, u64)>,
-}
+pub struct GetScratch;
 
 impl GetScratch {
-    /// An empty scratch; buckets are sized on first use.
+    /// The scratch (it holds nothing).
     pub const fn new() -> Self {
-        GetScratch {
-            epoch: 0,
-            touched: Vec::new(),
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Start a new request against a store with `shards` shards.
-    fn begin(&mut self, shards: usize) {
-        if self.buckets.len() != shards {
-            self.buckets.clear();
-            self.buckets.resize_with(shards, ShardBucket::default);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        self.touched.clear();
-    }
-
-    /// Record that `pos`-th key (hash `h`) lands on shard `sh`.
-    fn push(&mut self, sh: usize, pos: usize, h: u64) {
-        let bucket = &mut self.buckets[sh];
-        if bucket.epoch != self.epoch {
-            bucket.epoch = self.epoch;
-            bucket.entries.clear();
-            self.touched.push(sh);
-        }
-        bucket.entries.push((pos, h));
+        GetScratch
     }
 }
 
 /// One entry of a batched write ([`Store::set_multi`]): the same
-/// parameters as [`Store::set_with_ttl`], borrowed so a serving loop can
-/// point straight into its network buffer.
+/// parameters as [`Store::set_with_ttl`], borrowed so building a batch
+/// copies no key or value.
 #[derive(Debug, Clone, Copy)]
 pub struct SetEntry<'a> {
     /// Entry key.
@@ -116,8 +74,8 @@ pub struct Store {
     /// tick here, when an entry with a deadline first needs it.
     clock: Clock,
     stats: StoreStats,
-    /// Shard-mutex acquisitions made by the multi-key get, set and
-    /// delete paths; the regression tests pin how many each takes.
+    /// Shard-mutex acquisitions made by the multi-key read; the
+    /// regression tests pin how many it takes.
     #[cfg(test)]
     multi_lock_acquisitions: AtomicU64,
 }
@@ -208,8 +166,7 @@ impl Store {
     /// [`Store::get_multi`] into a caller-owned vector: `out` is cleared
     /// and refilled in key order, so reusing it makes the call
     /// allocation-free once warm. `_scratch` is not read: a read walks
-    /// its keys in one pass and needs no scratch. The parameter stays for
-    /// callers that hold one [`GetScratch`] for their writes too.
+    /// its keys in one pass and needs no scratch.
     pub fn get_multi_into(
         &self,
         _scratch: &mut GetScratch,
@@ -325,107 +282,21 @@ impl Store {
         }
     }
 
-    /// Store a whole batch, locking each touched shard at most once.
-    ///
-    /// Keys are grouped by shard through the pooled `scratch`, then each
-    /// touched shard's sub-batch is applied under a single lock
-    /// acquisition and a single clock read. `outcomes` is cleared and
-    /// refilled in entry order. Entries are applied in batch order within
-    /// each shard, so duplicate keys resolve exactly as a sequential
-    /// [`Store::set_with_ttl`] loop would (later entry wins); stats
-    /// accounting matches the sequential loop per op.
+    /// Store a whole batch: [`Store::set_with_ttl`] for each entry in
+    /// order, so a duplicate key's later entry wins. `outcomes` is
+    /// cleared and refilled in entry order; `_scratch` is not read.
     pub fn set_multi(
         &self,
-        scratch: &mut GetScratch,
+        _scratch: &mut GetScratch,
         entries: &[SetEntry<'_>],
         outcomes: &mut Vec<SetOutcome>,
     ) {
-        self.set_multi_with(scratch, entries.len(), |i| entries[i], outcomes);
-    }
-
-    /// [`Store::set_multi`] with entries supplied by position through
-    /// `entry_at` (called O(1) times per entry), so callers — the
-    /// server's burst drain in particular — can hand out sub-slices of a
-    /// network buffer without materialising a `&[SetEntry]`.
-    pub fn set_multi_with<'k, F>(
-        &self,
-        scratch: &mut GetScratch,
-        count: usize,
-        entry_at: F,
-        outcomes: &mut Vec<SetOutcome>,
-    ) where
-        F: Fn(usize) -> SetEntry<'k>,
-    {
         outcomes.clear();
-        outcomes.resize(count, SetOutcome::Stored { evicted: 0 });
-        scratch.begin(self.shards.len());
-        for i in 0..count {
-            let h = shard::key_hash(entry_at(i).key);
-            scratch.push((h & self.mask) as usize, i, h);
-        }
-        for &sh in &scratch.touched {
-            #[cfg(test)]
-            self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-            let mut guard = self.shards[sh].lock();
-            let now = guard.now();
-            for &(pos, h) in &scratch.buckets[sh].entries {
-                let e = entry_at(pos);
-                outcomes[pos] =
-                    guard.set_full_hashed(h, e.key, e.value, e.flags, e.pinned, e.ttl, now);
-            }
-        }
-        // Stats are folded over the batch first — one atomic add per
-        // counter instead of one per entry.
-        let (mut stored, mut evicted, mut oom) = (0u64, 0u64, 0u64);
-        for outcome in outcomes.iter() {
-            match *outcome {
-                SetOutcome::Stored { evicted: e } => {
-                    stored += 1;
-                    evicted += e as u64;
-                }
-                SetOutcome::OutOfMemory => oom += 1,
-            }
-        }
-        self.stats.sets.fetch_add(stored, Ordering::Relaxed);
-        self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.stats.oom_errors.fetch_add(oom, Ordering::Relaxed);
-    }
-
-    /// Delete a whole batch, locking each touched shard at most once;
-    /// `deleted` is cleared and refilled in key order (`true` where the
-    /// key existed). Stats match a sequential [`Store::delete`] loop.
-    pub fn delete_multi(&self, scratch: &mut GetScratch, keys: &[&[u8]], deleted: &mut Vec<bool>) {
-        self.delete_multi_with(scratch, keys.len(), |i| keys[i], deleted);
-    }
-
-    /// [`Store::delete_multi`] with keys supplied by position through
-    /// `key_at`, the accessor form used by the server's burst drain.
-    pub fn delete_multi_with<'k, F>(
-        &self,
-        scratch: &mut GetScratch,
-        count: usize,
-        key_at: F,
-        deleted: &mut Vec<bool>,
-    ) where
-        F: Fn(usize) -> &'k [u8],
-    {
-        deleted.clear();
-        deleted.resize(count, false);
-        scratch.begin(self.shards.len());
-        for i in 0..count {
-            let h = shard::key_hash(key_at(i));
-            scratch.push((h & self.mask) as usize, i, h);
-        }
-        for &sh in &scratch.touched {
-            #[cfg(test)]
-            self.multi_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-            let mut guard = self.shards[sh].lock();
-            for &(pos, h) in &scratch.buckets[sh].entries {
-                deleted[pos] = guard.delete_hashed(h, key_at(pos));
-            }
-        }
-        let removed = deleted.iter().filter(|&&d| d).count() as u64;
-        self.stats.deletes.fetch_add(removed, Ordering::Relaxed);
+        outcomes.extend(
+            entries
+                .iter()
+                .map(|e| self.set_with_ttl(e.key, e.value, e.flags, e.pinned, e.ttl)),
+        );
     }
 
     /// `add`: store only if absent; `None` if the key already exists.
@@ -646,59 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn set_multi_locks_at_most_shards_touched() {
-        // The write-side tentpole invariant: a batched store takes one
-        // lock per touched shard, never one per key.
-        let store = Store::with_shards(1 << 20, 8);
-        let keys: Vec<Vec<u8>> = (0..100u32).map(|i| format!("w{i}").into_bytes()).collect();
-        let values: Vec<Vec<u8>> = (0..100u32).map(|i| format!("v{i}").into_bytes()).collect();
-        let entries: Vec<SetEntry> = keys
-            .iter()
-            .zip(&values)
-            .enumerate()
-            .map(|(i, (k, v))| SetEntry {
-                key: k,
-                value: v,
-                flags: i as u32,
-                pinned: false,
-                ttl: None,
-            })
-            .collect();
-        let distinct: std::collections::HashSet<usize> =
-            keys.iter().map(|k| store.shard_index_of(k)).collect();
-        assert!(distinct.len() > 1, "keys should span several shards");
-
-        let mut scratch = GetScratch::new();
-        let mut outcomes = Vec::new();
-        store.multi_lock_acquisitions.store(0, Ordering::Relaxed);
-        store.set_multi(&mut scratch, &entries, &mut outcomes);
-        let locks = store.multi_lock_acquisitions.load(Ordering::Relaxed);
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, SetOutcome::Stored { .. })));
-        assert_eq!(locks as usize, distinct.len(), "one lock per touched shard");
-
-        // Everything landed, in entry order, with per-op stats parity.
-        for (i, k) in keys.iter().enumerate() {
-            let v = store.get(k).expect("batched set lost a key");
-            assert_eq!(v.data[..], values[i][..]);
-            assert_eq!(v.flags, i as u32);
-        }
-        assert_eq!(store.stats().sets, 100);
-
-        // delete_multi honours the same invariant.
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let mut deleted = Vec::new();
-        store.multi_lock_acquisitions.store(0, Ordering::Relaxed);
-        store.delete_multi(&mut scratch, &refs, &mut deleted);
-        let locks = store.multi_lock_acquisitions.load(Ordering::Relaxed);
-        assert_eq!(locks as usize, distinct.len(), "one lock per touched shard");
-        assert!(deleted.iter().all(|&d| d));
-        assert_eq!(store.stats().deletes, 100);
-        assert_eq!(store.len(), 0);
-    }
-
-    #[test]
     fn set_multi_duplicate_keys_last_wins() {
         // Entries apply in batch order within a shard: a duplicate key
         // resolves exactly like a sequential set loop.
@@ -734,64 +552,6 @@ mod tests {
         assert_eq!(&v.data[..], b"second");
         assert_eq!(v.flags, 2);
         assert_eq!(store.stats().sets, 3, "every occurrence counts as a set");
-    }
-
-    proptest! {
-        /// `set_multi` + `delete_multi` leave exactly the store state a
-        /// sequential per-key loop leaves, for any key/value mix
-        /// (duplicates included) on any shard count.
-        #[test]
-        fn set_multi_matches_sequential_loop(
-            writes in proptest::collection::vec((0u32..30, 0usize..40, any::<bool>()), 0..50),
-            shards_log2 in 0u32..5,
-        ) {
-            let batched = Store::with_shards(1 << 20, 1 << shards_log2);
-            let sequential = Store::with_shards(1 << 20, 1 << shards_log2);
-            let keys: Vec<Vec<u8>> =
-                writes.iter().map(|(n, _, _)| format!("k{n}").into_bytes()).collect();
-            let values: Vec<Vec<u8>> =
-                writes.iter().map(|(_, vlen, _)| vec![b'x'; *vlen]).collect();
-            let entries: Vec<SetEntry> = writes
-                .iter()
-                .zip(keys.iter().zip(&values))
-                .map(|((n, _, pinned), (k, v))| SetEntry {
-                    key: k, value: v, flags: *n, pinned: *pinned, ttl: None,
-                })
-                .collect();
-            let mut scratch = GetScratch::new();
-            let mut outcomes = Vec::new();
-            batched.set_multi(&mut scratch, &entries, &mut outcomes);
-            let seq_outcomes: Vec<SetOutcome> = entries
-                .iter()
-                .map(|e| sequential.set_with_ttl(e.key, e.value, e.flags, e.pinned, e.ttl))
-                .collect();
-            prop_assert_eq!(&outcomes, &seq_outcomes);
-
-            // Identical state under identical reads.
-            let check: Vec<Vec<u8>> = (0..30u32).map(|n| format!("k{n}").into_bytes()).collect();
-            let check_refs: Vec<&[u8]> = check.iter().map(Vec::as_slice).collect();
-            prop_assert_eq!(
-                batched.get_multi(&check_refs),
-                sequential.get_multi(&check_refs)
-            );
-
-            // Delete half the universe through both paths.
-            let victims: Vec<&[u8]> =
-                check.iter().step_by(2).map(Vec::as_slice).collect();
-            let mut deleted = Vec::new();
-            batched.delete_multi(&mut scratch, &victims, &mut deleted);
-            let seq_deleted: Vec<bool> =
-                victims.iter().map(|k| sequential.delete(k)).collect();
-            prop_assert_eq!(&deleted, &seq_deleted);
-            prop_assert_eq!(
-                batched.get_multi(&check_refs),
-                sequential.get_multi(&check_refs)
-            );
-            let (a, b) = (batched.stats(), sequential.stats());
-            prop_assert_eq!(a.sets, b.sets);
-            prop_assert_eq!(a.deletes, b.deletes);
-            prop_assert_eq!(a.oom_errors, b.oom_errors);
-        }
     }
 
     #[test]

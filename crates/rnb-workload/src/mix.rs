@@ -51,8 +51,8 @@ impl<S: RequestStream> ReadWriteMix<S> {
     }
 
     /// Emit writes as [`Op::WriteBurst`]s of `burst` items instead of
-    /// single [`Op::Write`]s — the shape `RnbClient::multi_set` (and the
-    /// store's `set_multi`) consumes. `burst` must be at least 1; a
+    /// single [`Op::Write`]s — the shape `RnbClient::multi_set` consumes
+    /// and sends to each server as one pipelined storage burst. `burst` must be at least 1; a
     /// burst of 1 keeps the single-write encoding.
     pub fn with_write_burst(mut self, burst: usize) -> Self {
         assert!(burst >= 1, "write burst must be at least 1");

@@ -736,10 +736,10 @@ pub const RULES: &[(&str, &str)] = &[
 /// write paths. `run` is the event loop every serving thread runs
 /// (`epoll_wait` → accept or `serve_conn`), `serve_conn` its answer to
 /// one ready connection (read → `drain_input` → write), and
-/// `drain_input` the protocol loop every request flows through, public
-/// in its own right;
+/// `drain_input` the protocol loop every request flows through (every
+/// read and every write a client sends), public in its own right;
 /// `get_multi`/`get_each` are the store's multi-key read entry points
-/// and `set_multi` the batched write entry point;
+/// and `set_multi` its batch write for in-process callers;
 /// `multi_get` is the client's read entry and `multi_set` its write-side
 /// sibling; `fetch` is the read engine every read runs
 /// (plan→rounds→write-back, in `rnb-core`) and `store` its write-side
@@ -794,7 +794,6 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/rnb-store/src/store.rs", "get_multi"),
     ("crates/rnb-store/src/store.rs", "get_each"),
     ("crates/rnb-store/src/store.rs", "set_multi"),
-    ("crates/rnb-store/src/store.rs", "set_multi_with"),
     ("crates/rnb-core/src/read.rs", "fetch"),
     ("crates/rnb-core/src/write.rs", "store"),
     ("crates/rnb-client/src/client.rs", "multi_get"),
@@ -857,7 +856,7 @@ pub const PANIC_INVARIANT_REGISTRY: &[(&str, &str, &str, &str)] = &[
     ),
     (
         "crates/rnb-store/src/shard.rs",
-        "set_full_hashed",
+        "set_full_at",
         ".copy_from_slice(",
         "the in-place overwrite arm is guarded by `buf.len() == value.len()` \
          in the same match pattern",
