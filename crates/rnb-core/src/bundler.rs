@@ -124,7 +124,6 @@ pub enum PlanTarget {
 /// plans.
 pub struct Bundler<P: Placement = PlacementStrategy> {
     placement: P,
-    single_item_to_distinguished: bool,
 }
 
 impl Bundler<PlacementStrategy> {
@@ -138,13 +137,12 @@ impl Bundler<PlacementStrategy> {
     pub fn from_config(config: &RnbConfig) -> Self {
         Bundler {
             placement: PlacementStrategy::from_config(config),
-            single_item_to_distinguished: config.single_item_to_distinguished,
         }
     }
 }
 
 impl<P: Placement> Bundler<P> {
-    /// Build over an explicit placement with default policies.
+    /// Build over an explicit placement.
     ///
     /// ```
     /// use rnb_core::{Bundler, PlacementStrategy};
@@ -152,25 +150,7 @@ impl<P: Placement> Bundler<P> {
     /// assert_eq!(bundler.placement().name(), "rch");
     /// ```
     pub fn new(placement: P) -> Self {
-        Bundler {
-            placement,
-            single_item_to_distinguished: true,
-        }
-    }
-
-    /// Toggle routing of single-item transactions to the distinguished
-    /// copy (§III-C1).
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 4))
-    ///     .with_single_item_to_distinguished(false);
-    /// // A lone item is now fetched from whichever replica the cover picks.
-    /// assert_eq!(bundler.plan(&[7]).tpr(), 1);
-    /// ```
-    pub fn with_single_item_to_distinguished(mut self, on: bool) -> Self {
-        self.single_item_to_distinguished = on;
-        self
+        Bundler { placement }
     }
 
     /// The placement in use.
@@ -304,22 +284,20 @@ impl<P: Placement> Bundler<P> {
         // redirected to that item's distinguished copy — the head of its
         // row of the candidate table — then transactions to the same
         // server are re-merged (redirection may create pairs).
-        if self.single_item_to_distinguished {
-            let mut changed = false;
-            for t in out.transactions.iter_mut() {
-                if t.items.len() == 1 {
-                    let row = items.binary_search(&t.items[0]).unwrap_or(0);
-                    let d = cand_flat[cand_off[row] as usize];
-                    if d != t.server {
-                        t.server = d;
-                        changed = true;
-                    }
+        let mut changed = false;
+        for t in out.transactions.iter_mut() {
+            if t.items.len() == 1 {
+                let row = items.binary_search(&t.items[0]).unwrap_or(0);
+                let d = cand_flat[cand_off[row] as usize];
+                if d != t.server {
+                    t.server = d;
+                    changed = true;
                 }
             }
-            if changed {
-                let kept = merge_by_server(&mut out.transactions);
-                retire_from(&mut out.transactions, kept, spare);
-            }
+        }
+        if changed {
+            let kept = merge_by_server(&mut out.transactions);
+            retire_from(&mut out.transactions, kept, spare);
         }
     }
 }

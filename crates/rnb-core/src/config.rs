@@ -36,16 +36,12 @@ pub struct RnbConfig {
     /// it (it is the entire "configuration information" RnB needs beyond
     /// memcached's).
     pub seed: u64,
-    /// Route single-item transactions to the item's distinguished copy
-    /// ("whenever an item is not bundled, we access its distinguished copy
-    /// in order not to pollute other server caches", §III-C1).
-    pub single_item_to_distinguished: bool,
 }
 
 impl RnbConfig {
-    /// A default-policy config: RCH placement, seed 0x52_6e_42 ("RnB"),
-    /// distinguished-copy routing on. Every placement hashes with
-    /// xxHash64; the seed is the only hashing parameter.
+    /// A default-policy config: RCH placement, seed 0x52_6e_42 ("RnB").
+    /// Every placement hashes with xxHash64; the seed is the only hashing
+    /// parameter.
     ///
     /// ```
     /// use rnb_core::{PlacementKind, RnbConfig};
@@ -62,7 +58,6 @@ impl RnbConfig {
             replication,
             placement: PlacementKind::Rch,
             seed: 0x52_6e_42,
-            single_item_to_distinguished: true,
         }
     }
 
@@ -89,19 +84,6 @@ impl RnbConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder-style: toggle distinguished-copy routing of single-item
-    /// transactions.
-    ///
-    /// ```
-    /// use rnb_core::RnbConfig;
-    /// let config = RnbConfig::new(8, 3).with_single_item_to_distinguished(false);
-    /// assert!(!config.single_item_to_distinguished);
-    /// ```
-    pub fn with_single_item_to_distinguished(mut self, on: bool) -> Self {
-        self.single_item_to_distinguished = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -112,13 +94,11 @@ mod tests {
     fn builder_chain() {
         let c = RnbConfig::new(8, 3)
             .with_placement(PlacementKind::MultiHash)
-            .with_seed(99)
-            .with_single_item_to_distinguished(false);
+            .with_seed(99);
         assert_eq!(c.servers, 8);
         assert_eq!(c.replication, 3);
         assert_eq!(c.placement, PlacementKind::MultiHash);
         assert_eq!(c.seed, 99);
-        assert!(!c.single_item_to_distinguished);
     }
 
     #[test]

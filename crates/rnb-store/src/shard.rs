@@ -14,13 +14,26 @@
 //! for the in-shard probe, so the one-pass read
 //! ([`Store::get_each`](crate::Store::get_each)) hashes every key
 //! exactly once end to end.
+//!
+//! An entry is one heap allocation: its key bytes followed by its value
+//! bytes, owned by a 64-byte `Node` in the shard's node vector. The LRU
+//! links, the index buckets and the free list hold `u32` slot numbers.
 
 use crate::clock::{duration_to_ticks, Clock, LazyTick, Tick};
 use rnb_hash::xxhash::xxh64;
 use std::sync::Arc;
 use std::time::Duration;
 
-const NIL: usize = usize::MAX;
+/// A node's position in the shard's node vector.
+type Slot = u32;
+
+/// The null LRU link, and the sweep's "protect nothing".
+const NIL: Slot = u32::MAX;
+
+/// One past the last usable slot: a bucket stores `slot + 2` and `NIL`
+/// is taken, so a shard holds at most `u32::MAX - 1` nodes and refuses
+/// a new entry beyond that as out of memory.
+const SLOT_LIMIT: usize = NIL as usize - 1;
 
 /// Seed for key hashing. Chosen once; must differ from placement seeds so
 /// shard choice does not correlate with RnB server choice in tests.
@@ -33,8 +46,9 @@ pub(crate) fn key_hash(key: &[u8]) -> u64 {
 }
 
 /// Fixed bookkeeping cost charged per entry on top of key/value bytes
-/// (hash-table slot, list links, refcount — memcached charges ~50–60
-/// bytes similarly).
+/// (the node with its list links, and an index bucket — memcached
+/// charges ~50–60 bytes similarly). An estimate: EXPERIMENTS.md "Bytes
+/// per resident entry" measures what an entry really costs.
 pub const ENTRY_OVERHEAD: usize = 64;
 
 /// Result of a `set`.
@@ -75,11 +89,13 @@ pub enum ArithOutcome {
     NonNumeric,
 }
 
-/// A value as returned by `get`: cheaply clonable bytes plus the
-/// client-opaque flags word memcached round-trips and the CAS token.
+/// A value as returned by `get`: an owned copy of the stored bytes,
+/// taken when the value was read (a later overwrite leaves it as it
+/// was), plus the client-opaque flags word memcached round-trips and the
+/// CAS token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Value {
-    /// The stored bytes.
+    /// A copy of the stored bytes (cheap to clone).
     pub data: Arc<[u8]>,
     /// Opaque flags stored with the value.
     pub flags: u32,
@@ -89,11 +105,12 @@ pub struct Value {
 
 /// A hit lent out of its shard while the shard's guard is held (see
 /// [`Store::get_each`](crate::Store::get_each)): the same fields as a
-/// [`Value`], borrowed, so reading a hit clones nothing.
+/// [`Value`], borrowed from the entry's own allocation, so reading a hit
+/// copies nothing until the visitor does.
 #[derive(Debug, Clone, Copy)]
 pub struct ValueRef<'a> {
-    /// The stored bytes (derefs to `[u8]`).
-    pub data: &'a Arc<[u8]>,
+    /// The stored bytes.
+    pub data: &'a [u8],
     /// Opaque flags stored with the value.
     pub flags: u32,
     /// Compare-and-swap token.
@@ -101,10 +118,10 @@ pub struct ValueRef<'a> {
 }
 
 impl ValueRef<'_> {
-    /// An owned [`Value`] sharing the bytes (one refcount increment).
+    /// An owned [`Value`]: copies the bytes into a fresh allocation.
     pub fn to_value(self) -> Value {
         Value {
-            data: Arc::clone(self.data),
+            data: Arc::from(self.data),
             flags: self.flags,
             cas: self.cas,
         }
@@ -113,29 +130,43 @@ impl ValueRef<'_> {
 
 #[derive(Debug)]
 struct Node {
-    key: Box<[u8]>,
-    value: Arc<[u8]>,
-    /// [`key_hash`] of `key`, stored so probes compare 8 bytes before
+    /// The key's bytes, then the value's: the entry's one allocation.
+    bytes: Box<[u8]>,
+    /// [`key_hash`] of the key, stored so probes compare 8 bytes before
     /// touching key bytes and rehashes never recompute.
     hash: u64,
-    flags: u32,
     cas: u64,
     expires_at: Option<Tick>,
+    flags: u32,
+    prev: Slot,
+    next: Slot,
+    /// Length of the key prefix of `bytes`; a longer key is refused.
+    key_len: u16,
     pinned: bool,
-    prev: usize,
-    next: usize,
 }
 
 impl Node {
+    fn key(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.key_len)]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.bytes[usize::from(self.key_len)..]
+    }
+
+    fn cost(&self) -> usize {
+        entry_cost(self.key(), self.value())
+    }
+
     fn expired(&self, now: Tick) -> bool {
         self.expires_at.is_some_and(|t| t <= now)
     }
 }
 
 /// Bucket value: no entry here, probe chains may stop.
-const EMPTY: usize = 0;
+const EMPTY: Slot = 0;
 /// Bucket value: an entry was removed here, probe chains continue.
-const TOMB: usize = 1;
+const TOMB: Slot = 1;
 /// Multiplier spreading the stored hash across bucket space (Fibonacci
 /// hashing). Needed because all keys in one shard share their low hash
 /// bits (the parent store routed them here by `hash & shard_mask`), so
@@ -157,7 +188,7 @@ struct KeyIndex {
     /// `EMPTY`, `TOMB`, or `slot + 2`. Length is a power of two (or zero
     /// before the first insert); at least one bucket is always `EMPTY`,
     /// so probe loops terminate.
-    buckets: Vec<usize>,
+    buckets: Vec<Slot>,
     /// Live entries.
     live: usize,
     /// Tombstones left by removals (cleared on rehash).
@@ -170,7 +201,7 @@ impl KeyIndex {
     }
 
     /// Find the node slot holding `key` (whose [`key_hash`] is `hash`).
-    fn find(&self, hash: u64, key: &[u8], nodes: &[Node]) -> Option<usize> {
+    fn find(&self, hash: u64, key: &[u8], nodes: &[Node]) -> Option<Slot> {
         if self.live == 0 {
             return None;
         }
@@ -182,7 +213,8 @@ impl KeyIndex {
                 TOMB => {}
                 v => {
                     let slot = v - 2;
-                    if nodes[slot].hash == hash && *nodes[slot].key == *key {
+                    let node = &nodes[slot as usize];
+                    if node.hash == hash && node.key() == key {
                         return Some(slot);
                     }
                 }
@@ -194,7 +226,7 @@ impl KeyIndex {
     /// Insert `slot` under `hash`. The key must be absent — callers
     /// always [`find`](KeyIndex::find) first; a duplicate insert would
     /// shadow the existing entry.
-    fn insert(&mut self, hash: u64, slot: usize, nodes: &[Node]) {
+    fn insert(&mut self, hash: u64, slot: Slot, nodes: &[Node]) {
         self.maybe_grow(nodes);
         let mask = self.buckets.len() - 1;
         let mut i = probe_start(hash, mask);
@@ -218,7 +250,7 @@ impl KeyIndex {
 
     /// Remove the bucket pointing at `slot` (`hash` is the node's stored
     /// hash, so the probe starts on the right chain).
-    fn remove_slot(&mut self, hash: u64, slot: usize) {
+    fn remove_slot(&mut self, hash: u64, slot: Slot) {
         if self.buckets.is_empty() {
             return;
         }
@@ -263,7 +295,7 @@ impl KeyIndex {
             let Some(slot) = v.checked_sub(2) else {
                 continue;
             };
-            let mut i = probe_start(nodes[slot].hash, mask);
+            let mut i = probe_start(nodes[slot as usize].hash, mask);
             while fresh[i] != EMPTY {
                 i = (i + 1) & mask;
             }
@@ -281,9 +313,9 @@ impl KeyIndex {
 pub struct Shard {
     index: KeyIndex,
     nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+    free: Vec<Slot>,
+    head: Slot,
+    tail: Slot,
     mem_used: usize,
     /// Bytes held by unpinned (evictable) entries — kept in sync so fit
     /// checks are O(1).
@@ -372,17 +404,17 @@ impl Shard {
         now: &mut LazyTick<'_>,
     ) -> Option<ValueRef<'_>> {
         let idx = self.index.find(hash, key, &self.nodes)?;
-        if self.nodes[idx].expires_at.is_some_and(|t| t <= now.get()) {
+        if self.node(idx).expires_at.is_some_and(|t| t <= now.get()) {
             self.remove_slot(idx);
             return None;
         }
-        if !self.nodes[idx].pinned {
+        if !self.node(idx).pinned {
             self.unlink(idx);
             self.push_front(idx);
         }
-        let node = &self.nodes[idx];
+        let node = self.node(idx);
         Some(ValueRef {
-            data: &node.value,
+            data: node.value(),
             flags: node.flags,
             cas: node.cas,
         })
@@ -407,7 +439,7 @@ impl Shard {
     fn contains_at(&self, key: &[u8], now: Tick) -> bool {
         self.index
             .find(key_hash(key), key, &self.nodes)
-            .is_some_and(|idx| !self.nodes[idx].expired(now))
+            .is_some_and(|idx| !self.node(idx).expired(now))
     }
 
     /// Store `key` → `value`, evicting LRU entries as needed.
@@ -450,7 +482,7 @@ impl Shard {
         // behaves exactly as if the entry had already been swept.
         let mut existing = self.index.find(hash, key, &self.nodes);
         if let Some(idx) = existing {
-            if self.nodes[idx].expired(now) {
+            if self.node(idx).expired(now) {
                 self.remove_slot(idx);
                 existing = None;
             }
@@ -466,21 +498,23 @@ impl Shard {
                     return SetOutcome::OutOfMemory;
                 }
             }
-            let old_cost = entry_cost(&self.nodes[idx].key, &self.nodes[idx].value);
+            let old_cost = self.node(idx).cost();
             self.mem_used = self.mem_used - old_cost + new_cost;
-            if !self.nodes[idx].pinned {
+            if !self.node(idx).pinned {
                 self.unpinned_bytes -= old_cost;
                 self.unlink(idx);
             }
             self.cas_counter += 1;
-            let node = &mut self.nodes[idx];
-            // Same-length overwrite with no outstanding Value clones can
-            // reuse the allocation in place — this keeps a steady-state
-            // `set` loop allocation-free. Outstanding clones force a
-            // fresh Arc (they must keep observing the old bytes).
-            match Arc::get_mut(&mut node.value) {
-                Some(buf) if buf.len() == value.len() => buf.copy_from_slice(value),
-                _ => node.value = Arc::from(value),
+            let node = &mut self.nodes[idx as usize];
+            // A value of the same length is rewritten in place: no
+            // `Value` shares these bytes (a read copies them out), so a
+            // steady-state `set` loop allocates nothing. Any other length
+            // takes a fresh allocation for the key and the new value.
+            let key_len = usize::from(node.key_len);
+            if node.bytes.len() == key_len + value.len() {
+                node.bytes[key_len..].copy_from_slice(value);
+            } else {
+                node.bytes = [key, value].concat().into_boxed_slice();
             }
             node.flags = flags;
             node.pinned = pinned;
@@ -496,27 +530,34 @@ impl Shard {
             return SetOutcome::Stored { evicted };
         }
 
-        // New entry. Irreducible bytes = pinned bytes (+ the new entry).
-        // Expired pinned entries are never evictable, so they are swept
-        // before an insert is refused for memory.
+        // New entry. A key too long for the node's `u16` length is
+        // refused, never truncated. Irreducible bytes = pinned bytes (+
+        // the new entry). Expired pinned entries are never evictable, so
+        // they are swept before an insert is refused for memory.
+        let Ok(key_len) = u16::try_from(key.len()) else {
+            return SetOutcome::OutOfMemory;
+        };
         if self.mem_used - self.unpinned_bytes + new_cost > self.mem_limit {
             self.sweep_expired_except(now, NIL);
             if self.mem_used - self.unpinned_bytes + new_cost > self.mem_limit {
                 return SetOutcome::OutOfMemory;
             }
         }
-        self.cas_counter += 1;
-        let idx = self.alloc(Node {
-            key: Box::from(key),
-            value: Arc::from(value),
+        let node = Node {
+            bytes: [key, value].concat().into_boxed_slice(),
             hash,
-            flags,
-            cas: self.cas_counter,
+            cas: self.cas_counter + 1,
             expires_at,
-            pinned,
+            flags,
             prev: NIL,
             next: NIL,
-        });
+            key_len,
+            pinned,
+        };
+        let Some(idx) = self.alloc(node) else {
+            return SetOutcome::OutOfMemory;
+        };
+        self.cas_counter += 1;
         self.index.insert(hash, idx, &self.nodes);
         self.track_deadline(expires_at);
         self.mem_used += new_cost;
@@ -530,9 +571,9 @@ impl Shard {
 
     /// Would overwriting `idx` with a `new_cost`-byte entry exceed the
     /// budget even after evicting every other unpinned entry?
-    fn overwrite_would_oom(&self, idx: usize, new_cost: usize) -> bool {
-        let node = &self.nodes[idx];
-        let old_cost = entry_cost(&node.key, &node.value);
+    fn overwrite_would_oom(&self, idx: Slot, new_cost: usize) -> bool {
+        let node = self.node(idx);
+        let old_cost = node.cost();
         let other_unpinned = self.unpinned_bytes - if node.pinned { 0 } else { old_cost };
         let other_pinned = self.mem_used - old_cost - other_unpinned;
         other_pinned + new_cost > self.mem_limit
@@ -571,7 +612,7 @@ impl Shard {
         let pinned = self
             .index
             .find(key_hash(key), key, &self.nodes)
-            .map(|idx| self.nodes[idx].pinned)
+            .map(|idx| self.node(idx).pinned)
             .unwrap_or(false);
         Some(self.set_full_at(key, value, flags, pinned, ttl, now))
     }
@@ -588,15 +629,15 @@ impl Shard {
         let now = self.clock.now();
         match self.index.find(key_hash(key), key, &self.nodes) {
             None => CasOutcome::NotFound,
-            Some(idx) if self.nodes[idx].expired(now) => {
+            Some(idx) if self.node(idx).expired(now) => {
                 self.remove_slot(idx);
                 CasOutcome::NotFound
             }
             Some(idx) => {
-                if self.nodes[idx].cas != token {
+                if self.node(idx).cas != token {
                     return CasOutcome::Exists;
                 }
-                let pinned = self.nodes[idx].pinned;
+                let pinned = self.node(idx).pinned;
                 match self.set_full_at(key, value, flags, pinned, ttl, now) {
                     SetOutcome::Stored { .. } => CasOutcome::Stored,
                     SetOutcome::OutOfMemory => CasOutcome::OutOfMemory,
@@ -612,13 +653,11 @@ impl Shard {
     /// and the rewrite all read one `now`.
     pub fn arith(&mut self, key: &[u8], delta: u64, negative: bool) -> ArithOutcome {
         let now = self.clock.now();
-        let Some(current) = self
-            .lookup(key_hash(key), key, &mut LazyTick::at(now))
-            .map(ValueRef::to_value)
-        else {
+        let Some(current) = self.lookup(key_hash(key), key, &mut LazyTick::at(now)) else {
             return ArithOutcome::NotFound;
         };
-        let Ok(text) = std::str::from_utf8(&current.data) else {
+        let flags = current.flags;
+        let Ok(text) = std::str::from_utf8(current.data) else {
             return ArithOutcome::NonNumeric;
         };
         let Ok(n) = text.trim().parse::<u64>() else {
@@ -632,21 +671,14 @@ impl Shard {
         let rendered = next.to_string();
         let (pinned, ttl_left) = match self.index.find(key_hash(key), key, &self.nodes) {
             Some(idx) => (
-                self.nodes[idx].pinned,
-                self.nodes[idx]
+                self.node(idx).pinned,
+                self.node(idx)
                     .expires_at
                     .map(|t| Duration::from_nanos(t.saturating_sub(now))),
             ),
             None => (false, None),
         };
-        match self.set_full_at(
-            key,
-            rendered.as_bytes(),
-            current.flags,
-            pinned,
-            ttl_left,
-            now,
-        ) {
+        match self.set_full_at(key, rendered.as_bytes(), flags, pinned, ttl_left, now) {
             SetOutcome::Stored { .. } => ArithOutcome::Value(next),
             // A numeric value is never larger than what it replaces by
             // more than a few bytes; OOM here means the shard is pathological.
@@ -667,15 +699,15 @@ impl Shard {
 
     /// Drop slot `idx` entirely: index entry, byte accounting, LRU
     /// membership, node storage.
-    fn remove_slot(&mut self, idx: usize) {
-        self.index.remove_slot(self.nodes[idx].hash, idx);
-        let cost = entry_cost(&self.nodes[idx].key, &self.nodes[idx].value);
+    fn remove_slot(&mut self, idx: Slot) {
+        self.index.remove_slot(self.node(idx).hash, idx);
+        let cost = self.node(idx).cost();
         self.mem_used -= cost;
-        if !self.nodes[idx].pinned {
+        if !self.node(idx).pinned {
             self.unpinned_bytes -= cost;
             self.unlink(idx);
         }
-        self.untrack_deadline(self.nodes[idx].expires_at);
+        self.untrack_deadline(self.node(idx).expires_at);
         self.release(idx);
     }
 
@@ -720,19 +752,21 @@ impl Shard {
     /// deadline, or before the earliest-deadline bound, no entry can be
     /// expired. Otherwise one walk over the node slots reclaims every
     /// expired entry and raises the bound to the earliest survivor's.
-    fn sweep_expired_except(&mut self, now: Tick, protect: usize) -> usize {
+    fn sweep_expired_except(&mut self, now: Tick, protect: Slot) -> usize {
         if self.deadlines == 0 || now < self.earliest_deadline {
             return 0;
         }
         let mut reclaimed = 0;
         let mut earliest = Tick::MAX;
-        for idx in 0..self.nodes.len() {
+        // `alloc` keeps the node count within `SLOT_LIMIT`, so every
+        // position is a slot.
+        for idx in 0..self.nodes.len() as Slot {
             #[cfg(test)]
             {
                 self.sweep_visits += 1;
             }
             // A freed slot carries no deadline, so only live entries match.
-            match self.nodes[idx].expires_at {
+            match self.node(idx).expires_at {
                 Some(t) if t <= now && idx != protect => {
                     self.remove_slot(idx);
                     reclaimed += 1;
@@ -745,25 +779,32 @@ impl Shard {
         reclaimed
     }
 
-    fn alloc(&mut self, node: Node) -> usize {
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        }
+    fn node(&self, idx: Slot) -> &Node {
+        &self.nodes[idx as usize]
     }
 
-    /// Free slot `idx`: drop its bytes (the empty key and value allocate
-    /// nothing) and clear its deadline, so the sweep's slot walk skips it.
-    fn release(&mut self, idx: usize) {
-        let node = &mut self.nodes[idx];
-        node.key = Box::default();
-        node.value = Arc::default();
+    fn node_mut(&mut self, idx: Slot) -> &mut Node {
+        &mut self.nodes[idx as usize]
+    }
+
+    /// Put `node` in a freed slot, else in a new one while one fits
+    /// (`None`: the shard already holds [`SLOT_LIMIT`] nodes).
+    fn alloc(&mut self, node: Node) -> Option<Slot> {
+        if let Some(idx) = self.free.pop() {
+            *self.node_mut(idx) = node;
+            return Some(idx);
+        }
+        let idx = new_slot(self.nodes.len())?;
+        self.nodes.push(node);
+        Some(idx)
+    }
+
+    /// Free slot `idx`: drop its bytes (the empty box allocates nothing)
+    /// and clear its deadline, so the sweep's slot walk skips it.
+    fn release(&mut self, idx: Slot) {
+        let node = self.node_mut(idx);
+        node.bytes = Box::default();
+        node.key_len = 0;
         node.expires_at = None;
         self.free.push(idx);
     }
@@ -772,7 +813,7 @@ impl Shard {
     /// entries anywhere in the shard are reclaimed first, then live LRU
     /// entries from the tail. Returns how many **live** entries were
     /// evicted. Without a passed deadline the cost is O(evicted).
-    fn evict_to_fit(&mut self, protect: usize, now: Tick) -> usize {
+    fn evict_to_fit(&mut self, protect: Slot, now: Tick) -> usize {
         if self.mem_used <= self.mem_limit {
             return 0;
         }
@@ -784,7 +825,7 @@ impl Shard {
         let mut evicted = 0;
         while self.mem_used > self.mem_limit && self.tail != NIL {
             let victim = if self.tail == protect {
-                self.nodes[self.tail].prev
+                self.node(self.tail).prev
             } else {
                 self.tail
             };
@@ -797,33 +838,42 @@ impl Shard {
         evicted
     }
 
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
+    fn unlink(&mut self, idx: Slot) {
+        let (prev, next) = (self.node(idx).prev, self.node(idx).next);
         if prev != NIL {
-            self.nodes[prev].next = next;
+            self.node_mut(prev).next = next;
         } else if self.head == idx {
             self.head = next;
         }
         if next != NIL {
-            self.nodes[next].prev = prev;
+            self.node_mut(next).prev = prev;
         } else if self.tail == idx {
             self.tail = prev;
         }
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = NIL;
+        let node = self.node_mut(idx);
+        node.prev = NIL;
+        node.next = NIL;
     }
 
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
+    fn push_front(&mut self, idx: Slot) {
+        let head = self.head;
+        let node = self.node_mut(idx);
+        node.prev = NIL;
+        node.next = head;
+        if head != NIL {
+            self.node_mut(head).prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
             self.tail = idx;
         }
     }
+}
+
+/// The slot of node number `len`, the next one a shard's node vector
+/// would push, if a bucket can still hold it.
+fn new_slot(len: usize) -> Option<Slot> {
+    (len < SLOT_LIMIT).then_some(len as Slot)
 }
 
 #[cfg(test)]
@@ -872,22 +922,47 @@ mod tests {
 
     #[test]
     fn same_length_overwrite_keeps_old_clones_intact() {
-        // The in-place Arc reuse must never mutate bytes a Value clone
-        // still observes.
+        // The in-place rewrite must never reach bytes a Value still
+        // observes: a Value is a copy.
         let mut s = Shard::new(10_000);
         s.set(b"k", b"aaaa", 0, false);
         let held = s.get(b"k").unwrap();
         s.set(b"k", b"bbbb", 0, false);
         assert_eq!(&held.data[..], b"aaaa", "old clone mutated in place");
         assert_eq!(&s.get(b"k").unwrap().data[..], b"bbbb");
-        // With no clone outstanding the same-length overwrite reuses the
-        // allocation (observable only via the alloc-counter test, but the
-        // semantics must hold either way).
-        drop(held);
         s.set(b"k", b"cccc", 7, false);
         let got = s.get(b"k").unwrap();
         assert_eq!(&got.data[..], b"cccc");
         assert_eq!(got.flags, 7);
+        assert_eq!(&held.data[..], b"aaaa");
+    }
+
+    #[test]
+    fn a_node_fits_one_cache_line() {
+        assert!(
+            std::mem::size_of::<Node>() <= 64,
+            "Node is {} bytes",
+            std::mem::size_of::<Node>()
+        );
+    }
+
+    #[test]
+    fn a_key_or_slot_that_does_not_fit_is_refused() {
+        let mut s = Shard::new(1 << 20);
+        let long = vec![b'k'; usize::from(u16::MAX) + 1];
+        assert_eq!(s.set(&long, b"v", 0, false), SetOutcome::OutOfMemory);
+        let longest = &long[1..];
+        assert_eq!(
+            s.set(longest, b"v", 0, false),
+            SetOutcome::Stored { evicted: 0 }
+        );
+        assert_eq!(&s.get(longest).unwrap().data[..], b"v");
+        assert_eq!(s.mem_used(), entry_cost(longest, b"v"));
+
+        // Slot numbers stop where a bucket's `slot + 2` would wrap.
+        assert_eq!(new_slot(0), Some(0));
+        assert_eq!(new_slot(SLOT_LIMIT - 1), Some(u32::MAX - 2));
+        assert_eq!(new_slot(SLOT_LIMIT), None);
     }
 
     #[test]

@@ -154,9 +154,9 @@ impl Store {
     }
 
     /// Fetch many keys in one transaction: [`Store::get_each`]
-    /// collecting an owned [`Value`] per key (one refcount increment per
-    /// hit), in key order. Serving loops that only copy the hits out
-    /// should call [`Store::get_each`] and clone nothing.
+    /// collecting an owned [`Value`] per key (one allocation and copy of
+    /// each hit's bytes), in key order. Serving loops that only copy the
+    /// hits out should call [`Store::get_each`] and allocate nothing.
     pub fn get_multi(&self, keys: &[&[u8]]) -> Vec<Option<Value>> {
         let mut out = Vec::with_capacity(keys.len());
         self.get_multi_into(&mut GetScratch::new(), keys, &mut out);
@@ -599,21 +599,56 @@ mod tests {
     proptest! {
         /// The one-pass multi-get is result-identical to the retained
         /// per-key reference path, for any key mix (hits, misses,
-        /// duplicates) on any shard count.
+        /// duplicates) on any shard count, after any mix of writes that
+        /// change a value's length: overwrites, `cas`, and `incr`/`decr`
+        /// across a digit boundary. Every hit's bytes match the last
+        /// write, and a `Value` read before a write keeps its old bytes.
         #[test]
         fn get_multi_matches_reference(
-            stored in proptest::collection::vec((0u32..40, 0usize..30), 0..40),
+            writes in proptest::collection::vec((0u8..4, 0u32..40, 0usize..30), 0..60),
             queried in proptest::collection::vec(0u32..60, 0..50),
             shards_log2 in 0u32..5,
         ) {
             let store = Store::with_shards(1 << 20, 1 << shards_log2);
-            for (keyn, vlen) in &stored {
+            let mut model = std::collections::HashMap::<Vec<u8>, (Vec<u8>, u32)>::new();
+            for (i, (op, keyn, vlen)) in writes.into_iter().enumerate() {
                 let key = format!("k{keyn}").into_bytes();
-                store.set(&key, &vec![b'x'; *vlen], *keyn, false);
+                let value = vec![b'a' + (i % 26) as u8; vlen];
+                let before = store.get(&key);
+                let written = match (op, &before) {
+                    (1, Some(held)) => {
+                        let cas = store.cas(&key, &value, keyn, held.cas, None);
+                        prop_assert_eq!(cas, CasOutcome::Stored);
+                        let stale = store.cas(&key, b"stale", keyn, held.cas, None);
+                        prop_assert_eq!(stale, CasOutcome::Exists);
+                        value
+                    }
+                    (2 | 3, _) => {
+                        // 99 + 1 and 100 - 1 change the value's length.
+                        let (from, to) = if op == 2 { (99, 100) } else { (100, 99) };
+                        store.set(&key, from.to_string().as_bytes(), keyn, false);
+                        let got = store.arith(&key, 1, op == 3);
+                        prop_assert_eq!(got, ArithOutcome::Value(to));
+                        to.to_string().into_bytes()
+                    }
+                    _ => {
+                        store.set(&key, &value, keyn, false);
+                        value
+                    }
+                };
+                let old = model.insert(key, (written, keyn));
+                prop_assert_eq!(before.map(|v| (v.data.to_vec(), v.flags)), old);
             }
             let keys: Vec<Vec<u8>> =
                 queried.iter().map(|n| format!("k{n}").into_bytes()).collect();
             let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            let mut lent = Vec::new();
+            store.get_each(refs.iter().copied(), |key, hit| {
+                lent.push((key, hit.map(|v| (v.data.to_vec(), v.flags))));
+            });
+            for (key, hit) in lent {
+                prop_assert_eq!(hit.as_ref(), model.get(key), "key {:?}", key);
+            }
             let batched = store.get_multi(&refs);
             let reference = store.get_multi_reference(&refs);
             prop_assert_eq!(batched, reference);

@@ -1,13 +1,14 @@
-//! Proof of the serving path's zero-steady-state-allocation guarantee.
+//! Proof of the serving path's zero-steady-state-allocation guarantee,
+//! and of the store's one allocation per new entry.
 //!
 //! A counting global allocator (vendored `alloc-counter` stand-in) wraps
 //! the system allocator with thread-local counters. The first pass over
 //! a get/gets/set traffic script warms one [`rnb_store::ConnScratch`] —
 //! storage-run scratch and response buffer; a `get` needs none, because
 //! it writes each hit into the reply straight from its shard — and the
-//! shard-side value storage (same-length `set` overwrites reuse the
-//! existing allocation via `Arc::get_mut`, which a get never blocks:
-//! it clones no value). Every later pass of
+//! shard-side entry storage (a same-length `set` overwrite rewrites the
+//! value inside the entry's one allocation: nothing else holds those
+//! bytes, since every read copies them out). Every later pass of
 //! [`rnb_store::drain_input`] — the command loop the server's workers
 //! run on each connection's buffered bytes — must perform **zero**
 //! allocator calls, as long as values fit the pooled buffers.
@@ -61,6 +62,41 @@ fn steady_state_serving_does_not_allocate() {
     // on the single shard before anything is counted.
     assert_steady_state_allocation_free(1, 700);
     assert_deletes_allocation_free();
+    assert_evicting_sets_allocate_once_per_entry();
+}
+
+/// A `set` of a new key into a full store allocates the entry (its key
+/// and value together) and nothing else but the index's occasional
+/// rehash: 1,000 sets that each evict one entry from a warmed one-shard
+/// store at its byte budget stay below 1.25 allocations per set.
+fn assert_evicting_sets_allocate_once_per_entry() {
+    const RESIDENT: usize = 500;
+    const SETS: usize = 1_000;
+    let key = |i: usize| format!("new-{i:06}").into_bytes();
+    // Every key is as long as every other, so each entry costs the same
+    // and one eviction always makes room for the next.
+    let cost = key(0).len() + VALUE_LEN + rnb_store::shard::ENTRY_OVERHEAD;
+    let store = Store::with_shards(RESIDENT * cost, 1);
+    let value = [b'v'; VALUE_LEN];
+    let warm = 2 * RESIDENT;
+    for i in 0..warm {
+        store.set(&key(i), &value, 0, false);
+    }
+    assert_eq!(store.len(), RESIDENT, "the warm-up filled the budget");
+    let counted: Vec<Vec<u8>> = (warm..warm + SETS).map(key).collect();
+    let evictions_before = store.stats().evictions;
+
+    let ((allocs, reallocs, _), ()) = count_alloc(|| {
+        for k in &counted {
+            store.set(k, &value, 0, false);
+        }
+    });
+    assert_eq!(store.stats().evictions - evictions_before, SETS as u64);
+    assert_eq!(store.len(), RESIDENT);
+    assert!(
+        (allocs + reallocs) * 4 < SETS as u64 * 5,
+        "{SETS} evicting sets made {allocs} allocations and {reallocs} reallocations"
+    );
 }
 
 /// A pipelined run of `delete`s of `keys`.

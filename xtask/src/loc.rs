@@ -1,11 +1,13 @@
 //! `loc`: lines of Rust per crate.
 //!
 //! Two counts per crate: every line of every `.rs` file (tests, benches
-//! and examples included), and the non-test lines of `src/`, meaning each
-//! file under `src/` up to its first `#[cfg(test)]` line. The report ends
-//! with workspace totals with and without the vendored stand-ins under
-//! `vendor/`.
+//! and examples included), and the non-test lines of `src/`, meaning the
+//! lines of each file under `src/` outside `#[cfg(test)]`-gated items
+//! (the test module, a gated `use`, a gated field), as the lint's
+//! [`SourceFile`] marks them. The report ends with workspace totals with
+//! and without the vendored stand-ins under `vendor/`.
 
+use crate::scrub::SourceFile;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::{fs, io};
@@ -20,7 +22,7 @@ const ROOT_CRATE: &str = "rnb-repro";
 pub struct Loc {
     /// Every line of every `.rs` file.
     pub all: usize,
-    /// Lines of `src/` files before their first `#[cfg(test)]`.
+    /// Lines of `src/` files outside `#[cfg(test)]`-gated items.
     pub src_non_test: usize,
 }
 
@@ -48,8 +50,10 @@ pub fn count(files: &[(String, String)]) -> BTreeMap<String, Loc> {
     for (path, text) in files {
         let (name, inner) = split_crate(path);
         let src_non_test = if inner.starts_with("src/") {
+            let file = SourceFile::new(path.as_str(), text.as_str());
             text.lines()
-                .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"))
+                .zip(&file.test_mask)
+                .filter(|&(_, &test)| !test)
                 .count()
         } else {
             0
@@ -101,10 +105,15 @@ mod tests {
     fn counts_per_crate_and_stops_src_at_the_test_module() {
         let file = |path: &str, text: &str| (path.to_string(), text.to_string());
         let lib = "pub fn f() {}\n\n#[cfg(test)]\nmod tests {\n}\n";
+        // A gated import and a gated field come before the code, and a
+        // `#[cfg(test)]` inside a string gates nothing: 9 lines, 4 gated.
+        let gated = "#[cfg(test)]\nuse std::fmt;\nstruct S {\n    a: u8,\n    \
+                     #[cfg(test)]\n    b: u8,\n}\nconst T: &str = \"#[cfg(test)]\";\nfn g() {}\n";
         let files = [
             file("crates/a/src/lib.rs", lib),
             file("crates/a/src/bin/main.rs", "fn main() {}\n"),
             file("crates/a/tests/t.rs", "#[test]\nfn t() {}\n"),
+            file("crates/b/src/gated.rs", gated),
             file("vendor/v/src/lib.rs", "//! v\n"),
             file(
                 "xtask/src/main.rs",
@@ -117,6 +126,7 @@ mod tests {
         let loc = |all, src_non_test| Loc { all, src_non_test };
         let expected = [
             ("a", loc(8, 3)),
+            ("b", loc(9, 5)),
             (ROOT_CRATE, loc(2, 1)),
             ("vendor/v", loc(1, 1)),
             ("xtask", loc(3, 1)),
@@ -129,10 +139,10 @@ mod tests {
             expected
         );
         let report = report(&per_crate);
-        assert!(report.contains(&format!("{:<28} {:>8} {:>14}\n", "workspace", 14, 6)));
+        assert!(report.contains(&format!("{:<28} {:>8} {:>14}\n", "workspace", 23, 11)));
         assert!(report.contains(&format!(
             "{:<28} {:>8} {:>14}\n",
-            "workspace without vendor/", 13, 5
+            "workspace without vendor/", 22, 10
         )));
     }
 }

@@ -27,7 +27,7 @@ fn print_usage() {
     eprintln!("  lint [--json]    run the repo-specific static-analysis rules (R1-R10);");
     eprintln!("                   --json prints machine-readable diagnostics on stdout");
     eprintln!("  loc              print lines of Rust per crate: every .rs line, and the");
-    eprintln!("                   src/ lines before each file's first #[cfg(test)]");
+    eprintln!("                   src/ lines outside #[cfg(test)]-gated items");
     eprintln!("  e2e-pairs --parent <rev> --pairs <n> [--workload <name>]...");
     eprintln!("                   run BENCHMARK.json's command on <rev> and on the working");
     eprintln!("                   tree in alternating pairs over unseen seeds, and append");

@@ -858,8 +858,9 @@ pub const PANIC_INVARIANT_REGISTRY: &[(&str, &str, &str, &str)] = &[
         "crates/rnb-store/src/shard.rs",
         "set_full_at",
         ".copy_from_slice(",
-        "the in-place overwrite arm is guarded by `buf.len() == value.len()` \
-         in the same match pattern",
+        "the in-place overwrite arm is guarded by `node.bytes.len() == \
+         key_len + value.len()`, so `bytes[key_len..]` is exactly \
+         `value.len()` long",
     ),
     (
         "crates/rnb-core/src/bundler.rs",

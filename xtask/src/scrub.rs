@@ -270,15 +270,21 @@ fn test_mask(scrubbed: &str) -> Vec<bool> {
             continue;
         }
         // The gated item runs until its closing brace (or `;` for
-        // brace-free items like gated `use`).
+        // brace-free items like gated `use`). A gated field or
+        // struct-literal field runs until its enclosing block closes,
+        // and ends on its own last line.
         let mut j = close + 1;
         let mut depth = 0usize;
         let mut item_end = scrubbed.len();
         while j < b.len() {
             match b[j] {
                 b'{' => depth += 1,
+                b'}' if depth == 0 => {
+                    item_end = scrubbed[..j].trim_end().len();
+                    break;
+                }
                 b'}' => {
-                    if depth <= 1 {
+                    if depth == 1 {
                         item_end = j;
                         break;
                     }
@@ -385,5 +391,12 @@ fn live() {}
         assert!(f.in_test_code(f.raw.find("fn a").expect("fixture")));
         assert!(f.in_test_code(f.raw.find("use std").expect("fixture")));
         assert!(!f.in_test_code(f.raw.find("fn live").expect("fixture")));
+    }
+
+    #[test]
+    fn test_mask_ends_a_gated_field_on_its_own_line() {
+        let src = "struct S {\n    #[cfg(test)]\n    hits: u64,\n}\nfn live() {}\n";
+        let f = SourceFile::new("a.rs", src);
+        assert_eq!(f.test_mask[..5], [false, true, true, false, false]);
     }
 }
