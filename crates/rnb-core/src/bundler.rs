@@ -145,9 +145,9 @@ impl<P: Placement> Bundler<P> {
     /// Build over an explicit placement.
     ///
     /// ```
-    /// use rnb_core::{Bundler, PlacementStrategy};
+    /// use rnb_core::{Bundler, Placement, PlacementStrategy};
     /// let bundler = Bundler::new(PlacementStrategy::no_replication(8, 0));
-    /// assert_eq!(bundler.placement().name(), "rch");
+    /// assert_eq!(bundler.placement().replication(), 1);
     /// ```
     pub fn new(placement: P) -> Self {
         Bundler { placement }
@@ -356,7 +356,6 @@ fn merge_by_server(transactions: &mut [Transaction]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PlacementKind;
     use proptest::prelude::*;
 
     fn bundler(servers: usize, replication: usize) -> Bundler {
@@ -608,21 +607,6 @@ mod tests {
         assert_eq!(ts[0].server, 2);
         assert_eq!(ts[0].items, vec![1, 3]);
         assert_eq!(ts[1].server, 5);
-    }
-
-    #[test]
-    fn all_placement_kinds_plan_correctly() {
-        for kind in [
-            PlacementKind::Rch,
-            PlacementKind::MultiHash,
-            PlacementKind::Rendezvous,
-        ] {
-            let b = Bundler::from_config(&RnbConfig::new(12, 3).with_placement(kind));
-            let request: Vec<ItemId> = (0..25).collect();
-            let plan = b.plan(&request);
-            assert_eq!(plan.planned_items(), 25, "{kind:?}");
-            assert!(plan.tpr() <= 12);
-        }
     }
 
     proptest! {

@@ -29,8 +29,8 @@
 //!
 //! Modules:
 //! * [`config`] — [`RnbConfig`]: cluster size, replication, policies.
-//! * [`placement`] — [`PlacementStrategy`]: RCH (paper §IV), multi-hash
-//!   (paper §III-B), rendezvous, and the no-replication baseline.
+//! * [`placement`] — [`PlacementStrategy`]: Ranged Consistent Hashing
+//!   (paper §IV), with replication 1 as the no-replication baseline.
 //! * [`bundler`] — the planner (full and LIMIT targets, §III-A/§III-F).
 //! * [`plan`] — [`FetchPlan`] / [`Transaction`] plus TPR accounting.
 //! * [`read`] — [`ReadEngine`], the one read path (hitchhikers, the
@@ -52,7 +52,7 @@ pub mod write;
 
 pub use baseline::FullSystemReplication;
 pub use bundler::{Bundler, PlanScratch, PlanTarget};
-pub use config::{PlacementKind, RnbConfig};
+pub use config::RnbConfig;
 pub use placement::PlacementStrategy;
 pub use plan::{FetchPlan, Transaction};
 pub use read::{ReadCounts, ReadEngine, Round, Transport, Txn, WriteStep, HITCHHIKE_WINDOW};

@@ -3,28 +3,19 @@
 //! This crate provides everything the paper's placement layer needs,
 //! implemented from scratch:
 //!
-//! * One seeded 64-bit hash function, xxHash64 ([`xxhash`]). Every
-//!   placement hashes with it; a placement's seed (and, for multi-hash,
-//!   its per-replica sub-seeds) is all that varies between hash functions.
+//! * One seeded 64-bit hash function, xxHash64 ([`xxhash`]). Placement
+//!   hashes with it; the seed is all that varies between hash functions.
 //! * A classic consistent-hashing ring with virtual nodes ([`ring`]).
 //! * **Ranged Consistent Hashing** ([`rch`]) — the paper's §IV extension
 //!   that walks the continuum gathering *distinct* servers for an item's
-//!   replica set.
-//! * Multi-hash replica placement ([`multihash`]) — the scheme used in the
-//!   paper's simulator ("replicating the data items using multiple hash
-//!   functions").
-//! * Rendezvous (highest-random-weight) placement ([`rendezvous`]) as an
-//!   additional baseline for ablations.
+//!   replica set. It is the one replica placement the deployment uses.
 //!
-//! All placement schemes implement the [`Placement`] trait, which maps an
-//! item id to an ordered list of distinct servers. Replica index 0 is the
+//! Placement implements the [`Placement`] trait, which maps an item id to
+//! an ordered list of distinct servers. Replica index 0 is the
 //! *distinguished copy* in RnB terms.
 
-pub mod jump;
 pub mod mix;
-pub mod multihash;
 pub mod rch;
-pub mod rendezvous;
 pub mod ring;
 pub mod xxhash;
 

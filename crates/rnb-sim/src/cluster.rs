@@ -359,7 +359,6 @@ impl Servers<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnb_core::PlacementKind;
     use std::collections::HashSet;
 
     fn basic_cluster(servers: usize, replication: usize, universe: usize) -> SimCluster {
@@ -495,17 +494,6 @@ mod tests {
         let full = c.execute_with_limit(&request, None);
         assert_eq!(full.items_delivered, 50);
         assert!(out.total_txns() <= full.total_txns());
-    }
-
-    #[test]
-    fn multihash_placement_also_works() {
-        let mut c = SimCluster::new(
-            SimConfig::basic(8, 3).with_placement(PlacementKind::MultiHash),
-            500,
-        );
-        let out = c.execute(&(0..30).collect::<Vec<_>>());
-        assert_eq!(out.items_delivered, 30);
-        assert_eq!(out.planned_misses, 0);
     }
 
     #[test]

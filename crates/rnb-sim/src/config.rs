@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use rnb_core::{PlacementKind, RnbConfig};
+use rnb_core::RnbConfig;
 
 /// How much physical memory the cluster has for replicas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,8 +101,6 @@ pub struct SimConfig {
     /// Declared (logical) replication level. With `MemoryModel::Factor`
     /// below the declared level this is *overbooking* (§III-C1).
     pub logical_replication: usize,
-    /// Replica placement scheme.
-    pub placement: PlacementKind,
     /// Placement seed (shared by all simulated clients).
     pub seed: u64,
     /// Physical memory model.
@@ -118,13 +116,12 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A basic-RnB config: RCH placement, unlimited memory, no
-    /// hitchhiking, paper-default policies.
+    /// A basic-RnB config: unlimited memory, no hitchhiking,
+    /// paper-default policies.
     pub fn basic(servers: usize, replication: usize) -> Self {
         SimConfig {
             servers,
             logical_replication: replication,
-            placement: PlacementKind::Rch,
             seed: 0x52_6e_42,
             memory: MemoryModel::Unlimited,
             hitchhiking: false,
@@ -150,12 +147,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style placement override.
-    pub fn with_placement(mut self, kind: PlacementKind) -> Self {
-        self.placement = kind;
-        self
-    }
-
     /// Builder-style hitchhiking toggle.
     pub fn with_hitchhiking(mut self, on: bool) -> Self {
         self.hitchhiking = on;
@@ -164,9 +155,7 @@ impl SimConfig {
 
     /// The client-side RnB config implied by this simulation config.
     pub fn client_config(&self) -> RnbConfig {
-        RnbConfig::new(self.servers, self.logical_replication)
-            .with_placement(self.placement)
-            .with_seed(self.seed)
+        RnbConfig::new(self.servers, self.logical_replication).with_seed(self.seed)
     }
 }
 

@@ -847,14 +847,6 @@ pub const PANIC_INVARIANT_REGISTRY: &[(&str, &str, &str, &str)] = &[
          servers before the iterator ends",
     ),
     (
-        "crates/rnb-hash/src/rendezvous.rs",
-        "score",
-        ".copy_from_slice(",
-        "the copies fill `key[..8]` of a `[u8; 12]` with the item's 8-byte \
-         `to_le_bytes` array and `key[8..]` with the server's 4-byte one; \
-         the lengths match by construction",
-    ),
-    (
         "crates/rnb-store/src/shard.rs",
         "set_full_at",
         ".copy_from_slice(",
@@ -1774,7 +1766,7 @@ mod tests {
     #[test]
     fn r4_ignores_test_code_sites() {
         let f = SourceFile::new(
-            "crates/rnb-hash/src/jump.rs",
+            "crates/rnb-hash/src/rch.rs",
             "#[cfg(test)]\nmod tests { fn f() { let k = u64::MAX; debug_assert!(true); } }",
         );
         let (sites, missing) = collect_invariant_sites(&f);
