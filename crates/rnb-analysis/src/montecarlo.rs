@@ -47,28 +47,11 @@ pub fn tpr_stats(cfg: &McConfig) -> crate::stats::RunningStats {
         "fetch_fraction {} out of [0,1]",
         cfg.fetch_fraction
     );
-    let k = cfg.replication.min(cfg.servers);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let target = CoverTarget::AtLeast(cfg.min_items());
-
     let mut stats = crate::stats::RunningStats::new();
-    let mut scratch: Vec<u32> = Vec::with_capacity(k);
-    for _ in 0..cfg.trials {
-        let candidates: Vec<Vec<u32>> = (0..cfg.request_size)
-            .map(|_| {
-                scratch.clear();
-                while scratch.len() < k {
-                    let s = rng.random_range(0..cfg.servers as u32);
-                    if !scratch.contains(&s) {
-                        scratch.push(s);
-                    }
-                }
-                scratch.clone()
-            })
-            .collect();
-        let inst = CoverInstance::from_item_candidates(&candidates);
-        stats.push(greedy_cover(&inst, target).picks.len() as f64);
-    }
+    for_each_trial(cfg, |inst| {
+        stats.push(greedy_cover(inst, target).picks.len() as f64);
+    });
     stats
 }
 
@@ -83,10 +66,18 @@ pub fn average_tpr(cfg: &McConfig) -> f64 {
 /// §III-F), with the deadline expressed as a transaction budget.
 pub fn average_coverage_at_budget(cfg: &McConfig, budget: usize) -> f64 {
     assert!(cfg.trials > 0, "need at least one trial");
-    let k = cfg.replication.min(cfg.servers);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let target = CoverTarget::MaxPicks(budget);
     let mut covered = 0usize;
+    for_each_trial(cfg, |inst| covered += greedy_cover(inst, target).covered);
+    covered as f64 / (cfg.trials * cfg.request_size) as f64
+}
+
+/// Draw `cfg.trials` requests from `cfg.seed` and hand each one's cover
+/// instance to `trial`: every requested item gets `k` distinct uniform
+/// servers, drawn in order until `k` differ.
+fn for_each_trial(cfg: &McConfig, mut trial: impl FnMut(&CoverInstance)) {
+    let k = cfg.replication.min(cfg.servers);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut scratch: Vec<u32> = Vec::with_capacity(k);
     for _ in 0..cfg.trials {
         let candidates: Vec<Vec<u32>> = (0..cfg.request_size)
@@ -101,10 +92,8 @@ pub fn average_coverage_at_budget(cfg: &McConfig, budget: usize) -> f64 {
                 scratch.clone()
             })
             .collect();
-        let inst = CoverInstance::from_item_candidates(&candidates);
-        covered += greedy_cover(&inst, target).covered;
+        trial(&CoverInstance::from_item_candidates(&candidates));
     }
-    covered as f64 / (cfg.trials * cfg.request_size) as f64
 }
 
 #[cfg(test)]
@@ -242,6 +231,27 @@ mod tests {
         let c1 = at(1);
         let c4 = at(4);
         assert!(c4 > 1.25 * c1, "4 replicas at budget 4: {c4} vs {c1}");
+    }
+
+    #[test]
+    fn estimates_are_pinned_at_one_seed() {
+        // Both estimators draw their requests through `for_each_trial`;
+        // these values pin its RNG call order (fig11, fig12 and
+        // ext_deadline read the same estimators).
+        let c = McConfig {
+            trials: 200,
+            seed: 11,
+            ..cfg(16, 3, 50, 0.9)
+        };
+        let stats = tpr_stats(&c);
+        assert_eq!(stats.count(), 200);
+        assert_eq!(stats.mean(), 5.46);
+        assert_eq!(stats.variance(), 0.25969849246231136);
+        let coverage: Vec<f64> = [1, 3, 5]
+            .iter()
+            .map(|&budget| average_coverage_at_budget(&c, budget))
+            .collect();
+        assert_eq!(coverage, [0.2899, 0.6778, 0.8921]);
     }
 
     #[test]

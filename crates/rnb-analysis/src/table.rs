@@ -29,17 +29,6 @@ impl Table {
         self
     }
 
-    /// Convenience: append a row of display-able values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings)
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as an aligned text block.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
@@ -170,14 +159,6 @@ mod tests {
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, t.to_csv());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn row_display_helper() {
-        let mut t = Table::new("d", &["a", "b"]);
-        t.row_display(&[&1.5f64, &"x"]);
-        assert_eq!(t.num_rows(), 1);
-        assert!(t.render().contains("1.5"));
     }
 
     #[test]

@@ -47,10 +47,6 @@ pub fn emit(table: &rnb_analysis::Table, name: &str) {
 /// The fixed seed every figure uses (reproducible output).
 pub const FIG_SEED: u64 = 20130520; // IPDPS 2013 conference date
 
-/// Shared driver for the memory-sweep figures (Figs 8–10): run the
-/// enhanced simulator (overbooking + distinguished copies + hitchhiking)
-/// at one (logical replication, memory factor, merge window) point and
-/// return the measured metrics.
 /// Run a whole (memory factor × replication) sweep grid in parallel —
 /// the points are independent simulations, so the Figs 8–10 binaries
 /// fan them out across scoped threads (one per point, bounded by the

@@ -80,11 +80,6 @@ impl Cluster {
         self.addrs.clone()
     }
 
-    /// Whether slot `i` currently has a live process.
-    pub fn is_up(&self, i: usize) -> bool {
-        self.nodes[i].is_some()
-    }
-
     /// Crash slot `i` (SIGKILL, no drain). No-op if already dead.
     pub fn kill(&mut self, i: usize) -> io::Result<()> {
         match self.nodes[i].take() {

@@ -163,11 +163,6 @@ impl StoredNode {
         self.addr
     }
 
-    /// Whether the process is still running (non-blocking check).
-    pub fn is_running(&mut self) -> bool {
-        matches!(self.child.try_wait(), Ok(None))
-    }
-
     /// Kill the process abruptly (models a node crash) and reap it.
     pub fn kill(mut self) -> io::Result<()> {
         self.child.kill()?;

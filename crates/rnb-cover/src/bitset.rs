@@ -64,13 +64,6 @@ impl BitSet {
         self.trim_tail();
     }
 
-    /// Clear every bit.
-    pub fn clear_all(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
-    }
-
     fn trim_tail(&mut self) {
         let tail_bits = self.len % 64;
         if tail_bits != 0 {

@@ -174,25 +174,6 @@ pub fn powerlaw_graph_preferential(
     wire_preferential_targets(&degrees, &mut rng)
 }
 
-/// Uniform-random (Erdős–Rényi-style) directed graph with exactly
-/// `edges` distinct, loop-free edges — a light-tailed contrast workload
-/// for ablations.
-pub fn uniform_graph(n: usize, edges: usize, seed: u64) -> DiGraph {
-    assert!(n >= 2, "need at least two nodes for loop-free edges");
-    assert!(edges <= n * (n - 1), "too many edges for a simple digraph");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut set = std::collections::HashSet::with_capacity(edges);
-    let mut list = Vec::with_capacity(edges);
-    while list.len() < edges {
-        let s = rng.random_range(0..n as u32);
-        let t = rng.random_range(0..n as u32);
-        if s != t && set.insert((s, t)) {
-            list.push((s, t));
-        }
-    }
-    DiGraph::from_edges(n, &list)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,15 +261,6 @@ mod tests {
             in_deg[top_out as usize],
             median_in
         );
-    }
-
-    #[test]
-    fn uniform_graph_exact_edges() {
-        let g = uniform_graph(100, 500, 7);
-        assert_eq!(g.num_edges(), 500);
-        for v in 0..100u32 {
-            assert!(!g.neighbors(v).contains(&v));
-        }
     }
 
     #[test]

@@ -15,11 +15,6 @@ impl DegreeHistogram {
         Self::from_degrees(graph.out_degrees().into_iter())
     }
 
-    /// Histogram of `graph`'s in-degrees.
-    pub fn of_in_degrees(graph: &DiGraph) -> Self {
-        Self::from_degrees(graph.in_degrees().into_iter())
-    }
-
     /// Build from any degree iterator.
     pub fn from_degrees(degrees: impl Iterator<Item = usize>) -> Self {
         let mut counts = Vec::new();
@@ -152,9 +147,6 @@ mod tests {
         assert_eq!(h.count(2), 1); // node 0
         assert_eq!(h.count(1), 1); // node 1
         assert_eq!(h.count(0), 2); // nodes 2, 3
-        let hin = DegreeHistogram::of_in_degrees(&g);
-        assert_eq!(hin.count(2), 1); // node 2
-        assert_eq!(hin.count(0), 2); // nodes 0, 3
     }
 
     #[test]

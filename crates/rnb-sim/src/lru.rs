@@ -122,11 +122,6 @@ impl ItemLru {
         }
     }
 
-    /// The least-recently-used item, if any.
-    pub fn lru_item(&self) -> Option<ItemId> {
-        (self.tail != NIL).then(|| self.nodes[self.tail].item)
-    }
-
     /// Iterate items from most- to least-recently-used.
     pub fn iter_mru(&self) -> impl Iterator<Item = ItemId> + '_ {
         std::iter::successors((self.head != NIL).then_some(self.head), move |&i| {
@@ -232,7 +227,6 @@ mod tests {
             lru.insert(i);
         }
         assert_eq!(lru.iter_mru().collect::<Vec<_>>(), vec![4, 3, 2, 1]);
-        assert_eq!(lru.lru_item(), Some(1));
         lru.touch(2);
         assert_eq!(lru.iter_mru().collect::<Vec<_>>(), vec![2, 4, 3, 1]);
     }

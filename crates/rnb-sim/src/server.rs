@@ -44,11 +44,6 @@ impl SimServer {
         self.pinned.insert(item);
     }
 
-    /// True if `item`'s distinguished copy lives here.
-    pub fn is_pinned(&self, item: ItemId) -> bool {
-        self.pinned.contains(&item)
-    }
-
     /// Serve a *planned* access: hit on pinned or replica (replica hits
     /// refresh the LRU).
     pub fn access(&mut self, item: ItemId) -> bool {

@@ -26,7 +26,9 @@
 //!   sleeping on one `epoll` set, Linux-only) and a blocking client, so
 //!   the micro-benchmark runs over a real socket like the original
 //!   (loopback stands in for the paper's dedicated LAN cable — see
-//!   DESIGN.md "Substitutions").
+//!   DESIGN.md "Substitutions"). TCP is the only transport, as in the
+//!   paper's Appendix: every byte a node serves is parsed by
+//!   [`drain_input`] and run by one command path.
 //! * [`loadgen`] — the memaslap analog: concurrent clients issuing
 //!   multi-gets of a fixed transaction size (10-byte values, one `set`
 //!   per 1000 `get` items, like the paper's configuration), reporting
@@ -40,11 +42,9 @@ pub mod server;
 pub mod shard;
 pub mod stats;
 pub mod store;
-pub mod udp;
 
 pub use client::{StorageOp, StoreClient};
 pub use clock::{Clock, RealClock, TestClock, Tick};
 pub use loadgen::{run_load, run_load_with_clock, LoadReport, LoadSpec};
 pub use server::{drain_input, ConnScratch, ServerConfig, StoreServer};
 pub use store::{GetScratch, SetEntry, Store};
-pub use udp::{UdpStoreClient, UdpStoreServer};

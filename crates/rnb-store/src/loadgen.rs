@@ -69,7 +69,7 @@ impl LoadReport {
 }
 
 /// Key for index `i` (shared by population and load phases).
-pub fn key_of(i: usize) -> Vec<u8> {
+fn key_of(i: usize) -> Vec<u8> {
     format!("memaslap-{i:08}").into_bytes()
 }
 

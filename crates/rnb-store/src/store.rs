@@ -121,11 +121,6 @@ impl Store {
         &self.stats
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Which shard index `key` routes to.
     fn shard_index_of(&self, key: &[u8]) -> usize {
         (shard::key_hash(key) & self.mask) as usize

@@ -25,8 +25,6 @@ pub struct EgoRequests<'g> {
     rng: StdRng,
     /// Pre-filtered users with at least one friend.
     eligible: Vec<u32>,
-    /// Cumulative activity weights over `eligible` (empty = uniform).
-    activity_cum: Vec<u64>,
 }
 
 impl<'g> EgoRequests<'g> {
@@ -45,31 +43,7 @@ impl<'g> EgoRequests<'g> {
             graph,
             rng: StdRng::seed_from_u64(seed),
             eligible,
-            activity_cum: Vec::new(),
         }
-    }
-
-    /// Switch to activity-weighted sampling: a user issues requests in
-    /// proportion to their friend count — the well-documented correlation
-    /// between connectivity and activity in real social networks. An
-    /// extension knob (the paper samples uniformly); it concentrates
-    /// traffic on large requests and strengthens request locality.
-    pub fn with_activity_weighting(mut self) -> Self {
-        let mut acc = 0u64;
-        self.activity_cum = self
-            .eligible
-            .iter()
-            .map(|&v| {
-                acc += self.graph.out_degree(v) as u64;
-                acc
-            })
-            .collect();
-        self
-    }
-
-    /// Number of users that can be the subject of a request.
-    pub fn eligible_users(&self) -> usize {
-        self.eligible.len()
     }
 
     /// The request a specific user would issue (their friends' items).
@@ -84,13 +58,7 @@ impl<'g> EgoRequests<'g> {
 
 impl RequestStream for EgoRequests<'_> {
     fn next_request(&mut self) -> Request {
-        let idx = if self.activity_cum.is_empty() {
-            self.rng.random_range(0..self.eligible.len())
-        } else {
-            let total = *self.activity_cum.last().unwrap();
-            let x = self.rng.random_range(0..total);
-            self.activity_cum.partition_point(|&c| c <= x)
-        };
+        let idx = self.rng.random_range(0..self.eligible.len());
         self.request_of(self.eligible[idx])
     }
 }
@@ -104,7 +72,6 @@ mod tests {
     fn requests_are_friend_sets() {
         let g = tiny_test_graph();
         let mut gen = EgoRequests::new(&g, 1);
-        assert_eq!(gen.eligible_users(), 2);
         for _ in 0..50 {
             let req = gen.next_request();
             assert!(
@@ -161,21 +128,5 @@ mod tests {
     fn friendless_graph_rejected() {
         let g = DiGraph::from_edges(3, &[]);
         EgoRequests::new(&g, 0);
-    }
-
-    #[test]
-    fn activity_weighting_prefers_connected_users() {
-        // Node 0 has 5 friends, node 6 has 2: weighted sampling should
-        // pick node 0 about 5/7 of the time (uniform would be 1/2).
-        let g = tiny_test_graph();
-        let mut gen = EgoRequests::new(&g, 8).with_activity_weighting();
-        let reqs = gen.take_requests(7000);
-        let big = reqs.iter().filter(|r| r.len() == 5).count() as f64 / reqs.len() as f64;
-        assert!((big - 5.0 / 7.0).abs() < 0.03, "weighted share {big}");
-        // Uniform baseline for contrast.
-        let mut uni = EgoRequests::new(&g, 8);
-        let ureqs = uni.take_requests(7000);
-        let ubig = ureqs.iter().filter(|r| r.len() == 5).count() as f64 / ureqs.len() as f64;
-        assert!((ubig - 0.5).abs() < 0.03, "uniform share {ubig}");
     }
 }

@@ -47,16 +47,6 @@ impl ScriptedRequests {
         self.phases.push((requests, Box::new(stream)));
         self
     }
-
-    /// Index of the phase the next request will draw from.
-    pub fn current_phase(&self) -> usize {
-        self.current
-    }
-
-    /// Number of phases in the script.
-    pub fn num_phases(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 impl RequestStream for ScriptedRequests {
@@ -99,7 +89,6 @@ mod tests {
             .phase(0, Fixed(3));
         let got: Vec<u64> = (0..8).map(|_| s.next_request()[0]).collect();
         assert_eq!(got, vec![1, 1, 2, 2, 2, 3, 3, 3]);
-        assert_eq!(s.current_phase(), 2);
     }
 
     #[test]
@@ -108,7 +97,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(s.next_request(), vec![7]);
         }
-        assert_eq!(s.num_phases(), 1);
     }
 
     #[test]

@@ -193,7 +193,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         violations.extend(missing_msgs);
     }
     violations.extend(rules::check_stale_allowlist(&files));
-    violations.extend(rules::check_stale_sleep_allowlist(&files));
     violations.extend(rules::check_stale_doc_allowlist(&files));
     violations.extend(rules::check_inventory(&sites, &inventory));
 

@@ -8,8 +8,10 @@
 //! record of `BENCH_e2e.json` used, the side that goes first
 //! alternating from pair to pair. Each metric is summarised per side as
 //! median and quartiles, with the number of pairs the change won, and
-//! the record is appended to `BENCH_e2e.json`. The benchmark's own files
-//! are only read.
+//! the record is appended to `BENCH_e2e.json`. A run that fails all its
+//! attempts ends the pairs early: the record then holds the pairs
+//! completed before it and names the failed run, and the command still
+//! exits non-zero. The benchmark's own files are only read.
 
 use crate::json::{self, Value};
 use std::fs;
@@ -313,7 +315,9 @@ pub fn run(root: &Path, args: &PairsArgs) -> Result<(), String> {
 
     // runs[workload][side] holds one run per pair.
     let mut runs: Vec<[Vec<Run>; 2]> = workloads.iter().map(|_| [vec![], vec![]]).collect();
-    for (pair, &seed) in seeds.iter().enumerate() {
+    let mut failed = None;
+    let mut completed = 0;
+    'pairs: for (pair, &seed) in seeds.iter().enumerate() {
         for (workload, runs) in workloads.iter().zip(&mut runs) {
             // Alternate which side goes first, so that whatever the
             // first run of a pair suffers or enjoys falls on both.
@@ -326,20 +330,82 @@ pub fn run(root: &Path, args: &PairsArgs) -> Result<(), String> {
                     sides[side].0
                 );
                 let dir = sides[side].1;
-                let run = run_with_retries(&bench, dir, workload, seed, bench.seconds)?;
-                // The raw reading, so that the log alone can be audited.
-                eprintln!("e2e-pairs:   {}", run.metrics.render());
-                runs[side].push(run);
+                match run_with_retries(&bench, dir, workload, seed, bench.seconds) {
+                    Ok(run) => {
+                        // The raw reading, so that the log alone can be audited.
+                        eprintln!("e2e-pairs:   {}", run.metrics.render());
+                        runs[side].push(run);
+                    }
+                    Err(error) => {
+                        failed = Some(FailedRun {
+                            side: sides[side].0,
+                            workload: workload.clone(),
+                            seed,
+                            error,
+                        });
+                        break 'pairs;
+                    }
+                }
             }
         }
+        completed += 1;
     }
 
+    records.push(record(
+        &bench,
+        sha,
+        pr_number(root),
+        &seeds[..completed],
+        &workloads,
+        &runs,
+        failed.as_ref(),
+    ));
+    // One record per line: a new record is a one-line diff.
+    let lines: Vec<String> = records.iter().map(Value::render).collect();
+    fs::write(&ledger, format!("[\n{}\n]\n", lines.join(",\n")))
+        .map_err(|e| format!("{}: {e}", ledger.display()))?;
+    eprintln!("e2e-pairs: record appended to {}", ledger.display());
+    match failed {
+        None => Ok(()),
+        Some(failed) => Err(format!(
+            "stopped after {completed} of {} pairs: {} {} seed {} failed {ATTEMPTS} times: {}",
+            seeds.len(),
+            failed.side,
+            failed.workload,
+            failed.seed,
+            failed.error
+        )),
+    }
+}
+
+/// A run that failed all its attempts and so ended the pairs.
+struct FailedRun {
+    side: &'static str,
+    workload: String,
+    seed: u64,
+    error: String,
+}
+
+/// The ledger record of the pairs run over `seeds`, printing the
+/// comparison table as it goes. `runs[workload][side]` may hold one run
+/// more than `seeds` for workloads that ran before `failed` ended an
+/// incomplete pair; only the completed pairs are summarised.
+fn record(
+    bench: &Benchmark,
+    parent_sha: &str,
+    pr: Option<f64>,
+    seeds: &[u64],
+    workloads: &[String],
+    runs: &[[Vec<Run>; 2]],
+    failed: Option<&FailedRun>,
+) -> Value {
     let mut by_workload = Vec::new();
-    for (workload, runs) in workloads.iter().zip(&runs) {
+    for (workload, runs) in workloads.iter().zip(runs) {
         println!("== {workload} ({} pairs) ==", seeds.len());
+        let runs = |side: usize| &runs[side][..seeds.len()];
         let fail_frac = |side: usize| {
-            let attempted: f64 = runs[side].iter().map(|run| run.attempted).sum();
-            let failed: f64 = runs[side].iter().map(|run| run.failed).sum();
+            let attempted: f64 = runs(side).iter().map(|run| run.attempted).sum();
+            let failed: f64 = runs(side).iter().map(|run| run.failed).sum();
             rounded(if attempted > 0.0 {
                 failed / attempted
             } else {
@@ -356,7 +422,7 @@ pub fn run(root: &Path, args: &PairsArgs) -> Result<(), String> {
         for metric in &bench.metrics {
             let values = |side: usize| -> Vec<f64> {
                 let reading = |run: &Run| run.metrics.get(&metric.name)?.get("value")?.as_f64();
-                runs[side].iter().filter_map(reading).collect()
+                runs(side).iter().filter_map(reading).collect()
             };
             let (parent, change) = (values(0), values(1));
             let won = parent
@@ -406,9 +472,9 @@ pub fn run(root: &Path, args: &PairsArgs) -> Result<(), String> {
         by_workload.push((workload.clone(), Value::Obj(by_metric)));
     }
 
-    records.push(Value::Obj(vec![
-        ("pr".into(), pr_number(root).map_or(Value::Null, Value::Num)),
-        ("parent".into(), Value::Str(sha.to_string())),
+    let mut record = vec![
+        ("pr".into(), pr.map_or(Value::Null, Value::Num)),
+        ("parent".into(), Value::Str(parent_sha.to_string())),
         ("pairs".into(), Value::Num(seeds.len() as f64)),
         ("seconds".into(), Value::Num(bench.seconds)),
         (
@@ -416,13 +482,19 @@ pub fn run(root: &Path, args: &PairsArgs) -> Result<(), String> {
             Value::Arr(seeds.iter().map(|&s| Value::Num(s as f64)).collect()),
         ),
         ("workloads".into(), Value::Obj(by_workload)),
-    ]));
-    // One record per line: a new record is a one-line diff.
-    let lines: Vec<String> = records.iter().map(Value::render).collect();
-    fs::write(&ledger, format!("[\n{}\n]\n", lines.join(",\n")))
-        .map_err(|e| format!("{}: {e}", ledger.display()))?;
-    eprintln!("e2e-pairs: record appended to {}", ledger.display());
-    Ok(())
+    ];
+    if let Some(failed) = failed {
+        record.push((
+            "failed_run".into(),
+            Value::Obj(vec![
+                ("side".into(), Value::Str(failed.side.to_string())),
+                ("workload".into(), Value::Str(failed.workload.clone())),
+                ("seed".into(), Value::Num(failed.seed as f64)),
+                ("error".into(), Value::Str(failed.error.clone())),
+            ]),
+        ));
+    }
+    Value::Obj(record)
 }
 
 #[cfg(test)]
@@ -470,6 +542,87 @@ mod tests {
         assert_eq!(first_unused_seed(&[]), 1);
         let ledger = json::parse(r#"[{"seeds": [1, 2, 3]}, {"pr": 9}, {"seeds": [40, 7]}]"#);
         assert_eq!(first_unused_seed(ledger.unwrap().items()), 41);
+    }
+
+    fn run_reading(tpr: f64) -> Run {
+        Run {
+            metrics: json::parse(&format!(r#"{{"tpr": {{"value": {tpr}}}}}"#)).unwrap(),
+            attempted: 100.0,
+            failed: 1.0,
+        }
+    }
+
+    #[test]
+    fn a_failed_run_leaves_a_record_of_the_completed_pairs() {
+        let bench = Benchmark {
+            command: vec!["e2e".into()],
+            seconds: 20.0,
+            workloads: vec!["a".into(), "b".into()],
+            metrics: vec![Metric {
+                name: "tpr".into(),
+                higher_is_better: false,
+                bound: 0.02,
+            }],
+        };
+        let workloads = bench.workloads.clone();
+        // Pair 2 (seed 12) finished workload `a`, then `b`'s change run
+        // failed: only pair 1 (seed 11) is complete.
+        let runs = vec![
+            [
+                vec![run_reading(2.0), run_reading(9.0)],
+                vec![run_reading(1.0), run_reading(9.0)],
+            ],
+            [
+                vec![run_reading(3.0), run_reading(9.0)],
+                vec![run_reading(4.0)],
+            ],
+        ];
+        let failed = FailedRun {
+            side: "change",
+            workload: "b".into(),
+            seed: 12,
+            error: "exit status: 1".into(),
+        };
+        let record = record(
+            &bench,
+            "abc",
+            Some(47.0),
+            &[11],
+            &workloads,
+            &runs,
+            Some(&failed),
+        );
+
+        assert_eq!(record.get("pairs").and_then(Value::as_f64), Some(1.0));
+        let seeds = record.get("seeds").map(Value::items).unwrap_or_default();
+        assert_eq!(seeds, [Value::Num(11.0)]);
+        let tpr = |workload: &str, side: &str| {
+            let summary = record.get("workloads")?.get(workload)?.get("tpr")?;
+            summary.get(side)?.get("median")?.as_f64()
+        };
+        // The incomplete pair's readings (9.0) are not summarised.
+        assert_eq!(tpr("a", "parent"), Some(2.0));
+        assert_eq!(tpr("a", "change"), Some(1.0));
+        assert_eq!(tpr("b", "parent"), Some(3.0));
+        assert_eq!(tpr("b", "change"), Some(4.0));
+        let won = |workload: &str| {
+            let summary = record.get("workloads")?.get(workload)?.get("tpr")?;
+            summary.get("pairs_won")?.as_f64()
+        };
+        assert_eq!((won("a"), won("b")), (Some(1.0), Some(0.0)));
+
+        let failed_run = record.get("failed_run").unwrap();
+        let field = |key: &str| failed_run.get(key).cloned();
+        assert_eq!(field("side"), Some(Value::Str("change".into())));
+        assert_eq!(field("workload"), Some(Value::Str("b".into())));
+        assert_eq!(field("seed"), Some(Value::Num(12.0)));
+        assert_eq!(field("error"), Some(Value::Str("exit status: 1".into())));
+        // The record is what the ledger stores, and it reads back.
+        assert_eq!(json::parse(&record.render()), Ok(record.clone()));
+
+        // Without a failure the record names none.
+        let complete = super::record(&bench, "abc", None, &[11], &workloads, &runs, None);
+        assert_eq!(complete.get("failed_run"), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | R2 `deterministic-simulation` | whole workspace | no unseeded randomness anywhere; no wall-clock reads outside the benchmark harness and `rnb-store`'s `clock.rs` (everything else takes an injected `Clock`) |
 //! | R3 `lossless-wire-casts` | `rnb-store/src/protocol.rs` | no `as` integer casts in wire-format code: use `try_from` |
 //! | R4 `invariant-inventory` | whole workspace | every non-test `debug_assert*` carries a message registered in INVARIANTS.md; every `::MAX` sentinel is registered; no stale entries |
-//! | R5 `no-thread-sleep` | whole workspace | no `thread::sleep` in non-test code outside the justified allowlist: sleeping hides latency bugs and stalls serving threads |
+//! | R5 `no-thread-sleep` | whole workspace | no `thread::sleep` in non-test code, without exceptions: sleeping hides latency bugs and stalls serving threads |
 //! | R6 `doc-example-coverage` | `rnb-core` | every non-test `pub fn` in the public-API crate carries a ```-fenced doc example (doctested usage), or an allowlisted reason |
 //! | R7 `serving-path-clone` | call-graph closure of the serving roots | no `.clone()`/`.cloned()`/`.to_vec()`/`.to_owned()` reachable from the store's protocol loop, `RnbClient::multi_get`/`multi_set` or the read and write engines, outside the justified allowlist |
 //! | R8 `must-use-planner` | `rnb-cover` | every pure planner entry point carries `#[must_use]`: dropping a cover plan silently is always a bug |
@@ -82,18 +82,10 @@ pub const TIME_ALLOWLIST: &[(&str, &str)] = &[
     ),
 ];
 
-/// Files allowed to call `thread::sleep` in non-test code, with the
-/// reason on record. Same hygiene as [`TIME_ALLOWLIST`]: a stale entry is
-/// itself a violation. Everything else must block on real events
-/// (I/O readiness, channels, `thread::park`) instead of sleeping —
+/// R5's pattern. Non-test code has no exceptions: it must block on real
+/// events (I/O readiness, channels, `thread::park`) instead of sleeping —
 /// sleeps in serving or simulation code hide latency bugs and turn into
 /// arbitrary stalls under load.
-pub const SLEEP_ALLOWLIST: &[(&str, &str)] = &[(
-    "crates/rnb-bench/src/bin/ext_udp.rs",
-    "UDP is fire-and-forget: the external-traffic probe has no completion \
-     event to block on, so it paces batches with a fixed settle delay",
-)];
-
 const SLEEP_PATTERN: &str = "thread::sleep";
 
 /// R6 scope: the public-API crate whose `pub fn`s must show a doc example.
@@ -287,14 +279,8 @@ pub fn check_stale_allowlist(files: &[SourceFile]) -> Vec<Violation> {
         .collect()
 }
 
-/// R5: no `thread::sleep` in non-test code outside the allowlist.
+/// R5: no `thread::sleep` in non-test code.
 pub fn check_no_sleep(file: &SourceFile) -> Vec<Violation> {
-    if SLEEP_ALLOWLIST
-        .iter()
-        .any(|(prefix, _)| file.rel_path.starts_with(prefix))
-    {
-        return Vec::new();
-    }
     non_test_occurrences(file, SLEEP_PATTERN)
         .map(|offset| Violation {
             rule: "R5/no-thread-sleep",
@@ -302,32 +288,8 @@ pub fn check_no_sleep(file: &SourceFile) -> Vec<Violation> {
             line: file.line_of(offset),
             message: format!(
                 "`{SLEEP_PATTERN}` in non-test code; block on a real event \
-                 (I/O readiness, a channel, `thread::park`) instead, or add \
-                 an allowlist entry with a written reason in \
-                 xtask/src/rules.rs (`{}`)",
+                 (I/O readiness, a channel, `thread::park`) instead (`{}`)",
                 file.excerpt(offset)
-            ),
-        })
-        .collect()
-}
-
-/// R5 (hygiene): sleep allowlist entries must still be needed.
-pub fn check_stale_sleep_allowlist(files: &[SourceFile]) -> Vec<Violation> {
-    SLEEP_ALLOWLIST
-        .iter()
-        .filter(|(prefix, _)| {
-            !files.iter().any(|file| {
-                file.rel_path.starts_with(prefix)
-                    && non_test_occurrences(file, SLEEP_PATTERN).next().is_some()
-            })
-        })
-        .map(|(prefix, _)| Violation {
-            rule: "R5/no-thread-sleep",
-            file: prefix.to_string(),
-            line: 0,
-            message: format!(
-                "stale sleep allowlist entry `{prefix}`: no `thread::sleep` \
-                 remains; remove it from xtask/src/rules.rs"
             ),
         })
         .collect()
@@ -706,10 +668,7 @@ pub const RULES: &[(&str, &str)] = &[
         "R4/invariant-inventory",
         "debug_asserts and sentinels registered in INVARIANTS.md",
     ),
-    (
-        "R5/no-thread-sleep",
-        "no thread::sleep outside the justified allowlist",
-    ),
+    ("R5/no-thread-sleep", "no thread::sleep in non-test code"),
     (
         "R6/doc-example-coverage",
         "rnb-core pub fns show a doc example",
@@ -1346,13 +1305,6 @@ pub fn self_check() -> Vec<Violation> {
                 .collect(),
         ),
         (
-            "SLEEP_ALLOWLIST",
-            SLEEP_ALLOWLIST
-                .iter()
-                .map(|(f, _)| (*f).to_string())
-                .collect(),
-        ),
-        (
             "DOC_EXAMPLE_ALLOWLIST",
             DOC_EXAMPLE_ALLOWLIST
                 .iter()
@@ -1558,7 +1510,7 @@ mod tests {
     }
 
     #[test]
-    fn r5_ignores_tests_comments_and_allowlisted_files() {
+    fn r5_ignores_tests_and_comments() {
         let test_code = SourceFile::new(
             "crates/rnb-store/src/shard.rs",
             "#[cfg(test)]\nmod tests { fn t() { std::thread::sleep(d); } }",
@@ -1569,29 +1521,20 @@ mod tests {
             "// never call thread::sleep here\nfn f() {}",
         );
         assert_eq!(check_no_sleep(&comment), Vec::new());
-        let allowlisted = SourceFile::new(
-            "crates/rnb-bench/src/bin/ext_udp.rs",
-            "fn f() { std::thread::sleep(d); }",
-        );
-        assert_eq!(check_no_sleep(&allowlisted), Vec::new());
     }
 
     #[test]
-    fn r5_stale_sleep_allowlist_entries_are_flagged() {
-        // No file sleeps → every allowlist entry is stale.
-        let files = vec![SourceFile::new(
-            "crates/rnb-bench/src/bin/ext_udp.rs",
-            "fn quiet() {}",
-        )];
-        let v = check_stale_sleep_allowlist(&files);
-        assert_eq!(v.len(), SLEEP_ALLOWLIST.len());
-        assert!(v[0].message.contains("stale"));
-        // A real sleep marks the entry live.
-        let files = vec![SourceFile::new(
-            "crates/rnb-bench/src/bin/ext_udp.rs",
-            "fn f() { std::thread::sleep(d); }",
-        )];
-        assert_eq!(check_stale_sleep_allowlist(&files), Vec::new());
+    fn r5_has_no_exceptions_for_bench_binaries() {
+        // Benchmark binaries get no allowlist: a sleep there paces a
+        // measurement by a timer instead of by the event it waits for.
+        let f = SourceFile::new(
+            "crates/rnb-bench/src/bin/fig13.rs",
+            "fn main() { std::thread::sleep(std::time::Duration::from_millis(200)); }",
+        );
+        let v = check_no_sleep(&f);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, "R5/no-thread-sleep");
+        assert_eq!(v[0].file, "crates/rnb-bench/src/bin/fig13.rs");
     }
 
     // -------- R3 --------
