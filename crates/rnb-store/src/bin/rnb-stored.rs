@@ -83,15 +83,22 @@ fn main() {
     };
     // The READY line is the machine-readable half of the handshake: the
     // harness blocks on it instead of sleeping-and-retrying, and it is
-    // the only way to learn an OS-chosen (`--port 0`) address.
-    println!("READY {}", server.addr());
-    println!(
+    // the only way to learn an OS-chosen (`--port 0`) address. A harness
+    // may close the pipe once it has read it, so every later line
+    // ignores a failed write (`println!` would panic on EPIPE and kill
+    // the node).
+    let mut out = std::io::stdout();
+    if let Err(e) = writeln!(out, "READY {}", server.addr()).and_then(|()| out.flush()) {
+        die(&format!("cannot write the READY line: {e}"));
+    }
+    let _ = writeln!(
+        out,
         "rnb-stored listening on {} ({} MB budget, {} workers, each with its own epoll set)",
         server.addr(),
         mem_mb,
         server.thread_count()
-    );
-    let _ = std::io::stdout().flush();
+    )
+    .and_then(|()| out.flush());
 
     if control {
         // Block on stdin: `shutdown` (or EOF — the harness died or
@@ -110,10 +117,9 @@ fn main() {
             }
         }
         server.shutdown_drain(DRAIN_DEADLINE);
-        println!("BYE");
-        let _ = std::io::stdout().flush();
+        let _ = writeln!(out, "BYE").and_then(|()| out.flush());
     } else {
-        println!("press Ctrl-C to stop");
+        let _ = writeln!(out, "press Ctrl-C to stop").and_then(|()| out.flush());
         loop {
             // Nothing to do on the main thread until Ctrl-C kills the
             // process; park (looping over spurious unparks) instead of a

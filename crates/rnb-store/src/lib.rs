@@ -46,5 +46,5 @@ pub mod store;
 pub use client::{StorageOp, StoreClient};
 pub use clock::{Clock, RealClock, TestClock, Tick};
 pub use loadgen::{run_load, run_load_with_clock, LoadReport, LoadSpec};
-pub use server::{drain_input, ConnScratch, ServerConfig, StoreServer};
+pub use server::{drain_input, ConnScratch, ReplyCursor, ServerConfig, StoreServer};
 pub use store::{GetScratch, SetEntry, Store};

@@ -540,13 +540,19 @@ pub fn write_value<W: Write>(
     write_stanza(w, b"VALUE ", key, numbers, false, data)
 }
 
+/// Most bytes a [`write_value`] stanza adds to its key and data: the
+/// verb, up to three numbers (flags, length, CAS token) and two CRLFs.
+pub const VALUE_FRAME: usize = b"VALUE ".len() + 3 * 21 + 4;
+
 /// Terminate a get/stats response.
 pub fn write_end<W: Write>(w: &mut W) -> io::Result<()> {
-    w.write_all(b"END\r\n")
+    w.write_all(reply::END)
 }
 
 /// Canned reply lines.
 pub mod reply {
+    /// The last line of a get or stats reply.
+    pub const END: &[u8] = b"END\r\n";
     /// Reply to a successful `set`/`add`/`replace`/`cas`.
     pub const STORED: &[u8] = b"STORED\r\n";
     /// Reply to a conditional store whose condition failed
@@ -861,6 +867,8 @@ mod tests {
             &widest[..],
             b"VALUE k 4294967295 0 18446744073709551615\r\n\r\n"
         );
+        // VALUE_FRAME bounds the frame, even with a length of 20 digits.
+        assert!(widest.len() - 1 + 19 <= VALUE_FRAME);
         // A storage command is the same stanza; four numbers, all digits,
         // and the widest line of all carries `noreply` too.
         let mut cas = Vec::new();

@@ -15,7 +15,11 @@
 //! parsing via [`protocol::next_request`]) and one write of the batch's
 //! replies. What the socket cannot take waits in the connection's
 //! output, and the connection is read again only once that is flushed.
-//! A `get` is one pass over its keys ([`Store::get_each`]): each hit is
+//! Replies are built a 64 KiB chunk at a time: a `get` whose reply would
+//! outgrow the chunk stops at a key boundary, and the connection waits
+//! for writability to resume it at its next key ([`ReplyCursor`]), so no
+//! buffer holds more than a chunk and one value. A `get` is one pass
+//! over its keys per chunk ([`Store::get_each`]'s loop): each hit is
 //! written into the reply from its shard, under the shard's guard, so no
 //! value is cloned. Each worker owns one [`ConnScratch`], so the command
 //! loop is allocation-free at steady state (proven by the
@@ -29,6 +33,7 @@ use crate::store::Store;
 use epoll::{Epoll, Event, Interest};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -37,6 +42,17 @@ use std::time::Duration;
 
 /// Bytes per connection read. Sized for pipelined request bursts.
 const READ_BUF: usize = 64 * 1024;
+
+/// Reply bytes a worker builds before it writes them and yields: a reply
+/// that would outgrow the chunk stops at a key boundary, and the rest of
+/// it waits for the socket to take this chunk. Only a single value
+/// larger than the chunk grows the buffer past it, while it is in flight.
+const REPLY_CHUNK: usize = READ_BUF;
+
+/// Room a request needs left in the chunk before it starts: more than
+/// any reply but a get's, whose hits are each checked against the chunk
+/// (a `stats` listing is under 2 KiB).
+const REPLY_ROOM: usize = 4 << 10;
 
 /// Readiness events a worker takes per `epoll_wait`.
 const EVENTS_PER_WAIT: usize = 64;
@@ -93,6 +109,10 @@ struct Shared {
     store: Arc<Store>,
     shutdown: AtomicBool,
     registry: ConnCount,
+    /// The most bytes any reply buffer has had room for: a worker's
+    /// chunk or a connection's unsent output.
+    #[cfg(test)]
+    reply_peak: AtomicUsize,
 }
 
 /// A running store server. Dropping the handle shuts the server down,
@@ -134,6 +154,8 @@ impl StoreServer {
             store,
             shutdown: AtomicBool::new(false),
             registry: ConnCount::default(),
+            #[cfg(test)]
+            reply_peak: AtomicUsize::new(0),
         });
         // Every set is built before any thread starts, so a failure
         // leaves no worker behind.
@@ -173,6 +195,13 @@ impl StoreServer {
     /// exist for.
     pub fn thread_count(&self) -> usize {
         self.workers.len()
+    }
+
+    /// The most bytes any reply buffer has had room for since the last
+    /// call; resets it.
+    #[cfg(test)]
+    fn take_reply_peak(&self) -> usize {
+        self.shared.reply_peak.swap(0, Ordering::SeqCst)
     }
 
     /// Wake every worker through its wake descriptor.
@@ -245,9 +274,13 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read ahead of the next complete request.
     input: Vec<u8>,
-    /// Replies the socket has not taken yet. While non-empty the
-    /// connection is registered for writability, not for reading.
+    /// Replies the socket has not taken yet: at most one chunk and one
+    /// value. While it is non-empty, or `cursor` has more reply to
+    /// produce, the connection is registered for writability, not for
+    /// reading.
     output: Vec<u8>,
+    /// Where the next [`drain_input`] over `input` resumes.
+    cursor: ReplyCursor,
     /// Close once `output` is flushed (`quit` or a framing desync).
     closing: bool,
 }
@@ -364,6 +397,7 @@ impl Worker {
                         stream,
                         input: Vec::new(),
                         output: Vec::new(),
+                        cursor: ReplyCursor::default(),
                         closing: false,
                     });
                     match self.conns.get_mut(slot) {
@@ -404,13 +438,7 @@ impl Worker {
         let Some(Some(conn)) = self.conns.get_mut(slot) else {
             return;
         };
-        if serve_conn(
-            &self.shared.store,
-            &self.epoll,
-            token,
-            conn,
-            &mut self.scratch,
-        ) {
+        if serve_conn(&self.shared, &self.epoll, token, conn, &mut self.scratch) {
             return;
         }
         // Dropping the stream closes it, which also leaves the set.
@@ -444,7 +472,8 @@ fn ttl_of(exptime: i64) -> Option<Duration> {
 /// the loop performs no allocation once warm.
 #[derive(Debug, Default)]
 pub struct ConnScratch {
-    /// Replies of the last [`drain_input`]; one write per batch.
+    /// Replies of the last [`drain_input`]: at most one chunk (or one
+    /// value larger than that), written at once.
     response: Vec<u8>,
     /// Socket read staging.
     net: Vec<u8>,
@@ -465,15 +494,41 @@ impl ConnScratch {
     }
 }
 
+/// Where a connection's replies stand between [`drain_input`] calls:
+/// how far into the `get` at the front of its input the replies got, and
+/// whether a complete request is still unanswered. One per connection,
+/// starting from `default()`, passed with that connection's input.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ReplyCursor {
+    /// Keys of the front `get` answered by earlier chunks.
+    get_keys: usize,
+    /// Hits among them, counted into the stats with the last chunk.
+    get_hits: usize,
+    /// The last drain stopped at a full chunk.
+    more: bool,
+}
+
+impl ReplyCursor {
+    /// True when the last [`drain_input`] stopped at a full chunk with a
+    /// complete request still unanswered: write its reply, then drain
+    /// the rest of the input again before reading more.
+    pub fn more(&self) -> bool {
+        self.more
+    }
+}
+
 /// Execute one parsed command against the store, appending any reply to
 /// `response`. `data` is the `set`/`cas` payload. `quit` is the command
-/// loop's to act on: here it does nothing.
+/// loop's to act on: here it does nothing. Returns false when a `get`
+/// stopped at a full chunk with keys still to answer; `cursor` then
+/// holds the place it resumes at.
 fn execute_command(
     store: &Store,
     cmd: &Command<'_>,
     data: &[u8],
+    cursor: &mut ReplyCursor,
     response: &mut Vec<u8>,
-) -> io::Result<()> {
+) -> io::Result<bool> {
     let quiet = matches!(
         cmd,
         Command::Set { noreply: true, .. }
@@ -484,16 +539,44 @@ fn execute_command(
     let replied_before = response.len();
     match cmd {
         Command::Get { keys, with_cas } => {
-            // Each hit is copied into the reply while its shard's guard
-            // is held: bounded memory work, no clone and no socket call.
+            // Resume after the keys earlier chunks answered. Each hit is
+            // copied into the reply while its shard's guard is held:
+            // bounded memory work, no clone and no socket call. A hit
+            // that would overflow a chunk already holding replies ends
+            // the chunk before its key; alone, it gets exactly its room.
             let mut written = Ok(());
-            store.get_each(keys.iter(), |key, hit| {
-                if let (Some(v), Ok(())) = (hit, &written) {
-                    let cas = with_cas.then_some(v.cas);
-                    written = protocol::write_value(response, key, v.flags, v.data, cas);
+            let rest = keys.iter().skip(cursor.get_keys);
+            let (visited, hits) = store.get_until(rest, |key, hit| {
+                let Some(v) = hit else {
+                    return ControlFlow::Continue(());
+                };
+                let room = key.len() + v.data.len() + protocol::VALUE_FRAME + reply::END.len();
+                if !response.is_empty() && response.len() + room > REPLY_CHUNK {
+                    return ControlFlow::Break(());
+                }
+                response.reserve_exact(room);
+                let cas = with_cas.then_some(v.cas);
+                written = protocol::write_value(response, key, v.flags, v.data, cas);
+                if written.is_ok() {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
                 }
             });
             written?;
+            cursor.get_keys += visited;
+            cursor.get_hits += hits;
+            if cursor.get_keys < keys.len() {
+                if cursor.get_keys > 0 {
+                    store
+                        .raw_stats()
+                        .get_resumes
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                return Ok(false);
+            }
+            store.count_get_txn(cursor.get_keys, cursor.get_hits);
+            (cursor.get_keys, cursor.get_hits) = (0, 0);
             protocol::write_end(response)?;
         }
         Command::Set {
@@ -574,29 +657,44 @@ fn execute_command(
         !quiet || response.len() == replied_before,
         "the server writes nothing for a noreply command it parsed, whatever the outcome"
     );
-    Ok(())
+    Ok(true)
 }
 
-/// Execute every complete request at the front of `input` — the one
-/// command loop, with no socket in it. The replies replace
-/// `scratch.response` in request order (the caller answers a pipelined
-/// burst with one write, not one per request); returns how many bytes of
-/// `input` were used up and whether to close the connection afterwards
-/// (`quit` or a framing desync).
+/// Execute the complete requests at the front of `input` — the one
+/// command loop. It makes no system call, so no shard lock is ever held
+/// across one: the socket is written only after it returns. The
+/// replies replace `scratch.response` in request order (the caller
+/// answers a pipelined burst with one write, not one per request), up
+/// to one chunk of 64 KiB: a `get` whose reply would outgrow it stops at a
+/// key boundary and stays at the front of `input`, and the requests
+/// behind it wait. `cursor` is the connection's: it carries that get's
+/// place to the next call, and [`ReplyCursor::more`] says whether a
+/// call is due before more input is read. Returns how many bytes of
+/// `input` were used up (requests answered in full) and whether to close
+/// the connection afterwards (`quit` or a framing desync).
 ///
 /// Every request, each `set` and `delete` of a storage burst included,
 /// runs through `execute_command`, in arrival order.
 pub fn drain_input(
     store: &Store,
     input: &[u8],
+    cursor: &mut ReplyCursor,
     scratch: &mut ConnScratch,
 ) -> io::Result<(usize, bool)> {
     let response = &mut scratch.response;
     let mut consumed_total = 0usize;
     response.clear();
+    response.reserve_exact(REPLY_CHUNK);
+    cursor.more = false;
     loop {
+        let full = response.len() + REPLY_ROOM > REPLY_CHUNK;
         match protocol::next_request(&input[consumed_total..]) {
             NextRequest::Incomplete => break,
+            // A complete request waits for the next chunk.
+            _ if full => {
+                cursor.more = true;
+                break;
+            }
             NextRequest::Desync => return Ok((consumed_total, true)),
             NextRequest::Error { msg, consumed } => {
                 write!(response, "CLIENT_ERROR {msg}\r\n")?;
@@ -608,11 +706,14 @@ pub fn drain_input(
                 consumed,
                 ..
             } => {
-                consumed_total += consumed;
                 if matches!(cmd, Command::Quit) {
-                    return Ok((consumed_total, true));
+                    return Ok((consumed_total + consumed, true));
                 }
-                execute_command(store, &cmd, data, response)?;
+                if !execute_command(store, &cmd, data, cursor, response)? {
+                    cursor.more = true;
+                    break;
+                }
+                consumed_total += consumed;
             }
         }
     }
@@ -620,63 +721,94 @@ pub fn drain_input(
 }
 
 /// Answer one readiness event on `conn`: flush its pending output if it
-/// has any, otherwise one read, [`drain_input`] over what is buffered and
-/// one write of the replies. Counts `conn_reads` and `conn_writes` per
-/// system call. Returns false when the connection should close.
+/// has any; otherwise one read (none while its replies have more to
+/// produce from buffered input), [`drain_input`] over what is buffered
+/// and one write of the chunk. A connection with more reply to produce
+/// stays registered for writability and gets its next chunk on a later
+/// event, so one large request never monopolises its worker, and no
+/// reply buffer holds more than a chunk and one value. Counts
+/// `conn_reads` and `conn_writes` per system call. Returns false when
+/// the connection should close.
 fn serve_conn(
-    store: &Store,
+    shared: &Shared,
     epoll: &Epoll,
     token: u64,
     conn: &mut Conn,
     scratch: &mut ConnScratch,
 ) -> bool {
+    let store = &shared.store;
     let stats = store.raw_stats();
     if !conn.output.is_empty() {
         let Some(n) = write_some(stats, &conn.stream, &conn.output) else {
             return false;
         };
         conn.output.drain(..n);
-        // Flushed: close, or read requests again.
-        return !conn.output.is_empty()
+        if !conn.output.is_empty() {
+            return true;
+        }
+        conn.output.shrink_to(REPLY_CHUNK);
+        // Flushed: the next chunk on the next event, or close, or read
+        // requests again.
+        return conn.cursor.more()
             || (!conn.closing && epoll.modify(&conn.stream, token, Interest::Read).is_ok());
     }
-    stats.conn_reads.fetch_add(1, Ordering::Relaxed);
-    let n = match (&conn.stream).read(&mut scratch.net) {
-        Ok(0) => return false,
-        Ok(n) => n,
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-            ) =>
-        {
-            return true
-        }
-        Err(_) => return false,
-    };
-    stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-    conn.input
-        .extend_from_slice(scratch.net.get(..n).unwrap_or_default());
-    let Ok((consumed, close)) = drain_input(store, &conn.input, scratch) else {
+    let writing = conn.cursor.more();
+    if !writing {
+        stats.conn_reads.fetch_add(1, Ordering::Relaxed);
+        let n = match (&conn.stream).read(&mut scratch.net) {
+            Ok(0) => return false,
+            Ok(n) => n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                return true
+            }
+            Err(_) => return false,
+        };
+        stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
+        conn.input
+            .extend_from_slice(scratch.net.get(..n).unwrap_or_default());
+    }
+    let Ok((consumed, close)) = drain_input(store, &conn.input, &mut conn.cursor, scratch) else {
         return false;
     };
     conn.input.drain(..consumed);
     let reply = scratch.response.as_slice();
-    if reply.is_empty() {
-        return !close;
-    }
-    let Some(n) = write_some(stats, &conn.stream, reply) else {
-        return false;
+    #[cfg(test)]
+    shared
+        .reply_peak
+        .fetch_max(scratch.response.capacity(), Ordering::SeqCst);
+    let n = if reply.is_empty() {
+        0
+    } else {
+        let Some(n) = write_some(stats, &conn.stream, reply) else {
+            return false;
+        };
+        n
     };
-    if n == reply.len() {
-        return !close;
+    // What the socket did not take waits in the output, sized to fit.
+    if let Some(rest) = reply.get(n..).filter(|rest| !rest.is_empty()) {
+        conn.output.reserve_exact(rest.len());
+        conn.output.extend_from_slice(rest);
+        #[cfg(test)]
+        shared
+            .reply_peak
+            .fetch_max(conn.output.capacity(), Ordering::SeqCst);
     }
-    // The socket is full: keep the rest, and wait for room instead of
-    // requests.
-    conn.output
-        .extend_from_slice(reply.get(n..).unwrap_or_default());
+    // A value larger than the chunk grew the buffer only while it was in
+    // flight.
+    if scratch.response.capacity() > REPLY_CHUNK {
+        scratch.response.clear();
+        scratch.response.shrink_to(REPLY_CHUNK);
+    }
     conn.closing = close;
-    epoll.modify(&conn.stream, token, Interest::Write).is_ok()
+    if !conn.output.is_empty() || conn.cursor.more() {
+        return writing || epoll.modify(&conn.stream, token, Interest::Write).is_ok();
+    }
+    !close && (!writing || epoll.modify(&conn.stream, token, Interest::Read).is_ok())
 }
 
 /// One nonblocking write of `bytes`. Returns how many the socket took, or
@@ -709,6 +841,18 @@ mod tests {
 
     fn start() -> (StoreServer, StoreClient) {
         let server = StoreServer::start(Arc::new(Store::new(1 << 22))).unwrap();
+        let client = StoreClient::connect(server.addr()).unwrap();
+        (server, client)
+    }
+
+    /// [`start`] with a single worker, so every reply shares one buffer.
+    fn start_one_worker() -> (StoreServer, StoreClient) {
+        let server = StoreServer::start_with(
+            Arc::new(Store::new(1 << 22)),
+            0,
+            ServerConfig { workers: 1 },
+        )
+        .unwrap();
         let client = StoreClient::connect(server.addr()).unwrap();
         (server, client)
     }
@@ -1186,10 +1330,62 @@ mod tests {
     }
 
     #[test]
+    fn a_get_resumes_at_the_key_after_its_chunk_and_the_next_request_waits() {
+        let store = Store::new(1 << 22);
+        let value = vec![b'v'; 30 << 10];
+        for key in [b"a", b"b", b"c"] {
+            store.set(key, &value, 0, false);
+        }
+        let stanza = |key: &[u8]| {
+            let mut stanza = Vec::new();
+            protocol::write_value(&mut stanza, key, 0, &value, None).unwrap();
+            stanza
+        };
+        let input = b"get a b c\r\nversion\r\n";
+        let mut cursor = ReplyCursor::default();
+        let mut scratch = ConnScratch::new();
+        // Two values fill most of a chunk; the third would overflow it.
+        // The get stays in the input, uncounted but for its resume.
+        assert_eq!(
+            drain_input(&store, input, &mut cursor, &mut scratch).unwrap(),
+            (0, false)
+        );
+        assert!(cursor.more());
+        assert_eq!(scratch.response(), [stanza(b"a"), stanza(b"b")].concat());
+        let stats = store.stats();
+        assert_eq!((stats.get_txns, stats.gets, stats.get_resumes), (0, 0, 1));
+        // The next call answers the third key, ends the get and serves
+        // the request behind it.
+        assert_eq!(
+            drain_input(&store, input, &mut cursor, &mut scratch).unwrap(),
+            (input.len(), false)
+        );
+        assert!(!cursor.more());
+        assert_eq!(
+            scratch.response(),
+            [&stanza(b"c")[..], reply::END, reply::VERSION].concat()
+        );
+        let stats = store.stats();
+        assert_eq!(
+            (stats.get_txns, stats.gets, stats.hits, stats.get_resumes),
+            (1, 3, 3, 1)
+        );
+        assert_eq!(stats.get_batch_hist[2], 1, "one get of three keys");
+    }
+
+    /// Bytes a worker makes room for to answer one hit of `value_len`
+    /// bytes under a key of `key_len`, with the END that may follow.
+    fn value_room(key_len: usize, value_len: usize) -> usize {
+        key_len + value_len + protocol::VALUE_FRAME + reply::END.len()
+    }
+
+    #[test]
     fn slow_reader_costs_its_buffer_not_its_worker() {
         // One worker. Connection A asks for far more than the socket
         // buffers hold and reads nothing; B's round trips must not wait
-        // for A, and A must still get every byte once it reads.
+        // for A, A must still get every byte once it reads, and what
+        // waits for A is one reply buffer of one chunk or one value, not
+        // all 64 replies.
         let server = StoreServer::start_with(
             Arc::new(Store::new(1 << 26)),
             0,
@@ -1217,6 +1413,88 @@ mod tests {
         let mut got = vec![0u8; expect.len()];
         a.read_exact(&mut got).unwrap();
         assert!(got == expect, "slow reader's replies corrupted");
+        let peak = server.take_reply_peak();
+        assert!(
+            peak <= REPLY_CHUNK.max(value_room(3, value.len())),
+            "a reply buffer grew to {peak} bytes"
+        );
+    }
+
+    #[test]
+    fn a_get_of_a_thousand_values_is_answered_chunk_by_chunk() {
+        // The overbooked benchmark's largest requests: 1,200 keys of
+        // 1 KiB at one node, 1.2 MB of reply. One worker builds it a
+        // chunk at a time, so no reply buffer outgrows the chunk, and
+        // the stats count one transaction of 1,200 keys.
+        let server = StoreServer::start_with(
+            Arc::new(Store::new(1 << 24)),
+            0,
+            ServerConfig { workers: 1 },
+        )
+        .unwrap();
+        let keys: Vec<String> = (0..1200).map(|i| format!("item:{i}")).collect();
+        let value = [b'v'; 1024];
+        for key in &keys {
+            server.store().set(key.as_bytes(), &value, 0, false);
+        }
+        // Warm the worker, then count from a clean slate.
+        let mut client = StoreClient::connect(server.addr()).unwrap();
+        assert!(client.version().unwrap().contains("rnb-store"));
+        let before = server.store().stats();
+        server.take_reply_peak();
+
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.write_all(format!("get {}\r\n", keys.join(" ")).as_bytes())
+            .unwrap();
+        let mut expect = Vec::new();
+        for key in &keys {
+            protocol::write_value(&mut expect, key.as_bytes(), 0, &value, None).unwrap();
+        }
+        protocol::write_end(&mut expect).unwrap();
+        let mut got = vec![0u8; expect.len()];
+        raw.read_exact(&mut got).unwrap();
+        assert!(got == expect, "the chunked reply differs");
+
+        let peak = server.take_reply_peak();
+        assert!(
+            peak <= REPLY_CHUNK + value_room(9, value.len()),
+            "a reply buffer grew to {peak} bytes"
+        );
+        let after = server.store().stats();
+        assert_eq!(after.get_txns - before.get_txns, 1);
+        assert_eq!(after.gets - before.gets, 1200);
+        assert_eq!(after.hits - before.hits, 1200);
+        assert_eq!(after.get_batch_hist[8] - before.get_batch_hist[8], 1);
+        let chunks = expect.len().div_ceil(REPLY_CHUNK) as u64;
+        let resumes = after.get_resumes - before.get_resumes;
+        assert!(
+            (chunks - 1..=chunks).contains(&resumes),
+            "{resumes} resumes for {} bytes",
+            expect.len()
+        );
+    }
+
+    #[test]
+    fn a_value_larger_than_the_chunk_holds_its_room_only_while_in_flight() {
+        // One worker. A 200 KiB value is answered whole, in a buffer
+        // grown to fit it; once it is written the buffer is back to one
+        // chunk, which the next reply shows.
+        let (server, mut client) = start_one_worker();
+        let value = vec![b'x'; 200 << 10];
+        client.set(b"huge", &value, 0).unwrap();
+        server.take_reply_peak();
+        let got = client.get_multi(&[b"huge", b"huge"]).unwrap();
+        assert!(got
+            .iter()
+            .all(|g| g.as_ref().map(|(v, _)| v) == Some(&value)));
+        let peak = server.take_reply_peak();
+        assert!(
+            (value.len()..=value_room(4, value.len())).contains(&peak),
+            "the buffer held {peak} bytes for one {} byte value",
+            value.len()
+        );
+        assert!(client.version().unwrap().contains("rnb-store"));
+        assert_eq!(server.take_reply_peak(), REPLY_CHUNK);
     }
 
     #[test]
@@ -1311,7 +1589,7 @@ mod tests {
                 }
                 line.extend_from_slice(b"\r\n");
                 proptest::prop_assert_eq!(
-                    drain_input(&served, &line, &mut scratch).unwrap(),
+                    drain_input(&served, &line, &mut ReplyCursor::default(), &mut scratch).unwrap(),
                     (line.len(), false)
                 );
                 let want = reference_reply(&reference, &refs, *with_cas);
@@ -1336,9 +1614,10 @@ mod tests {
 
     /// One request of a random script over six keys. `op` picks the
     /// command (mostly `set`, so storage runs form), `size` the value
-    /// length (the last is larger than any store below holds), `exptime`
-    /// none, already expired or far off, and `noreply` whether a storage
-    /// command asks for silence. `n` varies the stored bytes.
+    /// length (30 KiB values fill a chunk in three hits, 80 KiB is more
+    /// than a chunk, and the last is larger than any store below holds),
+    /// `exptime` none, already expired or far off, and `noreply` whether
+    /// a storage command asks for silence. `n` varies the stored bytes.
     fn script_request(
         n: usize,
         (op, key, size, exptime, noreply): (u8, u8, u8, u8, bool),
@@ -1346,7 +1625,7 @@ mod tests {
         let quiet = if noreply { " noreply" } else { "" };
         let exptime = [0, -1, 100][usize::from(exptime)];
         let storage = |verb: &str| {
-            let len = [1, 7, 60, 200, 900, 20 << 10][usize::from(size)];
+            let len = [1, 60, 900, 30 << 10, 80 << 10, 1 << 20][usize::from(size)];
             let mut request = format!("{verb} k{key} {n} {exptime} {len}{quiet}\r\n").into_bytes();
             request.resize(request.len() + len, b'a' + (n % 26) as u8);
             request.extend_from_slice(b"\r\n");
@@ -1356,19 +1635,59 @@ mod tests {
             0..=3 => storage("set"),
             4 => storage("add"),
             5 | 6 => format!("delete k{key}{quiet}\r\n").into_bytes(),
-            7 => format!("get k{key} k{}\r\n", (key + 1) % 6).into_bytes(),
-            8 => format!("gets k{key}\r\n").into_bytes(),
+            // Every key twice, starting at `key`.
+            7 => {
+                let keys: String = (0..12).map(|i| format!(" k{}", (key + i) % 6)).collect();
+                format!("get{keys}\r\n").into_bytes()
+            }
+            8 => format!("gets k{key} k{} k{key}\r\n", (key + 1) % 6).into_bytes(),
             _ => [&b"frobnicate\r\n"[..], b"delete\r\n", b"set k0 0 0\r\n"][usize::from(key % 3)]
                 .to_vec(),
         }
     }
 
+    /// Every reply `drain_input` gives `input` on one connection, calling
+    /// it again while the cursor says more is due, and the number of
+    /// calls that took.
+    fn drain_all(store: &Store, input: &[u8], scratch: &mut ConnScratch) -> (Vec<u8>, usize) {
+        let mut cursor = ReplyCursor::default();
+        let (mut replies, mut at, mut calls) = (Vec::new(), 0, 0);
+        loop {
+            let (consumed, close) = drain_input(store, &input[at..], &mut cursor, scratch).unwrap();
+            assert!(!close, "the scripts hold no quit and no desync");
+            // One chunk, or one value larger than a chunk with its END.
+            let oversized = (80 << 10) + protocol::VALUE_FRAME + 10;
+            assert!(scratch.response().len() <= REPLY_CHUNK.max(oversized));
+            replies.extend_from_slice(scratch.response());
+            at += consumed;
+            calls += 1;
+            if !cursor.more() {
+                break;
+            }
+        }
+        assert_eq!(at, input.len(), "every request answered");
+        (replies, calls)
+    }
+
+    /// `stats()` with `get_resumes` cleared: how many chunks a get took
+    /// depends on the replies sharing its first chunk.
+    fn stats_but_resumes(store: &Store) -> crate::stats::StatsSnapshot {
+        crate::stats::StatsSnapshot {
+            get_resumes: 0,
+            ..store.stats()
+        }
+    }
+
     proptest::proptest! {
         /// A pipelined burst is answered, counted and stored exactly as
-        /// the same requests sent one per `drain_input` call: replies
-        /// byte for byte (quiet commands silent, refused values, garbage
-        /// lines and repeated keys included), `stats()`, and what every
-        /// key holds afterwards, on 1 and 16 shards.
+        /// the same requests sent one per `drain_input` call, each driven
+        /// until no reply remains, and as a reference that answers every
+        /// `get` and `gets` with one `get_multi_reference` transaction:
+        /// replies byte for byte (quiet commands silent, refused values,
+        /// garbage lines, repeated keys and replies spanning several
+        /// chunks included), `stats()` but for `get_resumes`, and what
+        /// every key holds afterwards, on 1 and 16 shards. Sent alone, a
+        /// get resumes once per chunk after its first.
         #[test]
         fn burst_drain_matches_one_command_at_a_time(
             script in proptest::collection::vec(
@@ -1381,33 +1700,42 @@ mod tests {
             let burst = requests.concat();
             for shards in [1, 16] {
                 let clock = TestClock::new();
-                let bursted = Store::with_clock(16 << 10, shards, clock.clone().into());
-                let stepped = Store::with_clock(16 << 10, shards, clock.clone().into());
+                let [bursted, stepped, reference] =
+                    [(); 3].map(|()| Store::with_clock(1 << 20, shards, clock.clone().into()));
                 let mut scratch = ConnScratch::new();
-                proptest::prop_assert_eq!(
-                    drain_input(&bursted, &burst, &mut scratch).unwrap(),
-                    (burst.len(), false)
-                );
-                let burst_replies = scratch.response().to_vec();
-                let mut step_replies = Vec::new();
+                let (burst_replies, _) = drain_all(&bursted, &burst, &mut scratch);
+                let (mut step_replies, mut resumes) = (Vec::new(), 0);
+                let mut reference_replies = Vec::new();
                 for request in &requests {
-                    proptest::prop_assert_eq!(
-                        drain_input(&stepped, request, &mut scratch).unwrap(),
-                        (request.len(), false)
-                    );
-                    step_replies.extend_from_slice(scratch.response());
+                    let (replies, calls) = drain_all(&stepped, request, &mut scratch);
+                    step_replies.extend_from_slice(&replies);
+                    resumes += calls - 1;
+                    match protocol::next_request(request) {
+                        NextRequest::Request { cmd: Command::Get { keys, with_cas }, .. } => {
+                            let keys: Vec<&[u8]> = keys.iter().collect();
+                            reference_replies
+                                .extend_from_slice(&reference_reply(&reference, &keys, with_cas));
+                        }
+                        _ => reference_replies
+                            .extend_from_slice(&drain_all(&reference, request, &mut scratch).0),
+                    }
                 }
                 proptest::prop_assert_eq!(
                     String::from_utf8_lossy(&burst_replies),
-                    String::from_utf8_lossy(&step_replies)
+                    String::from_utf8_lossy(&reference_replies)
                 );
-                proptest::prop_assert_eq!(bursted.stats(), stepped.stats());
+                proptest::prop_assert_eq!(
+                    String::from_utf8_lossy(&step_replies),
+                    String::from_utf8_lossy(&reference_replies)
+                );
+                proptest::prop_assert_eq!(stats_but_resumes(&bursted), reference.stats());
+                proptest::prop_assert_eq!(stats_but_resumes(&stepped), reference.stats());
+                proptest::prop_assert_eq!(stepped.stats().get_resumes, resumes as u64);
                 let keys: Vec<Vec<u8>> = (0..6).map(|k| format!("k{k}").into_bytes()).collect();
                 let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-                proptest::prop_assert_eq!(
-                    bursted.get_multi_reference(&keys),
-                    stepped.get_multi_reference(&keys)
-                );
+                let held = reference.get_multi_reference(&keys);
+                proptest::prop_assert_eq!(bursted.get_multi_reference(&keys), held.clone());
+                proptest::prop_assert_eq!(stepped.get_multi_reference(&keys), held);
             }
         }
     }

@@ -40,6 +40,10 @@ pub struct StoreStats {
     pub deletes: AtomicU64,
     /// get transactions (multi-gets count once).
     pub get_txns: AtomicU64,
+    /// Times a get yielded mid-reply: its reply filled a chunk with keys
+    /// still to answer, so the rest waited for the socket to take the
+    /// chunk. A get answered in `c` chunks counts `c - 1`.
+    pub get_resumes: AtomicU64,
     /// Successful compare-and-swaps.
     pub cas_ok: AtomicU64,
     /// CAS attempts rejected for a stale token.
@@ -96,6 +100,8 @@ pub struct StatsSnapshot {
     pub deletes: u64,
     /// get transactions.
     pub get_txns: u64,
+    /// Times a get yielded mid-reply.
+    pub get_resumes: u64,
     /// Successful compare-and-swaps.
     pub cas_ok: u64,
     /// CAS attempts rejected for a stale token.
@@ -155,6 +161,7 @@ impl StoreStats {
             oom_errors: self.oom_errors.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
             get_txns: self.get_txns.load(Ordering::Relaxed),
+            get_resumes: self.get_resumes.load(Ordering::Relaxed),
             cas_ok: self.cas_ok.load(Ordering::Relaxed),
             cas_conflicts: self.cas_conflicts.load(Ordering::Relaxed),
             incr_hits: self.incr_hits.load(Ordering::Relaxed),
@@ -198,6 +205,7 @@ impl StatsSnapshot {
             ("oom_errors".into(), self.oom_errors.to_string()),
             ("cmd_delete".into(), self.deletes.to_string()),
             ("get_transactions".into(), self.get_txns.to_string()),
+            ("get_resumes".into(), self.get_resumes.to_string()),
             ("cas_hits".into(), self.cas_ok.to_string()),
             ("cas_badval".into(), self.cas_conflicts.to_string()),
             ("incr_hits".into(), self.incr_hits.to_string()),
@@ -330,6 +338,15 @@ mod tests {
     }
 
     #[test]
+    fn get_resumes_round_trip_through_stat_lines() {
+        let s = StoreStats::default();
+        s.get_resumes.fetch_add(3, Ordering::Relaxed);
+        let snap = s.snapshot(0, 0);
+        assert_eq!(snap.get_resumes, 3);
+        assert_eq!(stat_line(&snap.stat_lines(), "get_resumes"), "3");
+    }
+
+    #[test]
     fn stat_lines_complete() {
         let lines = StatsSnapshot::default().stat_lines();
         let names: Vec<&str> = lines.iter().map(|(n, _)| n.as_str()).collect();
@@ -352,6 +369,7 @@ mod tests {
             "conn_reads",
             "conn_writes",
             "accept_errors",
+            "get_resumes",
             "get_batch_le_1",
             "get_batch_gt_128",
         ] {

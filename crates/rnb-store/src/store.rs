@@ -16,6 +16,7 @@ use crate::clock::{Clock, LazyTick};
 use crate::shard::{self, ArithOutcome, CasOutcome, SetOutcome, Shard, Value, ValueRef};
 use crate::stats::{StatsSnapshot, StoreStats};
 use parking_lot::Mutex;
+use std::ops::ControlFlow;
 #[cfg(test)]
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
@@ -193,6 +194,26 @@ impl Store {
         I: IntoIterator<Item = &'k [u8]>,
         F: FnMut(&'k [u8], Option<ValueRef<'_>>),
     {
+        let (count, hits) = self.get_until(keys, |key, hit| {
+            visit(key, hit);
+            ControlFlow::Continue(())
+        });
+        self.count_get_txn(count, hits);
+        hits
+    }
+
+    /// [`Store::get_each`] over part of a transaction, uncounted: `keys`
+    /// in request order until `visit` breaks. The key it breaks on does
+    /// not count as visited, and a later call looks it up afresh; the
+    /// clock is read at most once per call. Returns `(keys visited, hits
+    /// among them)`, and the caller counts the whole transaction once,
+    /// with [`Store::count_get_txn`]. `visit` runs under a shard mutex, as
+    /// `get_each`'s does.
+    pub(crate) fn get_until<'k, I, F>(&self, keys: I, mut visit: F) -> (usize, usize)
+    where
+        I: IntoIterator<Item = &'k [u8]>,
+        F: FnMut(&'k [u8], Option<ValueRef<'_>>) -> ControlFlow<()>,
+    {
         let mut now = LazyTick::new(&self.clock);
         let mask = self.mask;
         let mut keys = keys
@@ -207,17 +228,19 @@ impl Store {
             let mut shard = self.shards[sh as usize].lock();
             while let Some((key, h)) = keys.next_if(|&(_, h)| h & mask == sh) {
                 let hit = shard.lookup(h, key, &mut now);
+                let found = hit.is_some();
+                if visit(key, hit).is_break() {
+                    return (count, hits);
+                }
                 count += 1;
-                hits += usize::from(hit.is_some());
-                visit(key, hit);
+                hits += usize::from(found);
             }
         }
-        self.count_get_txn(count, hits);
-        hits
+        (count, hits)
     }
 
     /// Stats of one get transaction of `keys` keys, `hits` of them found.
-    fn count_get_txn(&self, keys: usize, hits: usize) {
+    pub(crate) fn count_get_txn(&self, keys: usize, hits: usize) {
         self.stats.get_txns.fetch_add(1, Ordering::Relaxed);
         self.stats.gets.fetch_add(keys as u64, Ordering::Relaxed);
         self.stats.count_get_batch(keys);

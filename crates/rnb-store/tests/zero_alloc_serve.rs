@@ -11,13 +11,14 @@
 //! bytes, since every read copies them out). Every later pass of
 //! [`rnb_store::drain_input`] — the command loop the server's workers
 //! run on each connection's buffered bytes — must perform **zero**
-//! allocator calls, as long as values fit the pooled buffers.
+//! allocator calls, as long as values fit the pooled buffers — also
+//! across the calls that answer one get a chunk at a time.
 //!
 //! Kept to a single `#[test]` so no sibling test thread muddies the
 //! warm-up ordering.
 
 use alloc_counter::{count_alloc, AllocCounterSystem};
-use rnb_store::{drain_input, ConnScratch, Store};
+use rnb_store::{drain_input, ConnScratch, ReplyCursor, Store};
 
 #[global_allocator]
 static ALLOC: AllocCounterSystem = AllocCounterSystem;
@@ -63,6 +64,59 @@ fn steady_state_serving_does_not_allocate() {
     assert_steady_state_allocation_free(1, 700);
     assert_deletes_allocation_free();
     assert_evicting_sets_allocate_once_per_entry();
+    assert_chunked_get_allocation_free();
+}
+
+/// A get whose reply spans several chunks is answered by one
+/// `drain_input` call per chunk, each resuming at the key after the last
+/// one written; once a first pass has warmed the response buffer, a pass
+/// of every call makes no allocator call at all.
+fn assert_chunked_get_allocation_free() {
+    const KEYS: usize = 200;
+    const VALUE: usize = 1024;
+    let store = Store::with_shards(1 << 22, 8);
+    let keys: Vec<String> = (0..KEYS).map(|i| format!("chunked-{i}")).collect();
+    for k in &keys {
+        store.set(k.as_bytes(), &[b'c'; VALUE], 0, false);
+    }
+    let script = format!("get {}\r\n", keys.join(" ")).into_bytes();
+    let mut scratch = ConnScratch::new();
+    let mut cursor = ReplyCursor::default();
+    let mut reply = Vec::with_capacity(2 * KEYS * VALUE);
+    // Every call until the get's END, each reply appended to `reply`.
+    let mut serve = |reply: &mut Vec<u8>| {
+        let mut calls = 0;
+        loop {
+            let (consumed, close) =
+                drain_input(&store, &script, &mut cursor, &mut scratch).expect("in-memory replies");
+            reply.extend_from_slice(scratch.response());
+            calls += 1;
+            if !cursor.more() {
+                assert_eq!((consumed, close), (script.len(), false));
+                return calls;
+            }
+            assert_eq!((consumed, close), (0, false), "the get stays at the front");
+        }
+    };
+    let warm_calls = serve(&mut reply);
+    assert!(
+        warm_calls >= 3,
+        "{warm_calls} calls for {} bytes",
+        reply.len()
+    );
+    let warm_reply = std::mem::take(&mut reply);
+    reply.reserve(warm_reply.len());
+    let txns = store.stats().get_txns;
+
+    let ((allocs, reallocs, deallocs), calls) = count_alloc(|| serve(&mut reply));
+    assert_eq!(calls, warm_calls);
+    assert!(reply == warm_reply, "same get, same reply");
+    assert_eq!(
+        (allocs, reallocs, deallocs),
+        (0, 0, 0),
+        "a get answered in {calls} chunks touched the allocator"
+    );
+    assert_eq!(store.stats().get_txns, txns + 1, "one transaction");
 }
 
 /// A `set` of a new key into a full store allocates the entry (its key
@@ -121,7 +175,8 @@ fn assert_deletes_allocation_free() {
     }
     let mut scratch = ConnScratch::new();
     let script = delete_script(&warm);
-    drain_input(&store, &script, &mut scratch).expect("in-memory replies");
+    drain_input(&store, &script, &mut ReplyCursor::default(), &mut scratch)
+        .expect("in-memory replies");
     assert_eq!(scratch.response(), b"DELETED\r\n".repeat(KEYS));
     // Refill the warm keys so the counted pass reuses the freed slots'
     // capacity instead of growing the free list.
@@ -131,7 +186,7 @@ fn assert_deletes_allocation_free() {
 
     let script = delete_script(&counted);
     let ((allocs, reallocs, deallocs), result) =
-        count_alloc(|| drain_input(&store, &script, &mut scratch));
+        count_alloc(|| drain_input(&store, &script, &mut ReplyCursor::default(), &mut scratch));
     result.expect("in-memory replies");
     assert_eq!(scratch.response(), b"DELETED\r\n".repeat(KEYS));
     assert_eq!(
@@ -153,12 +208,15 @@ fn assert_steady_state_allocation_free(shards: usize, warm_passes: usize) {
     }
     let script = traffic_script(&keys);
     let mut scratch = ConnScratch::new();
+    let mut cursor = ReplyCursor::default();
 
     // Warm-up: grows every pooled buffer to the script's steady-state
     // shape (and leaves each value's Arc at refcount 1).
     for _ in 0..warm_passes {
-        let served = drain_input(&store, &script, &mut scratch).expect("in-memory replies");
+        let served =
+            drain_input(&store, &script, &mut cursor, &mut scratch).expect("in-memory replies");
         assert_eq!(served, (script.len(), false), "whole script, no close");
+        assert!(!cursor.more(), "the script's replies fit one chunk");
     }
     let warm_reply = scratch.response().to_vec();
     assert!(
@@ -172,7 +230,7 @@ fn assert_steady_state_allocation_free(shards: usize, warm_passes: usize) {
     // allocator at all — no allocs, no reallocs, no deallocs.
     for round in 0..5 {
         let ((allocs, reallocs, deallocs), result) =
-            count_alloc(|| drain_input(&store, &script, &mut scratch));
+            count_alloc(|| drain_input(&store, &script, &mut cursor, &mut scratch));
         result.expect("in-memory replies");
         assert_eq!(scratch.response(), warm_reply, "same traffic, same replies");
         assert_eq!(

@@ -857,7 +857,7 @@ pub const SOCKET_IO_PATTERNS: &[&str] = &[
 /// (the one-pass read lends each hit to a visitor while the shard is
 /// locked). R10 treats that closure, at every call site, as guarded
 /// scope, from its first `|` to the call's closing parenthesis.
-pub const GUARDED_VISITOR_CALLS: &[&str] = &[".get_each("];
+pub const GUARDED_VISITOR_CALLS: &[&str] = &[".get_each(", ".get_until("];
 
 /// `(file, fn, reason)` triples excused from R10, with staleness
 /// checking. Empty today: the store has no justified nested-lock or
@@ -2109,15 +2109,18 @@ mod tests {
 
     #[test]
     fn r10_lock_in_a_guarded_visitor_fails() {
-        let files = vec![store_file(
-            "fn count(store: &Store, keys: Keys) {\n\
-                 store.get_each(keys, |_, _| { self.stats.lock().bump(); });\n\
-             }\n",
-        )];
-        let graph = CallGraph::build(&files);
-        let v = check_lock_discipline_with(&files, &graph, &[]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("another `.lock()`"));
+        // Both visitor calls: the whole read and the resumable part.
+        for call in ["get_each", "get_until"] {
+            let files = vec![store_file(&format!(
+                "fn count(store: &Store, keys: Keys) {{\n\
+                     store.{call}(keys, |_, _| {{ self.stats.lock().bump(); }});\n\
+                 }}\n"
+            ))];
+            let graph = CallGraph::build(&files);
+            let v = check_lock_discipline_with(&files, &graph, &[]);
+            assert_eq!(v.len(), 1, "{call}: {v:?}");
+            assert!(v[0].message.contains("another `.lock()`"));
+        }
     }
 
     #[test]
