@@ -61,10 +61,34 @@ impl<'a> GetKeys<'a> {
 
     /// The keys, as slices borrowed from the request line.
     pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
-        self.tail
-            .split(u8::is_ascii_whitespace)
-            .filter(|key| !key.is_empty())
+        keys_in(self.tail)
     }
+
+    /// The key list: the line's bytes after the verb, to the line's end.
+    pub(crate) fn list(&self) -> &'a [u8] {
+        self.tail
+    }
+}
+
+/// The keys of a get's key `list` (or of any tail of it, terminator
+/// included): the runs of bytes between ASCII whitespace, in order.
+pub(crate) fn keys_in(list: &[u8]) -> impl Iterator<Item = &[u8]> + '_ {
+    list.split(u8::is_ascii_whitespace)
+        .filter(|key| !key.is_empty())
+}
+
+/// The tokens of `bytes` as [`keys_in`] splits them, each with the
+/// offset in `bytes` just past it.
+pub(crate) fn key_spans(bytes: &[u8]) -> impl Iterator<Item = (&[u8], usize)> + '_ {
+    // Each piece of the split but the last is followed by one separator.
+    let mut at = 0;
+    bytes
+        .split(u8::is_ascii_whitespace)
+        .filter_map(move |piece| {
+            let end = at + piece.len();
+            at = end + 1;
+            (!piece.is_empty()).then_some((piece, end))
+        })
 }
 
 impl PartialEq for GetKeys<'_> {
@@ -149,9 +173,37 @@ pub enum Command<'a> {
 /// Maximum key length (memcached's limit).
 pub const MAX_KEY_LEN: usize = 250;
 
+/// Most bytes of escaped token an error message quotes.
+const ECHO_MAX: usize = 32;
+
+/// `token` quoted for an error message: Debug-escaped, cut to the chars
+/// whose escapes fit in [`ECHO_MAX`] bytes, and `...` after the quote if
+/// that cut it short. A reply's echo of a bad token stays small however
+/// long or binary the token is.
+fn echo(token: &str) -> String {
+    let (mut kept, mut escaped) = (0, 0);
+    for c in token.chars() {
+        escaped += c.escape_debug().map(char::len_utf8).sum::<usize>();
+        if escaped > ECHO_MAX {
+            break;
+        }
+        kept += c.len_utf8();
+    }
+    let cut = if kept < token.len() { "..." } else { "" };
+    format!("{:?}{cut}", token.get(..kept).unwrap_or_default())
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Request lines [`parse_command`] has parsed on this thread.
+    pub(crate) static LINES_PARSED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Parse one request line (without the trailing CRLF). The returned
 /// [`Command`] borrows `line`; nothing is copied.
 pub fn parse_command(line: &[u8]) -> Result<Command<'_>, String> {
+    #[cfg(test)]
+    LINES_PARSED.with(|n| n.set(n.get() + 1));
     let text = std::str::from_utf8(line).map_err(|_| "non-utf8 command line".to_string())?;
     let mut parts = text.split_ascii_whitespace();
     let verb = parts.next().ok_or_else(|| "empty command".to_string())?;
@@ -202,7 +254,7 @@ pub fn parse_command(line: &[u8]) -> Result<Command<'_>, String> {
             let noreply = match parts.next() {
                 None => false,
                 Some("noreply") => true,
-                Some(other) => return Err(format!("{verb}: unexpected token {other:?}")),
+                Some(other) => return Err(format!("{verb}: unexpected token {}", echo(other))),
             };
             Ok(match verb {
                 "cas" => Command::Cas {
@@ -250,7 +302,7 @@ pub fn parse_command(line: &[u8]) -> Result<Command<'_>, String> {
             let noreply = match parts.next() {
                 None => false,
                 Some("noreply") => true,
-                Some(other) => return Err(format!("{verb}: unexpected token {other:?}")),
+                Some(other) => return Err(format!("{verb}: unexpected token {}", echo(other))),
             };
             Ok(Command::Arith {
                 key,
@@ -265,14 +317,14 @@ pub fn parse_command(line: &[u8]) -> Result<Command<'_>, String> {
             let noreply = match parts.next() {
                 None => false,
                 Some("noreply") => true,
-                Some(other) => return Err(format!("delete: unexpected token {other:?}")),
+                Some(other) => return Err(format!("delete: unexpected token {}", echo(other))),
             };
             Ok(Command::Delete { key, noreply })
         }
         "stats" => Ok(Command::Stats),
         "version" => Ok(Command::Version),
         "quit" => Ok(Command::Quit),
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(format!("unknown command {}", echo(other))),
     }
 }
 
@@ -986,6 +1038,39 @@ mod tests {
             } => assert_eq!(consumed, 12),
             other => panic!("expected version, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_error_quotes_at_most_32_bytes_of_a_token() {
+        assert_eq!(echo("frob\"nicate"), "\"frob\\\"nicate\"");
+        let long = "x".repeat(100);
+        assert_eq!(echo(&long), format!("{:?}...", &long[..32]));
+        // Escapes count: six `\u{1}` take 30 bytes, a seventh would not fit.
+        let control = "\u{1}".repeat(10);
+        assert_eq!(echo(&control), format!("{:?}...", &control[..6]));
+        // A cut never splits a char: `é` is two bytes.
+        let wide = "é".repeat(40);
+        assert_eq!(echo(&wide), format!("{:?}...", "é".repeat(16)));
+        for line in [format!("set k 0 0 1 {long}"), format!("delete k {long}")] {
+            let err = parse_command(line.as_bytes()).unwrap_err();
+            assert!(err.ends_with(&format!("{:?}...", &long[..32])), "{err}");
+        }
+        assert_eq!(
+            parse_command(long.as_bytes()).unwrap_err(),
+            format!("unknown command {:?}...", &long[..32])
+        );
+    }
+
+    #[test]
+    fn get_keys_come_with_where_they_end() {
+        let spans: Vec<(&[u8], usize)> = key_spans(b" a \t bb\tccc  ").collect();
+        assert_eq!(spans, [(&b"a"[..], 2), (b"bb", 7), (b"ccc", 11)]);
+        // A tail of the list from any key's end yields the keys after it.
+        let rest: Vec<&[u8]> = key_spans(&b" a \t bb\tccc  "[2..])
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(rest, [&b"bb"[..], b"ccc"]);
+        assert_eq!(key_spans(b" \t ").count(), 0);
     }
 
     #[test]

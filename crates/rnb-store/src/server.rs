@@ -17,11 +17,12 @@
 //! output, and the connection is read again only once that is flushed.
 //! Replies are built a 64 KiB chunk at a time: a `get` whose reply would
 //! outgrow the chunk stops at a key boundary, and the connection waits
-//! for writability to resume it at its next key ([`ReplyCursor`]), so no
-//! buffer holds more than a chunk and one value. A `get` is one pass
-//! over its keys per chunk ([`Store::get_each`]'s loop): each hit is
-//! written into the reply from its shard, under the shard's guard, so no
-//! value is cloned. Each worker owns one [`ConnScratch`], so the command
+//! for writability to resume it at its next key ([`ReplyCursor`] keeps
+//! where that key starts, so the line is parsed once), and no buffer
+//! holds more than a chunk and one value. A `get` is one pass over its
+//! keys per chunk ([`Store::get_each`]'s loop): each hit is written into
+//! the reply from its shard, under the shard's guard, so no value is
+//! cloned. Each worker owns one [`ConnScratch`], so the command
 //! loop is allocation-free at steady state (proven by the
 //! `zero_alloc_serve` integration test, which drives [`drain_input`] over
 //! in-memory bytes).
@@ -495,15 +496,21 @@ impl ConnScratch {
 }
 
 /// Where a connection's replies stand between [`drain_input`] calls:
-/// how far into the `get` at the front of its input the replies got, and
+/// where the `get` at the front of its input stopped, if one did, and
 /// whether a complete request is still unanswered. One per connection,
 /// starting from `default()`, passed with that connection's input.
+///
+/// A stopped get is resumed from the byte offsets kept here, without
+/// parsing its line again or skipping the keys already answered. That
+/// is sound because the line was validated when it was first parsed,
+/// and it stays byte for byte at the front of the input until its `END`
+/// is written: the get's bytes were not counted as used up, so the
+/// caller drains nothing ahead of them, and only bytes read later are
+/// added, behind them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReplyCursor {
-    /// Keys of the front `get` answered by earlier chunks.
-    get_keys: usize,
-    /// Hits among them, counted into the stats with the last chunk.
-    get_hits: usize,
+    /// The get at the front of the input that stopped at a full chunk.
+    get: Option<PartGet>,
     /// The last drain stopped at a full chunk.
     more: bool,
 }
@@ -517,18 +524,101 @@ impl ReplyCursor {
     }
 }
 
-/// Execute one parsed command against the store, appending any reply to
-/// `response`. `data` is the `set`/`cas` payload. `quit` is the command
-/// loop's to act on: here it does nothing. Returns false when a `get`
-/// stopped at a full chunk with keys still to answer; `cursor` then
-/// holds the place it resumes at.
+/// A `get` part answered. Offsets count from the start of its request,
+/// which is the start of the input while the get is resumed.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct PartGet {
+    /// Where the keys not yet answered start, blanks ahead included: from
+    /// there to the request's end are those keys and blanks only. 0 until
+    /// the get first stops.
+    at: usize,
+    /// Bytes the whole request takes, used up with its `END`.
+    consumed: usize,
+    /// True for `gets`.
+    with_cas: bool,
+    /// Keys answered so far.
+    keys: usize,
+    /// Hits among them, counted into the stats with the last chunk.
+    hits: usize,
+}
+
+/// Answer the keys of `list`, the part of `get`'s key list not yet
+/// answered: the whole list, out of its line in `request`, if `get.at`
+/// is 0, else `request[get.at..]`, whose terminator splits as blanks.
+/// Each hit is copied into the reply while its shard's guard is held:
+/// bounded memory work, no clone and no socket call. A hit that would
+/// overflow a chunk already holding replies ends the chunk before its
+/// key; alone, it gets exactly its room. Then the get is counted and
+/// ended, and true is returned; or, stopped at a full chunk, `cursor`
+/// keeps where its next key starts, and false is returned.
+fn answer_get(
+    store: &Store,
+    request: &[u8],
+    list: &[u8],
+    mut get: PartGet,
+    cursor: &mut ReplyCursor,
+    response: &mut Vec<u8>,
+) -> io::Result<bool> {
+    let (mut written, mut stopped) = (Ok(()), false);
+    let (visited, hits) = store.get_until(protocol::keys_in(list), |key, hit| {
+        let Some(v) = hit else {
+            return ControlFlow::Continue(());
+        };
+        let room = key.len() + v.data.len() + protocol::VALUE_FRAME + reply::END.len();
+        if !response.is_empty() && response.len() + room > REPLY_CHUNK {
+            stopped = true;
+            return ControlFlow::Break(());
+        }
+        response.reserve_exact(room);
+        let cas = get.with_cas.then_some(v.cas);
+        written = protocol::write_value(response, key, v.flags, v.data, cas);
+        if written.is_ok() {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    });
+    written?;
+    get.keys += visited;
+    get.hits += hits;
+    if !stopped {
+        store.count_get_txn(get.keys, get.hits);
+        protocol::write_end(response)?;
+        return Ok(true);
+    }
+    if get.keys > 0 {
+        store
+            .raw_stats()
+            .get_resumes
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    // The keys not yet answered start past the last key this call
+    // visited, or past the verb of a get that visited none: the first
+    // token from `request[0..]` is the verb. Only a stopped get walks its
+    // tokens again, and only those of this chunk.
+    let tokens = visited + usize::from(get.at == 0);
+    if let Some(last) = tokens.checked_sub(1) {
+        let rest = request.get(get.at..).unwrap_or_default();
+        get.at += protocol::key_spans(rest)
+            .nth(last)
+            .map_or(0, |(_, end)| end);
+    }
+    get.consumed = request.len();
+    cursor.get = Some(get);
+    cursor.more = true;
+    Ok(false)
+}
+
+/// Execute one parsed command other than a `get` against the store,
+/// appending any reply to `response`. `data` is the `set`/`cas` payload.
+/// `get` and `quit` are the command loop's to act on: here they do
+/// nothing.
 fn execute_command(
     store: &Store,
     cmd: &Command<'_>,
     data: &[u8],
-    cursor: &mut ReplyCursor,
     response: &mut Vec<u8>,
-) -> io::Result<bool> {
+) -> io::Result<()> {
     let quiet = matches!(
         cmd,
         Command::Set { noreply: true, .. }
@@ -538,47 +628,6 @@ fn execute_command(
     );
     let replied_before = response.len();
     match cmd {
-        Command::Get { keys, with_cas } => {
-            // Resume after the keys earlier chunks answered. Each hit is
-            // copied into the reply while its shard's guard is held:
-            // bounded memory work, no clone and no socket call. A hit
-            // that would overflow a chunk already holding replies ends
-            // the chunk before its key; alone, it gets exactly its room.
-            let mut written = Ok(());
-            let rest = keys.iter().skip(cursor.get_keys);
-            let (visited, hits) = store.get_until(rest, |key, hit| {
-                let Some(v) = hit else {
-                    return ControlFlow::Continue(());
-                };
-                let room = key.len() + v.data.len() + protocol::VALUE_FRAME + reply::END.len();
-                if !response.is_empty() && response.len() + room > REPLY_CHUNK {
-                    return ControlFlow::Break(());
-                }
-                response.reserve_exact(room);
-                let cas = with_cas.then_some(v.cas);
-                written = protocol::write_value(response, key, v.flags, v.data, cas);
-                if written.is_ok() {
-                    ControlFlow::Continue(())
-                } else {
-                    ControlFlow::Break(())
-                }
-            });
-            written?;
-            cursor.get_keys += visited;
-            cursor.get_hits += hits;
-            if cursor.get_keys < keys.len() {
-                if cursor.get_keys > 0 {
-                    store
-                        .raw_stats()
-                        .get_resumes
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(false);
-            }
-            store.count_get_txn(cursor.get_keys, cursor.get_hits);
-            (cursor.get_keys, cursor.get_hits) = (0, 0);
-            protocol::write_end(response)?;
-        }
         Command::Set {
             verb,
             key,
@@ -651,13 +700,13 @@ fn execute_command(
             protocol::write_end(response)?;
         }
         Command::Version => response.extend_from_slice(reply::VERSION),
-        Command::Quit => {}
+        Command::Get { .. } | Command::Quit => {}
     }
     debug_assert!(
         !quiet || response.len() == replied_before,
         "the server writes nothing for a noreply command it parsed, whatever the outcome"
     );
-    Ok(true)
+    Ok(())
 }
 
 /// Execute the complete requests at the front of `input` — the one
@@ -668,13 +717,16 @@ fn execute_command(
 /// to one chunk of 64 KiB: a `get` whose reply would outgrow it stops at a
 /// key boundary and stays at the front of `input`, and the requests
 /// behind it wait. `cursor` is the connection's: it carries that get's
-/// place to the next call, and [`ReplyCursor::more`] says whether a
-/// call is due before more input is read. Returns how many bytes of
-/// `input` were used up (requests answered in full) and whether to close
-/// the connection afterwards (`quit` or a framing desync).
+/// place to the next call, which resumes it at its next key, and
+/// [`ReplyCursor::more`] says whether a call is due before more input is
+/// read. `input` must start where the last call's used-up bytes ended.
+/// Returns how many bytes of `input` were used up (requests answered in
+/// full) and whether to close the connection afterwards (`quit` or a
+/// framing desync).
 ///
-/// Every request, each `set` and `delete` of a storage burst included,
-/// runs through `execute_command`, in arrival order.
+/// Every request runs in arrival order: a `get` through `answer_get`,
+/// every other one, each `set` and `delete` of a storage burst included,
+/// through `execute_command`.
 pub fn drain_input(
     store: &Store,
     input: &[u8],
@@ -686,9 +738,21 @@ pub fn drain_input(
     response.clear();
     response.reserve_exact(REPLY_CHUNK);
     cursor.more = false;
+    if let Some(get) = cursor.get.take() {
+        let Some(request) = input.get(..get.consumed) else {
+            // The input no longer starts with the get.
+            return Ok((0, true));
+        };
+        let list = request.get(get.at..).unwrap_or_default();
+        if !answer_get(store, request, list, get, cursor, response)? {
+            return Ok((0, false));
+        }
+        consumed_total = get.consumed;
+    }
     loop {
         let full = response.len() + REPLY_ROOM > REPLY_CHUNK;
-        match protocol::next_request(&input[consumed_total..]) {
+        let rest = input.get(consumed_total..).unwrap_or_default();
+        match protocol::next_request(rest) {
             NextRequest::Incomplete => break,
             // A complete request waits for the next chunk.
             _ if full => {
@@ -701,6 +765,21 @@ pub fn drain_input(
                 consumed_total += consumed;
             }
             NextRequest::Request {
+                cmd: Command::Get { keys, with_cas },
+                consumed,
+                ..
+            } => {
+                let request = rest.get(..consumed).unwrap_or_default();
+                let get = PartGet {
+                    with_cas,
+                    ..PartGet::default()
+                };
+                if !answer_get(store, request, keys.list(), get, cursor, response)? {
+                    break;
+                }
+                consumed_total += consumed;
+            }
+            NextRequest::Request {
                 cmd,
                 data,
                 consumed,
@@ -709,10 +788,7 @@ pub fn drain_input(
                 if matches!(cmd, Command::Quit) {
                     return Ok((consumed_total + consumed, true));
                 }
-                if !execute_command(store, &cmd, data, cursor, response)? {
-                    cursor.more = true;
-                    break;
-                }
+                execute_command(store, &cmd, data, response)?;
                 consumed_total += consumed;
             }
         }
@@ -1341,11 +1417,12 @@ mod tests {
             protocol::write_value(&mut stanza, key, 0, &value, None).unwrap();
             stanza
         };
-        let input = b"get a b c\r\nversion\r\n";
+        let input = b"\r\nget a \tb  c \r\nversion\r\n";
         let mut cursor = ReplyCursor::default();
         let mut scratch = ConnScratch::new();
         // Two values fill most of a chunk; the third would overflow it.
-        // The get stays in the input, uncounted but for its resume.
+        // The get stays in the input, uncounted but for its resume, and
+        // the cursor keeps where its key list goes on: at `c`.
         assert_eq!(
             drain_input(&store, input, &mut cursor, &mut scratch).unwrap(),
             (0, false)
@@ -1354,6 +1431,8 @@ mod tests {
         assert_eq!(scratch.response(), [stanza(b"a"), stanza(b"b")].concat());
         let stats = store.stats();
         assert_eq!((stats.get_txns, stats.gets, stats.get_resumes), (0, 0, 1));
+        let part = cursor.get.unwrap();
+        assert_eq!(&input[part.at..part.consumed], b"  c \r\n");
         // The next call answers the third key, ends the get and serves
         // the request behind it.
         assert_eq!(
@@ -1371,6 +1450,62 @@ mod tests {
             (1, 3, 3, 1)
         );
         assert_eq!(stats.get_batch_hist[2], 1, "one get of three keys");
+    }
+
+    #[test]
+    fn a_get_answered_in_chunks_parses_its_line_once() {
+        // 200 values of 1 KiB take four chunks. Only the first call
+        // parses the get's line; the others resume at the next key, and
+        // the last also parses the request behind it.
+        let store = Store::new(1 << 22);
+        let keys: Vec<String> = (0..200).map(|i| format!("key-{i}")).collect();
+        for key in &keys {
+            store.set(key.as_bytes(), &[b'v'; 1024], 0, false);
+        }
+        let input = format!("get {}\r\nversion\r\n", keys.join(" \t")).into_bytes();
+        let mut cursor = ReplyCursor::default();
+        let mut scratch = ConnScratch::new();
+        let before = protocol::LINES_PARSED.with(std::cell::Cell::get);
+        let mut calls = 0u64;
+        loop {
+            let (consumed, close) = drain_input(&store, &input, &mut cursor, &mut scratch).unwrap();
+            assert!(!close);
+            calls += 1;
+            let parsed = protocol::LINES_PARSED.with(std::cell::Cell::get) - before;
+            if !cursor.more() {
+                assert_eq!(consumed, input.len());
+                assert_eq!(parsed, 2, "the get's line and the version's");
+                break;
+            }
+            assert_eq!((consumed, parsed), (0, 1), "call {calls}");
+            assert!(calls < 100, "the get is not going forward");
+        }
+        assert!(calls >= 3, "{calls} calls");
+        let stats = store.stats();
+        assert_eq!((stats.get_txns, stats.hits), (1, 200));
+        assert_eq!(stats.get_resumes, calls - 1);
+    }
+
+    #[test]
+    fn a_bad_token_is_quoted_short_and_the_next_request_is_answered() {
+        // A line of 1 MiB, terminator included: the longest the parser
+        // takes. Its one token is an unknown command, echoed in at most
+        // a few dozen bytes, however it escapes.
+        let store = Store::new(1 << 20);
+        let mut scratch = ConnScratch::new();
+        for byte in [0x01, b'x'] {
+            let mut input = vec![byte; protocol::MAX_REQUEST_LINE - 2];
+            input.extend_from_slice(b"\r\nversion\r\n");
+            let mut cursor = ReplyCursor::default();
+            assert_eq!(
+                drain_input(&store, &input, &mut cursor, &mut scratch).unwrap(),
+                (input.len(), false)
+            );
+            let reply = scratch.response();
+            let error = reply.strip_suffix(reply::VERSION).unwrap();
+            assert!(error.starts_with(b"CLIENT_ERROR unknown command"));
+            assert!(error.len() <= 128, "{}", String::from_utf8_lossy(error));
+        }
     }
 
     /// Bytes a worker makes room for to answer one hit of `value_len`
@@ -1617,7 +1752,8 @@ mod tests {
     /// length (30 KiB values fill a chunk in three hits, 80 KiB is more
     /// than a chunk, and the last is larger than any store below holds),
     /// `exptime` none, already expired or far off, and `noreply` whether
-    /// a storage command asks for silence. `n` varies the stored bytes.
+    /// a storage command asks for silence. `n` varies the stored bytes
+    /// and the runs of spaces and tabs between a get's keys.
     fn script_request(
         n: usize,
         (op, key, size, exptime, noreply): (u8, u8, u8, u8, bool),
@@ -1635,16 +1771,27 @@ mod tests {
             0..=3 => storage("set"),
             4 => storage("add"),
             5 | 6 => format!("delete k{key}{quiet}\r\n").into_bytes(),
-            // Every key twice, starting at `key`.
-            7 => {
-                let keys: String = (0..12).map(|i| format!(" k{}", (key + i) % 6)).collect();
-                format!("get{keys}\r\n").into_bytes()
+            // Every key twice, starting at `key`, after runs of blanks.
+            7 | 8 => {
+                let verb = if op == 7 { "get" } else { "gets" };
+                let blanks = |i: usize| [" ", "\t", "  \t", " \t \t"][(n + i) % 4];
+                let keys: String = (0..12)
+                    .map(|i| format!("{}k{}", blanks(i), (usize::from(key) + i) % 6))
+                    .collect();
+                format!("{verb}{keys}{}\r\n", blanks(n % 3)).into_bytes()
             }
-            8 => format!("gets k{key} k{} k{key}\r\n", (key + 1) % 6).into_bytes(),
             _ => [&b"frobnicate\r\n"[..], b"delete\r\n", b"set k0 0 0\r\n"][usize::from(key % 3)]
                 .to_vec(),
         }
     }
+
+    /// The room of the largest value the scripts store: one chunk's reply
+    /// may hold it alone.
+    const OVERSIZED: usize = (80 << 10) + protocol::VALUE_FRAME + 10;
+
+    /// More reply bytes than a script of at most 40 requests gets: a get
+    /// has 12 keys, and the stores below refuse a value over 80 KiB.
+    const SCRIPT_REPLY_MAX: usize = 40 * (12 * ((80 << 10) + protocol::VALUE_FRAME + 10) + 64);
 
     /// Every reply `drain_input` gives `input` on one connection, calling
     /// it again while the cursor says more is due, and the number of
@@ -1656,9 +1803,12 @@ mod tests {
             let (consumed, close) = drain_input(store, &input[at..], &mut cursor, scratch).unwrap();
             assert!(!close, "the scripts hold no quit and no desync");
             // One chunk, or one value larger than a chunk with its END.
-            let oversized = (80 << 10) + protocol::VALUE_FRAME + 10;
-            assert!(scratch.response().len() <= REPLY_CHUNK.max(oversized));
+            assert!(scratch.response().len() <= REPLY_CHUNK.max(OVERSIZED));
             replies.extend_from_slice(scratch.response());
+            assert!(
+                replies.len() <= SCRIPT_REPLY_MAX,
+                "a get is not going forward"
+            );
             at += consumed;
             calls += 1;
             if !cursor.more() {
@@ -1667,6 +1817,41 @@ mod tests {
         }
         assert_eq!(at, input.len(), "every request answered");
         (replies, calls)
+    }
+
+    /// Every reply `drain_input` gives `input` on one connection whose
+    /// bytes arrive a piece at a time: before each call the next size of
+    /// `pieces` (cycled) is added behind what is buffered, also while a
+    /// get is mid-reply (at least a byte while no reply is due), and
+    /// after each call the bytes used up are drained, as the server does.
+    fn drain_in_pieces(
+        store: &Store,
+        input: &[u8],
+        pieces: &[usize],
+        scratch: &mut ConnScratch,
+    ) -> Vec<u8> {
+        let mut cursor = ReplyCursor::default();
+        let (mut buffered, mut replies, mut sent) = (Vec::new(), Vec::new(), 0);
+        for &piece in pieces.iter().cycle() {
+            let piece = if cursor.more() { piece } else { piece.max(1) };
+            let arrived = &input[sent..(sent + piece).min(input.len())];
+            buffered.extend_from_slice(arrived);
+            sent += arrived.len();
+            let (consumed, close) = drain_input(store, &buffered, &mut cursor, scratch).unwrap();
+            assert!(!close, "the scripts hold no quit and no desync");
+            assert!(scratch.response().len() <= REPLY_CHUNK.max(OVERSIZED));
+            replies.extend_from_slice(scratch.response());
+            assert!(
+                replies.len() <= SCRIPT_REPLY_MAX,
+                "a get is not going forward"
+            );
+            buffered.drain(..consumed);
+            if sent == input.len() && !cursor.more() {
+                break;
+            }
+        }
+        assert!(buffered.is_empty(), "every request answered");
+        replies
     }
 
     /// `stats()` with `get_resumes` cleared: how many chunks a get took
@@ -1679,20 +1864,28 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A pipelined burst is answered, counted and stored exactly as
-        /// the same requests sent one per `drain_input` call, each driven
-        /// until no reply remains, and as a reference that answers every
-        /// `get` and `gets` with one `get_multi_reference` transaction:
-        /// replies byte for byte (quiet commands silent, refused values,
-        /// garbage lines, repeated keys and replies spanning several
-        /// chunks included), `stats()` but for `get_resumes`, and what
-        /// every key holds afterwards, on 1 and 16 shards. Sent alone, a
-        /// get resumes once per chunk after its first.
+        /// A pipelined burst, in one buffer and arriving in pieces of
+        /// random sizes (so bytes land behind a get while it is
+        /// mid-reply), is answered a chunk at most per call, and counted
+        /// and stored exactly as the same requests sent one per
+        /// `drain_input` call, each driven until no reply remains, and as
+        /// a reference that answers every `get` and `gets` with one
+        /// `get_multi_reference` transaction: replies byte for byte
+        /// (quiet commands silent, refused values, garbage lines,
+        /// repeated keys, keys between runs of blanks and replies
+        /// spanning several chunks included), `stats()` but for
+        /// `get_resumes`, and what every key holds afterwards, on 1 and
+        /// 16 shards. Sent alone, a get resumes once per chunk after its
+        /// first.
         #[test]
         fn burst_drain_matches_one_command_at_a_time(
             script in proptest::collection::vec(
                 (0u8..10, 0u8..6, 0u8..6, 0u8..3, proptest::prelude::any::<bool>()),
                 1..40,
+            ),
+            pieces in proptest::collection::vec(
+                proptest::prop_oneof![0usize..100, 0usize..(160 << 10)],
+                1..6,
             ),
         ) {
             let requests: Vec<Vec<u8>> =
@@ -1700,10 +1893,11 @@ mod tests {
             let burst = requests.concat();
             for shards in [1, 16] {
                 let clock = TestClock::new();
-                let [bursted, stepped, reference] =
-                    [(); 3].map(|()| Store::with_clock(1 << 20, shards, clock.clone().into()));
+                let [bursted, pieced, stepped, reference] =
+                    [(); 4].map(|()| Store::with_clock(1 << 20, shards, clock.clone().into()));
                 let mut scratch = ConnScratch::new();
                 let (burst_replies, _) = drain_all(&bursted, &burst, &mut scratch);
+                let piece_replies = drain_in_pieces(&pieced, &burst, &pieces, &mut scratch);
                 let (mut step_replies, mut resumes) = (Vec::new(), 0);
                 let mut reference_replies = Vec::new();
                 for request in &requests {
@@ -1725,16 +1919,22 @@ mod tests {
                     String::from_utf8_lossy(&reference_replies)
                 );
                 proptest::prop_assert_eq!(
+                    String::from_utf8_lossy(&piece_replies),
+                    String::from_utf8_lossy(&reference_replies)
+                );
+                proptest::prop_assert_eq!(
                     String::from_utf8_lossy(&step_replies),
                     String::from_utf8_lossy(&reference_replies)
                 );
                 proptest::prop_assert_eq!(stats_but_resumes(&bursted), reference.stats());
+                proptest::prop_assert_eq!(stats_but_resumes(&pieced), reference.stats());
                 proptest::prop_assert_eq!(stats_but_resumes(&stepped), reference.stats());
                 proptest::prop_assert_eq!(stepped.stats().get_resumes, resumes as u64);
                 let keys: Vec<Vec<u8>> = (0..6).map(|k| format!("k{k}").into_bytes()).collect();
                 let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
                 let held = reference.get_multi_reference(&keys);
                 proptest::prop_assert_eq!(bursted.get_multi_reference(&keys), held.clone());
+                proptest::prop_assert_eq!(pieced.get_multi_reference(&keys), held.clone());
                 proptest::prop_assert_eq!(stepped.get_multi_reference(&keys), held);
             }
         }
