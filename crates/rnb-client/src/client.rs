@@ -3,8 +3,8 @@
 use crate::keys::{item_key, write_item_key};
 use crate::stats::ClientStats;
 use rnb_core::{
-    Bundler, PlacementStrategy, PlanTarget, ReadEngine, RnbConfig, Round, Transport, WriteEngine,
-    WritePlanner, WritePolicy, WriteStep,
+    Bundler, PlacementStrategy, PlanTarget, ReadEngine, RnbConfig, Round, Transport, Txn,
+    WriteEngine, WritePlanner, WritePolicy, WriteStep,
 };
 use rnb_hash::{ItemId, Placement};
 use rnb_store::{StorageOp, StoreClient};
@@ -12,28 +12,24 @@ use std::io;
 use std::net::SocketAddr;
 use std::ops::Range;
 
-/// Configuration of a deployed RnB client.
+/// Configuration of a deployed RnB client. Its reads always append
+/// hitchhikers for servers that missed within their last
+/// [`HITCHHIKE_WINDOW`](rnb_core::HITCHHIKE_WINDOW) round-1 transactions
+/// and always write recovered misses back to the replica they missed at
+/// (§III-C2), in one burst of `noreply` sets per server that nothing
+/// waits for.
 #[derive(Debug, Clone)]
 pub struct RnbClientConfig {
     /// Placement and bundling configuration (server count must match the
     /// address list handed to [`RnbClient::connect`]).
     pub rnb: RnbConfig,
-    /// Append hitchhikers to planned transactions (§III-C2) — for items
-    /// planned on a server that has missed within its last
-    /// [`HITCHHIKE_WINDOW`](rnb_core::HITCHHIKE_WINDOW) round-1
-    /// transactions. Off: never.
-    pub hitchhiking: bool,
-    /// Write recovered misses back to the planned replica (§III-C2), in
-    /// one pipelined burst of `noreply` sets per server that nothing
-    /// waits for.
-    pub writeback: bool,
     /// How `set` propagates to replicas (§III-G / §IV).
     pub write_policy: WritePolicy,
-    /// Pipeline the bundled read rounds: issue every transaction of a
-    /// round before reading any reply, so round latency is one RTT
-    /// instead of the sum of per-server RTTs. Off = the same loop with
-    /// each receive directly after its send (the differential oracle of
-    /// the equivalence proptests).
+    /// Pipeline every round: issue each of its transactions before
+    /// reading any reply, so round latency is one RTT instead of the sum
+    /// of per-server RTTs. Off = the same loop with each receive directly
+    /// after its send (the differential oracle of the equivalence
+    /// proptests).
     pub pipeline: bool,
 }
 
@@ -44,8 +40,6 @@ impl RnbClientConfig {
     pub fn new(replication: usize) -> Self {
         RnbClientConfig {
             rnb: RnbConfig::new(1, replication), // server count fixed at connect()
-            hitchhiking: true,
-            writeback: true,
             write_policy: WritePolicy::WriteAll,
             pipeline: true,
         }
@@ -54,18 +48,6 @@ impl RnbClientConfig {
     /// Builder-style write-policy override.
     pub fn with_write_policy(mut self, policy: WritePolicy) -> Self {
         self.write_policy = policy;
-        self
-    }
-
-    /// Builder-style hitchhiking toggle.
-    pub fn with_hitchhiking(mut self, on: bool) -> Self {
-        self.hitchhiking = on;
-        self
-    }
-
-    /// Builder-style write-back toggle.
-    pub fn with_writeback(mut self, on: bool) -> Self {
-        self.writeback = on;
         self
     }
 
@@ -93,28 +75,18 @@ impl ServerConn {
         })
     }
 
-    /// The connection for the next operation, reconnecting lazily if a
-    /// previous error marked it broken. The bool reports whether a
-    /// reconnect happened (for [`ClientStats::reconnects`]).
-    fn ready(&mut self) -> io::Result<(&mut StoreClient, bool)> {
-        let reconnected = self.conn.is_none();
-        let conn = match &mut self.conn {
-            Some(conn) => conn,
-            slot @ None => slot.insert(StoreClient::connect(self.addr)?),
-        };
-        Ok((conn, reconnected))
-    }
-
-    /// The live connection, if any — used by pipelined receive phases,
-    /// which must read from the exact connection that sent (a reconnect
-    /// there would wait for a reply that was never requested).
-    fn active(&mut self) -> Option<&mut StoreClient> {
-        self.conn.as_mut()
-    }
-
-    /// Whether a connection is up: false from an error until a redial.
-    fn is_live(&self) -> bool {
-        self.conn.is_some()
+    /// The connection for the next operation, redialing if a previous
+    /// error marked it broken; a redial that connects counts in
+    /// [`ClientStats::reconnects`].
+    fn ready(&mut self, stats: &mut ClientStats) -> io::Result<&mut StoreClient> {
+        match &mut self.conn {
+            Some(conn) => Ok(conn),
+            slot @ None => {
+                let conn = slot.insert(StoreClient::connect(self.addr)?);
+                stats.reconnects += 1;
+                Ok(conn)
+            }
+        }
     }
 
     /// Never reuse this connection again; the next use reconnects.
@@ -123,19 +95,65 @@ impl ServerConn {
     }
 }
 
-/// Borrow-splitting helper: fetch (lazily reconnecting) the connection
-/// for `server` while `stats` counts the reconnect. A free function so a
-/// caller can hold borrows of the request's other buffers meanwhile.
-fn conn_for<'a>(
-    conns: &'a mut [ServerConn],
-    stats: &mut ClientStats,
-    server: usize,
-) -> io::Result<&'a mut StoreClient> {
-    let (conn, reconnected) = conns[server].ready()?;
-    if reconnected {
-        stats.reconnects += 1;
+/// The fleet's connections and the counters of what went over them.
+struct Fleet {
+    conns: Vec<ServerConn>,
+    stats: ClientStats,
+    pipeline: bool,
+}
+
+impl Fleet {
+    /// Run one round's transactions: `send(t, conn)` the `t`-th, then
+    /// `recv(t, conn)` its reply from the very connection that sent it.
+    /// Pipelined, every transaction is sent before any reply is read, so
+    /// the round costs one RTT and not the sum of the servers' RTTs;
+    /// otherwise each reply is read directly after its request — the
+    /// same loop over batches of one. A transaction `failed` already
+    /// marks is not sent.
+    ///
+    /// An I/O error on a transaction (server down) is not fatal to the
+    /// round: its connection is marked broken — the stream may be
+    /// desynced, so nothing may reuse it, and the next use redials — and
+    /// the transaction is counted in [`ClientStats::failed_txns`] and
+    /// marked failed, while the others complete, so a desync on one
+    /// server corrupts no other. Returns the first error.
+    fn exchange(
+        &mut self,
+        txns: &[Txn],
+        failed: &mut [bool],
+        mut send: impl FnMut(usize, &mut StoreClient) -> io::Result<()>,
+        mut recv: impl FnMut(usize, &mut StoreClient) -> io::Result<()>,
+    ) -> Option<io::Error> {
+        let batch = if self.pipeline { txns.len().max(1) } else { 1 };
+        let mut first_err = None;
+        for (first, chunk) in (0..).step_by(batch).zip(txns.chunks(batch)) {
+            for receiving in [false, true] {
+                for (t, txn) in (first..).zip(chunk) {
+                    if failed[t] {
+                        continue;
+                    }
+                    let conn = &mut self.conns[txn.server as usize];
+                    let done = if receiving {
+                        // A redial here would wait for a reply that was
+                        // never requested; a later send to the same
+                        // server broke the connection, so it is lost.
+                        let sent = conn.conn.as_mut();
+                        sent.ok_or_else(|| io::Error::from(io::ErrorKind::NotConnected))
+                            .and_then(|c| recv(t, c))
+                    } else {
+                        conn.ready(&mut self.stats).and_then(|c| send(t, c))
+                    };
+                    if let Err(e) = done {
+                        conn.mark_broken();
+                        self.stats.failed_txns += 1;
+                        failed[t] = true;
+                        first_err.get_or_insert(e);
+                    }
+                }
+            }
+        }
+        first_err
     }
-    Ok(conn)
 }
 
 /// A `from..to` range that is `Copy`, which std's is not.
@@ -205,14 +223,12 @@ impl Wire {
     }
 }
 
-/// The fleet's connections and the buffers that carry requests over
-/// them: the read engine's [`Transport`], which copies each value once,
-/// out of its connection's read buffer into the slot of its planner
-/// index, and the write engine's where a round stores no value.
+/// The fleet and the buffers that carry requests over it: the read
+/// engine's [`Transport`], which copies each value once, out of its
+/// connection's read buffer into the slot of its planner index, and the
+/// write engine's where a round stores no value.
 struct Net {
-    conns: Vec<ServerConn>,
-    config: RnbClientConfig,
-    stats: ClientStats,
+    fleet: Fleet,
     /// The encoded rounds of `multi_get`.
     wire: Wire,
     /// The found value of each planner index of the request in flight.
@@ -221,85 +237,55 @@ struct Net {
 }
 
 impl Transport for Net {
-    /// Pipelined, every request of the round is sent before any reply is
-    /// read, so the round costs one RTT and not the sum of the servers'
-    /// RTTs; otherwise each reply is read directly after its request —
-    /// the same loop over batches of one.
-    ///
-    /// An I/O error on a transaction (server down) is not fatal to the
+    /// One `get` per transaction. A failed one is not fatal to the
     /// request: the engine takes its items to the later rounds — RnB's
     /// replication doubles as availability (the paper's remark that
     /// memcached-tier "data loss … is usually tolerable" becomes "server
-    /// loss is tolerable" once every item has k homes). The failing
-    /// connection is marked broken: the stream may be desynced, so later
-    /// rounds must not reuse it.
+    /// loss is tolerable" once every item has k homes).
     fn run_round(&mut self, round: Round<'_>) {
         self.wire.encode(&round);
-        let (txns, wire) = (round.txns, &self.wire);
-        let batch = if self.config.pipeline {
-            txns.len().max(1)
-        } else {
-            1
-        };
-        for (first, chunk) in (0..).step_by(batch).zip(txns.chunks(batch)) {
-            for (t, txn) in (first..).zip(chunk) {
-                let s = txn.server as usize;
-                let line = &wire.keys.bytes[wire.lines[t].range()];
-                let sent = conn_for(&mut self.conns, &mut self.stats, s)
-                    .and_then(|c| c.send_request(line));
-                if sent.is_err() {
-                    self.conns[s].mark_broken();
-                    self.stats.failed_txns += 1;
-                    round.failed[t] = true;
-                }
-            }
-            for (t, txn) in (first..).zip(chunk) {
-                if round.failed[t] {
-                    continue;
-                }
-                let keys = &round.keys[txn.from..txn.to];
-                let (answered, slots) = (&mut round.answered[txn.from..txn.to], &mut self.slots);
-                let reply = match self.conns[txn.server as usize].active() {
-                    // Read from the exact connection that sent: a reconnect
-                    // here would wait for a reply that was never requested.
-                    Some(c) => c.recv_values(
-                        keys.len(),
-                        |i| wire.keys.get(txn.from + i),
-                        false,
-                        |i, data, _flags, _cas| {
-                            answered[i] = true;
-                            // The first answer wins: a hitchhiker may find
-                            // an item twice.
-                            slots[keys[i]].get_or_insert_with(|| data.to_vec());
-                        },
-                    ),
-                    // A later send on the same server broke the conn; treat
-                    // this pending reply as lost.
-                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-                };
-                if reply.is_err() {
-                    self.conns[txn.server as usize].mark_broken();
-                    self.stats.failed_txns += 1;
-                    round.failed[t] = true;
-                }
-            }
-        }
+        let Net {
+            fleet, wire, slots, ..
+        } = self;
+        let Round {
+            txns,
+            keys,
+            answered,
+            failed,
+            ..
+        } = round;
+        fleet.exchange(
+            txns,
+            failed,
+            |t, c| c.send_request(&wire.keys.bytes[wire.lines[t].range()]),
+            |t, c| {
+                let Txn { from, to, .. } = txns[t];
+                let (keys, answered) = (&keys[from..to], &mut answered[from..to]);
+                c.recv_values(
+                    keys.len(),
+                    |i| wire.keys.get(from + i),
+                    false,
+                    |i, data, _flags, _cas| {
+                        answered[i] = true;
+                        // The first answer wins: a hitchhiker may find
+                        // an item twice.
+                        slots[keys[i]].get_or_insert_with(|| data.to_vec());
+                    },
+                )
+            },
+        );
     }
 
     /// The values a write-back stores are the ones this request found;
     /// see [`WriteScratch::store`].
     fn store(&mut self, round: Round<'_>, step: WriteStep) {
         let Net {
-            conns,
-            config,
-            stats,
+            fleet,
             slots,
             write,
             ..
         } = self;
-        write.store(conns, stats, config, round, step, |index| {
-            slots[index].as_deref()
-        });
+        write.store(fleet, round, step, |index| slots[index].as_deref());
     }
 }
 
@@ -317,41 +303,29 @@ struct WriteScratch {
 }
 
 impl WriteScratch {
-    /// Run one store round, one storage burst per transaction, op `i`
-    /// being `step` of the round's `i`-th key with value `value(planner
-    /// index)`. Every burst is sent before any reply is read (the read
-    /// rounds' pipelining on the write side, so a round costs one RTT,
-    /// not the sum of per-server RTTs); with pipelining off, the same
-    /// loop over batches of one. Ops are built as they go out, so no op
-    /// list is collected.
-    ///
-    /// A failed send or receive marks that connection broken, counts a
-    /// failed transaction and marks the transaction failed; surviving
-    /// bursts still complete — desync on one server must not corrupt the
-    /// others. A burst whose replies all came back acknowledges each of
-    /// its ops: a `delete` that found nothing leaves no copy either.
+    /// Run one store round over [`Fleet::exchange`], one storage burst
+    /// per transaction, op `i` being `step` of the round's `i`-th key
+    /// with value `value(planner index)`. Ops are built as they go out,
+    /// so no op list is collected. A burst whose replies all came back
+    /// acknowledges each of its ops: a `delete` that found nothing
+    /// leaves no copy either.
     ///
     /// A write-back is a quiet `noreply` set per op: a cache fill nobody
-    /// reads back, so the request returns once the bursts are sent, and
-    /// whatever this client sends that server later rides the same
-    /// connection behind them. It sends nothing with `config.writeback`
-    /// off, and it never dials: a server whose connection a failed
-    /// transaction broke in this request, and nothing redialed since, is
-    /// skipped — so a dead node costs no connect per item. Its errors
-    /// are not kept; the other steps keep their first.
+    /// reads back, so it reads no reply and the request returns once the
+    /// bursts are sent, and whatever this client sends that server later
+    /// rides the same connection behind them. It never dials: a server
+    /// whose connection a failed transaction broke in this request, and
+    /// nothing redialed since, is skipped — so a dead node costs no
+    /// connect per item. Its errors are not kept; the other steps keep
+    /// their first.
     fn store<'v>(
         &mut self,
-        conns: &mut [ServerConn],
-        stats: &mut ClientStats,
-        config: &RnbClientConfig,
+        fleet: &mut Fleet,
         round: Round<'_>,
         step: WriteStep,
         value: impl Fn(usize) -> Option<&'v [u8]>,
     ) {
         let quiet = step == WriteStep::WriteBack;
-        if quiet && !config.writeback {
-            return;
-        }
         let WriteScratch {
             keys,
             acks,
@@ -376,64 +350,40 @@ impl WriteScratch {
                 },
             }
         };
-        let (txns, failed, answered) = (round.txns, round.failed, round.answered);
-        let mut first_err = None;
-        let mut acked = 0;
-        let batch = if config.pipeline {
-            txns.len().max(1)
-        } else {
-            1
-        };
-        for (first, chunk) in (0..).step_by(batch).zip(txns.chunks(batch)) {
-            for (t, txn) in (first..).zip(chunk) {
-                let s = txn.server as usize;
-                if quiet && !conns[s].is_live() {
-                    failed[t] = true;
-                    continue;
-                }
-                if quiet {
-                    stats.writeback_txns += 1;
-                } else {
-                    stats.write_txns += 1;
-                }
-                let ops = (txn.from..txn.to).map(op);
-                let sent = conn_for(conns, stats, s).and_then(|c| c.send_storage_batch(ops));
-                if let Err(e) = sent {
-                    conns[s].mark_broken();
-                    stats.failed_txns += 1;
-                    failed[t] = true;
-                    first_err.get_or_insert(e);
-                }
-            }
-            for (t, txn) in (first..).zip(chunk) {
-                if failed[t] {
-                    continue;
-                }
-                let s = txn.server as usize;
-                let reply = match conns[s].active() {
-                    Some(c) => c.recv_storage_batch((txn.from..txn.to).map(op), acks),
-                    // A later send on the same server broke the conn; the
-                    // pending replies are lost.
-                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-                };
-                match reply {
-                    Ok(()) => {
-                        acked += acks.iter().filter(|&&ack| ack).count() as u64;
-                        answered[txn.from..txn.to].fill(true);
-                    }
-                    Err(e) => {
-                        conns[s].mark_broken();
-                        stats.failed_txns += 1;
-                        failed[t] = true;
-                        first_err.get_or_insert(e);
-                    }
-                }
+        let Round {
+            txns,
+            answered,
+            failed,
+            ..
+        } = round;
+        if quiet {
+            for (failed, txn) in failed.iter_mut().zip(txns) {
+                *failed = fleet.conns[txn.server as usize].conn.is_none();
             }
         }
+        let bursts = failed.iter().filter(|&&failed| !failed).count() as u64;
+        if quiet {
+            fleet.stats.writeback_txns += bursts;
+        } else {
+            fleet.stats.write_txns += bursts;
+        }
+        let mut acked = 0;
+        let ops = |t: usize| (txns[t].from..txns[t].to).map(op);
+        let first_err = fleet.exchange(
+            txns,
+            failed,
+            |t, c| c.send_storage_batch(ops(t)),
+            |t, c| {
+                c.recv_storage_batch(ops(t), acks)?;
+                acked += acks.iter().filter(|&&ack| ack).count() as u64;
+                answered[txns[t].from..txns[t].to].fill(true);
+                Ok(())
+            },
+        );
         match step {
             WriteStep::Invalidate => *deleted += acked,
             WriteStep::Write => {}
-            WriteStep::WriteBack => stats.writebacks += acked,
+            WriteStep::WriteBack => fleet.stats.writebacks += acked,
         }
         if let (false, Some(e)) = (quiet, first_err) {
             err.get_or_insert(e);
@@ -455,15 +405,9 @@ impl<V: AsRef<[u8]>> Transport for Batch<'_, V> {
 
     /// Each op's value is its entry's.
     fn store(&mut self, round: Round<'_>, step: WriteStep) {
-        let Net {
-            conns,
-            config,
-            stats,
-            write,
-            ..
-        } = &mut *self.net;
+        let Net { fleet, write, .. } = &mut *self.net;
         let entries = self.entries;
-        write.store(conns, stats, config, round, step, |index| {
+        write.store(fleet, round, step, |index| {
             entries.get(index).map(|(_, v)| v.as_ref())
         });
     }
@@ -472,8 +416,9 @@ impl<V: AsRef<[u8]>> Transport for Batch<'_, V> {
 /// A connected RnB deployment client.
 pub struct RnbClient {
     net: Net,
+    /// The planner; its placement is the write path's too.
     bundler: Bundler<PlacementStrategy>,
-    writer: WritePlanner<PlacementStrategy>,
+    write_policy: WritePolicy,
     /// The read path, planner scratch included.
     read: ReadEngine,
     /// The write path, shared with `rnb-sim` like `read`.
@@ -492,20 +437,17 @@ impl RnbClient {
             .iter()
             .map(|&a| ServerConn::connect(a))
             .collect::<io::Result<_>>()?;
-        let bundler = Bundler::from_config(&config.rnb);
-        let writer = WritePlanner::new(
-            PlacementStrategy::from_config(&config.rnb),
-            config.write_policy,
-        );
         Ok(RnbClient {
-            bundler,
-            writer,
-            read: ReadEngine::new(config.hitchhiking),
+            bundler: Bundler::from_config(&config.rnb),
+            write_policy: config.write_policy,
+            read: ReadEngine::new(true),
             write: WriteEngine::new(),
             net: Net {
-                conns,
-                config,
-                stats: ClientStats::default(),
+                fleet: Fleet {
+                    conns,
+                    stats: ClientStats::default(),
+                    pipeline: config.pipeline,
+                },
                 wire: Wire::default(),
                 slots: Vec::new(),
                 write: WriteScratch::default(),
@@ -515,7 +457,7 @@ impl RnbClient {
 
     /// Number of servers in the deployment.
     pub fn num_servers(&self) -> usize {
-        self.net.conns.len()
+        self.net.fleet.conns.len()
     }
 
     /// Repoint server slot `server` at a new address.
@@ -529,7 +471,7 @@ impl RnbClient {
     /// ignored: membership changes (resizing the fleet) require a new
     /// client because they change the placement itself.
     pub fn set_server_addr(&mut self, server: usize, addr: SocketAddr) {
-        if let Some(slot) = self.net.conns.get_mut(server) {
+        if let Some(slot) = self.net.fleet.conns.get_mut(server) {
             slot.addr = addr;
             slot.mark_broken();
         }
@@ -537,7 +479,7 @@ impl RnbClient {
 
     /// Accumulated counters.
     pub fn stats(&self) -> ClientStats {
-        self.net.stats
+        self.net.fleet.stats
     }
 
     /// The planner (for tests and tooling).
@@ -560,7 +502,7 @@ impl RnbClient {
         net.slots.clear();
         net.slots.resize_with(items.len(), || None);
         let c = self.read.fetch(&self.bundler, items, PlanTarget::Full, net);
-        let stats = &mut net.stats;
+        let stats = &mut net.fleet.stats;
         stats.requests += 1;
         stats.round1_txns += c.round1_txns;
         stats.round2_txns += c.round2_txns;
@@ -600,9 +542,10 @@ impl RnbClient {
         server: usize,
         op: impl FnOnce(&mut StoreClient) -> io::Result<T>,
     ) -> io::Result<T> {
-        let out = conn_for(&mut self.net.conns, &mut self.net.stats, server).and_then(op);
+        let Fleet { conns, stats, .. } = &mut self.net.fleet;
+        let out = conns[server].ready(stats).and_then(op);
         if out.is_err() {
-            self.net.conns[server].mark_broken();
+            conns[server].mark_broken();
         }
         out
     }
@@ -639,9 +582,10 @@ impl RnbClient {
             net: &mut self.net,
             entries,
         };
+        let writer = WritePlanner::new(self.bundler.placement(), self.write_policy);
         let items = entries.iter().map(|&(item, _)| item);
-        self.write.store(&self.writer, items, &mut batch);
-        self.net.stats.writes += entries.len() as u64;
+        self.write.store(&writer, items, &mut batch);
+        self.net.fleet.stats.writes += entries.len() as u64;
         self.net.write.err.take().map_or(Ok(()), Err)
     }
 
@@ -652,10 +596,10 @@ impl RnbClient {
     /// copy's delete.
     pub fn delete(&mut self, item: ItemId) -> io::Result<bool> {
         self.net.write.deleted = 0;
-        let placement = self.writer.placement();
+        let placement = self.bundler.placement();
         self.write
             .invalidate(placement, [item], true, &mut self.net);
-        self.net.stats.writes += 1;
+        self.net.fleet.stats.writes += 1;
         let deleted = self.net.write.deleted > 0;
         self.net.write.err.take().map_or(Ok(deleted), Err)
     }
@@ -671,7 +615,7 @@ impl RnbClient {
         item: ItemId,
         f: impl Fn(&[u8]) -> Vec<u8>,
     ) -> io::Result<Vec<u8>> {
-        let placement = self.writer.placement();
+        let placement = self.bundler.placement();
         self.write
             .invalidate(placement, [item], false, &mut self.net);
         if let Some(e) = self.net.write.err.take() {
@@ -688,12 +632,12 @@ impl RnbClient {
                 ));
             };
             let next = f(&data);
-            self.net.stats.write_txns += 1;
+            self.net.fleet.stats.write_txns += 1;
             if self.with_conn(d, |c| c.cas(&key, &next, flags, token))? {
-                self.net.stats.writes += 1;
+                self.net.fleet.stats.writes += 1;
                 return Ok(next);
             }
-            self.net.stats.cas_retries += 1;
+            self.net.fleet.stats.cas_retries += 1;
         }
     }
 }
@@ -706,14 +650,9 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = RnbClientConfig::new(3)
-            .with_write_policy(WritePolicy::InvalidateThenWrite)
-            .with_hitchhiking(false)
-            .with_writeback(false);
+        let c = RnbClientConfig::new(3).with_write_policy(WritePolicy::InvalidateThenWrite);
         assert_eq!(c.rnb.replication, 3);
         assert_eq!(c.write_policy, WritePolicy::InvalidateThenWrite);
-        assert!(!c.hitchhiking);
-        assert!(!c.writeback);
     }
 
     #[test]

@@ -11,14 +11,16 @@
 //! [`ReadEngine`](rnb_core::ReadEngine) over pipelined TCP: bundled
 //! multi-gets (§III-A), hitchhikers for servers that missed within
 //! their last [`HITCHHIKE_WINDOW`] round-1 transactions (§III-C2), the
-//! distinguished-copy fallback (§III-D) and write-back bursts. Its
-//! writes are rounds of `rnb-core`'s [`WriteEngine`](rnb_core::WriteEngine):
-//! `set`/`multi_set` (§III-G / §IV) update every replica or run the
-//! atomic invalidate-then-write scheme, [`RnbClient::delete`] is one
+//! distinguished-copy fallback (§III-D) and write-back bursts, the
+//! hitchhikers and the write-back always on. Its writes are rounds of
+//! `rnb-core`'s [`WriteEngine`](rnb_core::WriteEngine): `set`/`multi_set`
+//! (§III-G / §IV) update every replica or run the atomic
+//! invalidate-then-write scheme, [`RnbClient::delete`] is one
 //! invalidation round over every copy, and [`RnbClient::atomic_update`]
 //! is one over every copy but the distinguished one, then a CAS loop
-//! there. Every store round, write-back included, goes out as one
-//! pipelined storage burst per server.
+//! there. Every round — a read round, a store round, a write-back — goes
+//! out through one pipelined exchange: one transaction per server, a
+//! multi-get or a storage burst, each sent before any reply is read.
 //!
 //! ```no_run
 //! use rnb_client::{RnbClient, RnbClientConfig};

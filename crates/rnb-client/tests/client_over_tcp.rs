@@ -31,6 +31,18 @@ impl Fleet {
     fn sets(&self) -> u64 {
         self.servers.iter().map(|s| s.store().stats().sets).sum()
     }
+
+    /// Wait until the fleet has applied `sets` in all. Write-backs are
+    /// not acknowledged: one still in flight would land later, as an
+    /// extra `set` or as a copy that undoes an eviction.
+    fn settle(&self, sets: u64) {
+        let mut polls = 0u64;
+        while self.sets() < sets {
+            polls += 1;
+            assert!(polls < 50_000_000, "write-backs never landed");
+            std::thread::yield_now();
+        }
+    }
 }
 
 #[test]
@@ -279,16 +291,6 @@ fn hitchhikers_ride_only_for_servers_that_have_been_missing() {
     assert_eq!((d.planned_misses, d.hitchhikers, d.round2_txns), (1, 0, 1));
     let d = read(&mut client);
     assert!(d.hitchhikers > 0 && d.planned_misses == 0, "{d:?}");
-
-    // Switched off, never — not even cold.
-    let mut off = RnbClient::connect(
-        &fleet.addrs(),
-        RnbClientConfig::new(3).with_hitchhiking(false),
-    )
-    .unwrap();
-    for _ in 0..3 {
-        assert_eq!(read(&mut off).hitchhikers, 0);
-    }
 }
 
 /// Delete `item` on every replica server, then read `request`: `item`
@@ -672,16 +674,10 @@ mod pipelined_equivalence {
 
     impl Side {
         /// Wait until the fleet has applied every write-back the client
-        /// sent. They are not acknowledged, and an eviction that
-        /// overtook one would be undone by it.
+        /// sent.
         fn settle(&self) {
             let sent = self.populated + self.client.stats().writebacks;
-            let mut polls = 0u64;
-            while self.fleet.sets() < sent {
-                polls += 1;
-                assert!(polls < 50_000_000, "write-backs never landed");
-                std::thread::yield_now();
-            }
+            self.fleet.settle(sent);
         }
     }
 
@@ -695,18 +691,35 @@ mod pipelined_equivalence {
 
     const STORED: u64 = 400;
 
+    /// The address of a server lost for good: it accepts every
+    /// connection and closes it at once. Unlike a shut-down server's
+    /// freed port, which a fleet started meanwhile by another test may
+    /// take, it holds its port while the test binary runs, so every
+    /// redial connects and every transaction on it fails, whenever it
+    /// is made.
+    fn grave() -> SocketAddr {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || listener.incoming().for_each(drop));
+        addr
+    }
+
     fn side(pipeline: bool, dead: Option<usize>) -> Side {
         let mut fleet = Fleet::start(6, 1 << 22);
-        let config = RnbClientConfig::new(3).with_pipeline(pipeline);
-        let mut client = RnbClient::connect(&fleet.addrs(), config).unwrap();
+        let mut addrs = fleet.addrs();
+        let mut loader = RnbClient::connect(&addrs, RnbClientConfig::new(3)).unwrap();
         for item in 0..STORED {
-            client.set(item, format!("eq{item}").as_bytes()).unwrap();
+            loader.set(item, format!("eq{item}").as_bytes()).unwrap();
         }
-        // Killed under the client's live connection: the first request
-        // to touch it finds out mid-request.
+        // Lost under the client's live connection: the grave closes it,
+        // so the first request to touch it finds out mid-request, and
+        // every redial after that fails the same way.
         if let Some(server) = dead {
             fleet.servers[server].shutdown();
+            addrs[server] = grave();
         }
+        let config = RnbClientConfig::new(3).with_pipeline(pipeline);
+        let client = RnbClient::connect(&addrs, config).unwrap();
         let populated = fleet.sets();
         Side {
             fleet,
@@ -1141,25 +1154,25 @@ mod bundled_write_equivalence {
     /// client's per-entry `set` loop and its `delete` the second, and the
     /// oracle the third — plain store connections applying the policy by
     /// hand, entry by entry, so it shares no code with the write engine.
+    /// Each fleet is also read by a client of its own (the third's only
+    /// reads), so that all three take the same write-backs.
     struct Env {
         policy: WritePolicy,
         fleets: [Fleet; 3],
         pipelined: RnbClient,
         sequential: RnbClient,
+        reader: RnbClient,
         oracle: Vec<StoreClient>,
     }
 
     impl Env {
         fn new(policy: WritePolicy) -> Env {
             let fleets = [(); 3].map(|_| Fleet::start(6, 1 << 22));
-            // No write-back: a refill landing after a case's counters
-            // were read would show as an extra `set`.
-            let config = RnbClientConfig::new(3)
-                .with_write_policy(policy)
-                .with_writeback(false);
+            let config = RnbClientConfig::new(3).with_write_policy(policy);
             let connect = |fleet: &Fleet, config| RnbClient::connect(&fleet.addrs(), config);
             let pipelined = connect(&fleets[0], config.clone()).unwrap();
-            let sequential = connect(&fleets[1], config.with_pipeline(false)).unwrap();
+            let sequential = connect(&fleets[1], config.clone().with_pipeline(false)).unwrap();
+            let reader = connect(&fleets[2], config).unwrap();
             let oracle = fleets[2].addrs().into_iter().map(StoreClient::connect);
             Env {
                 policy,
@@ -1167,6 +1180,7 @@ mod bundled_write_equivalence {
                 fleets,
                 pipelined,
                 sequential,
+                reader,
             }
         }
 
@@ -1214,7 +1228,8 @@ mod bundled_write_equivalence {
         /// `multi_set` and a pipeline-off per-entry `set` loop each leave
         /// every server's store byte-identical to the oracle's, each
         /// server receives exactly the same number of `set` commands, and
-        /// a `multi_get` round-trips the last value written per item. Then
+        /// on every fleet a `multi_get` round-trips the last value written
+        /// per item, its write-backs landing alike. Then
         /// `delete` of a chosen subset of the batch's items (one
         /// invalidation round over every copy) on both clients leaves the
         /// fleets identical again, server by server, each server having
@@ -1286,11 +1301,19 @@ mod bundled_write_equivalence {
                         prop_assert_eq!(&held[2], &want, "{:?}: item {} on server {}", policy, item, server);
                     }
                 }
-                // And the client's own read path sees the batch.
+                // And the clients' own read path sees the batch, on every
+                // fleet. A replica that misses is refilled by a write-back;
+                // each fleet takes the same ones, and they have landed
+                // before any fleet or count is compared again.
                 let items: Vec<u64> = last.keys().copied().collect();
-                let values = env.pipelined.multi_get(&items).unwrap();
-                for (item, got) in items.iter().zip(&values) {
-                    prop_assert_eq!(got.as_deref(), Some(last[item]), "round-trip of item {}", item);
+                let readers = [&mut env.pipelined, &mut env.sequential, &mut env.reader];
+                for (fleet, client) in env.fleets.iter().zip(readers) {
+                    let (sets, before) = (fleet.sets(), client.stats().writebacks);
+                    let values = client.multi_get(&items).unwrap();
+                    for (item, got) in items.iter().zip(&values) {
+                        prop_assert_eq!(got.as_deref(), Some(last[item]), "round-trip of item {}", item);
+                    }
+                    fleet.settle(sets + client.stats().writebacks - before);
                 }
 
                 // Delete the chosen items: both clients' deletes leave the

@@ -345,7 +345,6 @@ pub fn run_scenario(s: &Scenario) -> io::Result<ScenarioReport> {
     let mut stream = build_stream(s);
     let w = s.workload.clone();
     let mut rounds: Vec<RoundStats> = Vec::with_capacity(w.rounds);
-    let mut totals = ClientStats::default();
     let mut prev = client.as_ref().map(|c| c.stats()).unwrap_or_default();
 
     // Recovery bookkeeping: the stopwatch starts at the last event
@@ -388,7 +387,7 @@ pub fn run_scenario(s: &Scenario) -> io::Result<ScenarioReport> {
                     cluster.add_node()?;
                     // Membership changed: placement is a function of the
                     // server count, so the client is rebuilt. Per-round
-                    // deltas already flowed into the running totals.
+                    // deltas already hold what the old one did.
                     client = Some(connect(&cluster)?);
                     prev = ClientStats::default();
                 } else if round == grow_at + 1 || round == shrink_at + 1 {
@@ -471,9 +470,7 @@ pub fn run_scenario(s: &Scenario) -> io::Result<ScenarioReport> {
         let now = c.stats();
         let delta = now.since(&prev);
         prev = now;
-        totals = add(totals, &delta);
 
-        let txns = delta.round1_txns + delta.round2_txns + delta.round3_txns;
         rounds.push(RoundStats {
             round,
             phase: "baseline", // relabeled post-hoc below
@@ -496,11 +493,7 @@ pub fn run_scenario(s: &Scenario) -> io::Result<ScenarioReport> {
             } else {
                 delta.unavailable_items as f64 / items_requested as f64
             },
-            tpr: if delta.requests == 0 {
-                0.0
-            } else {
-                txns as f64 / delta.requests as f64
-            },
+            tpr: delta.tpr(),
         });
 
         // --- recovery detection ---
@@ -544,6 +537,11 @@ pub fn run_scenario(s: &Scenario) -> io::Result<ScenarioReport> {
             .map(|r| r.miss_rate)
             .fold(0.0f64, f64::max)
     };
+    // Whole-run totals: the rounds' deltas add up to them, across client
+    // rebuilds too.
+    let total = |field: fn(&RoundStats) -> u64| rounds.iter().map(field).sum::<u64>();
+    let requests = total(|r| r.requests);
+    let txns = total(|r| r.round1_txns + r.round2_txns + r.round3_txns);
     let metrics = ScenarioMetrics {
         recovery_rounds: match (recovered, last_action) {
             (Some((r, _)), Some(last)) => Some(r - last + 1),
@@ -552,10 +550,14 @@ pub fn run_scenario(s: &Scenario) -> io::Result<ScenarioReport> {
         recovery_ms: recovered.map(|(_, ms)| ms),
         transition_miss_rate: phase_max_miss("transition"),
         steady_miss_rate: phase_max_miss("steady"),
-        overall_tpr: totals.tpr(),
-        reconnects: totals.reconnects,
-        failed_txns: totals.failed_txns,
-        round3_txns: totals.round3_txns,
+        overall_tpr: if requests == 0 {
+            0.0
+        } else {
+            txns as f64 / requests as f64
+        },
+        reconnects: total(|r| r.reconnects),
+        failed_txns: total(|r| r.failed_txns),
+        round3_txns: total(|r| r.round3_txns),
     };
 
     // --- bounds ---
@@ -602,28 +604,6 @@ pub fn run_scenario(s: &Scenario) -> io::Result<ScenarioReport> {
         metrics,
         violations,
     })
-}
-
-/// Field-wise sum of two counter snapshots (totals across client
-/// rebuilds, where the cumulative counters reset).
-fn add(a: ClientStats, d: &ClientStats) -> ClientStats {
-    ClientStats {
-        requests: a.requests + d.requests,
-        round1_txns: a.round1_txns + d.round1_txns,
-        round2_txns: a.round2_txns + d.round2_txns,
-        round3_txns: a.round3_txns + d.round3_txns,
-        planned_misses: a.planned_misses + d.planned_misses,
-        rescued_by_hitchhikers: a.rescued_by_hitchhikers + d.rescued_by_hitchhikers,
-        hitchhikers: a.hitchhikers + d.hitchhikers,
-        writebacks: a.writebacks + d.writebacks,
-        writeback_txns: a.writeback_txns + d.writeback_txns,
-        unavailable_items: a.unavailable_items + d.unavailable_items,
-        writes: a.writes + d.writes,
-        write_txns: a.write_txns + d.write_txns,
-        cas_retries: a.cas_retries + d.cas_retries,
-        failed_txns: a.failed_txns + d.failed_txns,
-        reconnects: a.reconnects + d.reconnects,
-    }
 }
 
 /// The declared scenario grid. `quick` shrinks universes and round
